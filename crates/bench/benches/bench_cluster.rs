@@ -1,14 +1,13 @@
 //! Lemma 3 micro-benchmark: line-segment clustering with and without a
 //! spatial index (linear scan = the O(n²) arm; grid and R-tree = the
-//! O(n log n) arm), plus the sharded parallel path across thread counts
-//! and the streaming engine's insert throughput.
+//! O(n log n) arm), plus the ordered parallel grouping pass across thread
+//! counts and the streaming engine's insert throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use traclus_bench::experiments::scaling::scaled_database;
 use traclus_core::{
     ClusterConfig, IncrementalClustering, IndexKind, LineSegmentClustering, Parallelism,
-    PartitionConfig, SegmentDatabase, ShardPlan, SnapshotCell, StreamConfig, Traclus,
-    TraclusConfig,
+    PartitionConfig, SegmentDatabase, SnapshotCell, StreamConfig, Traclus, TraclusConfig,
 };
 use traclus_data::{HurricaneConfig, HurricaneGenerator};
 use traclus_geom::{Aabb, SegmentDistance, Trajectory, TrajectoryId};
@@ -41,11 +40,10 @@ fn bench_cluster(c: &mut Criterion) {
     }
 }
 
-/// Sequential vs sharded-parallel grouping on the 32-trajectory hurricane
-/// workload (t = 1 is the sequential Figure 12 loop; larger t take the
-/// split/merge path). On a ≥ 4-core runner t = 4 should beat t = 1 by
-/// ≥ 1.5×; outputs are identical by construction, so this measures pure
-/// wall-clock.
+/// The ordered grouping pass across thread counts on the 32-trajectory
+/// hurricane workload (t = 1 runs it inline; larger t run its ε-queries on
+/// scoped workers). Outputs are identical by construction, so this
+/// measures pure wall-clock.
 fn bench_cluster_parallel(c: &mut Criterion) {
     let tracks = HurricaneGenerator::new(HurricaneConfig {
         tracks: 32,
@@ -71,7 +69,7 @@ fn bench_cluster_parallel(c: &mut Criterion) {
     group.finish();
 
     // Same sweep on the constant-density scaled scene, a heavier load
-    // where the per-seed neighborhood work dominates the merge overhead.
+    // where the per-segment neighborhood work dominates the spawn cost.
     let db = scaled_database(2000, 5);
     let config = ClusterConfig::new(7.0, 6);
     let mut group = c.benchmark_group("cluster/parallel_scaled2000");
@@ -374,7 +372,7 @@ fn bench_prune(c: &mut Criterion) {
 /// sort/tile/pack recursion; larger t sort and pack on scoped workers).
 /// The resulting tree is byte-identical at every t, so this is pure
 /// wall-clock for the index (re)build — the term every full rebuild and
-/// every sharded run pays before any clustering starts.
+/// every parallel grouping run pays before any clustering starts.
 fn bench_bulk_load(c: &mut Criterion) {
     let tracks = HurricaneGenerator::new(HurricaneConfig {
         tracks: 64,
@@ -402,52 +400,6 @@ fn bench_bulk_load(c: &mut Criterion) {
                 })
             },
         );
-    }
-    group.finish();
-}
-
-/// Work-aware shard packing on a density-skewed scene: half the segments
-/// pile into a few dense corridors (each ε-query there touches many
-/// candidates), the rest spread thin. Count-balanced packing would hand
-/// the dense half to one straggling worker; the work-aware plan splits by
-/// estimated query cost. The `plan` arm prices the planner itself; the
-/// `t*` arms are end-to-end sharded runs on the skewed scene.
-fn bench_shard_balance(c: &mut Criterion) {
-    let mut trajectories: Vec<Trajectory<2>> = Vec::new();
-    let mut id = 0u32;
-    // Dense band: 48 corridors stacked within a couple of tiles.
-    for i in 0..48 {
-        trajectories.push(Trajectory::new(
-            TrajectoryId(id),
-            (0..20)
-                .map(|k| traclus_geom::Point2::xy(k as f64 * 2.0, i as f64 * 0.05))
-                .collect(),
-        ));
-        id += 1;
-    }
-    // Sparse field: 48 corridors fanned far apart.
-    for i in 0..48 {
-        trajectories.push(Trajectory::new(
-            TrajectoryId(id),
-            (0..20)
-                .map(|k| traclus_geom::Point2::xy(k as f64 * 2.0, 50.0 + i as f64 * 9.0))
-                .collect(),
-        ));
-        id += 1;
-    }
-    let db = SegmentDatabase::from_trajectories(
-        &trajectories,
-        &PartitionConfig::default(),
-        SegmentDistance::default(),
-    );
-    let config = ClusterConfig::new(2.0, 4);
-    let mut group = c.benchmark_group("shard_balance/skewed");
-    group.sample_size(10);
-    group.bench_function("plan", |b| b.iter(|| ShardPlan::new(&db, 4, config.eps)));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("t", threads), &threads, |b, &threads| {
-            b.iter(|| LineSegmentClustering::new(&db, config).run_parallel(threads))
-        });
     }
     group.finish();
 }
@@ -500,7 +452,6 @@ criterion_group!(
     bench_cluster,
     bench_cluster_parallel,
     bench_bulk_load,
-    bench_shard_balance,
     bench_stream_repair_par,
     bench_stream_insert,
     bench_sliding_window,

@@ -56,10 +56,10 @@ pub struct ClusterConfig {
     pub weighted: bool,
     /// Acceleration structure for ε-neighborhood queries.
     pub index: IndexKind,
-    /// Worker threads for [`LineSegmentClustering::run_configured`]: the
-    /// sharded parallel path when it resolves to ≥ 2, the sequential
-    /// Figure 12 loop otherwise. Either way the resulting [`Clustering`]
-    /// is identical.
+    /// Worker threads for the ε-queries of
+    /// [`LineSegmentClustering::run_configured`]'s ordered grouping pass
+    /// (one thread runs it inline). The resulting [`Clustering`] is
+    /// identical for every thread count.
     pub parallelism: Parallelism,
     /// Filter-and-refine pruning of ε-neighborhood candidates through the
     /// admissible lower bounds of `traclus_geom::lower_bound` (default
@@ -304,10 +304,13 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         (clustering, stats)
     }
 
-    /// Runs the grouping phase over `threads` worker threads and returns a
-    /// [`Clustering`] **identical** to [`Self::run`] — the sharded
-    /// split/merge design and the equivalence argument live in
-    /// [`crate::shard`]. `threads ≤ 1` takes the sequential path directly.
+    /// Runs the grouping phase with its ε-queries on `threads` worker
+    /// threads and returns a [`Clustering`] **identical** to [`Self::run`].
+    /// One ordered pass queries every segment once and classifies the
+    /// results in ascending id order on the calling thread; the
+    /// equivalence argument lives in the crate's `grouping` module.
+    /// `threads ≤ 1` and small databases run the pass inline, without
+    /// spawning.
     ///
     /// ```
     /// use traclus_core::{ClusterConfig, LineSegmentClustering, SegmentDatabase};
@@ -343,32 +346,17 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         self.run_parallel_with_stats(threads).0
     }
 
-    /// [`Self::run_parallel`] plus the run's [`ClusterStats`]. The prune
-    /// counters aggregate across all shard workers (they share one index),
-    /// and because every worker queries the same candidate universe the
-    /// totals match the sequential run's on the same database.
+    /// [`Self::run_parallel`] plus the run's [`ClusterStats`]. Every
+    /// worker queries the same shared index, so the prune counters total
+    /// exactly what the sequential run's do on the same database.
     pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, ClusterStats) {
-        if threads <= 1 || self.db.len() <= 1 {
-            return self.run_with_stats();
-        }
-        crate::shard::run_sharded(self.db, &self.config, threads)
+        crate::grouping::run_ordered(self.db, &self.config, threads.max(1))
     }
 
-    /// Dispatches on the configured [`Parallelism`] knob: the sequential
-    /// loop when it resolves to one thread, the sharded parallel path
-    /// otherwise.
-    ///
-    /// Unlike the explicit [`Self::run_parallel`], the automatic path caps
-    /// the worker count so every shard holds a meaningful slice of the
-    /// database — on small inputs spawn + merge overhead would otherwise
-    /// eat the parallel gain (the output is identical either way, so this
-    /// is purely a scheduling decision).
+    /// [`Self::run_parallel`] with the thread count of the configured
+    /// [`Parallelism`] knob — the grouping path of [`crate::Traclus::run`].
     pub fn run_configured(&self) -> Clustering {
-        /// Fewer segments than this per worker and the parallel path stops
-        /// paying for itself.
-        const MIN_SEGMENTS_PER_SHARD: usize = 64;
-        let cap = (self.db.len() / MIN_SEGMENTS_PER_SHARD).max(1);
-        self.run_parallel(self.config.parallelism.thread_count().min(cap))
+        self.run_parallel(self.config.parallelism.thread_count())
     }
 
     /// Lines 17–28: BFS expansion of a density-connected set.
@@ -410,11 +398,11 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
     }
 }
 
-/// Step 3 of Figure 12 (lines 13–16), shared by the sequential and sharded
-/// parallel paths: gather members per raw cluster id, apply the
-/// trajectory-cardinality filter, renumber densely, and build the final
-/// label array. Member lists come out ascending because segments are
-/// scanned in id order.
+/// Step 3 of Figure 12 (lines 13–16), shared by the sequential loop, the
+/// ordered grouping pass and the streaming snapshot: gather members per
+/// raw cluster id, apply the trajectory-cardinality filter, renumber
+/// densely, and build the final label array. Member lists come out
+/// ascending because segments are scanned in id order.
 pub(crate) fn finalize_raw<const D: usize>(
     db: &SegmentDatabase<D>,
     raw: &[Option<u32>],

@@ -1,0 +1,578 @@
+//! The ordered parallel grouping engine: ε-queries on scoped workers,
+//! classification on the calling thread in strictly ascending id order.
+//!
+//! The output is **identical** to the sequential Figure 12 loop in
+//! [`crate::cluster`], not merely similar, because three quantities the
+//! loop produces are independent of visit order:
+//!
+//! 1. *Core-ness is intrinsic.* Whether `|Nε(L)| ≥ MinLns` depends only on
+//!    `L`'s own whole-database ε-query, so a segment's core flag is final
+//!    the moment its neighbourhood has been computed.
+//! 2. *Clusters are components.* Every core reachable through core-to-core
+//!    ε-links joins the same cluster, so clusters restricted to cores are
+//!    the connected components of the core-adjacency graph. Raw cluster
+//!    ids fall out of the seed scan in ascending-id order, i.e. components
+//!    are numbered by their minimum core id.
+//! 3. *Borders go to the earliest cluster.* A non-core segment within ε of
+//!    cores from several components is claimed by the component that seeds
+//!    first — the smallest raw id (the "stolen border" semantics). A `min`
+//!    over all claiming components reproduces this in any order.
+//!
+//! Visiting ids in ascending order, every backward edge `(b, id)` with
+//! `b < id` therefore sees two final core flags and is classified on the
+//! spot: core–core edges are unioned, core–border edges become claims.
+//! Forward edges need no deferral — the distance is symmetric, so the pair
+//! resurfaces as the backward edge of its later endpoint.
+//!
+//! [`for_each_neighborhood`] is the parallel half: `threads` scoped workers
+//! claim blocks of [`BLOCK`] ids from a shared atomic cursor and fill
+//! recycled flat buffers, while the calling thread consumes the blocks in
+//! id order. A worker must hold one of [`LOOKAHEAD`] buffers before it
+//! claims a block, so the workers never run more than that many blocks
+//! ahead of the consumer and memory stays bounded. Each ε-query is a pure
+//! read of the database and index, so the consumer observes exactly what a
+//! sequential loop over the same ids would, for any thread count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+use crate::cluster::{finalize_raw, ClusterConfig, ClusterStats, Clustering};
+use crate::segment_db::{NeighborIndex, SegmentDatabase};
+
+/// Ids a worker claims from the cursor at a time.
+const BLOCK: usize = 32;
+
+/// Blocks the workers may hold between the cursor and the consumer.
+const LOOKAHEAD: usize = 8;
+
+/// Id lists shorter than this run inline on the calling thread: two
+/// blocks are the least that lets a worker overlap the consumer, and below
+/// that the spawn costs more than the queries.
+pub(crate) const INLINE_BELOW: usize = 2 * BLOCK;
+
+/// ε-neighbourhoods of consecutive ids, flattened into one buffer:
+/// `flat[ends[k - 1]..ends[k]]` is the `k`-th neighbourhood.
+#[derive(Default)]
+pub(crate) struct Neighborhoods {
+    flat: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+impl Neighborhoods {
+    /// Appends one neighbourhood.
+    pub(crate) fn push(&mut self, hood: &[u32]) {
+        self.flat.extend_from_slice(hood);
+        self.ends.push(self.flat.len());
+    }
+
+    /// The neighbourhoods in push order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let hood = &self.flat[start..end];
+            start = end;
+            hood
+        })
+    }
+
+    fn clear(&mut self) {
+        self.flat.clear();
+        self.ends.clear();
+    }
+}
+
+/// Calls `visit(id, Nε(id))` for every id of `ids`, in `ids` order, with
+/// exactly the neighbourhood [`SegmentDatabase::neighborhood_into`]
+/// returns. With `threads ≥ 2` and at least [`INLINE_BELOW`] ids the
+/// queries run on scoped workers spawned once for the call; otherwise
+/// everything runs inline on the calling thread. `visit` always runs on
+/// the calling thread. Returns whether workers were spawned.
+pub(crate) fn for_each_neighborhood<const D: usize>(
+    db: &SegmentDatabase<D>,
+    index: &NeighborIndex<D>,
+    ids: &[u32],
+    eps: f64,
+    threads: usize,
+    mut visit: impl FnMut(u32, &[u32]),
+) -> bool {
+    if threads <= 1 || ids.len() < INLINE_BELOW {
+        let mut hood = Vec::new();
+        for &id in ids {
+            db.neighborhood_into(index, id, eps, &mut hood);
+            visit(id, &hood);
+        }
+        return false;
+    }
+    let blocks = ids.len().div_ceil(BLOCK);
+    let queue = BlockQueue::new();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(blocks) {
+            let queue = &queue;
+            scope.spawn(move || {
+                let _stop = StopOnUnwind(queue);
+                let mut hood = Vec::new();
+                while let Some((b, mut block)) = queue.claim(blocks) {
+                    for &id in &ids[b * BLOCK..ids.len().min((b + 1) * BLOCK)] {
+                        db.neighborhood_into(index, id, eps, &mut hood);
+                        block.push(&hood);
+                    }
+                    queue.fill(b, block);
+                }
+            });
+        }
+        let _stop = StopOnUnwind(&queue);
+        for (b, chunk) in ids.chunks(BLOCK).enumerate() {
+            let block = queue.take(b);
+            for (&id, hood) in chunk.iter().zip(block.iter()) {
+                visit(id, hood);
+            }
+            queue.recycle(block);
+        }
+        // Release any worker still waiting for a buffer.
+        queue.stop();
+    });
+    true
+}
+
+/// The hand-off between the workers and the consuming thread.
+struct BlockQueue {
+    /// Next block index to compute.
+    cursor: AtomicUsize,
+    state: Mutex<QueueState>,
+    /// Signalled when a buffer returns to the pool or the queue stops.
+    recycled: Condvar,
+    /// Signalled when a block lands in `ready` or the queue stops.
+    filled: Condvar,
+}
+
+struct QueueState {
+    /// Empty buffers. A worker takes one *before* it claims a block, so
+    /// the blocks between the consumer and the cursor never outnumber the
+    /// buffers, and those blocks own distinct `ready` slots.
+    pool: Vec<Neighborhoods>,
+    /// Computed blocks, at `block index % LOOKAHEAD`.
+    ready: Vec<Option<Neighborhoods>>,
+    /// Set once the consumer is done or either side unwinds, so nobody
+    /// waits for a partner that will never signal.
+    stopped: bool,
+}
+
+impl BlockQueue {
+    fn new() -> Self {
+        Self {
+            cursor: AtomicUsize::new(0),
+            state: Mutex::new(QueueState {
+                pool: (0..LOOKAHEAD).map(|_| Neighborhoods::default()).collect(),
+                ready: (0..LOOKAHEAD).map(|_| None).collect(),
+                stopped: false,
+            }),
+            recycled: Condvar::new(),
+            filled: Condvar::new(),
+        }
+    }
+
+    /// No update of the state can be cut short by a panic, so a poisoned
+    /// guard still holds consistent state.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A worker's next block: a free buffer, then the next index from the
+    /// cursor. `None` once every block is claimed or the queue stopped.
+    fn claim(&self, blocks: usize) -> Option<(usize, Neighborhoods)> {
+        let mut state = self.lock();
+        let mut block = loop {
+            if state.stopped {
+                return None;
+            }
+            if let Some(block) = state.pool.pop() {
+                break block;
+            }
+            state = self
+                .recycled
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(state);
+        // Relaxed: the index only has to be unique; block contents travel
+        // through the mutex.
+        let b = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if b >= blocks {
+            // Hand the buffer back so a worker still waiting for one wakes
+            // up and sees the cursor exhausted too.
+            self.recycle(block);
+            return None;
+        }
+        block.clear();
+        Some((b, block))
+    }
+
+    fn fill(&self, b: usize, block: Neighborhoods) {
+        self.lock().ready[b % LOOKAHEAD] = Some(block);
+        self.filled.notify_one();
+    }
+
+    /// The consumer's block `b`, waiting until a worker has filled it.
+    fn take(&self, b: usize) -> Neighborhoods {
+        let mut state = self.lock();
+        loop {
+            if let Some(block) = state.ready[b % LOOKAHEAD].take() {
+                return block;
+            }
+            assert!(!state.stopped, "neighbourhood worker panicked");
+            state = self
+                .filled
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn recycle(&self, block: Neighborhoods) {
+        self.lock().pool.push(block);
+        self.recycled.notify_one();
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.recycled.notify_all();
+        self.filled.notify_all();
+    }
+}
+
+/// Stops the queue when its thread unwinds, so a panic on either side
+/// surfaces instead of deadlocking the scope join.
+struct StopOnUnwind<'a>(&'a BlockQueue);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
+/// Core flags, core components and border claims — the state one ordered
+/// pass builds, and the state [`crate::IncrementalClustering`] repairs in
+/// place between passes.
+#[derive(Clone)]
+pub(crate) struct Classification {
+    /// Definition 5 core flag per segment id.
+    pub(crate) core: Vec<bool>,
+    /// Union-find over core segments; min-root, so a component's root is
+    /// its minimum core id.
+    pub(crate) dsu: UnionFind,
+    /// For each non-core segment: core ids within ε that claim it as a
+    /// border member. Lists may carry stale entries for cores that were
+    /// since retired or demoted; [`Self::raw_labels`] filters on the
+    /// current core flags.
+    pub(crate) claims: Vec<Vec<u32>>,
+}
+
+/// Claim lists are deduplicated once they outgrow this many entries
+/// (weighted databases can have non-core segments with arbitrarily many
+/// core neighbours; unweighted ones are bounded by `MinLns` anyway).
+const CLAIM_DEDUP_LEN: usize = 16;
+
+impl Classification {
+    /// `n` unclassified, non-core singletons.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            core: vec![false; n],
+            dsu: UnionFind::new(n as u32),
+            claims: vec![Vec::new(); n],
+        }
+    }
+
+    /// Grows the id space by one non-core singleton.
+    pub(crate) fn push(&mut self) {
+        self.core.push(false);
+        self.dsu.push();
+        self.claims.push(Vec::new());
+    }
+
+    /// Visits `id` in the ascending pass: records its final core flag and
+    /// classifies its backward edges (`b < id`, whose flags are final
+    /// too). `hood` is ascending, as every ε-query returns it.
+    pub(crate) fn classify(&mut self, id: u32, id_core: bool, hood: &[u32]) {
+        self.core[id as usize] = id_core;
+        self.claims[id as usize] = Vec::new();
+        for &b in hood.iter().take_while(|&&b| b < id) {
+            match (id_core, self.core[b as usize]) {
+                (true, true) => self.dsu.union(id, b),
+                (true, false) => push_claim(&mut self.claims[b as usize], id),
+                (false, true) => push_claim(&mut self.claims[id as usize], b),
+                (false, false) => {}
+            }
+        }
+    }
+
+    /// One freshly core segment's expansion: union with every core
+    /// neighbour, claim every non-core neighbour, and drop any claims made
+    /// on the segment while it was still a border candidate.
+    pub(crate) fn expand_core(&mut self, c: u32, hood: &[u32]) {
+        self.claims[c as usize] = Vec::new();
+        for &m in hood {
+            if m == c {
+                continue;
+            }
+            if self.core[m as usize] {
+                self.dsu.union(c, m);
+            } else {
+                push_claim(&mut self.claims[m as usize], c);
+            }
+        }
+    }
+
+    /// Raw cluster ids of the `live_len` ids for which `live` holds, in
+    /// ascending id order (dense), plus the raw cluster count: components
+    /// numbered in ascending minimum-core-id order (the sequential seed
+    /// order), border segments in their earliest claiming component.
+    pub(crate) fn raw_labels(
+        &self,
+        live: impl Fn(u32) -> bool,
+        live_len: usize,
+    ) -> (Vec<Option<u32>>, u32) {
+        let n = self.core.len();
+        let mut comp_of_root = vec![u32::MAX; n];
+        let mut raw: Vec<Option<u32>> = vec![None; live_len];
+        let mut cluster_count = 0u32;
+        // Live ids map to dense ranks monotonically, so walking the id
+        // space ascending visits dense slots ascending.
+        let mut dense = 0usize;
+        for id in 0..n as u32 {
+            if !live(id) {
+                continue;
+            }
+            if self.core[id as usize] {
+                let root = self.dsu.find_readonly(id) as usize;
+                if comp_of_root[root] == u32::MAX {
+                    comp_of_root[root] = cluster_count;
+                    cluster_count += 1;
+                }
+                raw[dense] = Some(comp_of_root[root]);
+            }
+            dense += 1;
+        }
+        let mut dense = 0usize;
+        for id in 0..n {
+            if !live(id as u32) {
+                continue;
+            }
+            if !self.core[id] {
+                raw[dense] = self.claims[id]
+                    .iter()
+                    .filter(|&&c| self.core[c as usize])
+                    .map(|&c| comp_of_root[self.dsu.find_readonly(c) as usize])
+                    .min();
+            }
+            dense += 1;
+        }
+        (raw, cluster_count)
+    }
+}
+
+/// Appends a claiming core, compacting (sort + dedup) only when the list
+/// is both past [`CLAIM_DEDUP_LEN`] and out of capacity, then reserving
+/// headroom proportional to the distinct count — so a border segment with
+/// `k` distinct claiming cores pays O(k log k) per *doubling*, not per
+/// push. Duplicates are harmless for correctness (the labels take a min);
+/// compaction only bounds memory.
+pub(crate) fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
+    if claims.len() >= CLAIM_DEDUP_LEN && claims.len() == claims.capacity() {
+        claims.sort_unstable();
+        claims.dedup();
+        claims.reserve(claims.len().max(CLAIM_DEDUP_LEN));
+    }
+    claims.push(core_id);
+}
+
+/// The grouping phase on `threads` workers: one ordered pass over every
+/// segment, then the shared finalisation (trajectory-cardinality filter +
+/// dense renumbering). The result equals [`crate::LineSegmentClustering::run`].
+pub(crate) fn run_ordered<const D: usize>(
+    db: &SegmentDatabase<D>,
+    config: &ClusterConfig,
+    threads: usize,
+) -> (Clustering, ClusterStats) {
+    let n = db.len();
+    let mut index = db.build_index_parallel(config.index, config.eps, threads);
+    index.set_pruning(config.pruning);
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let mut classes = Classification::new(n);
+    for_each_neighborhood(db, &index, &ids, config.eps, threads, |id, hood| {
+        let is_core = db.neighborhood_cardinality(hood, config.weighted) >= config.min_lns;
+        classes.classify(id, is_core, hood);
+    });
+    #[cfg(feature = "invariant-checks")]
+    crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
+    let (raw, cluster_count) = classes.raw_labels(|_| true, n);
+    let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
+    let stats = ClusterStats {
+        prune: index.prune_stats(),
+    };
+    (clustering, stats)
+}
+
+/// Union-find with path halving; the smaller root always wins a union, so
+/// a component's root is its minimum member id — deterministic regardless
+/// of union order. Component numbering in [`Classification::raw_labels`]
+/// relies on exactly this min-root property.
+#[derive(Debug, Clone)]
+pub(crate) struct UnionFind {
+    parent: Vec<u32>,
+}
+
+impl UnionFind {
+    pub(crate) fn new(n: u32) -> Self {
+        Self {
+            parent: (0..n).collect(),
+        }
+    }
+
+    /// Appends one fresh singleton element (the incremental engine grows
+    /// the universe as segments stream in).
+    pub(crate) fn push(&mut self) {
+        self.parent.push(self.parent.len() as u32);
+    }
+
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let grandparent = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = grandparent;
+            x = grandparent;
+        }
+        x
+    }
+
+    /// [`Self::find`] without path compression, for shared-reference
+    /// callers (e.g. taking a snapshot of the incremental engine).
+    pub(crate) fn find_readonly(&self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            x = self.parent[x as usize];
+        }
+        x
+    }
+
+    /// The raw parent array, for the `invariant-checks` canonical-form
+    /// checker (`parent[x] ≤ x` everywhere).
+    #[cfg(feature = "invariant-checks")]
+    pub(crate) fn parent_slice(&self) -> &[u32] {
+        &self.parent
+    }
+
+    pub(crate) fn union(&mut self, a: u32, b: u32) {
+        let ra = self.find(a);
+        let rb = self.find(b);
+        if ra != rb {
+            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+            self.parent[hi as usize] = lo;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::IndexKind;
+    use traclus_geom::{IdentifiedSegment, Segment2, SegmentDistance, SegmentId, TrajectoryId};
+
+    #[test]
+    fn union_find_roots_are_minimum_members() {
+        let mut dsu = UnionFind::new(10);
+        dsu.union(7, 3);
+        dsu.union(3, 9);
+        dsu.union(5, 7);
+        assert_eq!(dsu.find(9), 3);
+        assert_eq!(dsu.find(5), 3);
+        assert_eq!(dsu.find(0), 0, "untouched elements stay singletons");
+        // The read-only finder agrees without mutating parents.
+        assert_eq!(dsu.find_readonly(9), 3);
+        // Growth appends singletons that union like any other element.
+        dsu.push();
+        assert_eq!(dsu.find(10), 10);
+        dsu.union(10, 9);
+        assert_eq!(dsu.find_readonly(10), 3);
+    }
+
+    /// A deterministic walk of `n` segments with jumps, so neighbourhood
+    /// sizes vary from empty to dense.
+    fn walk_db(n: usize) -> SegmentDatabase<2> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut x, mut y) = (0.0f64, 0.0f64);
+        let segments = (0..n)
+            .map(|k| {
+                let (nx, ny) = (x + 2.0 + 4.0 * next(), y + 6.0 * next() - 3.0);
+                let s = Segment2::xy(x, y, nx, ny);
+                (x, y) = if next() < 0.1 {
+                    (120.0 * next(), 90.0 * next())
+                } else {
+                    (nx, ny)
+                };
+                IdentifiedSegment::new(SegmentId(k as u32), TrajectoryId(k as u32 % 13), s)
+            })
+            .collect();
+        SegmentDatabase::from_segments(segments, SegmentDistance::default())
+    }
+
+    #[test]
+    fn ordered_neighborhoods_match_sequential_queries() {
+        let db = walk_db(900);
+        let index = db.build_index(IndexKind::RTree, 6.0);
+        let all: Vec<u32> = (0..db.len() as u32).collect();
+        let mut lists: Vec<Vec<u32>> = [
+            0,
+            1,
+            BLOCK - 1,
+            BLOCK + 1,
+            4 * BLOCK - 1,
+            4 * BLOCK + 1,
+            3 * LOOKAHEAD * BLOCK + 5,
+        ]
+        .iter()
+        .map(|&len| all[..len].to_vec())
+        .collect();
+        // Repair-style: ascending, gapped, not starting at zero.
+        lists.push(
+            all.iter()
+                .copied()
+                .filter(|id| id % 3 != 1)
+                .skip(9)
+                .collect(),
+        );
+        let mut expected = Vec::new();
+        for ids in &lists {
+            for threads in [1, 2, 3, 8] {
+                let mut seen: Vec<(u32, Vec<u32>)> = Vec::new();
+                let spawned = for_each_neighborhood(&db, &index, ids, 6.0, threads, |id, hood| {
+                    seen.push((id, hood.to_vec()))
+                });
+                assert_eq!(spawned, threads > 1 && ids.len() >= INLINE_BELOW);
+                assert_eq!(seen.len(), ids.len(), "t={threads}: each id once");
+                for (&id, (visited, hood)) in ids.iter().zip(&seen) {
+                    assert_eq!(*visited, id, "t={threads}: out of input order");
+                    db.neighborhood_into(&index, id, 6.0, &mut expected);
+                    assert_eq!(*hood, expected, "t={threads}: id {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces_instead_of_deadlocking() {
+        let db = walk_db(300);
+        let index = db.build_index(IndexKind::RTree, 6.0);
+        // An id past the end makes one worker's query panic mid-pass.
+        let mut ids: Vec<u32> = (0..db.len() as u32).collect();
+        ids[5 * BLOCK] = db.len() as u32 + 7;
+        let outcome = std::panic::catch_unwind(|| {
+            for_each_neighborhood(&db, &index, &ids, 6.0, 2, |_, _| {})
+        });
+        assert!(outcome.is_err());
+    }
+}

@@ -5,7 +5,7 @@
 //! ordinary tests only observe indirectly through final outputs:
 //!
 //! * the union-find stays acyclic and in min-root canonical form (the
-//!   sequential-equivalence arguments in [`crate::shard`] and
+//!   sequential-equivalence arguments of the ordered grouping pass and of
 //!   [`crate::stream`] number components by minimum core id — a
 //!   non-canonical root would silently renumber clusters);
 //! * the [`SegmentDatabase`] structure-of-arrays cache stays bit-coherent
@@ -27,8 +27,8 @@
 
 use traclus_geom::SegmentSoa;
 
+use crate::grouping::UnionFind;
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
-use crate::shard::UnionFind;
 use crate::IndexKind;
 
 /// Asserts the union-find is acyclic and in min-root canonical form.

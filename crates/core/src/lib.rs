@@ -39,6 +39,7 @@
 
 pub mod anneal;
 pub mod cluster;
+mod grouping;
 #[cfg(feature = "invariant-checks")]
 mod invariants;
 pub mod params;
@@ -46,7 +47,6 @@ pub mod partition;
 pub mod quality;
 pub mod representative;
 pub mod segment_db;
-pub mod shard;
 pub mod simplify;
 pub mod snapshot;
 pub mod stream;
@@ -71,7 +71,6 @@ pub use representative::{
     average_direction_vector, representative_trajectory, RepresentativeConfig,
 };
 pub use segment_db::{IndexKind, NeighborIndex, PruneStats, SegmentDatabase};
-pub use shard::ShardPlan;
 pub use simplify::{douglas_peucker, douglas_peucker_matching_count};
 pub use snapshot::{ClusterSnapshot, RegionSummary, SnapshotCell};
 pub use stream::{IncrementalClustering, InsertReport, RemoveReport, StreamConfig, StreamStats};
@@ -99,11 +98,11 @@ pub struct TraclusConfig {
     /// pragmatic default keeping representatives readable (the paper leaves
     /// γ as a free input to Figure 15).
     pub smoothing: Option<f64>,
-    /// Worker threads for the grouping phase. The default uses all
-    /// available hardware threads through the sharded parallel path, which
-    /// produces the identical clustering to the sequential loop (see
-    /// [`shard`]); set [`Parallelism::Sequential`] to force the Figure 12
-    /// single-threaded scan.
+    /// Worker threads for the ε-queries of the grouping phase and of the
+    /// streaming engine's repairs. The default uses all available hardware
+    /// threads; [`Parallelism::Sequential`] runs the ordered grouping pass
+    /// inline on the calling thread. The clustering is identical either
+    /// way (see [`LineSegmentClustering::run_parallel`]).
     pub parallelism: Parallelism,
     /// Maintenance knobs of the streaming engine ([`Traclus::stream`] /
     /// [`IncrementalClustering`]): currently the dirty-region threshold

@@ -11,9 +11,8 @@
 //! The `MinLns` heuristic: `avg|Nε(L)| + 1 … + 3` at the chosen ε.
 //!
 //! This module also hosts [`Parallelism`], the execution-parameter knob of
-//! the grouping phase (how many worker threads the sharded parallel
-//! clustering path uses) — a run-time parameter alongside the paper's
-//! statistical ones.
+//! the grouping phase (how many worker threads run its ε-queries) — a
+//! run-time parameter alongside the paper's statistical ones.
 
 use std::num::NonZeroUsize;
 use std::ops::RangeInclusive;
@@ -23,13 +22,15 @@ use crate::segment_db::{IndexKind, NeighborIndex, SegmentDatabase};
 
 /// Thread-count knob for the grouping phase.
 ///
-/// `Sequential` (and any resolved count of 1) takes the exact Figure 12
-/// sequential loop; anything larger takes the sharded parallel path, which
-/// produces the identical [`crate::Clustering`] (see
-/// `crate::shard`). The default uses every available hardware thread.
+/// The resolved count is the number of workers that run the ε-queries of
+/// the ordered grouping pass (and of the streaming engine's repairs) while
+/// the calling thread classifies their results in ascending id order.
+/// `Sequential` (and any resolved count of 1) runs the pass inline. Every
+/// count produces the identical [`crate::Clustering`]. The default uses
+/// every available hardware thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One thread: the sequential Figure 12 loop, bit-for-bit.
+    /// One thread: the ordered pass inline on the calling thread.
     Sequential,
     /// A fixed number of worker threads (0 is treated as 1).
     Threads(usize),

@@ -75,85 +75,117 @@ pub fn representative_trajectory<const D: usize>(
     cluster: &Cluster,
     config: &RepresentativeConfig,
 ) -> Trajectory<D> {
-    let vectors: Vec<Vector<D>> = cluster
-        .members
-        .iter()
-        .map(|&m| db.segment(m).segment.vector())
-        .collect();
-    let mut avg_dir = average_direction_vector(&vectors);
-    if avg_dir.normalized().is_none() {
-        // Anti-parallel members can cancel exactly; fall back to the
-        // longest member's direction so the sweep axis is still defined.
-        avg_dir = cluster
-            .members
-            .iter()
-            .map(|&m| db.segment(m).segment.vector())
-            .max_by(|a, b| a.norm_squared().total_cmp(&b.norm_squared()))
-            .unwrap_or_else(Vector::zero);
-    }
-    let frame = match OrthonormalFrame::from_direction(&avg_dir) {
-        Some(f) => f,
-        None => {
-            // Only possible for an empty/degenerate cluster.
-            return Trajectory::new(TrajectoryId(cluster.id.0), Vec::new());
-        }
+    let Some(sweep) = Sweep::new(db, cluster, config) else {
+        // Only possible for an empty/degenerate cluster.
+        return Trajectory::new(TrajectoryId(cluster.id.0), Vec::new());
     };
-
-    // Member segments in frame coordinates, oriented so start.x′ ≤ end.x′
-    // (lines 1–2: "rotate the axes"; the sweep only cares about extents).
-    struct FrameSegment<const D: usize> {
-        lo: [f64; D],
-        hi: [f64; D],
-        weight: f64,
-    }
-    let mut frame_segments: Vec<FrameSegment<D>> = Vec::with_capacity(cluster.members.len());
-    let mut events: Vec<f64> = Vec::with_capacity(cluster.members.len() * 2);
-    for &m in &cluster.members {
-        let identified = db.segment(m);
-        let seg = &identified.segment;
-        let a = frame.to_frame(&seg.start);
-        let b = frame.to_frame(&seg.end);
-        let (lo, hi) = if a[0] <= b[0] { (a, b) } else { (b, a) };
-        events.push(lo[0]);
-        events.push(hi[0]);
-        frame_segments.push(FrameSegment {
-            lo,
-            hi,
-            weight: if config.weighted {
-                identified.weight
-            } else {
-                1.0
-            },
-        });
-    }
-    // Lines 3–4: sort the endpoints by X′.
-    events.sort_by(f64::total_cmp);
-
     let mut points: Vec<Point<D>> = Vec::new();
     let mut last_emitted_x: Option<f64> = None;
-    for &x in &events {
-        // Line 6: count the segments containing this X′ value (weighted
-        // counts under the Section 4.2 extension).
-        let mut hits = 0.0f64;
-        for fs in &frame_segments {
-            if fs.lo[0] <= x && x <= fs.hi[0] {
-                hits += fs.weight;
-            }
-        }
-        if hits < config.min_lns as f64 {
-            continue; // line 7 fails: skip (e.g. positions 5–6 in Figure 13)
-        }
-        // Line 9: smoothing — require an X′ advance of at least γ.
+    for &x in &sweep.events {
+        // Line 9: smoothing — require an X′ advance of at least γ. Tested
+        // before line 6's O(members) hit count: both tests only skip the
+        // position, so the order changes the cost, never the output.
         if let Some(prev) = last_emitted_x {
             if x - prev < config.smoothing {
                 continue;
             }
         }
-        // Line 10: average the member coordinates at this sweep position
-        // (weight-averaged under the weighted extension).
+        // Line 7 fails: skip (e.g. positions 5–6 in Figure 13).
+        if sweep.hits(x) < config.min_lns as f64 {
+            continue;
+        }
+        points.push(sweep.point_at(x));
+        last_emitted_x = Some(x);
+    }
+    Trajectory::new(TrajectoryId(cluster.id.0), points)
+}
+
+/// One member segment in sweep-frame coordinates, oriented so
+/// `lo[0] ≤ hi[0]` (the sweep only cares about extents).
+struct FrameSegment<const D: usize> {
+    lo: [f64; D],
+    hi: [f64; D],
+    weight: f64,
+}
+
+/// A cluster's members rotated onto its average direction (Figure 15
+/// lines 1–4): the frame, the frame segments, and their sorted X′ events.
+struct Sweep<const D: usize> {
+    frame: OrthonormalFrame<D>,
+    segments: Vec<FrameSegment<D>>,
+    events: Vec<f64>,
+}
+
+impl<const D: usize> Sweep<D> {
+    /// `None` when no sweep axis exists (an empty or degenerate cluster).
+    fn new(
+        db: &SegmentDatabase<D>,
+        cluster: &Cluster,
+        config: &RepresentativeConfig,
+    ) -> Option<Self> {
+        let vectors: Vec<Vector<D>> = cluster
+            .members
+            .iter()
+            .map(|&m| db.segment(m).segment.vector())
+            .collect();
+        let mut avg_dir = average_direction_vector(&vectors);
+        if avg_dir.normalized().is_none() {
+            // Anti-parallel members can cancel exactly; fall back to the
+            // longest member's direction so the sweep axis is still defined.
+            avg_dir = vectors
+                .iter()
+                .copied()
+                .max_by(|a, b| a.norm_squared().total_cmp(&b.norm_squared()))
+                .unwrap_or_else(Vector::zero);
+        }
+        let frame = OrthonormalFrame::from_direction(&avg_dir)?;
+        // Lines 1–2: "rotate the axes".
+        let mut segments = Vec::with_capacity(cluster.members.len());
+        let mut events = Vec::with_capacity(cluster.members.len() * 2);
+        for &m in &cluster.members {
+            let identified = db.segment(m);
+            let a = frame.to_frame(&identified.segment.start);
+            let b = frame.to_frame(&identified.segment.end);
+            let (lo, hi) = if a[0] <= b[0] { (a, b) } else { (b, a) };
+            events.push(lo[0]);
+            events.push(hi[0]);
+            segments.push(FrameSegment {
+                lo,
+                hi,
+                weight: if config.weighted {
+                    identified.weight
+                } else {
+                    1.0
+                },
+            });
+        }
+        // Lines 3–4: sort the endpoints by X′.
+        events.sort_by(f64::total_cmp);
+        Some(Self {
+            frame,
+            segments,
+            events,
+        })
+    }
+
+    /// Line 6: the number of members whose X′ extent contains `x`
+    /// (weighted counts under the Section 4.2 extension).
+    fn hits(&self, x: f64) -> f64 {
+        let mut hits = 0.0f64;
+        for fs in &self.segments {
+            if fs.lo[0] <= x && x <= fs.hi[0] {
+                hits += fs.weight;
+            }
+        }
+        hits
+    }
+
+    /// Lines 10–11: the average member coordinates at sweep position `x`
+    /// (weight-averaged under the weighted extension), rotated back.
+    fn point_at(&self, x: f64) -> Point<D> {
         let mut avg = [0.0f64; D];
         let mut total_weight = 0.0f64;
-        for fs in &frame_segments {
+        for fs in &self.segments {
             if fs.lo[0] <= x && x <= fs.hi[0] {
                 let span = fs.hi[0] - fs.lo[0];
                 let t = if span > 0.0 {
@@ -171,18 +203,100 @@ pub fn representative_trajectory<const D: usize>(
             *a /= total_weight;
         }
         avg[0] = x;
-        // Line 11: undo the rotation.
-        points.push(frame.from_frame(&avg));
-        last_emitted_x = Some(x);
+        self.frame.from_frame(&avg)
     }
-    Trajectory::new(TrajectoryId(cluster.id.0), points)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterId};
+    use proptest::prelude::*;
     use traclus_geom::{IdentifiedSegment, Segment2, SegmentDistance, SegmentId, Vector2};
+
+    /// The Figure 15 loop in the paper's line order — the line-6 hit count
+    /// before the line-9 smoothing test — kept as the reference the
+    /// reordered production loop must match bit for bit.
+    fn reference_representative<const D: usize>(
+        db: &SegmentDatabase<D>,
+        cluster: &Cluster,
+        config: &RepresentativeConfig,
+    ) -> Trajectory<D> {
+        let Some(sweep) = Sweep::new(db, cluster, config) else {
+            return Trajectory::new(TrajectoryId(cluster.id.0), Vec::new());
+        };
+        let mut points: Vec<Point<D>> = Vec::new();
+        let mut last_emitted_x: Option<f64> = None;
+        for &x in &sweep.events {
+            if sweep.hits(x) < config.min_lns as f64 {
+                continue;
+            }
+            if let Some(prev) = last_emitted_x {
+                if x - prev < config.smoothing {
+                    continue;
+                }
+            }
+            points.push(sweep.point_at(x));
+            last_emitted_x = Some(x);
+        }
+        Trajectory::new(TrajectoryId(cluster.id.0), points)
+    }
+
+    /// Bit patterns of a polyline, so `-0.0 != 0.0` and NaN compare too.
+    fn bits(t: &Trajectory<2>) -> Vec<[u64; 2]> {
+        t.points
+            .iter()
+            .map(|p| [p.x().to_bits(), p.y().to_bits()])
+            .collect()
+    }
+
+    prop_compose! {
+        /// Up to 40 weighted segments; `tied` stacks them all on one
+        /// segment, so every sweep event ties.
+        fn random_cluster()(
+            raw in prop::collection::vec(
+                (-50.0..50.0f64, -50.0..50.0f64, -20.0..20.0f64, -20.0..20.0f64, 0.1..3.0f64),
+                1..40,
+            ),
+            tied in 0u8..4,
+        ) -> SegmentDatabase<2> {
+            let segments = raw
+                .iter()
+                .enumerate()
+                .map(|(k, &(x, y, dx, dy, weight))| {
+                    let (x, y, dx, dy) = if tied == 0 { (1.0, 2.0, 8.0, 3.0) } else { (x, y, dx, dy) };
+                    IdentifiedSegment {
+                        id: SegmentId(k as u32),
+                        trajectory: TrajectoryId(k as u32),
+                        segment: Segment2::xy(x, y, x + dx, y + dy),
+                        weight,
+                    }
+                })
+                .collect();
+            SegmentDatabase::from_segments(segments, SegmentDistance::default())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn smoothing_first_sweep_matches_the_paper_order(
+            db in random_cluster(),
+            min_lns in 1usize..6,
+            smoothing_sel in 0u8..3,
+            smoothing in 0.0..15.0f64,
+            weighted in 0u8..2,
+        ) {
+            // A third of the cases run with γ = 0 (smoothing off).
+            let gamma = if smoothing_sel == 0 { 0.0 } else { smoothing };
+            let mut config = RepresentativeConfig::new(min_lns, gamma);
+            config.weighted = weighted == 1;
+            let cluster = cluster_of(db.len());
+            let fast = representative_trajectory(&db, &cluster, &config);
+            let reference = reference_representative(&db, &cluster, &config);
+            prop_assert_eq!(bits(&fast), bits(&reference));
+        }
+    }
 
     fn db_of(segs: &[Segment2]) -> SegmentDatabase<2> {
         let identified = segs

@@ -73,7 +73,7 @@ impl PruneStats {
 }
 
 /// Shared atomic tallies behind [`PruneStats`]. Queries take `&self` and
-/// run concurrently from the sharded workers, so the counters are atomics;
+/// run concurrently from the grouping workers, so the counters are atomics;
 /// each query accumulates locally and flushes once (relaxed — the numbers
 /// are observability, not synchronisation).
 #[derive(Debug, Default)]
@@ -386,8 +386,7 @@ impl<const D: usize> SegmentDatabase<D> {
         self.soa.length(id as usize)
     }
 
-    /// Cached midpoint of a segment's MBR (used by the sharded parallel
-    /// path to assign segments to spatial tiles).
+    /// Cached midpoint of a segment.
     pub fn midpoint(&self, id: u32) -> traclus_geom::Point<D> {
         self.soa.midpoint(id as usize)
     }
@@ -502,19 +501,6 @@ impl<const D: usize> SegmentDatabase<D> {
         }
     }
 
-    /// The spatial radius (in coordinate units) by which an ε-query under
-    /// this database's distance weights expands a segment's bounding box,
-    /// or `None` when the weights are inadmissible and only a full scan
-    /// is correct. Used by the shard planner to estimate per-segment
-    /// candidate-set sizes; see [`traclus_index::filter_radius`].
-    pub fn query_radius(&self, eps: f64) -> Option<f64> {
-        if eps.is_finite() && eps >= 0.0 {
-            filter_radius(eps, &self.distance.weights)
-        } else {
-            None
-        }
-    }
-
     /// A usable grid cell size: `cell` when positive and finite, else a
     /// fallback from the bounding-box extent, else `None` (use linear scan).
     fn grid_cell_or_fallback(&self, cell: f64) -> Option<f64> {
@@ -542,6 +528,10 @@ impl<const D: usize> SegmentDatabase<D> {
     /// bit-identical with pruning on or off. Candidate order is preserved
     /// through the filter, so the weighted refinement sums stay in the
     /// same id-ascending order either way.
+    ///
+    /// The query allocates nothing once `out` has grown to the largest
+    /// candidate set: the index writes candidates straight into `out`, and
+    /// both the filter and the refinement compact it in place.
     pub fn neighborhood_into(
         &self,
         index: &NeighborIndex<D>,
@@ -597,22 +587,40 @@ impl<const D: usize> SegmentDatabase<D> {
             }
             (imp, Some(r)) => {
                 let window = self.bboxes[id as usize].expanded(eps * r);
-                let mut candidates = Vec::new();
                 match imp {
-                    IndexImpl::Grid(g) => g.query_sorted_into(&window, &mut candidates),
-                    IndexImpl::RTree(t) => t.query_sorted_into(&window, &mut candidates),
+                    IndexImpl::Grid(g) => g.query_sorted_into(&window, out),
+                    IndexImpl::RTree(t) => t.query_sorted_into(&window, out),
                     IndexImpl::Linear => unreachable!("handled above"),
                 }
                 if prune {
                     // `retain` keeps the sorted candidate order.
-                    candidates.retain(|&cand| {
+                    out.retain(|&cand| {
                         !self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local)
                     });
                 }
+                // Refine in place: each chunk's distances are computed
+                // before any of its entries is overwritten, and the write
+                // cursor never passes the read position.
                 let mut dists = [0.0f64; REFINE_CHUNK];
-                for chunk in candidates.chunks(REFINE_CHUNK) {
-                    self.refine_chunk(id, chunk, &mut dists[..chunk.len()], eps, out);
+                let mut kept = 0;
+                let mut read = 0;
+                while read < out.len() {
+                    let take = (out.len() - read).min(REFINE_CHUNK);
+                    self.distance.distance_many_into(
+                        &self.soa,
+                        id,
+                        &out[read..read + take],
+                        &mut dists[..take],
+                    );
+                    for (k, &d) in dists[..take].iter().enumerate() {
+                        if d <= eps {
+                            out[kept] = out[read + k];
+                            kept += 1;
+                        }
+                    }
+                    read += take;
                 }
+                out.truncate(kept);
             }
         }
         index.counters.flush(&local);

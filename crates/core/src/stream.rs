@@ -16,8 +16,8 @@
 //!    of the new segments are expanded, neighborhood cardinalities of
 //!    affected segments are updated in place, segments whose core-ness
 //!    (Definition 5) flips are re-expanded, and a union-find over core
-//!    segments (the same min-root machinery as the sharded parallel path in
-//!    [`crate::shard`]) folds newly connected components together.
+//!    segments (the same min-root state the batch grouping pass builds)
+//!    folds newly connected components together.
 //!
 //! # Exactness
 //!
@@ -25,13 +25,13 @@
 //! only on the database, never on arrival order), clusters restricted to
 //! cores are the connected components of the core-adjacency graph, and
 //! non-core border segments join the earliest claiming component — all
-//! order-free quantities, the same argument that makes the sharded parallel
-//! path exact. Insertion only ever *adds* ε-edges and *promotes* segments
-//! to core (for non-negative weights), so maintaining counts, a monotone
-//! union-find, and per-border claim lists reproduces the batch state after
-//! every insertion: [`IncrementalClustering::snapshot`] equals
-//! [`crate::LineSegmentClustering::run`] on the same prefix of the stream,
-//! label for label. The equivalence suite
+//! order-free quantities, the same argument that makes the batch grouping
+//! pass exact at any thread count. Insertion only ever *adds* ε-edges and
+//! *promotes* segments to core (for non-negative weights), so maintaining
+//! counts, a monotone union-find, and per-border claim lists reproduces the
+//! batch state after every insertion: [`IncrementalClustering::snapshot`]
+//! equals [`crate::LineSegmentClustering::run`] on the same prefix of the
+//! stream, label for label. The equivalence suite
 //! (`crates/core/tests/streaming_equivalence.rs`) locks this down on
 //! hurricane, grid, and random-walk fixtures, including mid-stream
 //! prefixes.
@@ -83,21 +83,23 @@
 //!
 //! Every repair and rebuild path above is dominated by ε-queries, and an
 //! ε-query is a pure read of the database and index. When
-//! [`crate::TraclusConfig::parallelism`] allows more than one thread, the
-//! engine fans each large enough batch of queries out over scoped worker
-//! threads (the same machinery as [`crate::shard`]) and applies the
-//! results sequentially in ascending-id order — so the weighted
-//! cardinality sums, union-find merges, and claim lists are bit-identical
-//! to the sequential engine's, and the snapshot guarantee is untouched by
-//! the thread count. [`StreamStats::repair_parallel_batches`] counts how
-//! often the parallel path actually engaged.
+//! [`crate::TraclusConfig::parallelism`] allows more than one thread, each
+//! large enough sweep of queries runs on the ordered engine of the batch
+//! grouping pass: scoped workers compute the neighborhoods while the
+//! engine applies them on the calling thread in the sweep's order — so the
+//! weighted cardinality sums, union-find merges, and claim lists are
+//! bit-identical to the sequential engine's, and the snapshot guarantee is
+//! untouched by the thread count. [`StreamStats::repair_parallel_batches`]
+//! counts how often the workers actually engaged.
 
 use traclus_geom::Trajectory;
 
 use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
+use crate::grouping::{
+    for_each_neighborhood, push_claim, Classification, Neighborhoods, UnionFind,
+};
 use crate::partition::partition_trajectory_from;
 use crate::segment_db::{NeighborIndex, PruneStats, SegmentDatabase};
-use crate::shard::UnionFind;
 use crate::{TraclusConfig, TraclusOutcome};
 
 /// Maintenance knobs of the incremental engine — the run-time parameters
@@ -209,10 +211,11 @@ pub struct StreamStats {
     pub decremental_repairs: usize,
     /// Removal operations resolved by the full re-cluster fallback.
     pub decremental_rebuilds: usize,
-    /// Repair batches whose ε-queries ran on the parallel workers (batches
-    /// below the parallelism floor run sequentially and are not counted).
+    /// Repair and rebuild query sweeps that ran on the parallel workers
+    /// (sweeps below the engine's inline floor run on the calling thread
+    /// and are not counted).
     pub repair_parallel_batches: usize,
-    /// ε-queries executed inside those parallel batches.
+    /// ε-queries executed inside those parallel sweeps.
     pub repair_parallel_queries: u64,
     /// ε-neighborhood candidates examined by the filter-and-refine path
     /// (pruned + refined; 0 while pruning is disabled).
@@ -237,6 +240,15 @@ impl StreamStats {
         self.pruned_midpoint += p.pruned_midpoint;
         self.pruned_angle += p.pruned_angle;
         self.prune_refined += p.refined;
+    }
+
+    /// Counts one query sweep of `queries` ε-queries if it ran on the
+    /// parallel workers.
+    fn note_sweep(&mut self, spawned: bool, queries: usize) {
+        if spawned {
+            self.repair_parallel_batches += 1;
+            self.repair_parallel_queries += queries as u64;
+        }
     }
 }
 
@@ -291,17 +303,11 @@ pub struct IncrementalClustering<const D: usize> {
     /// maintained incrementally in ascending-id accumulation order — the
     /// same order the batch pass sums in, so the values are bit-identical.
     counts: Vec<f64>,
-    /// Definition 5 core flags, monotone under insertion (for non-negative
-    /// weights).
-    core: Vec<bool>,
-    /// Union-find over core segments; min-root, so a component's root is
-    /// its minimum core id.
-    dsu: UnionFind,
-    /// For each non-core segment: core ids within ε that claim it as a
-    /// border member (cleared if the segment later becomes core itself).
-    /// Lists may carry stale entries for cores a removal has since retired
-    /// or demoted; [`Self::snapshot`] filters on the current core flags.
-    claims: Vec<Vec<u32>>,
+    /// Core flags (monotone under insertion for non-negative weights), the
+    /// min-root union-find over cores, and per-border claim lists (cleared
+    /// when a segment becomes core; possibly stale after removals, which
+    /// [`Self::snapshot`] filters).
+    classes: Classification,
     stats: StreamStats,
     /// Logical clock: ticks by one per [`Self::insert`], or jumps to the
     /// caller-supplied (monotone) timestamp in [`Self::insert_at`]. Drives
@@ -313,8 +319,6 @@ pub struct IncrementalClustering<const D: usize> {
     arrivals: Vec<Arrival>,
     /// Count of live records in `arrivals`.
     live_arrivals: usize,
-    /// Reusable neighborhood scratch.
-    scratch: Vec<u32>,
 }
 
 /// One segment-producing insertion in the arrival log.
@@ -329,20 +333,6 @@ struct Arrival {
     timestamp: u64,
     live: bool,
 }
-
-/// Claim lists are deduplicated once they outgrow this many entries
-/// (weighted databases can have non-core segments with arbitrarily many
-/// core neighbours; unweighted ones are bounded by `MinLns` anyway).
-const CLAIM_DEDUP_LEN: usize = 16;
-
-/// Below this many ε-queries a repair batch runs sequentially: spawning
-/// scoped workers costs more than the queries themselves.
-const MIN_PARALLEL_REPAIR: usize = 32;
-
-/// Repair loops hand ids to the workers in batches of this size, so a
-/// rebuild over a large window never retains more than one batch worth of
-/// neighborhoods at a time (the sequential loops hold exactly one).
-const REPAIR_BATCH: usize = 512;
 
 impl<const D: usize> IncrementalClustering<D> {
     /// An empty engine bound to a pipeline configuration (the `stream`
@@ -361,14 +351,11 @@ impl<const D: usize> IncrementalClustering<D> {
             db,
             index,
             counts: Vec::new(),
-            core: Vec::new(),
-            dsu: UnionFind::new(0),
-            claims: Vec::new(),
+            classes: Classification::new(0),
             stats: StreamStats::default(),
             clock: 0,
             arrivals: Vec::new(),
             live_arrivals: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -503,18 +490,24 @@ impl<const D: usize> IncrementalClustering<D> {
         for id in first..n {
             self.index.insert(id, self.db.bbox_of(id));
             self.counts.push(0.0);
-            self.core.push(false);
-            self.claims.push(Vec::new());
-            self.dsu.push();
+            self.classes.push();
         }
 
         // ε-neighborhoods of every new segment, against the whole database
-        // (new segments included — they are already indexed). Large
-        // arrivals fan the queries out over the worker threads; the repair
-        // below retains every neighborhood anyway, so there is no batching
-        // to do.
+        // (new segments included — they are already indexed). The repair
+        // below reads them twice, so they are kept, flattened.
         let new_ids: Vec<u32> = (first..n).collect();
-        let hoods: Vec<Vec<u32>> = self.batch_neighborhoods(&new_ids);
+        let mut hoods = Neighborhoods::default();
+        let threads = self.threads();
+        let spawned = for_each_neighborhood(
+            &self.db,
+            &self.index,
+            &new_ids,
+            self.cluster.eps,
+            threads,
+            |_, hood| hoods.push(hood),
+        );
+        self.stats.note_sweep(spawned, new_ids.len());
 
         // Update cardinalities: each new segment gets its full neighborhood
         // sum; each pre-existing neighbour gains the new segment's
@@ -548,7 +541,7 @@ impl<const D: usize> IncrementalClustering<D> {
         let mut demoted = false;
         for &b in &touched {
             let is_core_now = self.counts[b as usize] >= self.cluster.min_lns;
-            match (self.core[b as usize], is_core_now) {
+            match (self.classes.core[b as usize], is_core_now) {
                 (false, true) => flips.push(b),
                 (true, false) => demoted = true,
                 _ => {}
@@ -585,7 +578,7 @@ impl<const D: usize> IncrementalClustering<D> {
     /// a stream — the full snapshot == batch spot check.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_insert(&self, first: u32, flips: &[u32]) {
-        crate::invariants::assert_union_find_canonical(&self.dsu, "stream-insert");
+        crate::invariants::assert_union_find_canonical(&self.classes.dsu, "stream-insert");
         crate::invariants::assert_soa_coherent(&self.db, "stream-insert");
         let mut dirty: Vec<u32> = (first..self.db.len() as u32).collect();
         dirty.extend_from_slice(flips);
@@ -617,7 +610,7 @@ impl<const D: usize> IncrementalClustering<D> {
     /// `snapshot()` equals a batch run over the live window.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_remove(&self, dirty: &[u32]) {
-        crate::invariants::assert_union_find_canonical(&self.dsu, "stream-remove");
+        crate::invariants::assert_union_find_canonical(&self.classes.dsu, "stream-remove");
         crate::invariants::assert_soa_coherent(&self.db, "stream-remove");
         crate::invariants::assert_tombstones_coherent(&self.db, "stream-remove");
         let live_dirty: Vec<u32> = dirty
@@ -818,17 +811,18 @@ impl<const D: usize> IncrementalClustering<D> {
         //    neighbours' claim lists — the snapshot would filter them
         //    anyway, retention just bounds memory.
         let mut dirty: Vec<u32> = Vec::new();
-        for batch in removed.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&r, hood) in batch.iter().zip(&hoods) {
+        let (threads, eps) = (self.threads(), self.cluster.eps);
+        let classes = &mut self.classes;
+        let spawned =
+            for_each_neighborhood(&self.db, &self.index, &removed, eps, threads, |r, hood| {
                 for &m in hood {
                     dirty.push(m);
-                    if self.core[r as usize] && !self.core[m as usize] {
-                        self.claims[m as usize].retain(|&c| c != r);
+                    if classes.core[r as usize] && !classes.core[m as usize] {
+                        classes.claims[m as usize].retain(|&c| c != r);
                     }
                 }
-            }
-        }
+            });
+        self.stats.note_sweep(spawned, removed.len());
         dirty.sort_unstable();
         dirty.dedup();
 
@@ -838,20 +832,21 @@ impl<const D: usize> IncrementalClustering<D> {
         //    only with negative weights) defeats the scoped repair.
         let mut demoted: Vec<u32> = Vec::new();
         let mut promoted = false;
-        for batch in dirty.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&d, hood) in batch.iter().zip(&hoods) {
-                self.counts[d as usize] = self
-                    .db
-                    .neighborhood_cardinality(hood, self.cluster.weighted);
-                let is_core_now = self.counts[d as usize] >= self.cluster.min_lns;
-                match (self.core[d as usize], is_core_now) {
-                    (true, false) => demoted.push(d),
-                    (false, true) => promoted = true,
-                    _ => {}
-                }
+        let (db, cluster, counts, core) = (
+            &self.db,
+            &self.cluster,
+            &mut self.counts,
+            &self.classes.core,
+        );
+        let spawned = for_each_neighborhood(db, &self.index, &dirty, eps, threads, |d, hood| {
+            counts[d as usize] = db.neighborhood_cardinality(hood, cluster.weighted);
+            match (core[d as usize], counts[d as usize] >= cluster.min_lns) {
+                (true, false) => demoted.push(d),
+                (false, true) => promoted = true,
+                _ => {}
             }
-        }
+        });
+        self.stats.note_sweep(spawned, dirty.len());
 
         // 4. Affected components: any old component holding a departed or
         //    demoted core may have split and must be rebuilt from its
@@ -860,12 +855,12 @@ impl<const D: usize> IncrementalClustering<D> {
         //    Roots are read before any core flag changes.
         let mut affected_roots: Vec<u32> = Vec::new();
         for &r in &removed {
-            if self.core[r as usize] {
-                affected_roots.push(self.dsu.find_readonly(r));
+            if self.classes.core[r as usize] {
+                affected_roots.push(self.classes.dsu.find_readonly(r));
             }
         }
         for &d in &demoted {
-            affected_roots.push(self.dsu.find_readonly(d));
+            affected_roots.push(self.classes.dsu.find_readonly(d));
         }
         affected_roots.sort_unstable();
         affected_roots.dedup();
@@ -876,11 +871,13 @@ impl<const D: usize> IncrementalClustering<D> {
         let mut affected_cores: Vec<u32> = Vec::new();
         let mut keep: Vec<(u32, u32)> = Vec::new();
         for id in 0..self.db.len() as u32 {
-            if !self.core[id as usize] || !self.db.is_live(id) || demoted.binary_search(&id).is_ok()
+            if !self.classes.core[id as usize]
+                || !self.db.is_live(id)
+                || demoted.binary_search(&id).is_ok()
             {
                 continue;
             }
-            let root = self.dsu.find_readonly(id);
+            let root = self.classes.dsu.find_readonly(id);
             if affected_roots.binary_search(&root).is_ok() {
                 affected_cores.push(id);
             } else {
@@ -894,9 +891,9 @@ impl<const D: usize> IncrementalClustering<D> {
         let rebuilt = promoted
             || (work as f64) > self.stream.rebuild_threshold * self.db.live_len().max(1) as f64;
         for &r in &removed {
-            self.core[r as usize] = false;
+            self.classes.core[r as usize] = false;
             self.counts[r as usize] = 0.0;
-            self.claims[r as usize] = Vec::new();
+            self.classes.claims[r as usize] = Vec::new();
         }
         if rebuilt {
             self.rebuild();
@@ -925,42 +922,43 @@ impl<const D: usize> IncrementalClustering<D> {
     /// components transplant wholesale under their old minimum root,
     /// demoted cores turn into border candidates with freshly computed
     /// claim lists, and the surviving cores of affected components are
-    /// re-expanded from scratch — the same min-root rules as
-    /// [`crate::shard`], confined to the components the removal could have
+    /// re-expanded from scratch — the same min-root rules as the batch
+    /// grouping pass, confined to the components the removal could have
     /// split.
     fn repair_removal(&mut self, demoted: &[u32], keep: &[(u32, u32)], affected_cores: &[u32]) {
         // All demotions land before any claim list is derived, so the core
         // flags each derivation reads are final.
         for &d in demoted {
-            self.core[d as usize] = false;
+            self.classes.core[d as usize] = false;
         }
-        for batch in demoted.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&d, hood) in batch.iter().zip(&hoods) {
+        let (threads, eps) = (self.threads(), self.cluster.eps);
+        let classes = &mut self.classes;
+        let spawned =
+            for_each_neighborhood(&self.db, &self.index, demoted, eps, threads, |d, hood| {
                 // A demoted core becomes a border candidate: its claims are
-                // exactly its surviving core neighbours (its old list is
-                // empty — it was core). Conversely its non-core neighbours
-                // may hold claims on it; scrub those.
+                // exactly its surviving core neighbours (its old list is empty
+                // — it was core). Conversely its non-core neighbours may hold
+                // claims on it; scrub those.
                 let mut claims = Vec::new();
                 for &m in hood {
                     if m == d {
                         continue;
                     }
-                    if self.core[m as usize] {
+                    if classes.core[m as usize] {
                         claims.push(m);
                     } else {
-                        self.claims[m as usize].retain(|&c| c != d);
+                        classes.claims[m as usize].retain(|&c| c != d);
                     }
                 }
-                self.claims[d as usize] = claims;
-            }
-        }
+                classes.claims[d as usize] = claims;
+            });
+        self.stats.note_sweep(spawned, demoted.len());
 
         // Fresh union-find; transplant the unaffected components. `keep`
         // was gathered in ascending id order, so after the (root, id) sort
         // each group's first member is its minimum surviving core — the
         // root the batch pass would seed the component with.
-        self.dsu = UnionFind::new(self.db.len() as u32);
+        self.classes.dsu = UnionFind::new(self.db.len() as u32);
         let mut keep = keep.to_vec();
         keep.sort_unstable();
         let mut k = 0;
@@ -968,7 +966,7 @@ impl<const D: usize> IncrementalClustering<D> {
             let (root, anchor) = keep[k];
             let mut j = k + 1;
             while j < keep.len() && keep[j].0 == root {
-                self.dsu.union(anchor, keep[j].1);
+                self.classes.dsu.union(anchor, keep[j].1);
                 j += 1;
             }
             k = j;
@@ -979,149 +977,105 @@ impl<const D: usize> IncrementalClustering<D> {
         // post-removal connectivity (splits fall out naturally), and their
         // claims re-land on bordering non-cores (duplicates are harmless —
         // the snapshot takes a min over live core claims).
-        for batch in affected_cores.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&c, hood) in batch.iter().zip(&hoods) {
-                self.expand_core(c, hood);
-            }
-        }
+        let classes = &mut self.classes;
+        let spawned = for_each_neighborhood(
+            &self.db,
+            &self.index,
+            affected_cores,
+            eps,
+            threads,
+            |c, hood| classes.expand_core(c, hood),
+        );
+        self.stats.note_sweep(spawned, affected_cores.len());
     }
 
     /// Local repair: mark the new core flags, then re-expand exactly the
     /// dirty region — flipped segments get a fresh ε-query, new segments
     /// reuse the neighborhoods computed during the count update — unioning
     /// core–core edges and recording core→border claims.
-    fn repair_locally(&mut self, first: u32, hoods: &[Vec<u32>], flips: &[u32]) {
+    fn repair_locally(&mut self, first: u32, hoods: &Neighborhoods, flips: &[u32]) {
         let n = self.db.len() as u32;
         for &b in flips {
-            self.core[b as usize] = true;
+            self.classes.core[b as usize] = true;
         }
         for id in first..n {
-            self.core[id as usize] = self.counts[id as usize] >= self.cluster.min_lns;
+            self.classes.core[id as usize] = self.counts[id as usize] >= self.cluster.min_lns;
         }
         // Segments that became core *this* insertion, ascending (flips are
         // all below `first`, new ids at/above it). Their own expansions
         // record every edge they participate in; older cores' edges to new
         // non-core segments are recorded from the non-core side below.
         let mut fresh: Vec<u32> = flips.to_vec();
-        fresh.extend((first..n).filter(|&id| self.core[id as usize]));
-        for batch in flips.chunks(REPAIR_BATCH) {
-            let flip_hoods = self.batch_neighborhoods(batch);
-            for (&c, hood) in batch.iter().zip(&flip_hoods) {
-                self.expand_core(c, hood);
-            }
-        }
+        fresh.extend((first..n).filter(|&id| self.classes.core[id as usize]));
+        let (threads, eps) = (self.threads(), self.cluster.eps);
+        let classes = &mut self.classes;
+        let spawned =
+            for_each_neighborhood(&self.db, &self.index, flips, eps, threads, |c, hood| {
+                classes.expand_core(c, hood)
+            });
+        self.stats.note_sweep(spawned, flips.len());
         for (k, hood) in hoods.iter().enumerate() {
             let id = first + k as u32;
-            if self.core[id as usize] {
-                self.expand_core(id, hood);
+            if self.classes.core[id as usize] {
+                self.classes.expand_core(id, hood);
             } else {
                 for &m in hood {
-                    if m != id && self.core[m as usize] && fresh.binary_search(&m).is_err() {
-                        push_claim(&mut self.claims[id as usize], m);
+                    if m != id && self.classes.core[m as usize] && fresh.binary_search(&m).is_err()
+                    {
+                        push_claim(&mut self.classes.claims[id as usize], m);
                     }
                 }
             }
         }
     }
 
-    /// The ε-neighborhoods of `ids`, in `ids` order: computed on the
-    /// configured worker threads ([`crate::Parallelism`]) when the batch
-    /// clears [`MIN_PARALLEL_REPAIR`], sequentially otherwise. Each query
-    /// is a pure read of the database and index, so the results — and
-    /// everything the caller derives from them in `ids` order — are
-    /// bit-identical either way; parallelism moves work, never output.
-    fn batch_neighborhoods(&mut self, ids: &[u32]) -> Vec<Vec<u32>> {
-        let threads = self.cluster.parallelism.thread_count().min(ids.len());
-        if threads <= 1 || ids.len() < MIN_PARALLEL_REPAIR {
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                self.db
-                    .neighborhood_into(&self.index, id, self.cluster.eps, &mut self.scratch);
-                out.push(self.scratch.clone());
-            }
-            return out;
-        }
-        self.stats.repair_parallel_batches += 1;
-        self.stats.repair_parallel_queries += ids.len() as u64;
-        crate::shard::parallel_neighborhoods(&self.db, &self.index, ids, self.cluster.eps, threads)
-    }
-
-    /// One freshly core segment's expansion: union with every core
-    /// neighbour, claim every non-core neighbour, and drop any claims made
-    /// on the segment while it was still a border candidate.
-    fn expand_core(&mut self, c: u32, hood: &[u32]) {
-        self.claims[c as usize] = Vec::new();
-        for &m in hood {
-            if m == c {
-                continue;
-            }
-            if self.core[m as usize] {
-                self.dsu.union(c, m);
-            } else {
-                push_claim(&mut self.claims[m as usize], c);
-            }
-        }
+    /// Worker threads for ε-query sweeps ([`crate::Parallelism`]).
+    fn threads(&self) -> usize {
+        self.cluster.parallelism.thread_count()
     }
 
     /// The fallback: recompute counts, core flags, components, and claims
     /// from scratch over the whole database, against a freshly bulk-built
     /// index (undoing any R-tree degradation from incremental inserts).
     ///
-    /// One ε-query per segment: `counts[id]` is fully determined by `id`'s
-    /// own whole-database query, so `core[id]` is final the moment `id` is
-    /// visited. Scanning ids ascending, a backward edge `(b, id)` with
-    /// `b < id` therefore sees two final core flags and can be classified
-    /// (union / claim) immediately; forward edges need no deferral because
-    /// the distance is symmetric — the pair resurfaces as the backward
-    /// edge of its later endpoint. (The sharded workers in [`crate::shard`]
-    /// must defer instead, because a worker only ever queries its own
-    /// members.)
+    /// This is the batch grouping pass over the live ids: one ε-query per
+    /// segment fixes its count and core flag, and visiting ids ascending
+    /// lets every backward edge be classified on the spot.
     fn rebuild(&mut self) {
         let n = self.db.len() as u32;
         // The outgoing index carries prune tallies the lifetime stats must
         // keep; fold them in before the replacement drops it.
         self.stats.absorb_prune(self.index.prune_stats());
-        let threads = self.cluster.parallelism.thread_count();
+        let threads = self.threads();
         self.index = self
             .db
             .build_index_parallel(self.cluster.index, self.cluster.eps, threads);
         self.index.set_pruning(self.cluster.pruning);
-        self.dsu = UnionFind::new(n);
+        self.classes.dsu = UnionFind::new(n);
         let mut live_ids: Vec<u32> = Vec::with_capacity(self.db.live_len());
         for id in 0..n {
             if self.db.is_live(id) {
                 live_ids.push(id);
             } else {
                 self.counts[id as usize] = 0.0;
-                self.core[id as usize] = false;
-                self.claims[id as usize] = Vec::new();
+                self.classes.core[id as usize] = false;
+                self.classes.claims[id as usize] = Vec::new();
             }
         }
-        // Batched so a large window never retains more than one batch of
-        // neighborhoods. Classification stays sequential and strictly
-        // ascending: when the backward edge `(b, id)` is visited, `b < id`
-        // has already been finalised — whether in this batch or an earlier
-        // one — exactly as in the sequential scan.
-        for batch in live_ids.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&id, hood) in batch.iter().zip(&hoods) {
-                self.counts[id as usize] = self
-                    .db
-                    .neighborhood_cardinality(hood, self.cluster.weighted);
-                let id_core = self.counts[id as usize] >= self.cluster.min_lns;
-                self.core[id as usize] = id_core;
-                self.claims[id as usize] = Vec::new();
-                for &b in hood.iter().take_while(|&&b| b < id) {
-                    match (id_core, self.core[b as usize]) {
-                        (true, true) => self.dsu.union(id, b),
-                        (true, false) => push_claim(&mut self.claims[b as usize], id),
-                        (false, true) => push_claim(&mut self.claims[id as usize], b),
-                        (false, false) => {}
-                    }
-                }
-            }
-        }
+        let (db, cluster, counts, classes) =
+            (&self.db, &self.cluster, &mut self.counts, &mut self.classes);
+        let spawned = for_each_neighborhood(
+            db,
+            &self.index,
+            &live_ids,
+            cluster.eps,
+            threads,
+            |id, hood| {
+                counts[id as usize] = db.neighborhood_cardinality(hood, cluster.weighted);
+                classes.classify(id, counts[id as usize] >= cluster.min_lns, hood);
+            },
+        );
+        self.stats.note_sweep(spawned, live_ids.len());
     }
 
     /// The current clustering, identical to what the batch
@@ -1131,44 +1085,9 @@ impl<const D: usize> IncrementalClustering<D> {
     /// earliest claiming component, and the Definition 10
     /// trajectory-cardinality filter runs last.
     pub fn snapshot(&self) -> Clustering {
-        let n = self.db.len();
-        let mut comp_of_root = vec![u32::MAX; n];
-        let mut raw: Vec<Option<u32>> = vec![None; self.db.live_len()];
-        let mut cluster_count = 0u32;
-        // Live ids map to dense ranks monotonically, so walking the sparse
-        // id space ascending visits dense slots ascending — components are
-        // numbered in the batch pass's seed order.
-        let mut dense = 0usize;
-        for id in 0..n as u32 {
-            if !self.db.is_live(id) {
-                continue;
-            }
-            if self.core[id as usize] {
-                let root = self.dsu.find_readonly(id) as usize;
-                if comp_of_root[root] == u32::MAX {
-                    comp_of_root[root] = cluster_count;
-                    cluster_count += 1;
-                }
-                raw[dense] = Some(comp_of_root[root]);
-            }
-            dense += 1;
-        }
-        let mut dense = 0usize;
-        for id in 0..n {
-            if !self.db.is_live(id as u32) {
-                continue;
-            }
-            if !self.core[id] {
-                // Claim lists may carry cores a removal has retired or
-                // demoted since; only currently live core claims count.
-                raw[dense] = self.claims[id]
-                    .iter()
-                    .filter(|&&c| self.core[c as usize])
-                    .map(|&c| comp_of_root[self.dsu.find_readonly(c) as usize])
-                    .min();
-            }
-            dense += 1;
-        }
+        let (raw, cluster_count) = self
+            .classes
+            .raw_labels(|id| self.db.is_live(id), self.db.live_len());
         finalize_raw(
             &self.live_database(),
             &raw,
@@ -1190,21 +1109,6 @@ impl<const D: usize> IncrementalClustering<D> {
         };
         crate::attach_representatives(&self.config, db, clustering)
     }
-}
-
-/// Appends a claiming core, compacting (sort + dedup) only when the list
-/// is both past [`CLAIM_DEDUP_LEN`] and out of capacity, then reserving
-/// headroom proportional to the distinct count — so a border segment with
-/// `k` distinct claiming cores pays O(k log k) per *doubling*, not per
-/// push. Duplicates are harmless for correctness (the snapshot takes a
-/// min); compaction only bounds memory.
-fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
-    if claims.len() >= CLAIM_DEDUP_LEN && claims.len() == claims.capacity() {
-        claims.sort_unstable();
-        claims.dedup();
-        claims.reserve(claims.len().max(CLAIM_DEDUP_LEN));
-    }
-    claims.push(core_id);
 }
 
 #[cfg(test)]
@@ -1531,11 +1435,11 @@ mod tests {
     fn parallel_repair_is_identical_to_sequential() {
         use crate::Parallelism;
         // rebuild_threshold 0 forces the full re-cluster on every
-        // operation, so once the window holds ≥ MIN_PARALLEL_REPAIR live
-        // segments every rebuild's query sweep crosses the parallelism
-        // floor and actually engages the workers.
+        // operation, so once the window holds ≥ INLINE_BELOW live segments
+        // every rebuild's query sweep crosses the engine's inline floor and
+        // actually engages the workers.
         let trajectories: Vec<Trajectory<2>> =
-            (0..40).map(|i| corridor(i, i as f64 * 0.2, 12)).collect();
+            (0..80).map(|i| corridor(i, i as f64 * 0.1, 12)).collect();
         let with = |parallelism| TraclusConfig {
             parallelism,
             stream: StreamConfig {
@@ -1578,7 +1482,7 @@ mod tests {
                 stats.repair_parallel_batches > 0,
                 "t={threads} never engaged the parallel path"
             );
-            assert!(stats.repair_parallel_queries >= MIN_PARALLEL_REPAIR as u64);
+            assert!(stats.repair_parallel_queries >= crate::grouping::INLINE_BELOW as u64);
         }
     }
 

@@ -1,20 +1,21 @@
-//! Equivalence harness for the sharded parallel clustering path.
+//! Equivalence harness for the ordered parallel grouping pass.
 //!
 //! `run_parallel(t)` must produce the same clustering as the sequential
-//! `run()` for every thread count — the design argument lives in
-//! `traclus_core::shard`, and this suite locks it down empirically:
+//! Figure 12 `run()` for every thread count — the design argument lives
+//! in the core crate's `grouping` module, and this suite locks it down
+//! empirically:
 //!
 //! * canonical comparison (clusters as member-id sets, noise sets exact)
 //!   for t ∈ {1, 2, 4, 8} on hurricane-like, grid, and random-walk
 //!   fixtures;
-//! * a border-merge regression shaped like the PR 2 stolen-border bug,
-//!   spanning ≥ 3 shard tiles;
+//! * a long-chain regression shaped like the stolen-border bug, whose
+//!   ids span several worker blocks;
 //! * an extra thread count taken from `RUST_TEST_THREADS` when set, so CI
-//!   sweeps shard counts that the hard-coded list misses.
+//!   sweeps thread counts that the hard-coded list misses.
 
 use traclus_core::{
     ClusterConfig, Clustering, IndexKind, LineSegmentClustering, PartitionConfig, SegmentDatabase,
-    SegmentLabel, ShardPlan,
+    SegmentLabel,
 };
 use traclus_data::{HurricaneConfig, HurricaneGenerator};
 use traclus_geom::{
@@ -68,8 +69,8 @@ fn assert_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixture: &s
             "{fixture}: filter diagnostics diverge at t={t}"
         );
         // ...and (stronger, by design) bit-identical output including
-        // cluster numbering: the merge pass renumbers components in the
-        // sequential seed order.
+        // cluster numbering: components are numbered in the sequential
+        // seed order.
         assert_eq!(
             sequential, parallel,
             "{fixture}: exact equality broken at t={t}"
@@ -77,7 +78,7 @@ fn assert_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixture: &s
     }
 }
 
-/// `RUST_TEST_THREADS`, reused as a shard-count override so CI can sweep
+/// `RUST_TEST_THREADS`, reused as a thread-count override so CI can sweep
 /// thread counts without recompiling the test list.
 fn env_thread_count() -> Option<usize> {
     std::env::var("RUST_TEST_THREADS")
@@ -232,9 +233,10 @@ fn whole_pipeline_fixture_is_equivalent() {
 }
 
 /// The PR 2 bug shape, parallelised: one density-connected cluster strung
-/// across many tiles, with a non-core border segment sitting between two
-/// core runs. Splitting the chain over shards must not cut it in two, and
-/// the border must not be double-assigned or dropped.
+/// along a corridor whose ids span several worker blocks, with a non-core
+/// border segment claimed by cores from many blocks. Computing the chain's
+/// neighbourhoods on different workers must not cut it in two, and the
+/// border must not be double-assigned or dropped.
 #[test]
 fn border_merge_keeps_cross_tile_cluster_whole() {
     let mut entries = Vec::new();
@@ -265,54 +267,16 @@ fn border_merge_keeps_cross_tile_cluster_whole() {
     };
 
     for threads in [2, 3, 4, 8] {
-        // The fixture must genuinely exercise the merge: its segments span
-        // several tiles and at least two shards.
-        let plan = ShardPlan::new(&db, threads, config.eps);
-        let mut tiles: Vec<usize> = (0..db.len() as u32)
-            .map(|id| plan.tile_of_segment(id))
-            .collect();
-        tiles.sort_unstable();
-        tiles.dedup();
-        assert!(
-            tiles.len() >= 3,
-            "fixture spans only {} tiles at t={threads}",
-            tiles.len()
-        );
-        let mut shards: Vec<usize> = (0..db.len() as u32)
-            .map(|id| plan.shard_of_segment(id))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        assert!(
-            shards.len() >= 2,
-            "fixture occupies one shard at t={threads}"
-        );
-        // The conservative geometric border query agrees: the corridor has
-        // segments whose ε-expanded MBR crosses tile boundaries — without
-        // them no cross-tile edge (and no merge) could exist. √5·ε is the
-        // uniform-weight filter radius (see traclus-index).
-        let radius = config.eps * 5.0f64.sqrt();
-        let border_candidates = (0..db.len() as u32)
-            .filter(|&id| {
-                plan.tile_grid()
-                    .crosses_boundary(&db.bbox_of(id).expanded(radius))
-            })
-            .count();
-        assert!(
-            border_candidates > 0,
-            "no ε-ball crosses a tile boundary at t={threads}"
-        );
-
         let parallel = LineSegmentClustering::new(&db, config).run_parallel(threads);
         assert_eq!(
             parallel.clusters.len(),
             1,
-            "cross-tile cluster split at t={threads}"
+            "corridor cluster split at t={threads}"
         );
         assert_eq!(
             parallel.clusters[0].members.len(),
             db.len(),
-            "member lost in the border merge at t={threads}"
+            "corridor member lost at t={threads}"
         );
         assert_eq!(
             parallel.labels[border_id as usize],
@@ -364,9 +328,9 @@ fn shared_border_segment_is_not_stolen_in_parallel() {
 
 #[test]
 fn dense_database_compaction_preserves_equivalence() {
-    // ~600 segments all mutually within ε: the deferred-edge lists blow
-    // past their compaction budgets, exercising the canonicalise+dedup
-    // path that keeps shard memory bounded on dense settings.
+    // ~600 segments all mutually within ε: every query returns the whole
+    // database, so the workers' block buffers and the look-ahead bound
+    // carry their heaviest load.
     let entries: Vec<(Segment2, u32)> = (0..600)
         .map(|i| {
             let y = (i % 60) as f64 * 0.05;
@@ -376,8 +340,7 @@ fn dense_database_compaction_preserves_equivalence() {
         .collect();
     let db = identified(entries);
     assert_equivalent(&db, ClusterConfig::new(50.0, 5), "dense compaction");
-    // A mid-range ε yields several components plus noise under the same
-    // compaction pressure.
+    // A tight ε on the same lattice yields several components plus noise.
     assert_equivalent(&db, ClusterConfig::new(0.08, 3), "dense tight eps");
 }
 
@@ -407,21 +370,4 @@ fn degenerate_databases_are_equivalent() {
             .collect(),
     );
     assert_equivalent(&stacked, ClusterConfig::new(0.5, 3), "stacked");
-    // The stacked geometry triggers the contiguous-id fallback — every
-    // worker gets segments instead of one shard hoarding the single hot
-    // tile — and the output stays identical (asserted just above).
-    for t in [2, 4, 8] {
-        let plan = ShardPlan::new(&stacked, t, 0.5);
-        assert!(
-            plan.used_degenerate_fallback(),
-            "stacked plan must fall back at t={t}"
-        );
-        let nonempty = (0..plan.shard_count())
-            .filter(|&s| !plan.shard_members(s).is_empty())
-            .count();
-        assert!(
-            nonempty > 1,
-            "fallback still parks everything on one worker at t={t}"
-        );
-    }
 }

@@ -1,4 +1,4 @@
-//! Property-based equivalence of the sharded parallel clustering path:
+//! Property-based equivalence of the ordered parallel grouping pass:
 //! random segment soups and parameters, parallel output must equal the
 //! sequential Figure 12 output exactly, and repeated runs with the same
 //! thread count must be bit-identical (determinism).
@@ -70,7 +70,7 @@ proptest! {
         min_lns in 2usize..5,
     ) {
         // Transitivity check run directly across counts, including counts
-        // far above the segment count (mostly-empty shards).
+        // far above the segment count (more workers than blocks).
         let db = SegmentDatabase::from_segments(segments, SegmentDistance::default());
         let algo = LineSegmentClustering::new(&db, ClusterConfig::new(eps, min_lns));
         let reference = algo.run_parallel(2);
@@ -86,7 +86,7 @@ proptest! {
         threads in 2usize..6,
     ) {
         // Zero parallel weight disables the conservative index filter; the
-        // sharded path must still agree with the sequential full scan.
+        // parallel pass must still agree with the sequential full scan.
         let dist = SegmentDistance::new(
             traclus_geom::DistanceWeights::new(1.0, 0.0, 1.0),
             traclus_geom::AngleMode::Directed,

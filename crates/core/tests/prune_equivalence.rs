@@ -34,7 +34,7 @@ use traclus_geom::{
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// `RUST_TEST_THREADS`, reused as an extra thread count so CI sweeps
-/// shard counts the hard-coded list misses (same idiom as the parallel
+/// thread counts the hard-coded list misses (same idiom as the parallel
 /// equivalence suite).
 fn env_thread_count() -> Option<usize> {
     std::env::var("RUST_TEST_THREADS")

@@ -1,7 +1,7 @@
 //! [`evaluate_dataset`]: the cross-algorithm comparison harness.
 //!
-//! One call runs TRACLUS with all three engines (sequential, sharded
-//! parallel, streaming) and the four baseline algorithms (trajectory
+//! One call runs TRACLUS with all three engines (sequential, parallel,
+//! streaming) and the four baseline algorithms (trajectory
 //! k-means, regression-mixture EM, point DBSCAN over segment midpoints,
 //! OPTICS over segments) over a parameter grid, scores every run with the
 //! segment-level metrics of [`crate::metrics`], captures wall-clock

@@ -43,11 +43,9 @@
 
 pub mod grid;
 pub mod rtree;
-pub mod tiles;
 
 pub use grid::GridIndex;
 pub use rtree::{RTree, RTreeParams};
-pub use tiles::TileGrid;
 
 use traclus_geom::{Aabb, DistanceWeights};
 

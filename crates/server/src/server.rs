@@ -245,6 +245,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // handlers notice the flag within one poll interval even when their
     // client sends nothing.
     let _ = stream.set_read_timeout(Some(shared.poll_interval));
+    // Each reply is one complete write; Nagle would only hold it back.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -289,9 +291,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// Writes one reply line with a single `write_all`: a reply larger than
+/// the `BufWriter` would otherwise leave in two sends (the JSON, then its
+/// newline), and the second one stalls behind the client's delayed ACK.
 fn write_line(writer: &mut impl Write, response: &JsonValue) -> std::io::Result<()> {
-    writer.write_all(response.to_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut line = response.to_compact();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
@@ -542,4 +548,43 @@ fn ok_with_epoch<const N: usize>(
         pairs.push((k.to_string(), v));
     }
     JsonValue::Object(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the `write` calls that reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn large_reply_reaches_the_socket_in_one_write() {
+        let reply = JsonValue::Object(vec![(
+            "payload".to_string(),
+            JsonValue::String("x".repeat(20 * 1024)),
+        )]);
+        let mut writer = std::io::BufWriter::new(CountingWriter::default());
+        write_line(&mut writer, &reply).unwrap();
+        let inner = writer.get_ref();
+        assert_eq!(inner.writes, 1, "reply split across writes");
+        let mut expected = reply.to_compact().into_bytes();
+        expected.push(b'\n');
+        assert_eq!(inner.bytes, expected);
+    }
 }

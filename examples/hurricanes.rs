@@ -46,10 +46,10 @@ fn main() {
         best.eps, best.avg_neighborhood, min_lns_range
     );
 
-    // Phase 2: cluster with the estimated parameters, sharded over every
-    // available hardware thread (the default Parallelism knob). The
+    // Phase 2: cluster with the estimated parameters, with ε-queries on
+    // every available hardware thread (the default Parallelism knob). The
     // parallel path returns the identical clustering to the sequential
-    // loop — Parallelism::Sequential forces the single-threaded scan.
+    // loop — Parallelism::Sequential keeps the pass on one thread.
     let min_lns = *min_lns_range.start() + 1;
     let parallelism = Parallelism::Available;
     let outcome = Traclus::new(TraclusConfig {

@@ -10,7 +10,7 @@
 //! * [`geom`] — points, segments, and the composite segment distance
 //!   (Definitions 1–3);
 //! * [`core`] — MDL partitioning (Section 3), density-based line-segment
-//!   clustering (Section 4.2; sequential and sharded-parallel, selected by
+//!   clustering (Section 4.2; sequential, or parallel ε-queries selected by
 //!   the `Parallelism` knob), representative trajectories (Section 4.3),
 //!   the parameter-selection heuristics (Section 4.4), and the streaming
 //!   engine (`IncrementalClustering`) that ingests trajectories one at a

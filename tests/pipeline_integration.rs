@@ -207,7 +207,7 @@ fn rebuilding_database_from_segments_preserves_clustering() {
 fn parallel_and_sequential_pipelines_are_identical() {
     // The Parallelism knob must not change anything observable: labels,
     // clusters, and representative trajectories all come out the same
-    // whether the grouping phase runs sequentially or sharded over
+    // whether the grouping phase runs its ε-queries on one thread or on
     // several worker threads.
     let scene = generate_scene(&SceneConfig {
         noise_fraction: 0.2,
