@@ -170,6 +170,11 @@ impl Clustering {
 /// Observability counters of one clustering run — everything the run did
 /// that a [`Clustering`] (which is compared for equivalence and must stay
 /// independent of the execution strategy) cannot carry.
+///
+/// The counters do depend on the strategy: [`LineSegmentClustering::run`]
+/// queries whole neighbourhoods, while the ordered pass of
+/// [`LineSegmentClustering::run_parallel`] queries forward candidates only
+/// and so counts about half as many.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Filter-and-refine tallies of the ε-neighborhood queries.
@@ -347,8 +352,11 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
     }
 
     /// [`Self::run_parallel`] plus the run's [`ClusterStats`]. Every
-    /// worker queries the same shared index, so the prune counters total
-    /// exactly what the sequential run's do on the same database.
+    /// worker queries the same shared index, so the prune counters are the
+    /// same at every thread count. The ordered pass queries only each
+    /// segment's forward candidates (ids `≥` its own), so they total about
+    /// half of [`Self::run_with_stats`]'s, which scores each pair from both
+    /// ends; `candidates = pruned + refined` holds either way.
     pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, ClusterStats) {
         crate::grouping::run_ordered(self.db, &self.config, threads.max(1))
     }

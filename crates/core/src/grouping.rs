@@ -21,8 +21,37 @@
 //! Visiting ids in ascending order, every backward edge `(b, id)` with
 //! `b < id` therefore sees two final core flags and is classified on the
 //! spot: core–core edges are unioned, core–border edges become claims.
-//! Forward edges need no deferral — the distance is symmetric, so the pair
-//! resurfaces as the backward edge of its later endpoint.
+//!
+//! [`classify_forward`] queries each id for its forward neighbours `c ≥ id`
+//! only, so each unordered pair is refined once. That is exact because
+//! the segment distance is symmetric bit for bit: the Lemma 2
+//! longer-first ordering with the id tie-break gives `dist(a, b)` and
+//! `dist(b, a)` the same operands. The backward half of `Nε(id)` is handed
+//! forward instead, two ways:
+//!
+//! * *Counts.* Visiting `b`, the pass adds `b`'s weight to the running
+//!   count of every forward neighbour `c > b`. Those additions reach `c` in
+//!   ascending `b` order, and visiting `c` folds its forward list on top:
+//!   the same fold, in the same order, as over the whole ascending
+//!   `Nε(c)`, so counts are bit-identical to a full query's.
+//! * *Carried edges.* `b` is also pushed onto `c`'s carried list, which
+//!   `c`'s visit hands to [`Classification::classify`] as its backward
+//!   neighbours. A core `b` is skipped when its union-find root equals that
+//!   of the list's last entry. Components only merge during the pass, so
+//!   the skipped edge would union nothing new, and a claim on the same
+//!   component never changes a claim minimum. This keeps the carried lists
+//!   near the border and component count, not the edge count.
+//!
+//! The streaming engine rebuilds with the same pass and then repairs in
+//! place, so its claim lists may lack such a skipped core. Labels stay
+//! exact: the carried core stands in for the skipped one only while both
+//! are cores of one component, and that ends only when some core of the
+//! component is removed or demoted (insertions only merge). Every such
+//! removal or demotion — including the one that scrubs a claimer from a
+//! claim list — marks the whole component affected, and
+//! [`crate::IncrementalClustering`]'s removal repair then re-expands every
+//! surviving core of it, which re-lands every claim; otherwise the engine
+//! rebuilds.
 //!
 //! [`for_each_neighborhood`] is the parallel half: `threads` scoped workers
 //! claim blocks of [`BLOCK`] ids from a shared atomic cursor and fill
@@ -93,12 +122,30 @@ pub(crate) fn for_each_neighborhood<const D: usize>(
     ids: &[u32],
     eps: f64,
     threads: usize,
+    visit: impl FnMut(u32, &[u32]),
+) -> bool {
+    for_each_query(db, index, ids, eps, false, threads, visit)
+}
+
+/// [`for_each_neighborhood`], or with `forward` set the same walk over
+/// forward-only queries: each id receives only its neighbours `≥ id`
+/// ([`SegmentDatabase::neighborhood_from`] with `from = id`).
+fn for_each_query<const D: usize>(
+    db: &SegmentDatabase<D>,
+    index: &NeighborIndex<D>,
+    ids: &[u32],
+    eps: f64,
+    forward: bool,
+    threads: usize,
     mut visit: impl FnMut(u32, &[u32]),
 ) -> bool {
+    let query = |id: u32, hood: &mut Vec<u32>| {
+        db.neighborhood_from(index, id, eps, if forward { id } else { 0 }, hood);
+    };
     if threads <= 1 || ids.len() < INLINE_BELOW {
         let mut hood = Vec::new();
         for &id in ids {
-            db.neighborhood_into(index, id, eps, &mut hood);
+            query(id, &mut hood);
             visit(id, &hood);
         }
         return false;
@@ -107,13 +154,13 @@ pub(crate) fn for_each_neighborhood<const D: usize>(
     let queue = BlockQueue::new();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(blocks) {
-            let queue = &queue;
+            let (queue, query) = (&queue, &query);
             scope.spawn(move || {
                 let _stop = StopOnUnwind(queue);
                 let mut hood = Vec::new();
                 while let Some((b, mut block)) = queue.claim(blocks) {
                     for &id in &ids[b * BLOCK..ids.len().min((b + 1) * BLOCK)] {
-                        db.neighborhood_into(index, id, eps, &mut hood);
+                        query(id, &mut hood);
                         block.push(&hood);
                     }
                     queue.fill(b, block);
@@ -292,7 +339,9 @@ impl Classification {
 
     /// Visits `id` in the ascending pass: records its final core flag and
     /// classifies its backward edges (`b < id`, whose flags are final
-    /// too). `hood` is ascending, as every ε-query returns it.
+    /// too). `hood` is ascending — a whole ε-neighbourhood, or just the
+    /// backward neighbours [`classify_forward`] carried — and only its
+    /// entries below `id` are read.
     pub(crate) fn classify(&mut self, id: u32, id_core: bool, hood: &[u32]) {
         self.core[id as usize] = id_core;
         self.claims[id as usize] = Vec::new();
@@ -386,6 +435,47 @@ pub(crate) fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
     claims.push(core_id);
 }
 
+/// The ordered pass over forward-only ε-queries (see the module docs):
+/// visits `ids` — every live id, ascending — and leaves `|Nε(id)|` in
+/// `counts[id]` and each id's core flag, components and claims in
+/// `classes`, exactly as [`Classification::classify`] over whole
+/// neighbourhoods would. `counts` is zeroed at `ids` first. Returns
+/// whether workers were spawned.
+pub(crate) fn classify_forward<const D: usize>(
+    db: &SegmentDatabase<D>,
+    index: &NeighborIndex<D>,
+    ids: &[u32],
+    config: &ClusterConfig,
+    threads: usize,
+    counts: &mut [f64],
+    classes: &mut Classification,
+) -> bool {
+    for &id in ids {
+        counts[id as usize] = 0.0;
+    }
+    // `carried[c]`: visited `b < c` with `c ∈ Nε(b)`, ascending, minus the
+    // cores whose component the list already reaches.
+    let mut carried: Vec<Vec<u32>> = vec![Vec::new(); db.len()];
+    for_each_query(db, index, ids, config.eps, true, threads, |id, forward| {
+        let count = db.add_cardinality(counts[id as usize], forward, config.weighted);
+        counts[id as usize] = count;
+        let is_core = count >= config.min_lns;
+        classes.classify(id, is_core, &std::mem::take(&mut carried[id as usize]));
+        let root = is_core.then(|| classes.dsu.find(id));
+        let gain = db.cardinality_weight(id, config.weighted);
+        for &c in forward.iter().filter(|&&c| c != id) {
+            counts[c as usize] += gain;
+            let carry = &mut carried[c as usize];
+            if let (Some(root), Some(&last)) = (root, carry.last()) {
+                if classes.dsu.find(last) == root {
+                    continue;
+                }
+            }
+            carry.push(id);
+        }
+    })
+}
+
 /// The grouping phase on `threads` workers: one ordered pass over every
 /// segment, then the shared finalisation (trajectory-cardinality filter +
 /// dense renumbering). The result equals [`crate::LineSegmentClustering::run`].
@@ -398,13 +488,14 @@ pub(crate) fn run_ordered<const D: usize>(
     let mut index = db.build_index_parallel(config.index, config.eps, threads);
     index.set_pruning(config.pruning);
     let ids: Vec<u32> = (0..n as u32).collect();
+    let mut counts = vec![0.0; n];
     let mut classes = Classification::new(n);
-    for_each_neighborhood(db, &index, &ids, config.eps, threads, |id, hood| {
-        let is_core = db.neighborhood_cardinality(hood, config.weighted) >= config.min_lns;
-        classes.classify(id, is_core, hood);
-    });
+    classify_forward(db, &index, &ids, config, threads, &mut counts, &mut classes);
     #[cfg(feature = "invariant-checks")]
-    crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
+    {
+        crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
+        crate::invariants::assert_counts_exact(db, config, &ids, &counts, &classes, "grouping");
+    }
     let (raw, cluster_count) = classes.raw_labels(|_| true, n);
     let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
     let stats = ClusterStats {
@@ -558,6 +649,84 @@ mod tests {
                     assert_eq!(*visited, id, "t={threads}: out of input order");
                     db.neighborhood_into(&index, id, 6.0, &mut expected);
                     assert_eq!(*hood, expected, "t={threads}: id {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_pass_matches_full_queries() {
+        let plain = walk_db(700);
+        // Non-dyadic, non-uniform weights: a sum folded in any other order
+        // shows in the bits.
+        let mut segments = plain.segments().to_vec();
+        for (k, s) in segments.iter_mut().enumerate() {
+            s.weight = 0.3 + 0.1 * (k % 7) as f64;
+        }
+        let weighted = SegmentDatabase::from_segments(segments, SegmentDistance::default());
+        for (full, is_weighted, min_lns) in [(plain, false, 6.0), (weighted, true, 3.3)] {
+            // A gapped live list: scattered tombstones plus one dead run.
+            let mut gapped = full.clone();
+            for id in 0..full.len() as u32 {
+                if id % 5 == 2 || (200..260).contains(&id) {
+                    gapped.remove_segment(id);
+                }
+            }
+            for db in [&full, &gapped] {
+                let ids: Vec<u32> = (0..db.len() as u32).filter(|&id| db.is_live(id)).collect();
+                let live = |id: u32| db.is_live(id);
+                for kind in [IndexKind::Linear, IndexKind::RTree] {
+                    let config = ClusterConfig {
+                        weighted: is_weighted,
+                        min_lns,
+                        index: kind,
+                        ..ClusterConfig::new(6.0, 1)
+                    };
+                    let index = db.build_index(kind, config.eps);
+                    // Reference: whole neighbourhoods, classified ascending.
+                    let mut want_counts = vec![0.0; db.len()];
+                    let mut want = Classification::new(db.len());
+                    let mut hood = Vec::new();
+                    for &id in &ids {
+                        db.neighborhood_into(&index, id, config.eps, &mut hood);
+                        let count = db.neighborhood_cardinality(&hood, is_weighted);
+                        want_counts[id as usize] = count;
+                        want.classify(id, count >= min_lns, &hood);
+                    }
+                    let core_count = want.core.iter().filter(|&&c| c).count();
+                    assert!(
+                        core_count > 0 && core_count < ids.len(),
+                        "cores and borders"
+                    );
+                    let want_labels = want.raw_labels(live, ids.len());
+                    for threads in [1, 2, 3, 8] {
+                        let context = format!("weighted={is_weighted} {kind:?} t={threads}");
+                        // The pass zeroes the counts of `ids` itself.
+                        let mut counts = vec![f64::NAN; db.len()];
+                        let mut classes = Classification::new(db.len());
+                        classify_forward(
+                            db,
+                            &index,
+                            &ids,
+                            &config,
+                            threads,
+                            &mut counts,
+                            &mut classes,
+                        );
+                        for &id in &ids {
+                            assert_eq!(
+                                counts[id as usize].to_bits(),
+                                want_counts[id as usize].to_bits(),
+                                "{context}: count of {id}"
+                            );
+                        }
+                        assert_eq!(classes.core, want.core, "{context}: core flags");
+                        assert_eq!(
+                            classes.raw_labels(live, ids.len()),
+                            want_labels,
+                            "{context}: labels"
+                        );
+                    }
                 }
             }
         }

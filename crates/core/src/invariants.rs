@@ -8,6 +8,10 @@
 //!   sequential-equivalence arguments of the ordered grouping pass and of
 //!   [`crate::stream`] number components by minimum core id — a
 //!   non-canonical root would silently renumber clusters);
+//! * the ordered pass's counts, built from forward-only ε-queries plus the
+//!   weights carried from earlier ids, equal full-query counts bit for bit
+//!   (a carry bug would shift core flags only near the `MinLns`
+//!   threshold, where few fixtures look);
 //! * the [`SegmentDatabase`] structure-of-arrays cache stays bit-coherent
 //!   with the authoritative array-of-structs segments after streaming
 //!   appends (the batched distance kernel reads only the SoA);
@@ -27,7 +31,8 @@
 
 use traclus_geom::SegmentSoa;
 
-use crate::grouping::UnionFind;
+use crate::cluster::ClusterConfig;
+use crate::grouping::{Classification, UnionFind};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
 use crate::IndexKind;
 
@@ -45,6 +50,33 @@ pub(crate) fn assert_union_find_canonical(dsu: &UnionFind, context: &str) {
             (p as usize) <= x,
             "invariant-checks[{context}]: union-find parent increases at \
              {x} -> {p}; min-root canonical form violated"
+        );
+    }
+}
+
+/// Asserts the ordered pass's counts and core flags at the power-of-two
+/// ids of `ids` against full ε-queries (a fresh full scan): the forward
+/// folds plus the carried backward weights must add up to the
+/// whole-neighbourhood count bit for bit, and the core flags must follow.
+pub(crate) fn assert_counts_exact<const D: usize>(
+    db: &SegmentDatabase<D>,
+    config: &ClusterConfig,
+    ids: &[u32],
+    counts: &[f64],
+    classes: &Classification,
+    context: &str,
+) {
+    let linear = db.build_index(IndexKind::Linear, config.eps);
+    let mut hood = Vec::new();
+    for &id in ids.iter().filter(|id| id.is_power_of_two()) {
+        db.neighborhood_into(&linear, id, config.eps, &mut hood);
+        let full = db.neighborhood_cardinality(&hood, config.weighted);
+        let (count, core) = (counts[id as usize], classes.core[id as usize]);
+        assert!(
+            full.to_bits() == count.to_bits() && core == (full >= config.min_lns),
+            "invariant-checks[{context}]: segment {id} has count {count:?} \
+             (core {core}) after the ordered pass, but its full ε-query \
+             gives {full:?}"
         );
     }
 }
@@ -68,47 +100,6 @@ pub(crate) fn assert_soa_coherent<const D: usize>(db: &SegmentDatabase<D>, conte
             "invariant-checks[{context}]: cached bbox of segment {id} \
              diverged from its segment"
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{IncrementalClustering, IndexKind, TraclusConfig};
-    use traclus_geom::{Point2, Trajectory, TrajectoryId};
-
-    /// Drives every checker through the streaming engine with each index
-    /// kind — including the power-of-two snapshot==batch samples at 1, 2,
-    /// 4, and 8 trajectories, and the per-removal snapshot==batch check of
-    /// the decremental sanitizer — so the sanitizer pass runs even if the
-    /// broader suites are filtered.
-    #[test]
-    fn checkers_pass_on_a_streamed_corridor() {
-        for index in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
-            let config = TraclusConfig {
-                eps: 3.0,
-                min_lns: 3,
-                index,
-                ..TraclusConfig::default()
-            };
-            let mut engine = IncrementalClustering::<2>::new(config);
-            for i in 0..9u32 {
-                engine.insert(&Trajectory::new(
-                    TrajectoryId(i),
-                    (0..15)
-                        .map(|k| Point2::xy(k as f64 * 5.0, i as f64 * 0.4))
-                        .collect(),
-                ));
-            }
-            assert!(!engine.snapshot().clusters.is_empty());
-            // Decremental pass: every removal runs the post-removal
-            // sanitizer (tombstone coherence, scoped union-find, shrunk
-            // index vs full scan, snapshot == live-window batch).
-            for i in [4u32, 0, 8] {
-                let report = engine.remove_trajectory(TrajectoryId(i));
-                assert_eq!(report.removed_trajectories, 1, "{index:?} tr {i}");
-            }
-            assert_eq!(engine.live_trajectories(), 6);
-        }
     }
 }
 
@@ -167,8 +158,9 @@ pub(crate) fn assert_pruned_pair_outside_eps<const D: usize>(
     tier: usize,
 ) {
     let exact = db.distance(query, cand);
+    // A NaN distance is no neighbour, so it counts as outside ε.
     assert!(
-        !(exact <= eps),
+        exact > eps || exact.is_nan(),
         "invariant-checks[prune]: tier-{tier} bound discarded candidate \
          {cand} of query {query}, but the exact distance {exact} ≤ ε = {eps} \
          — the lower bound is not admissible for this pair"
@@ -196,5 +188,46 @@ pub(crate) fn assert_index_consistent<const D: usize>(
             "invariant-checks[{context}]: index disagrees with full scan \
              for segment {id}: {via_index:?} vs {via_scan:?}"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{IncrementalClustering, IndexKind, TraclusConfig};
+    use traclus_geom::{Point2, Trajectory, TrajectoryId};
+
+    /// Drives every checker through the streaming engine with each index
+    /// kind — including the power-of-two snapshot==batch samples at 1, 2,
+    /// 4, and 8 trajectories, and the per-removal snapshot==batch check of
+    /// the decremental sanitizer — so the sanitizer pass runs even if the
+    /// broader suites are filtered.
+    #[test]
+    fn checkers_pass_on_a_streamed_corridor() {
+        for index in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+            let config = TraclusConfig {
+                eps: 3.0,
+                min_lns: 3,
+                index,
+                ..TraclusConfig::default()
+            };
+            let mut engine = IncrementalClustering::<2>::new(config);
+            for i in 0..9u32 {
+                engine.insert(&Trajectory::new(
+                    TrajectoryId(i),
+                    (0..15)
+                        .map(|k| Point2::xy(k as f64 * 5.0, i as f64 * 0.4))
+                        .collect(),
+                ));
+            }
+            assert!(!engine.snapshot().clusters.is_empty());
+            // Decremental pass: every removal runs the post-removal
+            // sanitizer (tombstone coherence, scoped union-find, shrunk
+            // index vs full scan, snapshot == live-window batch).
+            for i in [4u32, 0, 8] {
+                let report = engine.remove_trajectory(TrajectoryId(i));
+                assert_eq!(report.removed_trajectories, 1, "{index:?} tr {i}");
+            }
+            assert_eq!(engine.live_trajectories(), 6);
+        }
     }
 }

@@ -7,13 +7,16 @@
 //! scan or through a spatial index with the conservative filter radius
 //! derived in `traclus-index`.
 //!
-//! Queries run **filter-and-refine**: before a candidate reaches the
+//! Queries run **filter-and-refine**: the index hands over its candidates
+//! in whatever order it stores them, and before a candidate reaches the
 //! batched distance kernel it passes through the tiered admissible lower
 //! bounds of [`traclus_geom::lower_bound`] (MBR distance, midpoint/length,
-//! exact angle), and candidates whose bound already exceeds ε are
-//! discarded. The bounds never exceed the computed distance, so pruned and
-//! unpruned neighborhoods are bit-identical; [`PruneStats`] counts what
-//! each tier saved.
+//! exact angle); candidates whose bound already exceeds ε are discarded.
+//! The bounds never exceed the computed distance, so pruned and unpruned
+//! neighborhoods are bit-identical; [`PruneStats`] counts what each tier
+//! saved. The kernel scores each candidate on its own, so candidate order
+//! never changes a distance: only the survivors are sorted, last, which is
+//! what makes every neighborhood ascending.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,6 +54,11 @@ enum IndexImpl<const D: usize> {
 /// construction: every candidate a query considers is either discarded by
 /// exactly one tier or scored exactly once by the batched kernel. All
 /// counters stay zero while pruning is disabled.
+///
+/// A query counts only the candidates it considers. The ordered grouping
+/// pass asks each segment for its forward neighbours (ids `≥` its own)
+/// only, so its counters total about half of what whole-neighbourhood
+/// queries like [`SegmentDatabase::neighborhood_into`] count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneStats {
     /// Candidates the index (or full scan) produced for refinement.
@@ -115,7 +123,7 @@ impl PruneCounters {
 }
 
 /// Per-query counter accumulation, flushed to the shared atomics once per
-/// `neighborhood_into` call instead of per candidate.
+/// query instead of per candidate.
 #[derive(Default)]
 struct LocalPruneCounts {
     candidates: u64,
@@ -516,18 +524,20 @@ impl<const D: usize> SegmentDatabase<D> {
         (fallback > 0.0 && fallback.is_finite()).then_some(fallback)
     }
 
-    /// Appends to `out` the ids of the ε-neighborhood `Nε(L)` of segment
-    /// `id` (Definition 4). The segment itself is included —
-    /// `dist(L, L) = 0 ≤ ε` — matching DBSCAN's core-count convention.
-    /// Results are sorted by id for determinism.
+    /// Replaces the contents of `out` with the ids of the ε-neighborhood
+    /// `Nε(L)` of segment `id` (Definition 4), ascending. The segment
+    /// itself is included — `dist(L, L) = 0 ≤ ε` — matching DBSCAN's
+    /// core-count convention.
     ///
-    /// When the index has pruning enabled (the default), candidates pass
-    /// through the tiered lower bounds of [`traclus_geom::lower_bound`]
-    /// first and only the survivors reach the batched kernel; because the
-    /// bounds never exceed the computed distance, the output is
-    /// bit-identical with pruning on or off. Candidate order is preserved
-    /// through the filter, so the weighted refinement sums stay in the
-    /// same id-ascending order either way.
+    /// The index hands over its candidates unsorted. When the index has
+    /// pruning enabled (the default), they pass through the tiered lower
+    /// bounds of [`traclus_geom::lower_bound`] first and only the survivors
+    /// reach the batched kernel; because the bounds never exceed the
+    /// computed distance, the output is bit-identical with pruning on or
+    /// off. The kernel scores each candidate on its own, so the order the
+    /// candidates arrive in never changes a distance. The neighbours that
+    /// survive refinement are sorted last, which is what makes the output
+    /// ascending and every weighted sum over it id-ordered.
     ///
     /// The query allocates nothing once `out` has grown to the largest
     /// candidate set: the index writes candidates straight into `out`, and
@@ -537,6 +547,22 @@ impl<const D: usize> SegmentDatabase<D> {
         index: &NeighborIndex<D>,
         id: u32,
         eps: f64,
+        out: &mut Vec<u32>,
+    ) {
+        self.neighborhood_from(index, id, eps, 0, out);
+    }
+
+    /// [`Self::neighborhood_into`] restricted to the neighbours with id
+    /// `≥ from`: candidates below the bound are dropped before the filter
+    /// and the kernel see them, and the prune counters tally only the
+    /// rest. The ordered grouping pass queries with `from = id`, so each
+    /// unordered pair is refined once.
+    pub(crate) fn neighborhood_from(
+        &self,
+        index: &NeighborIndex<D>,
+        id: u32,
+        eps: f64,
+        from: u32,
         out: &mut Vec<u32>,
     ) {
         out.clear();
@@ -562,12 +588,13 @@ impl<const D: usize> SegmentDatabase<D> {
                 // Full scan: either requested or forced by degenerate
                 // weights (no conservative filter exists). The candidate
                 // universe is the live ids ascending, so pack consecutive
-                // live chunks and feed them to the batched kernel.
+                // live chunks and feed them to the batched kernel; the
+                // output comes out ascending without a sort.
                 let n = self.segments.len() as u32;
                 let mut ids = [0u32; REFINE_CHUNK];
                 let mut dists = [0.0f64; REFINE_CHUNK];
                 let mut take = 0usize;
-                for cand in 0..n {
+                for cand in from..n {
                     if !self.alive[cand as usize] {
                         continue;
                     }
@@ -588,16 +615,15 @@ impl<const D: usize> SegmentDatabase<D> {
             (imp, Some(r)) => {
                 let window = self.bboxes[id as usize].expanded(eps * r);
                 match imp {
-                    IndexImpl::Grid(g) => g.query_sorted_into(&window, out),
-                    IndexImpl::RTree(t) => t.query_sorted_into(&window, out),
+                    IndexImpl::Grid(g) => g.query_into(&window, out),
+                    IndexImpl::RTree(t) => t.query_into(&window, out),
                     IndexImpl::Linear => unreachable!("handled above"),
                 }
-                if prune {
-                    // `retain` keeps the sorted candidate order.
-                    out.retain(|&cand| {
-                        !self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local)
-                    });
-                }
+                out.retain(|&cand| {
+                    cand >= from
+                        && !(prune
+                            && self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local))
+                });
                 // Refine in place: each chunk's distances are computed
                 // before any of its entries is overwritten, and the write
                 // cursor never passes the read position.
@@ -621,6 +647,7 @@ impl<const D: usize> SegmentDatabase<D> {
                     read += take;
                 }
                 out.truncate(kept);
+                out.sort_unstable();
             }
         }
         index.counters.flush(&local);
@@ -689,13 +716,30 @@ impl<const D: usize> SegmentDatabase<D> {
     /// `weighted` is false, else the sum of member weights (the Section 4.2
     /// weighted-trajectory extension).
     pub fn neighborhood_cardinality(&self, members: &[u32], weighted: bool) -> f64 {
+        self.add_cardinality(0.0, members, weighted)
+    }
+
+    /// Folds the (possibly weighted) cardinality of `members` onto `acc`,
+    /// one member at a time in slice order — the one summation behind
+    /// every count, so a count accumulated piecewise over an ascending
+    /// split of `Nε(L)` equals the whole neighborhood's bit for bit.
+    pub(crate) fn add_cardinality(&self, acc: f64, members: &[u32], weighted: bool) -> f64 {
         if weighted {
             members
                 .iter()
-                .map(|&m| self.segments[m as usize].weight)
-                .sum()
+                .fold(acc, |sum, &m| sum + self.cardinality_weight(m, true))
         } else {
-            members.len() as f64
+            acc + members.len() as f64
+        }
+    }
+
+    /// What one member adds to a cardinality: its weight when `weighted`,
+    /// else one.
+    pub(crate) fn cardinality_weight(&self, id: u32, weighted: bool) -> f64 {
+        if weighted {
+            self.segments[id as usize].weight
+        } else {
+            1.0
         }
     }
 

@@ -96,7 +96,7 @@ use traclus_geom::Trajectory;
 
 use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
 use crate::grouping::{
-    for_each_neighborhood, push_claim, Classification, Neighborhoods, UnionFind,
+    classify_forward, for_each_neighborhood, push_claim, Classification, Neighborhoods, UnionFind,
 };
 use crate::partition::partition_trajectory_from;
 use crate::segment_db::{NeighborIndex, PruneStats, SegmentDatabase};
@@ -519,11 +519,7 @@ impl<const D: usize> IncrementalClustering<D> {
             self.counts[id as usize] = self
                 .db
                 .neighborhood_cardinality(hood, self.cluster.weighted);
-            let gain = if self.cluster.weighted {
-                self.db.segment(id).weight
-            } else {
-                1.0
-            };
+            let gain = self.db.cardinality_weight(id, self.cluster.weighted);
             for &b in hood {
                 if b < first {
                     self.counts[b as usize] += gain;
@@ -1038,9 +1034,12 @@ impl<const D: usize> IncrementalClustering<D> {
     /// from scratch over the whole database, against a freshly bulk-built
     /// index (undoing any R-tree degradation from incremental inserts).
     ///
-    /// This is the batch grouping pass over the live ids: one ε-query per
-    /// segment fixes its count and core flag, and visiting ids ascending
-    /// lets every backward edge be classified on the spot.
+    /// This is the batch grouping pass over the live ids: one forward-only
+    /// ε-query per segment, with the backward half of each neighbourhood
+    /// carried from earlier ids, fixes its count and core flag, and
+    /// visiting ids ascending lets every backward edge be classified on the
+    /// spot (see the `grouping` module docs for why later repairs stay
+    /// exact on top of it).
     fn rebuild(&mut self) {
         let n = self.db.len() as u32;
         // The outgoing index carries prune tallies the lifetime stats must
@@ -1062,20 +1061,25 @@ impl<const D: usize> IncrementalClustering<D> {
                 self.classes.claims[id as usize] = Vec::new();
             }
         }
-        let (db, cluster, counts, classes) =
-            (&self.db, &self.cluster, &mut self.counts, &mut self.classes);
-        let spawned = for_each_neighborhood(
-            db,
+        let spawned = classify_forward(
+            &self.db,
             &self.index,
             &live_ids,
-            cluster.eps,
+            &self.cluster,
             threads,
-            |id, hood| {
-                counts[id as usize] = db.neighborhood_cardinality(hood, cluster.weighted);
-                classes.classify(id, counts[id as usize] >= cluster.min_lns, hood);
-            },
+            &mut self.counts,
+            &mut self.classes,
         );
         self.stats.note_sweep(spawned, live_ids.len());
+        #[cfg(feature = "invariant-checks")]
+        crate::invariants::assert_counts_exact(
+            &self.db,
+            &self.cluster,
+            &live_ids,
+            &self.counts,
+            &self.classes,
+            "stream-rebuild",
+        );
     }
 
     /// The current clustering, identical to what the batch
@@ -1114,7 +1118,7 @@ impl<const D: usize> IncrementalClustering<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LineSegmentClustering;
+    use crate::{LineSegmentClustering, SegmentLabel};
     use traclus_geom::{Point2, TrajectoryId};
 
     /// A straight horizontal trajectory at height `y` with `points` fixes.
@@ -1303,6 +1307,51 @@ mod tests {
         assert_eq!(
             engine.remove_trajectory(TrajectoryId(3)),
             RemoveReport::default()
+        );
+    }
+
+    #[test]
+    fn removal_after_rebuild_relands_skipped_claims() {
+        // Four stacked cores (ids 0–3, offsets 0.5 apart) and a border
+        // (id 4) within ε of cores 2 and 3 only. The rebuild's carry hands
+        // the border core 2 and skips core 3, which shares its root; when
+        // core 2 leaves, the repair must re-land core 3's claim.
+        let bar = |id: u32, y: f64| {
+            Trajectory::new(
+                TrajectoryId(id),
+                vec![Point2::xy(0.0, y), Point2::xy(10.0, y)],
+            )
+        };
+        let trajectories: Vec<Trajectory<2>> = [0.0, 0.5, 1.0, 1.5, 2.9]
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| bar(i as u32, y))
+            .collect();
+        let cfg = TraclusConfig {
+            stream: StreamConfig {
+                rebuild_threshold: 10.0,
+                ..StreamConfig::default()
+            },
+            ..config(2.0, 4)
+        };
+        let mut engine = IncrementalClustering::<2>::new(cfg);
+        engine.extend(&trajectories);
+        engine.rebuild();
+        assert_eq!(engine.classes.core, [true, true, true, true, false]);
+        assert_eq!(engine.classes.claims[4], [2], "core 3 was skipped");
+
+        let report = engine.remove_trajectory(TrajectoryId(2));
+        assert!(!report.rebuilt, "threshold 10 pins local repair");
+        let live: Vec<Trajectory<2>> = trajectories
+            .iter()
+            .filter(|t| t.id != TrajectoryId(2))
+            .cloned()
+            .collect();
+        let snap = engine.snapshot();
+        assert_eq!(snap, batch_clustering(&cfg, &live));
+        assert!(
+            matches!(snap.labels[3], SegmentLabel::Cluster(_)),
+            "the border keeps its cluster through core 3"
         );
     }
 

@@ -18,7 +18,9 @@
 //!   non-pruning engine fed the same operations agree on `snapshot()`
 //!   after every single operation (proptest-generated scenes included);
 //! * counter sanity — `candidates = pruned + refined` on every run, and
-//!   all prune counters stay zero when pruning is disabled.
+//!   all prune counters stay zero when pruning is disabled;
+//! * pair halving — the ordered pass's forward-only queries refine at most
+//!   0.55× the candidates `run()` refines, equally at every thread count.
 
 use proptest::prelude::*;
 use traclus_core::{
@@ -213,6 +215,32 @@ fn hurricane_fixture_actually_prunes() {
         "filter discarded under 10% of candidates — the harness is not \
          exercising the prune path: {p:?}"
     );
+}
+
+#[test]
+fn ordered_pass_refines_each_pair_once() {
+    // The Figure 12 loop scores every unordered pair from both ends; the
+    // ordered pass queries forward neighbours only and carries the rest,
+    // so it runs about half the kernel calls — at every thread count.
+    let db = hurricane_db(40, 2007);
+    for config in [ClusterConfig::new(5.0, 5), ClusterConfig::new(2.0, 3)] {
+        let algo = LineSegmentClustering::new(&db, config);
+        let (_, full) = algo.run_with_stats();
+        let (_, inline) = algo.run_parallel_with_stats(1);
+        assert!(
+            inline.prune.refined as f64 <= 0.55 * full.prune.refined as f64,
+            "eps={}: the ordered pass refined {} candidates, run() {}",
+            config.eps,
+            inline.prune.refined,
+            full.prune.refined
+        );
+        let mut counts: Vec<usize> = THREAD_COUNTS.to_vec();
+        counts.extend(env_thread_count());
+        for t in counts {
+            let (_, pass) = algo.run_parallel_with_stats(t);
+            assert_eq!(pass.prune, inline.prune, "eps={} t={t}", config.eps);
+        }
+    }
 }
 
 #[test]

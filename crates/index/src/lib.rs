@@ -76,22 +76,6 @@ pub trait SpatialIndex<const D: usize> {
     /// `window`. `out` is *not* cleared; ids may appear at most once.
     fn query_into(&self, window: &Aabb<D>, out: &mut Vec<u32>);
 
-    /// [`Self::query_into`] with the appended candidates left in ascending
-    /// id order — the deterministic handoff the refinement stage needs
-    /// before feeding candidates to the batched distance kernel. Only the
-    /// appended suffix is sorted; any existing prefix of `out` keeps its
-    /// order (same append contract as `query_into`).
-    ///
-    /// Downstream, the filter-and-refine prune step drops candidates with
-    /// an order-preserving `retain`, so sortedness here is what keeps the
-    /// final neighborhood ascending regardless of how many candidates the
-    /// lower bounds discard.
-    fn query_sorted_into(&self, window: &Aabb<D>, out: &mut Vec<u32>) {
-        let start = out.len();
-        self.query_into(window, out);
-        out[start..].sort_unstable();
-    }
-
     /// Number of indexed entries.
     fn len(&self) -> usize;
 
@@ -208,51 +192,6 @@ mod tests {
                 "bound violated: dmin={dmin} > r={r} for dist={d}"
             );
         }
-    }
-
-    #[test]
-    fn query_sorted_into_orders_candidates() {
-        // Insertion order deliberately scrambled relative to id order.
-        let entries = vec![
-            (9, Aabb::new([0.0, 0.0], [1.0, 1.0])),
-            (2, Aabb::new([0.2, 0.2], [0.8, 0.8])),
-            (7, Aabb::new([0.4, 0.4], [0.6, 0.6])),
-        ];
-        let idx = LinearScanIndex::build(entries);
-        let mut out = Vec::new();
-        idx.query_sorted_into(&Aabb::new([0.45, 0.45], [0.55, 0.55]), &mut out);
-        assert_eq!(out, vec![2, 7, 9]);
-        // Append contract: an existing prefix keeps its order; only the
-        // newly appended suffix is sorted.
-        let mut out = vec![99, 1];
-        idx.query_sorted_into(&Aabb::new([0.45, 0.45], [0.55, 0.55]), &mut out);
-        assert_eq!(out, vec![99, 1, 2, 7, 9]);
-    }
-
-    #[test]
-    fn sorted_candidates_stay_sorted_under_retain_based_pruning() {
-        // The core crate's filter step discards candidates with
-        // `Vec::retain`, which preserves relative order — so a sorted
-        // query result stays sorted no matter which subset survives. Pin
-        // the combination here, next to the sortedness contract it
-        // depends on.
-        let entries: Vec<_> = (0..32u32)
-            .rev()
-            .map(|id| {
-                let lo = id as f64 * 0.01;
-                (id, Aabb::new([lo, lo], [lo + 2.0, lo + 2.0]))
-            })
-            .collect();
-        let idx = LinearScanIndex::build(entries);
-        let mut out = Vec::new();
-        idx.query_sorted_into(&Aabb::new([0.5, 0.5], [1.5, 1.5]), &mut out);
-        assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted handoff");
-        // Arbitrary prune predicate standing in for a lower-bound test.
-        out.retain(|&id| id % 3 != 1);
-        assert!(
-            out.windows(2).all(|w| w[0] < w[1]),
-            "pruned subset stays ascending"
-        );
     }
 
     #[test]

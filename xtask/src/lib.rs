@@ -8,7 +8,8 @@
 //!   introduction are pinned by a ratcheting baseline ([`baseline`]).
 //! * `cargo xtask bench-snapshot` — runs the `bench_cluster` benchmark
 //!   suite and captures the medians as a checked-in JSON perf snapshot
-//!   ([`bench_snapshot`]).
+//!   ([`bench_snapshot`]); with `--perfbench` it records the repository
+//!   benchmark's untraced and traced runs as the end-to-end perf ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

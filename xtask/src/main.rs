@@ -25,6 +25,12 @@ subcommands:
       --prune            drop snapshot rows the run did not re-measure
                          (default: preserve them, so partial runs never
                          clobber the rest of the snapshot)
+
+  bench-snapshot --perfbench [--out <file>]
+      Run perfbench once per workload <root>/BENCHMARK.json declares,
+      untraced and traced, for its run_seconds, and write the machine
+      stamp and result lines as the perf ledger.
+      --out              output path (default: <root>/BENCH_perfbench.json)
 ";
 
 fn main() -> ExitCode {
@@ -152,13 +158,20 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
     for a in args {
-        if a.starts_with("--") && !["--out", "--prune"].contains(&a.as_str()) {
+        if a.starts_with("--") && !["--out", "--prune", "--perfbench"].contains(&a.as_str()) {
             return Err(format!("unknown flag {a:?}\n\n{USAGE}"));
         }
     }
     let root = workspace_root();
-    let out_path = flag_value(args, "--out")?.unwrap_or_else(|| root.join("BENCH_cluster.json"));
     let prune = args.iter().any(|a| a == "--prune");
+    let perfbench = args.iter().any(|a| a == "--perfbench");
+    if perfbench && prune {
+        return Err("--prune applies to the bench_cluster snapshot only".to_string());
+    }
+    if perfbench {
+        return perfbench_snapshot(&root, args);
+    }
+    let out_path = flag_value(args, "--out")?.unwrap_or_else(|| root.join("BENCH_cluster.json"));
 
     println!("bench-snapshot: running `cargo bench -p traclus-bench --bench bench_cluster`…");
     let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
@@ -203,20 +216,79 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    // Wall-clock is the point here: the snapshot records when the numbers
-    // were taken. xtask is exempt from the workspace wall-clock policy.
-    #[allow(clippy::disallowed_methods)]
-    let captured = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_err(|e| format!("system clock before the epoch: {e}"))?
-        .as_secs();
-
-    std::fs::write(&out_path, bench_snapshot::render_json(&results, captured))
-        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
+    std::fs::write(
+        &out_path,
+        bench_snapshot::render_json(&results, unix_now()?),
+    )
+    .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
     println!(
         "bench-snapshot: {} results written to {}",
         results.len(),
         out_path.display()
     );
     Ok(ExitCode::SUCCESS)
+}
+
+/// `bench-snapshot --perfbench`: one perfbench process per declared
+/// workload at `--trace 0`, then at `--trace 1`, each run as long as the
+/// benchmark declares, recorded verbatim in the ledger.
+fn perfbench_snapshot(root: &Path, args: &[String]) -> Result<ExitCode, String> {
+    let out_path = flag_value(args, "--out")?.unwrap_or_else(|| root.join("BENCH_perfbench.json"));
+    let declared = root.join("BENCHMARK.json");
+    let (seconds, workloads) = std::fs::read_to_string(&declared)
+        .map_err(|e| format!("cannot read {}: {e}", declared.display()))
+        .and_then(|json| bench_snapshot::benchmark_declaration(&json))
+        .map_err(|e| format!("{}: {e}", declared.display()))?;
+
+    let mut machine: Option<String> = None;
+    let mut runs = Vec::new();
+    for trace in ["0", "1"] {
+        for workload in &workloads {
+            println!("bench-snapshot: perfbench {workload}, {seconds} s, --trace {trace}…");
+            let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
+                .args(["run", "--quiet", "--release", "--offline"])
+                .args(["--manifest-path", "perfbench/Cargo.toml", "--"])
+                .args(["--workload", workload, "--trace", trace])
+                .args(["--seconds", &seconds.to_string()])
+                .current_dir(root)
+                .output()
+                .map_err(|e| format!("failed to spawn perfbench: {e}"))?;
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            if !output.status.success() {
+                return Err(format!(
+                    "perfbench failed ({}):\n{}\n{}",
+                    output.status,
+                    stdout,
+                    String::from_utf8_lossy(&output.stderr)
+                ));
+            }
+            let (stamp, mut found) = bench_snapshot::parse_perfbench_output(&stdout, trace == "1")?;
+            if machine.as_ref().is_some_and(|m| *m != stamp) {
+                return Err("perfbench's machine stamp changed between runs".to_string());
+            }
+            machine = Some(stamp);
+            runs.append(&mut found);
+        }
+    }
+    let machine = machine.expect("at least one run was parsed");
+    let json = bench_snapshot::render_perfbench_json(&machine, seconds, &runs, unix_now()?);
+    std::fs::write(&out_path, json)
+        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
+    println!(
+        "bench-snapshot: {} perfbench runs written to {}",
+        runs.len(),
+        out_path.display()
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Seconds since the Unix epoch. Wall-clock is the point here: a snapshot
+/// records when the numbers were taken. xtask is exempt from the workspace
+/// wall-clock policy.
+fn unix_now() -> Result<u64, String> {
+    #[allow(clippy::disallowed_methods)]
+    let now = std::time::SystemTime::now();
+    now.duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .map_err(|e| format!("system clock before the epoch: {e}"))
 }
