@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use traclus_geom::Aabb;
-use traclus_index::{GridIndex, LinearScanIndex, RTree, RTreeParams, SpatialIndex};
+use traclus_index::{LinearScanIndex, RTree, RTreeParams, SpatialIndex};
 
 fn random_boxes(n: usize, seed: u64) -> Vec<(u32, Aabb<2>)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -46,7 +46,6 @@ fn bench_rtree(c: &mut Criterion) {
 
     let boxes = random_boxes(20_000, 9);
     let rtree = RTree::bulk_load(RTreeParams::default(), boxes.iter().copied());
-    let grid = GridIndex::build(25.0, boxes.iter().copied());
     let linear = LinearScanIndex::build(boxes.iter().copied());
     let windows: Vec<Aabb<2>> = random_boxes(100, 11)
         .into_iter()
@@ -60,18 +59,6 @@ fn bench_rtree(c: &mut Criterion) {
             for w in &windows {
                 out.clear();
                 rtree.query_into(black_box(w), &mut out);
-                total += out.len();
-            }
-            total
-        })
-    });
-    group.bench_function("grid", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            let mut out = Vec::new();
-            for w in &windows {
-                out.clear();
-                grid.query_into(black_box(w), &mut out);
                 total += out.len();
             }
             total

@@ -4,7 +4,7 @@
 //!   doubling n should roughly double the time.
 //! * Lemma 3: clustering is O(n²) without an index and O(n log n) with one
 //!   — the linear-scan arm's time ratio per doubling approaches 4×, the
-//!   indexed arms' stay near 2×.
+//!   R-tree arm's stays near 2×.
 
 use traclus_core::{
     approximate_partition, ClusterConfig, IndexKind, LineSegmentClustering, PartitionConfig,
@@ -104,11 +104,7 @@ pub fn lemma3(ctx: &ExperimentContext) -> std::io::Result<()> {
         &["segments", "index", "seconds", "ratio_vs_previous"],
     )?;
     println!("[lemma3] clustering time vs segment count per index (linear expect ~4x per doubling, indexed ~2x)");
-    for (kind, label) in [
-        (IndexKind::Linear, "linear"),
-        (IndexKind::Grid, "grid"),
-        (IndexKind::RTree, "rtree"),
-    ] {
+    for (kind, label) in [(IndexKind::Linear, "linear"), (IndexKind::RTree, "rtree")] {
         let mut prev: Option<f64> = None;
         for &n in &[1_000usize, 2_000, 4_000, 8_000] {
             let db = scaled_database(n, 5);

@@ -697,7 +697,7 @@ mod tests {
         entries.push((Segment2::xy(200.0, 0.0, 210.0, 0.0), 90));
         let database = db(&entries);
         let mut results = Vec::new();
-        for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+        for kind in [IndexKind::Linear, IndexKind::RTree] {
             let clustering = LineSegmentClustering::new(
                 &database,
                 ClusterConfig {
@@ -709,7 +709,6 @@ mod tests {
             results.push(clustering);
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 
     #[test]

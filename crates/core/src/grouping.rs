@@ -485,7 +485,7 @@ pub(crate) fn run_ordered<const D: usize>(
     threads: usize,
 ) -> (Clustering, ClusterStats) {
     let n = db.len();
-    let mut index = db.build_index_parallel(config.index, config.eps, threads);
+    let mut index = db.build_index(config.index, config.eps);
     index.set_pruning(config.pruning);
     let ids: Vec<u32> = (0..n as u32).collect();
     let mut counts = vec![0.0; n];

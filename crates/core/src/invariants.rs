@@ -203,7 +203,7 @@ mod tests {
     /// broader suites are filtered.
     #[test]
     fn checkers_pass_on_a_streamed_corridor() {
-        for index in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+        for index in [IndexKind::Linear, IndexKind::RTree] {
             let config = TraclusConfig {
                 eps: 3.0,
                 min_lns: 3,

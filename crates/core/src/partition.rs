@@ -359,7 +359,7 @@ pub fn partition_trajectory_from<const D: usize>(
             id: SegmentId(next_id),
             trajectory: trajectory.id,
             segment: seg,
-            weight: trajectory.weight,
+            weight: trajectory.weight(),
         });
         next_id += 1;
     }

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use traclus_geom::{
     lower_bound, Aabb, IdentifiedSegment, SegmentDistance, SegmentSoa, Trajectory, TrajectoryId,
 };
-use traclus_index::{filter_radius, GridIndex, RTree, RTreeParams, SpatialIndex};
+use traclus_index::{filter_radius, RTree, RTreeParams, SpatialIndex};
 
 use crate::partition::{partition_trajectories, PartitionConfig};
 
@@ -32,19 +32,9 @@ use crate::partition::{partition_trajectories, PartitionConfig};
 pub enum IndexKind {
     /// Full scan: the O(n²) arm of Lemma 3.
     Linear,
-    /// Uniform grid hashed on MBRs.
-    Grid,
     /// STR-bulk-loaded R-tree (the paper's suggestion).
     #[default]
     RTree,
-}
-
-#[derive(Clone)]
-enum IndexImpl<const D: usize> {
-    /// Full scan needs no structure: the database iterates all segments.
-    Linear,
-    Grid(GridIndex<D>),
-    RTree(RTree<D>),
 }
 
 /// Cumulative filter-and-refine counters of one [`NeighborIndex`] — a
@@ -143,7 +133,9 @@ struct LocalPruneCounts {
 /// not a semantics switch. [`Self::prune_stats`] reports what the filter
 /// did.
 pub struct NeighborIndex<const D: usize> {
-    imp: IndexImpl<D>,
+    /// The R-tree; `None` for the full scan, which needs no structure (the
+    /// database iterates all segments).
+    tree: Option<RTree<D>>,
     /// Expansion radius per unit ε, `√(4/w⊥² + 1/w∥²)`; `None` forces full
     /// scans (degenerate weights).
     radius_per_eps: Option<f64>,
@@ -158,7 +150,7 @@ impl<const D: usize> Clone for NeighborIndex<D> {
     fn clone(&self) -> Self {
         let stats = self.prune_stats();
         Self {
-            imp: self.imp.clone(),
+            tree: self.tree.clone(),
             radius_per_eps: self.radius_per_eps,
             prune: self.prune,
             counters: PruneCounters {
@@ -195,15 +187,13 @@ impl<const D: usize> NeighborIndex<D> {
     /// Registers one freshly appended segment so subsequent queries see it.
     ///
     /// Linear scans need no structure (the database itself is the index);
-    /// grid cells hash the new MBR in O(cells overlapped); the R-tree takes
-    /// the Guttman insertion path (choose-leaf by least enlargement,
-    /// quadratic split on overflow). Must be called once per segment
-    /// appended via [`SegmentDatabase::append_segments`], in id order.
+    /// the R-tree takes the Guttman insertion path (choose-leaf by least
+    /// enlargement, quadratic split on overflow). Must be called once per
+    /// segment appended via [`SegmentDatabase::append_segments`], in id
+    /// order.
     pub fn insert(&mut self, id: u32, bbox: &Aabb<D>) {
-        match &mut self.imp {
-            IndexImpl::Linear => {}
-            IndexImpl::Grid(g) => g.insert(id, *bbox),
-            IndexImpl::RTree(t) => t.insert(id, *bbox),
+        if let Some(tree) = &mut self.tree {
+            tree.insert(id, *bbox);
         }
     }
 
@@ -216,14 +206,8 @@ impl<const D: usize> NeighborIndex<D> {
     /// Must be called once per segment retired via
     /// [`SegmentDatabase::remove_segment`], before the next query.
     pub fn remove(&mut self, id: u32, bbox: &Aabb<D>) {
-        match &mut self.imp {
-            IndexImpl::Linear => {}
-            IndexImpl::Grid(g) => {
-                g.remove(id);
-            }
-            IndexImpl::RTree(t) => {
-                t.remove(id, bbox);
-            }
+        if let Some(tree) = &mut self.tree {
+            tree.remove(id, bbox);
         }
     }
 }
@@ -450,78 +434,28 @@ impl<const D: usize> SegmentDatabase<D> {
         }
     }
 
-    /// Builds a neighborhood index of the requested kind.
+    /// Builds a neighborhood index of the requested kind over the live
+    /// segments: an STR bulk-loaded R-tree, or nothing for the full scan.
     ///
-    /// `typical_eps` sizes grid cells (any positive value keeps the grid
-    /// correct; a value near the query ε keeps it fast). R-tree and linear
-    /// variants ignore it. A non-positive or non-finite `typical_eps`
-    /// cannot size a grid — the cell then falls back to one derived from
-    /// the database bounding box (longest side over `√n`), and if that is
-    /// degenerate too (empty database, or all segments stacked on one
-    /// point) the grid degrades to a linear scan rather than hashing every
-    /// segment into a pathological one-point-per-cell lattice.
-    pub fn build_index(&self, kind: IndexKind, typical_eps: f64) -> NeighborIndex<D> {
-        self.build_index_parallel(kind, typical_eps, 1)
-    }
-
-    /// Builds a neighborhood index like [`Self::build_index`], using up to
-    /// `threads` worker threads where the underlying structure supports
-    /// it. Only the R-tree arm parallelises today (STR bulk load — see
-    /// [`RTree::bulk_load_parallel`]); grid and linear builds ignore the
-    /// thread count. The resulting index is **identical** to the
-    /// single-threaded build for any thread count, so query results — and
-    /// therefore clustering output — cannot depend on `threads`.
-    pub fn build_index_parallel(
-        &self,
-        kind: IndexKind,
-        typical_eps: f64,
-        threads: usize,
-    ) -> NeighborIndex<D> {
-        let radius_per_eps = filter_radius(1.0, &self.distance.weights);
-        let entries = || {
-            self.segments
+    /// `_typical_eps` is ignored — neither index is sized by ε. It remains
+    /// so that existing callers (`perfbench` among them) keep compiling.
+    pub fn build_index(&self, kind: IndexKind, _typical_eps: f64) -> NeighborIndex<D> {
+        let tree = (kind == IndexKind::RTree).then(|| {
+            let live = self
+                .segments
                 .iter()
                 .zip(&self.bboxes)
                 .zip(&self.alive)
                 .filter(|(_, &alive)| alive)
-                .map(|((s, b), _)| (s.id.0, *b))
-        };
-        let imp = match kind {
-            IndexKind::Linear => IndexImpl::Linear,
-            IndexKind::Grid => {
-                let cell = typical_eps * radius_per_eps.unwrap_or(1.0);
-                match self.grid_cell_or_fallback(cell) {
-                    Some(cell) => IndexImpl::Grid(GridIndex::build(cell, entries())),
-                    None => IndexImpl::Linear,
-                }
-            }
-            IndexKind::RTree => IndexImpl::RTree(RTree::bulk_load_parallel(
-                RTreeParams::default(),
-                entries(),
-                threads,
-            )),
-        };
+                .map(|((s, b), _)| (s.id.0, *b));
+            RTree::bulk_load(RTreeParams::default(), live)
+        });
         NeighborIndex {
-            imp,
-            radius_per_eps,
+            tree,
+            radius_per_eps: filter_radius(1.0, &self.distance.weights),
             prune: true,
             counters: PruneCounters::default(),
         }
-    }
-
-    /// A usable grid cell size: `cell` when positive and finite, else a
-    /// fallback from the bounding-box extent, else `None` (use linear scan).
-    fn grid_cell_or_fallback(&self, cell: f64) -> Option<f64> {
-        if cell > 0.0 && cell.is_finite() {
-            return Some(cell);
-        }
-        let bb = self.bounding_box();
-        if bb.is_empty() {
-            return None;
-        }
-        let extent = (0..D).map(|k| bb.max[k] - bb.min[k]).fold(0.0f64, f64::max);
-        let fallback = extent / (self.live as f64).sqrt().max(1.0);
-        (fallback > 0.0 && fallback.is_finite()).then_some(fallback)
     }
 
     /// Replaces the contents of `out` with the ids of the ε-neighborhood
@@ -583,8 +517,8 @@ impl<const D: usize> SegmentDatabase<D> {
         };
         let prune = index.prune;
         let mut local = LocalPruneCounts::default();
-        match (&index.imp, index.radius_per_eps) {
-            (IndexImpl::Linear, _) | (_, None) => {
+        match (&index.tree, index.radius_per_eps) {
+            (None, _) | (_, None) => {
                 // Full scan: either requested or forced by degenerate
                 // weights (no conservative filter exists). The candidate
                 // universe is the live ids ascending, so pack consecutive
@@ -612,13 +546,9 @@ impl<const D: usize> SegmentDatabase<D> {
                     self.refine_chunk(id, &ids[..take], &mut dists[..take], eps, out);
                 }
             }
-            (imp, Some(r)) => {
+            (Some(tree), Some(r)) => {
                 let window = self.bboxes[id as usize].expanded(eps * r);
-                match imp {
-                    IndexImpl::Grid(g) => g.query_into(&window, out),
-                    IndexImpl::RTree(t) => t.query_into(&window, out),
-                    IndexImpl::Linear => unreachable!("handled above"),
-                }
+                tree.query_into(&window, out);
                 out.retain(|&cand| {
                     cand >= from
                         && !(prune
@@ -797,13 +727,10 @@ mod tests {
         let db = sample_db();
         for eps in [0.5, 1.5, 3.0, 50.0] {
             let linear = db.build_index(IndexKind::Linear, eps);
-            let grid = db.build_index(IndexKind::Grid, eps);
             let rtree = db.build_index(IndexKind::RTree, eps);
             for id in 0..db.len() as u32 {
                 let a = db.neighborhood(&linear, id, eps);
-                let b = db.neighborhood(&grid, id, eps);
                 let c = db.neighborhood(&rtree, id, eps);
-                assert_eq!(a, b, "grid vs linear at eps={eps}, id={id}");
                 assert_eq!(a, c, "rtree vs linear at eps={eps}, id={id}");
             }
         }
@@ -857,33 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_at_zero_eps_matches_linear() {
-        // typical_eps = 0 used to clamp the cell to 1e-9, hashing every
-        // segment into an astronomical number of one-point cells; the
-        // fallback now derives the cell from the bounding box.
-        let db = sample_db();
-        let linear = db.build_index(IndexKind::Linear, 0.0);
-        let grid = db.build_index(IndexKind::Grid, 0.0);
-        for id in 0..db.len() as u32 {
-            for eps in [0.0, 1.5] {
-                assert_eq!(
-                    db.neighborhood(&grid, id, eps),
-                    db.neighborhood(&linear, id, eps),
-                    "grid vs linear at eps={eps}, id={id}"
-                );
-            }
-        }
-        // Degenerate database (single point-segment): no usable extent
-        // either — the grid must degrade to a full scan, not panic.
-        let point_db = db_from(&[Segment2::xy(5.0, 5.0, 5.0, 5.0)]);
-        let idx = point_db.build_index(IndexKind::Grid, 0.0);
-        assert_eq!(point_db.neighborhood(&idx, 0, 0.0), vec![0]);
-        // Non-finite typical_eps takes the same fallback.
-        let idx = db.build_index(IndexKind::Grid, f64::INFINITY);
-        assert_eq!(db.neighborhood(&idx, 0, 1.5), vec![0, 1]);
-    }
-
-    #[test]
     fn batched_distances_match_scalar_bitwise() {
         let db = sample_db();
         let candidates: Vec<u32> = (0..db.len() as u32).collect();
@@ -917,16 +817,14 @@ mod tests {
         assert_eq!(db.neighborhood(&linear, 0, 1.5), vec![0]);
         assert_eq!(db.neighborhood(&linear, 1, 1.5), vec![0, 2]);
 
-        // Freshly built spatial indexes agree (the dead entry is absent).
-        for kind in [IndexKind::Grid, IndexKind::RTree] {
-            let idx = db.build_index(kind, 1.5);
-            for id in [0u32, 2, 3] {
-                assert_eq!(
-                    db.neighborhood(&idx, id, 1.5),
-                    db.neighborhood(&linear, id, 1.5),
-                    "{kind:?} vs linear for id={id}"
-                );
-            }
+        // A freshly built R-tree agrees (the dead entry is absent).
+        let idx = db.build_index(IndexKind::RTree, 1.5);
+        for id in [0u32, 2, 3] {
+            assert_eq!(
+                db.neighborhood(&idx, id, 1.5),
+                db.neighborhood(&linear, id, 1.5),
+                "rtree vs linear for id={id}"
+            );
         }
 
         // A live index tracks removal incrementally.

@@ -11,7 +11,7 @@
 //!    immediately ([`crate::partition::partition_trajectory_from`]),
 //! 2. appends the resulting segments to the shared [`SegmentDatabase`] and
 //!    inserts them into the live spatial index (the R-tree's Guttman
-//!    insertion path, or grid-cell hashing — [`NeighborIndex::insert`]),
+//!    insertion path — [`NeighborIndex::insert`]),
 //! 3. repairs cluster state **locally**: the ε-neighborhoods (Definition 4)
 //!    of the new segments are expanded, neighborhood cardinalities of
 //!    affected segments are updated in place, segments whose core-ness
@@ -27,7 +27,8 @@
 //! non-core border segments join the earliest claiming component — all
 //! order-free quantities, the same argument that makes the batch grouping
 //! pass exact at any thread count. Insertion only ever *adds* ε-edges and
-//! *promotes* segments to core (for non-negative weights), so maintaining
+//! *promotes* segments to core — every weight is positive, and adding a
+//! positive term to an ascending-id sum never lowers it — so maintaining
 //! counts, a monotone union-find, and per-border claim lists reproduces the
 //! batch state after every insertion: [`IncrementalClustering::snapshot`]
 //! equals [`crate::LineSegmentClustering::run`] on the same prefix of the
@@ -50,12 +51,6 @@
 //! and claims from scratch) and rebuilds the spatial index. The fallback
 //! changes *when* work happens, never the result.
 //!
-//! Demotions cannot happen under non-negative weights; if a negative
-//! segment weight does drop a core segment below `MinLns` (the weighted
-//! Section 4.2 extension puts no sign constraint on weights), the engine
-//! detects the demotion and forces the full re-cluster, because a monotone
-//! union-find cannot un-merge.
-//!
 //! # Decremental operation and the sliding window
 //!
 //! Serving deployments also need trajectories to *leave*: an explicit
@@ -72,9 +67,8 @@
 //! unchanged into a fresh union-find under its old minimum root, while the
 //! affected components' surviving cores are re-expanded, which reproduces
 //! any split. The same [`StreamConfig::rebuild_threshold`] bounds the
-//! repair: an oversized dirty region (or a weighted-stream core
-//! *promotion*, which repair cannot see) falls back to the full
-//! re-cluster. Either way the headline guarantee is unchanged: after every
+//! repair: an oversized dirty region falls back to the full re-cluster.
+//! Either way the headline guarantee is unchanged: after every
 //! operation, [`IncrementalClustering::snapshot`] equals the batch run
 //! over the live window (`crates/core/tests/decremental_equivalence.rs`
 //! drives random insert/remove/expiry interleavings against it).
@@ -180,8 +174,8 @@ pub struct RemoveReport {
     pub removed_segments: usize,
     /// Surviving segments whose core-ness the removal demoted.
     pub demoted_cores: usize,
-    /// Whether the dirty region (or a weighted-stream core *promotion*)
-    /// forced the full re-cluster fallback instead of local repair.
+    /// Whether the dirty region forced the full re-cluster fallback instead
+    /// of local repair.
     pub rebuilt: bool,
 }
 
@@ -303,10 +297,10 @@ pub struct IncrementalClustering<const D: usize> {
     /// maintained incrementally in ascending-id accumulation order — the
     /// same order the batch pass sums in, so the values are bit-identical.
     counts: Vec<f64>,
-    /// Core flags (monotone under insertion for non-negative weights), the
-    /// min-root union-find over cores, and per-border claim lists (cleared
-    /// when a segment becomes core; possibly stale after removals, which
-    /// [`Self::snapshot`] filters).
+    /// Core flags (monotone under insertion), the min-root union-find over
+    /// cores, and per-border claim lists (cleared when a segment becomes
+    /// core; possibly stale after removals, which [`Self::snapshot`]
+    /// filters).
     classes: Classification,
     stats: StreamStats,
     /// Logical clock: ticks by one per [`Self::insert`], or jumps to the
@@ -530,24 +524,24 @@ impl<const D: usize> IncrementalClustering<D> {
         touched.sort_unstable();
         touched.dedup();
 
-        // Segments whose core-ness flipped. Promotions are repaired
-        // locally; a demotion (possible only with negative weights) cannot
-        // be — the union-find is monotone — so it forces the rebuild path.
+        // Segments promoted to core, repaired locally.
         let mut flips: Vec<u32> = Vec::new();
-        let mut demoted = false;
         for &b in &touched {
+            let was_core = self.classes.core[b as usize];
             let is_core_now = self.counts[b as usize] >= self.cluster.min_lns;
-            match (self.classes.core[b as usize], is_core_now) {
-                (false, true) => flips.push(b),
-                (true, false) => demoted = true,
-                _ => {}
+            debug_assert!(
+                is_core_now || !was_core,
+                "insertion demoted core {b}: with positive weights and monotone \
+                 rounding, adding a term to an ascending-id sum never lowers it"
+            );
+            if is_core_now && !was_core {
+                flips.push(b);
             }
         }
         let flipped_cores = flips.len();
 
         let dirty = new_count + flipped_cores;
-        let rebuilt =
-            demoted || (dirty as f64) > self.stream.rebuild_threshold * self.db.live_len() as f64;
+        let rebuilt = (dirty as f64) > self.stream.rebuild_threshold * self.db.live_len() as f64;
         if rebuilt {
             self.rebuild();
             self.stats.full_rebuilds += 1;
@@ -824,10 +818,8 @@ impl<const D: usize> IncrementalClustering<D> {
 
         // 3. Recompute the dirty cardinalities in ascending id order — the
         //    accumulation order the batch pass uses, so the sums stay
-        //    bit-identical. Collect core demotions; a promotion (possible
-        //    only with negative weights) defeats the scoped repair.
+        //    bit-identical. Collect core demotions.
         let mut demoted: Vec<u32> = Vec::new();
-        let mut promoted = false;
         let (db, cluster, counts, core) = (
             &self.db,
             &self.cluster,
@@ -836,10 +828,14 @@ impl<const D: usize> IncrementalClustering<D> {
         );
         let spawned = for_each_neighborhood(db, &self.index, &dirty, eps, threads, |d, hood| {
             counts[d as usize] = db.neighborhood_cardinality(hood, cluster.weighted);
-            match (core[d as usize], counts[d as usize] >= cluster.min_lns) {
-                (true, false) => demoted.push(d),
-                (false, true) => promoted = true,
-                _ => {}
+            let is_core = counts[d as usize] >= cluster.min_lns;
+            debug_assert!(
+                core[d as usize] || !is_core,
+                "removal promoted segment {d}: with positive weights and monotone \
+                 rounding, dropping a term from an ascending-id sum never raises it"
+            );
+            if core[d as usize] && !is_core {
+                demoted.push(d);
             }
         });
         self.stats.note_sweep(spawned, dirty.len());
@@ -884,8 +880,8 @@ impl<const D: usize> IncrementalClustering<D> {
         // 6. Repair or rebuild. The departed segments' clustering state is
         //    retired either way.
         let work = removed.len() + dirty.len() + affected_cores.len();
-        let rebuilt = promoted
-            || (work as f64) > self.stream.rebuild_threshold * self.db.live_len().max(1) as f64;
+        let rebuilt =
+            (work as f64) > self.stream.rebuild_threshold * self.db.live_len().max(1) as f64;
         for &r in &removed {
             self.classes.core[r as usize] = false;
             self.counts[r as usize] = 0.0;
@@ -1045,10 +1041,7 @@ impl<const D: usize> IncrementalClustering<D> {
         // The outgoing index carries prune tallies the lifetime stats must
         // keep; fold them in before the replacement drops it.
         self.stats.absorb_prune(self.index.prune_stats());
-        let threads = self.threads();
-        self.index = self
-            .db
-            .build_index_parallel(self.cluster.index, self.cluster.eps, threads);
+        self.index = self.db.build_index(self.cluster.index, self.cluster.eps);
         self.index.set_pruning(self.cluster.pruning);
         self.classes.dsu = UnionFind::new(n);
         let mut live_ids: Vec<u32> = Vec::with_capacity(self.db.live_len());
@@ -1066,7 +1059,7 @@ impl<const D: usize> IncrementalClustering<D> {
             &self.index,
             &live_ids,
             &self.cluster,
-            threads,
+            self.threads(),
             &mut self.counts,
             &mut self.classes,
         );

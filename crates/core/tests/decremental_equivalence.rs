@@ -76,7 +76,7 @@ proptest! {
 
     // Random insert / remove / expire-to-capacity interleavings: the
     // snapshot equals the batch run on the live window after every single
-    // operation, at every rebuild threshold.
+    // operation, at every rebuild threshold, with and without weights.
     #[test]
     fn interleaved_ops_match_batch(
         pool in pool(),
@@ -84,11 +84,28 @@ proptest! {
         threshold_sel in 0usize..3,
         eps in 1.5..3.5f64,
         min_lns in 2usize..4,
+        weighted in 0u8..2,
     ) {
-        let config = config_with(eps, min_lns, StreamConfig {
-            rebuild_threshold: THRESHOLDS[threshold_sel],
-            ..StreamConfig::default()
-        });
+        let weighted = weighted == 1;
+        // Non-dyadic weights: a cardinality summed in any order other than
+        // ascending id shows in the bits.
+        let pool: Vec<Trajectory<2>> = if weighted {
+            pool.into_iter()
+                .map(|t| {
+                    let weight = 0.3 + 0.1 * (t.id.0 % 7) as f64;
+                    Trajectory::with_weight(t.id, t.points, weight)
+                })
+                .collect()
+        } else {
+            pool
+        };
+        let config = TraclusConfig {
+            weighted,
+            ..config_with(eps, min_lns, StreamConfig {
+                rebuild_threshold: THRESHOLDS[threshold_sel],
+                ..StreamConfig::default()
+            })
+        };
         let mut engine = IncrementalClustering::<2>::new(config);
         let mut model: Vec<Trajectory<2>> = Vec::new();
         for (step, &(op, pick)) in ops.iter().enumerate() {
@@ -132,8 +149,8 @@ proptest! {
             let oracle = batch(&config, &model);
             prop_assert_eq!(
                 snap, oracle,
-                "diverged after op {} ({}, {}) at threshold {}",
-                step, op, pick, THRESHOLDS[threshold_sel]
+                "diverged after op {} ({}, {}) at threshold {} (weighted {})",
+                step, op, pick, THRESHOLDS[threshold_sel], weighted
             );
         }
         // The engine exercised the path the threshold selects.

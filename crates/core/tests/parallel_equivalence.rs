@@ -178,7 +178,7 @@ fn hurricane_like_fixture_is_equivalent() {
 #[test]
 fn grid_fixture_is_equivalent_across_index_kinds() {
     let db = grid_db();
-    for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+    for kind in [IndexKind::Linear, IndexKind::RTree] {
         let config = ClusterConfig {
             index: kind,
             min_trajectories: Some(2),

@@ -26,10 +26,10 @@ prop_compose! {
 }
 
 fn index_kind(sel: u8) -> IndexKind {
-    match sel % 3 {
-        0 => IndexKind::Linear,
-        1 => IndexKind::Grid,
-        _ => IndexKind::RTree,
+    if sel == 0 {
+        IndexKind::Linear
+    } else {
+        IndexKind::RTree
     }
 }
 
@@ -40,7 +40,7 @@ proptest! {
         eps in 0.5..60.0f64,
         min_lns in 2usize..6,
         weighted in 0u8..2,
-        kind in 0u8..3,
+        kind in 0u8..2,
         threads in 2usize..9,
     ) {
         let db = SegmentDatabase::from_segments(segments, SegmentDistance::default());

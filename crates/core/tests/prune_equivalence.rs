@@ -246,7 +246,7 @@ fn ordered_pass_refines_each_pair_once() {
 #[test]
 fn grid_fixture_is_prune_equivalent_across_index_kinds() {
     let db = grid_db();
-    for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+    for kind in [IndexKind::Linear, IndexKind::RTree] {
         let config = ClusterConfig {
             index: kind,
             min_trajectories: Some(2),

@@ -8,7 +8,6 @@ use crate::segment::Segment;
 /// An *empty* box (see [`Aabb::empty`]) has `min > max` in every dimension
 /// and acts as the identity for [`Aabb::union`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb<const D: usize> {
     /// Lower corner.
     pub min: [f64; D],

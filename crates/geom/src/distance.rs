@@ -40,7 +40,6 @@ pub fn lehmer_mean_2(a: f64, b: f64) -> f64 {
 
 /// How the angle distance treats direction (remark after Definition 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AngleMode {
     /// Trajectories have directions: `dθ = ‖Lⱼ‖·sin θ` for `θ < 90°`, else
     /// the full `‖Lⱼ‖`.
@@ -79,7 +78,6 @@ impl DistanceComponents {
 /// Component weights `(w⊥, w∥, wθ)`; Appendix B discusses when non-uniform
 /// weights pay off.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceWeights {
     /// Weight of the perpendicular component.
     pub perpendicular: f64,
@@ -142,7 +140,6 @@ impl DistanceWeights {
 /// assert_eq!(d, dist.distance(&b, &a)); // Lemma 2: symmetric
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentDistance {
     /// Component weights.
     pub weights: DistanceWeights,

@@ -9,7 +9,6 @@ use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
 /// A point in `D`-dimensional Euclidean space.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point<const D: usize> {
     /// Cartesian coordinates.
     pub coords: [f64; D],
@@ -27,7 +26,6 @@ impl<const D: usize> Default for Point<D> {
 /// [`Point::translate`] document intent, mirroring the paper's use of
 /// `→ab` vectors in Formulas (4) and (5).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector<const D: usize> {
     /// Cartesian components.
     pub components: [f64; D],

@@ -7,7 +7,6 @@ use crate::point::{Point, Vector};
 
 /// A directed line segment `start → end` in `D` dimensions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment<const D: usize> {
     /// The starting point (`sᵢ` in the paper's notation).
     pub start: Point<D>,

@@ -13,12 +13,10 @@ use crate::segment::Segment;
 
 /// Identifier of a trajectory within a dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrajectoryId(pub u32);
 
 /// Identifier of a line segment within a segment database `D`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentId(pub u32);
 
 impl std::fmt::Display for TrajectoryId {
@@ -38,15 +36,16 @@ impl std::fmt::Display for SegmentId {
 /// The weight feeds the paper's weighted-trajectory extension
 /// (Section 4.2 end: "a stronger hurricane should have a higher weight");
 /// it defaults to 1 and is ignored unless weighted clustering is enabled.
+/// It is set only through [`Self::new`] and [`Self::with_weight`], so every
+/// trajectory's weight is positive and finite.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trajectory<const D: usize> {
     /// Dataset-unique identifier.
     pub id: TrajectoryId,
     /// The point sequence `p₁…p_len`.
     pub points: Vec<Point<D>>,
     /// Clustering weight (default 1.0).
-    pub weight: f64,
+    weight: f64,
 }
 
 /// Shorthand for planar trajectories.
@@ -70,6 +69,12 @@ impl<const D: usize> Trajectory<D> {
             "trajectory weight must be positive and finite"
         );
         Self { id, points, weight }
+    }
+
+    /// Clustering weight: positive and finite, 1.0 unless set by
+    /// [`Self::with_weight`].
+    pub fn weight(&self) -> f64 {
+        self.weight
     }
 
     /// Number of points (`lenᵢ` in the paper).
@@ -113,7 +118,6 @@ impl<const D: usize> Trajectory<D> {
 /// A line segment tagged with its provenance: which trajectory produced it
 /// and its own id in the segment database. This is the unit of clustering.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdentifiedSegment<const D: usize> {
     /// Id within the segment database `D` of Figure 12.
     pub id: SegmentId,

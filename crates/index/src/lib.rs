@@ -33,18 +33,15 @@
 //! 2.24·ε`. The bound is property-tested in this crate against random
 //! segment pairs.
 //!
-//! Three interchangeable implementations of [`SpatialIndex`]:
-//! [`LinearScanIndex`] (the O(n²) reference), [`GridIndex`] (uniform
-//! hashing, O(1) expected per query for well-spread data), and [`RTree`]
-//! (STR bulk load + quadratic-split insertion, the paper's suggestion).
+//! Two interchangeable implementations of [`SpatialIndex`]:
+//! [`LinearScanIndex`] (the O(n²) reference) and [`RTree`] (STR bulk load +
+//! quadratic-split insertion, the paper's suggestion).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod grid;
 pub mod rtree;
 
-pub use grid::GridIndex;
 pub use rtree::{RTree, RTreeParams};
 
 use traclus_geom::{Aabb, DistanceWeights};

@@ -41,7 +41,7 @@ impl RTreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum Node<const D: usize> {
     Leaf {
         entries: Vec<(u32, Aabb<D>)>,
@@ -111,11 +111,7 @@ impl<const D: usize> Node<D> {
 }
 
 /// An R-tree over id-tagged boxes.
-///
-/// Equality compares full node structure (parameters, every internal box,
-/// every leaf entry in order), which is what the parallel-bulk-load
-/// equivalence suites assert on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RTree<const D: usize> {
     params: RTreeParams,
     root: Node<D>,
@@ -146,54 +142,24 @@ impl<const D: usize> RTree<D> {
         params: RTreeParams,
         entries: impl IntoIterator<Item = (u32, Aabb<D>)>,
     ) -> Self {
-        Self::bulk_load_parallel(params, entries, 1)
-    }
-
-    /// Bulk-loads with STR across `threads` worker threads, producing a
-    /// tree **identical** to the sequential [`RTree::bulk_load`] for any
-    /// thread count (asserted structurally by the equivalence suites).
-    ///
-    /// Three phases parallelise:
-    ///
-    /// 1. the dimension-0 stable sort runs as a parallel stable merge sort
-    ///    — any stable sort yields the unique permutation ordered by
-    ///    `(key, original index)`, so stably sorted chunks merged with
-    ///    ties-take-left reproduce `slice::sort_by` exactly;
-    /// 2. the per-slab recursive tiling — the slabs produced by the
-    ///    top-level sort are disjoint sub-slices, each handed to the
-    ///    sequential STR recursion on a worker;
-    /// 3. leaf packing — worker boundaries are aligned to `max_entries`
-    ///    multiples, so concatenating per-worker leaf runs equals the
-    ///    sequential chunking.
-    ///
-    /// The upper internal levels stay sequential: they hold only
-    /// ~`1/max_entries` of the data, and `Node` values move rather than
-    /// copy, which makes a buffered parallel merge unprofitable there.
-    /// Inputs below a small floor also take the sequential path — spawn
-    /// and merge overhead dominates before ~1k entries.
-    pub fn bulk_load_parallel(
-        params: RTreeParams,
-        entries: impl IntoIterator<Item = (u32, Aabb<D>)>,
-        threads: usize,
-    ) -> Self {
         let params = params.validated();
         let mut items: Vec<(u32, Aabb<D>)> = entries.into_iter().collect();
         let len = items.len();
         if items.is_empty() {
             return Self::new(params);
         }
-        let threads = if len < MIN_PARALLEL_ENTRIES {
-            1
-        } else {
-            threads.max(1)
-        };
         // Tile recursively over dimensions, then chunk into leaves.
-        str_sort_parallel(&mut items, params.max_entries, threads);
-        let mut level: Vec<Node<D>> = pack_leaves(&items, params.max_entries, threads);
+        str_sort(&mut items, 0, params.max_entries, |e| e.1);
+        let mut level: Vec<Node<D>> = items
+            .chunks(params.max_entries)
+            .map(|chunk| Node::Leaf {
+                entries: chunk.to_vec(),
+            })
+            .collect();
         while level.len() > 1 {
             let mut tagged: Vec<(Aabb<D>, Node<D>)> =
                 level.into_iter().map(|n| (n.bbox(), n)).collect();
-            str_sort_nodes(&mut tagged, 0, params.max_entries);
+            str_sort(&mut tagged, 0, params.max_entries, |e| e.0);
             level = tagged
                 .chunks_mut(params.max_entries)
                 .map(|chunk| Node::Internal {
@@ -319,175 +285,22 @@ impl<const D: usize> SpatialIndex<D> for RTree<D> {
     }
 }
 
-/// Recursive STR tiling of raw entries: sort by the centre of dimension
-/// `dim`, slice into `⌈n/slab⌉`-sized runs, recurse on the next dimension.
-fn str_sort<const D: usize>(items: &mut [(u32, Aabb<D>)], dim: usize, node_cap: usize) {
-    if dim >= D || items.len() <= node_cap {
-        return;
-    }
-    items.sort_by(|a, b| {
-        let ca = a.1.center().coords[dim];
-        let cb = b.1.center().coords[dim];
-        ca.total_cmp(&cb)
-    });
-    let n_nodes = items.len().div_ceil(node_cap);
-    let remaining_dims = D - dim;
-    let slices = (n_nodes as f64)
-        .powf(1.0 / remaining_dims as f64)
-        .ceil()
-        .max(1.0) as usize;
-    let slab = items.len().div_ceil(slices);
-    for chunk in items.chunks_mut(slab.max(1)) {
-        str_sort(chunk, dim + 1, node_cap);
-    }
-}
-
-/// Inputs smaller than this always bulk-load sequentially: thread spawn
-/// plus merge-buffer traffic costs more than the sort itself saves.
-const MIN_PARALLEL_ENTRIES: usize = 1024;
-
-/// The top level of the STR tiling, fanned over `threads` workers: the
-/// dimension-0 sort runs as a parallel stable merge sort, then each slab
-/// (a disjoint sub-slice) recurses through the sequential [`str_sort`] on
-/// a worker thread. Output is identical to `str_sort(items, 0, node_cap)`.
-fn str_sort_parallel<const D: usize>(
-    items: &mut [(u32, Aabb<D>)],
-    node_cap: usize,
-    threads: usize,
-) {
-    if threads <= 1 {
-        str_sort(items, 0, node_cap);
-        return;
-    }
-    if D == 0 || items.len() <= node_cap {
-        return;
-    }
-    par_stable_sort(items, threads, |a, b| {
-        let ca = a.1.center().coords[0];
-        let cb = b.1.center().coords[0];
-        ca.total_cmp(&cb)
-    });
-    // The exact slab arithmetic of the sequential `str_sort` at dim 0.
-    let n_nodes = items.len().div_ceil(node_cap);
-    let slices = (n_nodes as f64).powf(1.0 / D as f64).ceil().max(1.0) as usize;
-    let slab = items.len().div_ceil(slices);
-    let mut slabs: Vec<&mut [(u32, Aabb<D>)]> = items.chunks_mut(slab.max(1)).collect();
-    let per = slabs.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for group in slabs.chunks_mut(per) {
-            scope.spawn(move || {
-                for run in group.iter_mut() {
-                    str_sort(run, 1, node_cap);
-                }
-            });
-        }
-    });
-}
-
-/// Parallel stable merge sort over `Copy` items, byte-identical to
-/// `slice::sort_by` with the same comparator: contiguous chunks are sorted
-/// stably in parallel, then merged pairwise (ties take the left run, which
-/// preserves stability). Stability pins the result to the unique
-/// permutation ordered by `(key, original index)`, so no thread count can
-/// produce a different ordering than the standard library's stable sort.
-fn par_stable_sort<T: Copy + Send>(
+/// Recursive STR tiling: sort by the centre of dimension `dim`, slice into
+/// `⌈n/slab⌉`-sized runs, recurse on the next dimension. The same recursion
+/// tiles raw entries and, one level up, child nodes; `bbox_of` reads the box
+/// of either.
+fn str_sort<T, const D: usize>(
     items: &mut [T],
-    threads: usize,
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering + Copy + Send + Sync,
-) {
-    let n = items.len();
-    let chunk = n.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for run in items.chunks_mut(chunk) {
-            scope.spawn(move || run.sort_by(cmp));
-        }
-    });
-    let mut width = chunk;
-    while width < n {
-        std::thread::scope(|scope| {
-            for pair in items.chunks_mut(2 * width) {
-                // A trailing chunk with no right half is already sorted.
-                if pair.len() > width {
-                    scope.spawn(move || merge_sorted_halves(pair, width, cmp));
-                }
-            }
-        });
-        width *= 2;
-    }
-}
-
-/// Merges `slice[..mid]` and `slice[mid..]` (each sorted under `cmp`)
-/// through a scratch buffer; equal elements take the left half first.
-fn merge_sorted_halves<T: Copy>(
-    slice: &mut [T],
-    mid: usize,
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
-) {
-    let mut out = Vec::with_capacity(slice.len());
-    let (a, b) = slice.split_at(mid);
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if cmp(&b[j], &a[i]) == std::cmp::Ordering::Less {
-            out.push(b[j]);
-            j += 1;
-        } else {
-            out.push(a[i]);
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    slice.copy_from_slice(&out);
-}
-
-/// Packs STR-ordered entries into leaves of `node_cap`, fanning the copies
-/// over `threads` workers. Worker boundaries are aligned to `node_cap`
-/// multiples, so the concatenated per-worker output equals the sequential
-/// `items.chunks(node_cap)` exactly. Workers are joined in spawn order.
-fn pack_leaves<const D: usize>(
-    items: &[(u32, Aabb<D>)],
+    dim: usize,
     node_cap: usize,
-    threads: usize,
-) -> Vec<Node<D>> {
-    let n_leaves = items.len().div_ceil(node_cap);
-    if threads <= 1 || n_leaves <= 1 {
-        return items
-            .chunks(node_cap)
-            .map(|chunk| Node::Leaf {
-                entries: chunk.to_vec(),
-            })
-            .collect();
-    }
-    let per = n_leaves.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(per * node_cap)
-            .map(|group| {
-                scope.spawn(move || {
-                    group
-                        .chunks(node_cap)
-                        .map(|chunk| Node::Leaf {
-                            entries: chunk.to_vec(),
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n_leaves);
-        for h in handles {
-            out.extend(h.join().expect("leaf packer panicked"));
-        }
-        out
-    })
-}
-
-fn str_sort_nodes<const D: usize>(items: &mut [(Aabb<D>, Node<D>)], dim: usize, node_cap: usize) {
+    bbox_of: impl Fn(&T) -> Aabb<D> + Copy,
+) {
     if dim >= D || items.len() <= node_cap {
         return;
     }
     items.sort_by(|a, b| {
-        let ca = a.0.center().coords[dim];
-        let cb = b.0.center().coords[dim];
+        let ca = bbox_of(a).center().coords[dim];
+        let cb = bbox_of(b).center().coords[dim];
         ca.total_cmp(&cb)
     });
     let n_nodes = items.len().div_ceil(node_cap);
@@ -498,7 +311,7 @@ fn str_sort_nodes<const D: usize>(items: &mut [(Aabb<D>, Node<D>)], dim: usize, 
         .max(1.0) as usize;
     let slab = items.len().div_ceil(slices);
     for chunk in items.chunks_mut(slab.max(1)) {
-        str_sort_nodes(chunk, dim + 1, node_cap);
+        str_sort(chunk, dim + 1, node_cap, bbox_of);
     }
 }
 
@@ -729,58 +542,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "window {w:?}");
         }
-    }
-
-    #[test]
-    fn parallel_bulk_load_is_identical_to_sequential() {
-        // Above the parallel floor so every thread count exercises the
-        // parallel sort/tile/pack phases for real.
-        let entries = lattice(3000);
-        let sequential = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        for threads in [1, 2, 3, 4, 8] {
-            let parallel =
-                RTree::bulk_load_parallel(RTreeParams::default(), entries.clone(), threads);
-            parallel.check_invariants();
-            assert_eq!(parallel, sequential, "t={threads}: structural mismatch");
-            assert_eq!(
-                format!("{parallel:?}"),
-                format!("{sequential:?}"),
-                "t={threads}: debug render differs (signed zeros?)"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_bulk_load_is_identical_on_ties_and_signed_zeros() {
-        // Stability stress: long runs of exactly-equal sort keys and
-        // -0.0/0.0 pairs (unequal under total_cmp) above the parallel
-        // floor, where a non-stable merge would reorder ids.
-        let mut entries = Vec::new();
-        for i in 0..2048u32 {
-            let x = if i % 2 == 0 { -0.0 } else { 0.0 };
-            let y = (i % 7) as f64; // heavy key ties within each column
-            entries.push((i, aabb2(x, y, x + 1.0, y + 0.5)));
-        }
-        let sequential = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        for threads in [2, 4, 8] {
-            let parallel =
-                RTree::bulk_load_parallel(RTreeParams::default(), entries.clone(), threads);
-            parallel.check_invariants();
-            assert_eq!(parallel, sequential, "t={threads}");
-            assert_eq!(
-                format!("{parallel:?}"),
-                format!("{sequential:?}"),
-                "t={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_bulk_load_small_input_takes_sequential_path() {
-        let entries = lattice(100);
-        let sequential = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        let parallel = RTree::bulk_load_parallel(RTreeParams::default(), entries, 8);
-        assert_eq!(parallel, sequential);
     }
 
     #[test]

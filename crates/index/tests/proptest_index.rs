@@ -1,10 +1,10 @@
-//! Property-based tests: every index implementation must agree with the
-//! linear-scan ground truth on arbitrary box sets and windows, under both
-//! bulk loading and incremental insertion.
+//! Property-based tests: the R-tree must agree with the linear-scan ground
+//! truth on arbitrary box sets and windows, under both bulk loading and
+//! incremental insertion.
 
 use proptest::prelude::*;
 use traclus_geom::Aabb;
-use traclus_index::{GridIndex, LinearScanIndex, RTree, RTreeParams, SpatialIndex};
+use traclus_index::{LinearScanIndex, RTree, RTreeParams, SpatialIndex};
 
 prop_compose! {
     fn bbox()(x in -100.0..100.0f64, y in -100.0..100.0f64,
@@ -48,72 +48,17 @@ proptest! {
     }
 
     #[test]
-    fn grid_matches_linear(
-        boxes in prop::collection::vec(bbox(), 0..80),
-        window in bbox(),
-        cell in 0.5..40.0f64,
-    ) {
-        let entries: Vec<(u32, Aabb<2>)> =
-            boxes.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();
-        let grid = GridIndex::build(cell, entries.clone());
-        let linear = LinearScanIndex::build(entries);
-        prop_assert_eq!(sorted(grid.query(&window)), sorted(linear.query(&window)));
-    }
-
-    #[test]
-    fn parallel_bulk_load_matches_sequential_structurally(
-        boxes in prop::collection::vec(bbox(), 20..120),
-        window in bbox(),
-    ) {
-        // Tile each random box into a 4×4 grid of shifted copies so the
-        // entry count (320..1920) straddles the parallel floor: below it
-        // the sequential fallback is exercised, above it the parallel
-        // sort/tile/pack phases run for real.
-        let mut entries: Vec<(u32, Aabb<2>)> = Vec::new();
-        for (i, b) in boxes.into_iter().enumerate() {
-            for tile in 0..16u32 {
-                let dx = (tile % 4) as f64 * 250.0;
-                let dy = (tile / 4) as f64 * 250.0;
-                let id = (i as u32) * 16 + tile;
-                entries.push((id, Aabb::new(
-                    [b.min[0] + dx, b.min[1] + dy],
-                    [b.max[0] + dx, b.max[1] + dy],
-                )));
-            }
-        }
-        let sequential = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        for threads in [1usize, 2, 4, 8] {
-            let parallel =
-                RTree::bulk_load_parallel(RTreeParams::default(), entries.clone(), threads);
-            parallel.check_invariants();
-            prop_assert_eq!(&parallel, &sequential, "t={} structure", threads);
-            prop_assert_eq!(
-                format!("{:?}", &parallel),
-                format!("{:?}", &sequential),
-                "t={} debug render", threads
-            );
-            prop_assert_eq!(
-                parallel.query(&window),
-                sequential.query(&window),
-                "t={} query order", threads
-            );
-        }
-    }
-
-    #[test]
     fn query_results_are_unique(
         boxes in prop::collection::vec(bbox(), 0..60),
         window in bbox(),
     ) {
         let entries: Vec<(u32, Aabb<2>)> =
             boxes.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();
-        let grid = GridIndex::build(5.0, entries.clone());
         let tree = RTree::bulk_load(RTreeParams::default(), entries);
-        for result in [grid.query(&window), tree.query(&window)] {
-            let mut deduped = result.clone();
-            deduped.sort_unstable();
-            deduped.dedup();
-            prop_assert_eq!(result.len(), deduped.len(), "duplicate ids reported");
-        }
+        let result = tree.query(&window);
+        let mut deduped = result.clone();
+        deduped.sort_unstable();
+        deduped.dedup();
+        prop_assert_eq!(result.len(), deduped.len(), "duplicate ids reported");
     }
 }

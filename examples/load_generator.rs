@@ -10,12 +10,10 @@
 //! ```sh
 //! cargo run --release --example load_generator            # full run
 //! cargo run --release --example load_generator -- --smoke # CI smoke
-//! cargo run --release --example load_generator -- --json BENCH_serve.json
 //! ```
 //!
 //! `--smoke` shrinks the workload to a few seconds and exits non-zero on
-//! any protocol error — CI runs it as the serving smoke gate. `--json`
-//! additionally writes the measurements in the `BENCH_*.json` layout.
+//! any protocol error — CI runs it as the serving smoke gate.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -28,7 +26,6 @@ struct LoadConfig {
     clients: usize,
     tracks: usize,
     queries_per_client: usize,
-    json_path: Option<String>,
     smoke: bool,
 }
 
@@ -37,7 +34,6 @@ fn parse_args() -> LoadConfig {
         clients: 4,
         tracks: 128,
         queries_per_client: 400,
-        json_path: None,
         smoke: false,
     };
     let mut args = std::env::args().skip(1);
@@ -67,12 +63,11 @@ fn parse_args() -> LoadConfig {
                     .and_then(|v| v.parse().ok())
                     .expect("--queries takes a positive integer");
             }
-            "--json" => {
-                config.json_path = Some(args.next().expect("--json takes a path"));
-            }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: load_generator [--smoke] [--clients N] [--tracks N] [--queries N] [--json PATH]");
+                eprintln!(
+                    "usage: load_generator [--smoke] [--clients N] [--tracks N] [--queries N]"
+                );
                 std::process::exit(2);
             }
         }
@@ -135,31 +130,6 @@ impl PhaseResult {
             self.latency.p99_micros,
             self.latency.max_micros,
         );
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("phase", JsonValue::from(self.label)),
-            ("requests", JsonValue::from(self.latency.count)),
-            ("elapsed_secs", JsonValue::from(self.elapsed_secs)),
-            ("requests_per_sec", JsonValue::from(self.throughput())),
-            (
-                "p50_micros",
-                JsonValue::from(self.latency.p50_micros as i64),
-            ),
-            (
-                "p90_micros",
-                JsonValue::from(self.latency.p90_micros as i64),
-            ),
-            (
-                "p99_micros",
-                JsonValue::from(self.latency.p99_micros as i64),
-            ),
-            (
-                "max_micros",
-                JsonValue::from(self.latency.max_micros as i64),
-            ),
-        ])
     }
 }
 
@@ -263,15 +233,6 @@ fn bounding_box(t: &Trajectory2) -> ([f64; 2], [f64; 2]) {
     (min, max)
 }
 
-// Stamping the capture time is what the field is for.
-#[allow(clippy::disallowed_methods)]
-fn unix_secs_now() -> i64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0)
-}
-
 fn main() {
     let load = parse_args();
     let trajectories = HurricaneGenerator::new(HurricaneConfig {
@@ -356,21 +317,6 @@ fn main() {
         .join()
         .expect("serving thread")
         .expect("clean shutdown");
-
-    if let Some(path) = &load.json_path {
-        let doc = JsonValue::object([
-            ("suite", JsonValue::from("bench_serve")),
-            ("captured_unix_secs", JsonValue::from(unix_secs_now())),
-            ("tracks", JsonValue::from(trajectories.len())),
-            ("clients", JsonValue::from(load.clients)),
-            (
-                "phases",
-                JsonValue::array([ingest.to_json(), query.to_json()]),
-            ),
-        ]);
-        std::fs::write(path, doc.to_pretty() + "\n").expect("write --json output");
-        println!("wrote {path}");
-    }
 
     let failed = failures.load(Ordering::SeqCst);
     if failed > 0 {

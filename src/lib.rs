@@ -15,7 +15,7 @@
 //!   the parameter-selection heuristics (Section 4.4), and the streaming
 //!   engine (`IncrementalClustering`) that ingests trajectories one at a
 //!   time while keeping the clustering identical to a batch run;
-//! * [`index`] — R-tree / grid substrate for ε-neighborhood queries
+//! * [`index`] — R-tree substrate for ε-neighborhood queries
 //!   (Lemma 3);
 //! * [`data`] — synthetic generators standing in for the paper's hurricane
 //!   and animal-movement datasets, plus real-dataset loaders (GeoLife PLT

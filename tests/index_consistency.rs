@@ -34,20 +34,17 @@ proptest! {
     ) {
         let db = db_from(raw);
         let linear = db.build_index(IndexKind::Linear, eps);
-        let grid = db.build_index(IndexKind::Grid, eps);
         let rtree = db.build_index(IndexKind::RTree, eps);
         for id in 0..db.len() as u32 {
             let a = db.neighborhood(&linear, id, eps);
-            let b = db.neighborhood(&grid, id, eps);
             let c = db.neighborhood(&rtree, id, eps);
-            prop_assert_eq!(&a, &b, "grid mismatch at id {} eps {}", id, eps);
             prop_assert_eq!(&a, &c, "rtree mismatch at id {} eps {}", id, eps);
             prop_assert!(a.contains(&id), "Definition 4: L ∈ Nε(L)");
         }
     }
 
     // Decremental agreement: after every deletion batch, the
-    // incrementally-maintained grid and R-tree answer every live
+    // incrementally-maintained R-tree answers every live
     // neighborhood identically to a fresh full build over the survivors
     // and to the Linear reference (which reads the database's tombstones
     // directly, so it needs no maintenance).
@@ -65,7 +62,6 @@ proptest! {
     ) {
         let mut db = db_from(raw);
         let linear = db.build_index(IndexKind::Linear, eps);
-        let mut grid = db.build_index(IndexKind::Grid, eps);
         let mut rtree = db.build_index(IndexKind::RTree, eps);
         for (b, batch) in batches.iter().enumerate() {
             for &pick in batch {
@@ -75,17 +71,13 @@ proptest! {
                 };
                 let bbox = *db.bbox_of(kill);
                 prop_assert!(db.remove_segment(kill));
-                grid.remove(kill, &bbox);
                 rtree.remove(kill, &bbox);
             }
-            let fresh_grid = db.build_index(IndexKind::Grid, eps);
             let fresh_rtree = db.build_index(IndexKind::RTree, eps);
             for id in (0..db.len() as u32).filter(|&id| db.is_live(id)) {
                 let reference = db.neighborhood(&linear, id, eps);
                 for (name, index) in [
-                    ("incremental grid", &grid),
                     ("incremental rtree", &rtree),
-                    ("fresh grid", &fresh_grid),
                     ("fresh rtree", &fresh_rtree),
                 ] {
                     prop_assert_eq!(
@@ -110,7 +102,7 @@ proptest! {
     ) {
         let db = db_from(raw);
         let mut outcomes = Vec::new();
-        for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+        for kind in [IndexKind::Linear, IndexKind::RTree] {
             outcomes.push(
                 LineSegmentClustering::new(
                     &db,
@@ -124,18 +116,16 @@ proptest! {
             );
         }
         prop_assert_eq!(&outcomes[0], &outcomes[1]);
-        prop_assert_eq!(&outcomes[0], &outcomes[2]);
     }
 }
 
-/// Deleting every segment that hashed into one grid cell (equivalently,
-/// one R-tree leaf region) must leave the survivors' neighborhoods exactly
-/// right — the structural corner where a cell/leaf empties out entirely —
-/// and deleting the rest must leave a valid empty index that fresh builds
-/// agree with.
+/// Deleting every segment of one R-tree leaf region must leave the
+/// survivors' neighborhoods exactly right — the structural corner where a
+/// leaf empties out entirely — and deleting the rest must leave a valid
+/// empty index that fresh builds agree with.
 #[test]
 fn emptying_a_cell_then_the_whole_index_stays_consistent() {
-    // Ids 0..4: a tight knot near the origin (one cell / one leaf).
+    // Ids 0..4: a tight knot near the origin (one leaf).
     // Ids 4..8: a second knot far away at (100, 100).
     let knot = |cx: f64, cy: f64, base: usize| -> Vec<(f64, f64, f64, f64)> {
         (0..4)
@@ -150,30 +140,25 @@ fn emptying_a_cell_then_the_whole_index_stays_consistent() {
     let mut db = db_from(raw);
     let eps = 3.0;
     let linear = db.build_index(IndexKind::Linear, eps);
-    let mut grid = db.build_index(IndexKind::Grid, eps);
     let mut rtree = db.build_index(IndexKind::RTree, eps);
 
-    let check = |db: &SegmentDatabase<2>,
-                 grid: &traclus::core::NeighborIndex<2>,
-                 rtree: &traclus::core::NeighborIndex<2>| {
-        let fresh_grid = db.build_index(IndexKind::Grid, eps);
+    let check = |db: &SegmentDatabase<2>, rtree: &traclus::core::NeighborIndex<2>| {
         let fresh_rtree = db.build_index(IndexKind::RTree, eps);
         for id in (0..db.len() as u32).filter(|&id| db.is_live(id)) {
             let reference = db.neighborhood(&linear, id, eps);
-            for index in [grid, rtree, &fresh_grid, &fresh_rtree] {
+            for index in [rtree, &fresh_rtree] {
                 assert_eq!(reference, db.neighborhood(index, id, eps), "id {id}");
             }
         }
     };
 
     // Empty the origin knot one segment at a time — the last removal
-    // leaves its cell (and leaf) with zero entries.
+    // leaves its leaf with zero entries.
     for kill in 0..4u32 {
         let bbox = *db.bbox_of(kill);
         assert!(db.remove_segment(kill));
-        grid.remove(kill, &bbox);
         rtree.remove(kill, &bbox);
-        check(&db, &grid, &rtree);
+        check(&db, &rtree);
     }
     // The far knot is untouched: each survivor still sees all four.
     assert_eq!(db.live_len(), 4);
@@ -184,9 +169,8 @@ fn emptying_a_cell_then_the_whole_index_stays_consistent() {
     for kill in 4..8u32 {
         let bbox = *db.bbox_of(kill);
         assert!(db.remove_segment(kill));
-        grid.remove(kill, &bbox);
         rtree.remove(kill, &bbox);
-        check(&db, &grid, &rtree);
+        check(&db, &rtree);
     }
     assert_eq!(db.live_len(), 0);
 }

@@ -3,7 +3,7 @@
 //! The vendored criterion stand-in prints one line per benchmark:
 //!
 //! ```text
-//! bench: cluster/grid/n1000            median      1.234ms/iter
+//! bench: cluster/rtree/n1000           median      1.234ms/iter
 //! ```
 //!
 //! `bench-snapshot` runs `cargo bench -p traclus-bench --bench
@@ -25,7 +25,7 @@ use traclus_json::JsonValue;
 /// One parsed benchmark result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Benchmark label, e.g. `cluster/grid/n1000`.
+    /// Benchmark label, e.g. `cluster/rtree/n1000`.
     pub label: String,
     /// Median per-iteration time in nanoseconds.
     pub median_ns: f64,

@@ -121,8 +121,9 @@ fn lookahead(file: &SourceFile, offset: usize, cap: usize) -> String {
 
 /// `hash-container`: `HashMap`/`HashSet` in determinism-critical library
 /// code. Their iteration order is seeded per process; if it reaches any
-/// ordered output the bit-exactness guarantees break silently. Lookup-only
-/// uses carry a justified file allow (see `traclus-index`'s grid).
+/// ordered output the bit-exactness guarantees break silently. None of
+/// these crates holds one; a lookup-only use would need a justified file
+/// allow.
 fn hash_container(file: &SourceFile, findings: &mut Vec<Finding>) {
     if !DETERMINISM_CRITICAL.contains(&file.crate_name.as_str()) || file.kind != FileKind::LibSource
     {
