@@ -2,7 +2,7 @@
 //!
 //! "Our experience indicates that the precision is about 80 % on average,
 //! which means that 80 % of the approximate solutions appear also in the
-//! exact solutions." We measure exactly that: run the O(n) greedy scan and
+//! exact solutions." We measure exactly that: run the greedy Figure 8 scan and
 //! the exact DP optimum over a corpus of trajectories and report the mean
 //! fraction of approximate characteristic points present in the exact set.
 

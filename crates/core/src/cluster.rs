@@ -59,7 +59,9 @@ pub struct ClusterConfig {
     /// Worker threads for the ε-queries of
     /// [`LineSegmentClustering::run_configured`]'s ordered grouping pass
     /// (one thread runs it inline). The resulting [`Clustering`] is
-    /// identical for every thread count.
+    /// identical for every thread count. Partitioning happens before a
+    /// database exists, so [`crate::TraclusConfig::parallelism`] governs
+    /// it instead.
     pub parallelism: Parallelism,
     /// Filter-and-refine pruning of ε-neighborhood candidates through the
     /// admissible lower bounds of `traclus_geom::lower_bound` (default

@@ -53,14 +53,17 @@
 //! surviving core of it, which re-lands every claim; otherwise the engine
 //! rebuilds.
 //!
-//! [`for_each_neighborhood`] is the parallel half: `threads` scoped workers
-//! claim blocks of [`BLOCK`] ids from a shared atomic cursor and fill
-//! recycled flat buffers, while the calling thread consumes the blocks in
-//! id order. A worker must hold one of [`LOOKAHEAD`] buffers before it
-//! claims a block, so the workers never run more than that many blocks
-//! ahead of the consumer and memory stays bounded. Each ε-query is a pure
-//! read of the database and index, so the consumer observes exactly what a
-//! sequential loop over the same ids would, for any thread count.
+//! [`for_each_ordered`] is the parallel half, and the one engine behind
+//! every parallel phase: `threads` scoped workers claim blocks of
+//! [`BLOCK`] items from a shared atomic cursor and fill recycled flat
+//! buffers, while the calling thread consumes the blocks in item order. A
+//! worker must hold one of [`LOOKAHEAD`] buffers before it claims a block,
+//! so the workers never run more than that many blocks ahead of the
+//! consumer and memory stays bounded. Here the items are ids and each fill
+//! is an ε-query, a pure read of the database and index, so the consumer
+//! observes exactly what a sequential loop over the same ids would, for
+//! any thread count. [`SegmentDatabase::from_trajectories`] runs the
+//! partition phase on the same map, one trajectory per item.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -68,39 +71,50 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use crate::cluster::{finalize_raw, ClusterConfig, ClusterStats, Clustering};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
 
-/// Ids a worker claims from the cursor at a time.
+/// Items a worker claims from the cursor at a time.
 const BLOCK: usize = 32;
 
 /// Blocks the workers may hold between the cursor and the consumer.
 const LOOKAHEAD: usize = 8;
 
-/// Id lists shorter than this run inline on the calling thread: two
+/// Item lists shorter than this run inline on the calling thread: two
 /// blocks are the least that lets a worker overlap the consumer, and below
-/// that the spawn costs more than the queries.
+/// that the spawn costs more than the work.
 pub(crate) const INLINE_BELOW: usize = 2 * BLOCK;
 
-/// ε-neighbourhoods of consecutive ids, flattened into one buffer:
-/// `flat[ends[k - 1]..ends[k]]` is the `k`-th neighbourhood.
-#[derive(Default)]
-pub(crate) struct Neighborhoods {
-    flat: Vec<u32>,
+/// Variable-length outputs of consecutive items, flattened into one
+/// buffer: `flat[ends[k - 1]..ends[k]]` is the `k`-th output.
+pub(crate) struct FlatLists<U> {
+    flat: Vec<U>,
     ends: Vec<usize>,
 }
 
-impl Neighborhoods {
-    /// Appends one neighbourhood.
-    pub(crate) fn push(&mut self, hood: &[u32]) {
-        self.flat.extend_from_slice(hood);
+/// ε-neighbourhoods of consecutive ids.
+pub(crate) type Neighborhoods = FlatLists<u32>;
+
+impl<U> Default for FlatLists<U> {
+    fn default() -> Self {
+        Self {
+            flat: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<U: Copy> FlatLists<U> {
+    /// Appends one list.
+    pub(crate) fn push(&mut self, list: &[U]) {
+        self.flat.extend_from_slice(list);
         self.ends.push(self.flat.len());
     }
 
-    /// The neighbourhoods in push order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> {
+    /// The lists in push order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[U]> {
         let mut start = 0;
         self.ends.iter().map(move |&end| {
-            let hood = &self.flat[start..end];
+            let list = &self.flat[start..end];
             start = end;
-            hood
+            list
         })
     }
 
@@ -112,66 +126,71 @@ impl Neighborhoods {
 
 /// Calls `visit(id, Nε(id))` for every id of `ids`, in `ids` order, with
 /// exactly the neighbourhood [`SegmentDatabase::neighborhood_into`]
-/// returns. With `threads ≥ 2` and at least [`INLINE_BELOW`] ids the
-/// queries run on scoped workers spawned once for the call; otherwise
-/// everything runs inline on the calling thread. `visit` always runs on
-/// the calling thread. Returns whether workers were spawned.
+/// returns: [`for_each_ordered`] with the ε-query as its `fill`. Returns
+/// whether workers were spawned.
 pub(crate) fn for_each_neighborhood<const D: usize>(
     db: &SegmentDatabase<D>,
     index: &NeighborIndex<D>,
     ids: &[u32],
     eps: f64,
     threads: usize,
-    visit: impl FnMut(u32, &[u32]),
-) -> bool {
-    for_each_query(db, index, ids, eps, false, threads, visit)
-}
-
-/// [`for_each_neighborhood`], or with `forward` set the same walk over
-/// forward-only queries: each id receives only its neighbours `≥ id`
-/// ([`SegmentDatabase::neighborhood_from`] with `from = id`).
-fn for_each_query<const D: usize>(
-    db: &SegmentDatabase<D>,
-    index: &NeighborIndex<D>,
-    ids: &[u32],
-    eps: f64,
-    forward: bool,
-    threads: usize,
     mut visit: impl FnMut(u32, &[u32]),
 ) -> bool {
-    let query = |id: u32, hood: &mut Vec<u32>| {
-        db.neighborhood_from(index, id, eps, if forward { id } else { 0 }, hood);
-    };
-    if threads <= 1 || ids.len() < INLINE_BELOW {
-        let mut hood = Vec::new();
-        for &id in ids {
-            query(id, &mut hood);
-            visit(id, &hood);
+    for_each_ordered(
+        ids,
+        threads,
+        |&id, hood| db.neighborhood_into(index, id, eps, hood),
+        |&id, hood| visit(id, hood),
+    )
+}
+
+/// The ordered parallel map: calls `visit(item, out)` for every item of
+/// `items`, in `items` order, where `out` is what `fill(item, out)` appends
+/// to an empty vector. With `threads ≥ 2` and at least [`INLINE_BELOW`]
+/// items the fills run on scoped workers spawned once for the call;
+/// otherwise everything runs inline on the calling thread. `visit` always
+/// runs on the calling thread, so it may own mutable state. Each `fill`
+/// must depend on its item alone; then `visit` observes exactly what a
+/// sequential loop would, for any thread count. Returns whether workers
+/// were spawned.
+pub(crate) fn for_each_ordered<T: Sync, U: Copy + Send>(
+    items: &[T],
+    threads: usize,
+    fill: impl Fn(&T, &mut Vec<U>) + Sync,
+    mut visit: impl FnMut(&T, &[U]),
+) -> bool {
+    if threads <= 1 || items.len() < INLINE_BELOW {
+        let mut out = Vec::new();
+        for item in items {
+            out.clear();
+            fill(item, &mut out);
+            visit(item, &out);
         }
         return false;
     }
-    let blocks = ids.len().div_ceil(BLOCK);
+    let blocks = items.len().div_ceil(BLOCK);
     let queue = BlockQueue::new();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(blocks) {
-            let (queue, query) = (&queue, &query);
+            let (queue, fill) = (&queue, &fill);
             scope.spawn(move || {
                 let _stop = StopOnUnwind(queue);
-                let mut hood = Vec::new();
+                let mut out = Vec::new();
                 while let Some((b, mut block)) = queue.claim(blocks) {
-                    for &id in &ids[b * BLOCK..ids.len().min((b + 1) * BLOCK)] {
-                        query(id, &mut hood);
-                        block.push(&hood);
+                    for item in &items[b * BLOCK..items.len().min((b + 1) * BLOCK)] {
+                        out.clear();
+                        fill(item, &mut out);
+                        block.push(&out);
                     }
                     queue.fill(b, block);
                 }
             });
         }
         let _stop = StopOnUnwind(&queue);
-        for (b, chunk) in ids.chunks(BLOCK).enumerate() {
+        for (b, chunk) in items.chunks(BLOCK).enumerate() {
             let block = queue.take(b);
-            for (&id, hood) in chunk.iter().zip(block.iter()) {
-                visit(id, hood);
+            for (item, out) in chunk.iter().zip(block.iter()) {
+                visit(item, out);
             }
             queue.recycle(block);
         }
@@ -182,34 +201,34 @@ fn for_each_query<const D: usize>(
 }
 
 /// The hand-off between the workers and the consuming thread.
-struct BlockQueue {
+struct BlockQueue<U> {
     /// Next block index to compute.
     cursor: AtomicUsize,
-    state: Mutex<QueueState>,
+    state: Mutex<QueueState<U>>,
     /// Signalled when a buffer returns to the pool or the queue stops.
     recycled: Condvar,
     /// Signalled when a block lands in `ready` or the queue stops.
     filled: Condvar,
 }
 
-struct QueueState {
+struct QueueState<U> {
     /// Empty buffers. A worker takes one *before* it claims a block, so
     /// the blocks between the consumer and the cursor never outnumber the
     /// buffers, and those blocks own distinct `ready` slots.
-    pool: Vec<Neighborhoods>,
+    pool: Vec<FlatLists<U>>,
     /// Computed blocks, at `block index % LOOKAHEAD`.
-    ready: Vec<Option<Neighborhoods>>,
+    ready: Vec<Option<FlatLists<U>>>,
     /// Set once the consumer is done or either side unwinds, so nobody
     /// waits for a partner that will never signal.
     stopped: bool,
 }
 
-impl BlockQueue {
+impl<U: Copy> BlockQueue<U> {
     fn new() -> Self {
         Self {
             cursor: AtomicUsize::new(0),
             state: Mutex::new(QueueState {
-                pool: (0..LOOKAHEAD).map(|_| Neighborhoods::default()).collect(),
+                pool: (0..LOOKAHEAD).map(|_| FlatLists::default()).collect(),
                 ready: (0..LOOKAHEAD).map(|_| None).collect(),
                 stopped: false,
             }),
@@ -220,13 +239,13 @@ impl BlockQueue {
 
     /// No update of the state can be cut short by a panic, so a poisoned
     /// guard still holds consistent state.
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
+    fn lock(&self) -> MutexGuard<'_, QueueState<U>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A worker's next block: a free buffer, then the next index from the
     /// cursor. `None` once every block is claimed or the queue stopped.
-    fn claim(&self, blocks: usize) -> Option<(usize, Neighborhoods)> {
+    fn claim(&self, blocks: usize) -> Option<(usize, FlatLists<U>)> {
         let mut state = self.lock();
         let mut block = loop {
             if state.stopped {
@@ -254,19 +273,19 @@ impl BlockQueue {
         Some((b, block))
     }
 
-    fn fill(&self, b: usize, block: Neighborhoods) {
+    fn fill(&self, b: usize, block: FlatLists<U>) {
         self.lock().ready[b % LOOKAHEAD] = Some(block);
         self.filled.notify_one();
     }
 
     /// The consumer's block `b`, waiting until a worker has filled it.
-    fn take(&self, b: usize) -> Neighborhoods {
+    fn take(&self, b: usize) -> FlatLists<U> {
         let mut state = self.lock();
         loop {
             if let Some(block) = state.ready[b % LOOKAHEAD].take() {
                 return block;
             }
-            assert!(!state.stopped, "neighbourhood worker panicked");
+            assert!(!state.stopped, "ordered-map worker panicked");
             state = self
                 .filled
                 .wait(state)
@@ -274,7 +293,7 @@ impl BlockQueue {
         }
     }
 
-    fn recycle(&self, block: Neighborhoods) {
+    fn recycle(&self, block: FlatLists<U>) {
         self.lock().pool.push(block);
         self.recycled.notify_one();
     }
@@ -288,9 +307,9 @@ impl BlockQueue {
 
 /// Stops the queue when its thread unwinds, so a panic on either side
 /// surfaces instead of deadlocking the scope join.
-struct StopOnUnwind<'a>(&'a BlockQueue);
+struct StopOnUnwind<'a, U: Copy>(&'a BlockQueue<U>);
 
-impl Drop for StopOnUnwind<'_> {
+impl<U: Copy> Drop for StopOnUnwind<'_, U> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.stop();
@@ -456,7 +475,10 @@ pub(crate) fn classify_forward<const D: usize>(
     // `carried[c]`: visited `b < c` with `c ∈ Nε(b)`, ascending, minus the
     // cores whose component the list already reaches.
     let mut carried: Vec<Vec<u32>> = vec![Vec::new(); db.len()];
-    for_each_query(db, index, ids, config.eps, true, threads, |id, forward| {
+    let query = |&id: &u32, forward: &mut Vec<u32>| {
+        db.neighborhood_from(index, id, config.eps, id, forward);
+    };
+    for_each_ordered(ids, threads, query, |&id, forward| {
         let count = db.add_cardinality(counts[id as usize], forward, config.weighted);
         counts[id as usize] = count;
         let is_core = count >= config.min_lns;
@@ -564,8 +586,13 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::{
+        partition_trajectories, partition_trajectories_on, MdlCost, PartitionConfig,
+    };
     use crate::IndexKind;
-    use traclus_geom::{IdentifiedSegment, Segment2, SegmentDistance, SegmentId, TrajectoryId};
+    use traclus_geom::{
+        IdentifiedSegment, Point2, Segment2, SegmentDistance, SegmentId, Trajectory, TrajectoryId,
+    };
 
     #[test]
     fn union_find_roots_are_minimum_members() {
@@ -585,16 +612,21 @@ mod tests {
         assert_eq!(dsu.find_readonly(10), 3);
     }
 
-    /// A deterministic walk of `n` segments with jumps, so neighbourhood
-    /// sizes vary from empty to dense.
-    fn walk_db(n: usize) -> SegmentDatabase<2> {
+    /// Deterministic uniform draws from `[0, 1)` (xorshift64).
+    fn unit_draws() -> impl FnMut() -> f64 {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        }
+    }
+
+    /// A deterministic walk of `n` segments with jumps, so neighbourhood
+    /// sizes vary from empty to dense.
+    fn walk_db(n: usize) -> SegmentDatabase<2> {
+        let mut next = unit_draws();
         let (mut x, mut y) = (0.0f64, 0.0f64);
         let segments = (0..n)
             .map(|k| {
@@ -650,6 +682,80 @@ mod tests {
                     db.neighborhood_into(&index, id, 6.0, &mut expected);
                     assert_eq!(*hood, expected, "t={threads}: id {id}");
                 }
+            }
+        }
+    }
+
+    /// `n` trajectories: wandering walks of 3 to 40 points, every third one
+    /// weighted, with an empty, a one-point and an all-duplicate trajectory
+    /// (none yields a segment) in every eleven.
+    fn trajectory_pool(n: usize) -> Vec<Trajectory<2>> {
+        let mut next = unit_draws();
+        (0..n as u32)
+            .map(|k| {
+                let id = TrajectoryId(k);
+                let origin = Point2::xy(200.0 * next(), 200.0 * next());
+                let points = match k % 11 {
+                    0 => Vec::new(),
+                    1 => vec![origin],
+                    2 => vec![origin; 4],
+                    _ => {
+                        let (mut p, mut heading) = (origin, 6.3 * next());
+                        (0..3 + k % 38)
+                            .map(|_| {
+                                heading += 1.2 * next() - 0.6;
+                                let step = 1.0 + 9.0 * next();
+                                p = Point2::xy(
+                                    p.x() + step * heading.cos(),
+                                    p.y() + step * heading.sin(),
+                                );
+                                p
+                            })
+                            .collect()
+                    }
+                };
+                if k % 3 == 0 {
+                    Trajectory::with_weight(id, points, 0.3 + 0.1 * (k % 7) as f64)
+                } else {
+                    Trajectory::new(id, points)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ordered_partition_matches_sequential_reference() {
+        let pool = trajectory_pool(3 * LOOKAHEAD * BLOCK + 5);
+        let config = PartitionConfig {
+            cost: MdlCost::with_precision(0.5),
+            ..PartitionConfig::default()
+        };
+        // Bit patterns, so -0.0 and 0.0 differ and NaNs compare.
+        let bits = |s: &IdentifiedSegment<2>| {
+            (
+                s.id,
+                s.trajectory,
+                s.segment.start.coords.map(f64::to_bits),
+                s.segment.end.coords.map(f64::to_bits),
+                s.weight.to_bits(),
+            )
+        };
+        for len in [0, 1, BLOCK - 1, BLOCK + 1, 3 * LOOKAHEAD * BLOCK + 5] {
+            let trajectories = &pool[..len];
+            let want: Vec<_> = partition_trajectories(&config, trajectories)
+                .iter()
+                .map(bits)
+                .collect();
+            assert!(
+                len < 3 || want.len() > len,
+                "{len} trajectories: the walks must be cut into several segments"
+            );
+            for threads in [1, 2, 3, 8] {
+                let got: Vec<_> = partition_trajectories_on(&config, trajectories, threads)
+                    .iter()
+                    .map(bits)
+                    .collect();
+                assert_eq!(got, want, "{len} trajectories, t={threads}");
             }
         }
     }
@@ -741,6 +847,21 @@ mod tests {
         ids[5 * BLOCK] = db.len() as u32 + 7;
         let outcome = std::panic::catch_unwind(|| {
             for_each_neighborhood(&db, &index, &ids, 6.0, 2, |_, _| {})
+        });
+        assert!(outcome.is_err());
+        // A fill that panics on its own, then a visit that panics.
+        let items: Vec<usize> = (0..20 * BLOCK).collect();
+        let outcome = std::panic::catch_unwind(|| {
+            let fill = |&k: &usize, out: &mut Vec<usize>| {
+                assert!(k != 5 * BLOCK + 3, "fill panics");
+                out.push(k);
+            };
+            for_each_ordered(&items, 3, fill, |_, _| {})
+        });
+        assert!(outcome.is_err());
+        let outcome = std::panic::catch_unwind(|| {
+            let visit = |&k: &usize, _: &[usize]| assert!(k != 7 * BLOCK, "visit panics");
+            for_each_ordered(&items, 3, |&k, out| out.push(k), visit)
         });
         assert!(outcome.is_err());
     }

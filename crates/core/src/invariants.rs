@@ -12,6 +12,10 @@
 //!   weights carried from earlier ids, equal full-query counts bit for bit
 //!   (a carry bug would shift core flags only near the `MinLns`
 //!   threshold, where few fixtures look);
+//! * the segments the partition phase produces on worker threads equal
+//!   the sequential reference [`crate::partition::partition_trajectories`]
+//!   bit for bit (a numbering or ordering slip in the ordered map would
+//!   shift ids without changing any cluster count);
 //! * the [`SegmentDatabase`] structure-of-arrays cache stays bit-coherent
 //!   with the authoritative array-of-structs segments after streaming
 //!   appends (the batched distance kernel reads only the SoA);
@@ -29,10 +33,11 @@
 //! exist and the hot paths carry zero overhead; with it on, the regular
 //! test suite doubles as a sanitizer pass (the CI `invariant-checks` job).
 
-use traclus_geom::SegmentSoa;
+use traclus_geom::{IdentifiedSegment, SegmentSoa, Trajectory};
 
 use crate::cluster::ClusterConfig;
 use crate::grouping::{Classification, UnionFind};
+use crate::partition::{partition_trajectories, PartitionConfig};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
 use crate::IndexKind;
 
@@ -77,6 +82,44 @@ pub(crate) fn assert_counts_exact<const D: usize>(
             "invariant-checks[{context}]: segment {id} has count {count:?} \
              (core {core}) after the ordered pass, but its full ε-query \
              gives {full:?}"
+        );
+    }
+}
+
+/// Asserts the segments the partition phase produced on the ordered map
+/// equal [`partition_trajectories`], the sequential reference: the same
+/// segments in the same order, with the same ids, trajectory ids,
+/// endpoints and weights, compared as bit patterns. The database
+/// `SegmentDatabase::from_trajectories` builds from them then equals
+/// `from_segments(partition_trajectories(..))`.
+pub(crate) fn assert_partition_matches_reference<const D: usize>(
+    segments: &[IdentifiedSegment<D>],
+    trajectories: &[Trajectory<D>],
+    config: &PartitionConfig,
+) {
+    let reference = partition_trajectories(config, trajectories);
+    let bits = |s: &IdentifiedSegment<D>| {
+        (
+            s.id,
+            s.trajectory,
+            s.segment.start.coords.map(f64::to_bits),
+            s.segment.end.coords.map(f64::to_bits),
+            s.weight.to_bits(),
+        )
+    };
+    assert!(
+        segments.len() == reference.len(),
+        "invariant-checks[partition]: {} segments from the ordered map, {} \
+         from partition_trajectories",
+        segments.len(),
+        reference.len()
+    );
+    for (got, want) in segments.iter().zip(&reference) {
+        assert!(
+            bits(got) == bits(want),
+            "invariant-checks[partition]: segment {} is {got:?} from the \
+             ordered map but {want:?} from partition_trajectories",
+            want.id.0
         );
     }
 }

@@ -98,11 +98,13 @@ pub struct TraclusConfig {
     /// pragmatic default keeping representatives readable (the paper leaves
     /// γ as a free input to Figure 15).
     pub smoothing: Option<f64>,
-    /// Worker threads for the ε-queries of the grouping phase and of the
-    /// streaming engine's repairs. The default uses all available hardware
-    /// threads; [`Parallelism::Sequential`] runs the ordered grouping pass
-    /// inline on the calling thread. The clustering is identical either
-    /// way (see [`LineSegmentClustering::run_parallel`]).
+    /// Worker threads for [`Traclus::run`]'s partition phase, for the
+    /// ε-queries of the grouping phase and for the streaming engine's
+    /// repairs. The default uses all available hardware threads;
+    /// [`Parallelism::Sequential`] runs both phases inline on the calling
+    /// thread. The segment database and the clustering are identical either
+    /// way (see [`partition_trajectories`], the sequential partition
+    /// reference, and [`LineSegmentClustering::run_parallel`]).
     pub parallelism: Parallelism,
     /// Maintenance knobs of the streaming engine ([`Traclus::stream`] /
     /// [`IncrementalClustering`]): currently the dirty-region threshold
@@ -209,8 +211,9 @@ impl Traclus {
     pub fn run<const D: usize>(&self, trajectories: &[Trajectory<D>]) -> TraclusOutcome<D> {
         let cfg = &self.config;
         // Partitioning phase (lines 1–3).
-        let database =
-            SegmentDatabase::from_trajectories(trajectories, &cfg.partition, cfg.distance);
+        let threads = cfg.parallelism.thread_count();
+        let segments = partition::partition_trajectories_on(&cfg.partition, trajectories, threads);
+        let database = SegmentDatabase::from_segments(segments, cfg.distance);
         self.run_on_database(database)
     }
 

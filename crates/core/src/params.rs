@@ -11,8 +11,9 @@
 //! The `MinLns` heuristic: `avg|Nε(L)| + 1 … + 3` at the chosen ε.
 //!
 //! This module also hosts [`Parallelism`], the execution-parameter knob of
-//! the grouping phase (how many worker threads run its ε-queries) — a
-//! run-time parameter alongside the paper's statistical ones.
+//! the partition and grouping phases (how many worker threads partition
+//! trajectories and run ε-queries) — a run-time parameter alongside the
+//! paper's statistical ones.
 
 use std::num::NonZeroUsize;
 use std::ops::RangeInclusive;
@@ -20,17 +21,19 @@ use std::ops::RangeInclusive;
 use crate::anneal::{minimize_1d, AnnealConfig};
 use crate::segment_db::{IndexKind, NeighborIndex, SegmentDatabase};
 
-/// Thread-count knob for the grouping phase.
+/// Thread-count knob for the partition and grouping phases.
 ///
-/// The resolved count is the number of workers that run the ε-queries of
-/// the ordered grouping pass (and of the streaming engine's repairs) while
-/// the calling thread classifies their results in ascending id order.
-/// `Sequential` (and any resolved count of 1) runs the pass inline. Every
-/// count produces the identical [`crate::Clustering`]. The default uses
+/// The resolved count is the number of workers that partition the
+/// trajectories of [`crate::Traclus::run`] and run the ε-queries of the
+/// ordered grouping pass (and of the streaming engine's repairs). The
+/// calling thread numbers the segments in trajectory order and classifies
+/// the neighbourhoods in ascending id order. `Sequential` (and any
+/// resolved count of 1) runs both phases inline. Every count produces the
+/// identical segment database and [`crate::Clustering`]. The default uses
 /// every available hardware thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One thread: the ordered pass inline on the calling thread.
+    /// One thread: both phases inline on the calling thread.
     Sequential,
     /// A fixed number of worker threads (0 is treated as 1).
     Threads(usize),

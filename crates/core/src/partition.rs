@@ -6,8 +6,10 @@
 //!
 //! Two algorithms:
 //!
-//! * [`approximate_partition`] — the O(n) greedy scan of Figure 8, which
-//!   treats local MDL optima as global;
+//! * [`approximate_partition`] — the greedy scan of Figure 8, which
+//!   treats local MDL optima as global. Each step re-scores the whole
+//!   candidate partition, so it costs O(Σ partition length²): O(n²) for a
+//!   straight run;
 //! * [`optimal_partition`] — exact dynamic programming over all
 //!   point subsets (the paper calls its cost "prohibitive" for its 2007
 //!   hardware; it is O(n²) states × O(n) per edge and fine for the
@@ -17,11 +19,18 @@
 //! The Section 4.1.3 knob — suppressing partitioning by adding a small
 //! constant to `cost_nopar` so partitions come out 20–30 % longer — is
 //! [`PartitionConfig::suppression`].
+//!
+//! Every trajectory is partitioned on its own (Figure 4, lines 1–3), so
+//! [`crate::SegmentDatabase::from_trajectories`] partitions them on worker
+//! threads and numbers the segments in trajectory order as they arrive.
+//! [`partition_trajectories`] is the sequential reference it equals bit
+//! for bit.
 
 use traclus_geom::{
     IdentifiedSegment, Point, PreparedBase, Segment, SegmentDistance, SegmentId, Trajectory,
-    TrajectoryId,
 };
+
+use crate::grouping::for_each_ordered;
 
 /// Encoding of real values as bit lengths (Section 3.2).
 ///
@@ -161,11 +170,20 @@ impl Partitioning {
     }
 }
 
-/// The O(n) approximate algorithm of Figure 8.
+/// The approximate algorithm of Figure 8.
 ///
 /// Scans forward, growing a candidate partition while `MDL_par ≤
 /// MDL_nopar (+ suppression)`; on the first violation the *previous* point
 /// becomes a characteristic point and the scan restarts there.
+///
+/// Each step re-scores the whole candidate partition for `MDL_par`, so the
+/// scan costs O(Σ partition length²), and O(n²) for a straight run.
+/// `MDL_nopar` is carried as a running sum instead, with each edge's code
+/// length computed once. That is the same left fold as
+/// [`PartitionConfig::mdl_nopar`], so the comparison is bit-identical. A
+/// one-edge candidate is never compared: it is its own hypothesis, so
+/// `L(D|H) = 0` in exact arithmetic, and a cut there would restart the scan
+/// where it stands.
 ///
 /// Trajectories with fewer than two points yield the trivial partitioning
 /// (every available point is characteristic).
@@ -198,30 +216,37 @@ pub fn approximate_partition<const D: usize>(
             characteristic_points: (0..n).collect(),
         };
     }
+    let edge_bits = |k: usize| config.cost.bits(points[k].distance(&points[k + 1]));
     let mut cps = vec![0usize]; // line 1: the starting point
     let mut start_index = 0usize; // line 2 (0-based)
     let mut length = 1usize;
+    // `MDL_nopar(start_index, start_index + length)` and its last edge's
+    // code length.
+    let mut last_bits = edge_bits(0);
+    let mut cost_nopar = last_bits;
     while start_index + length < n {
         // line 3
         let curr_index = start_index + length; // line 4
-        let cost_par = config.mdl_par(points, start_index, curr_index); // line 5
-        let cost_nopar = config.mdl_nopar(points, start_index, curr_index) + config.suppression; // line 6
-        if cost_par > cost_nopar {
-            // lines 7–9: partition at the previous point.
+        if length > 1
+            && config.mdl_par(points, start_index, curr_index) > cost_nopar + config.suppression
+        {
+            // lines 5–9: partition at the previous point. Its edge to
+            // `curr_index` is the next candidate's first edge.
             cps.push(curr_index - 1);
             start_index = curr_index - 1;
             length = 1;
+            cost_nopar = last_bits;
         } else {
             length += 1; // line 11
+            if curr_index + 1 < n {
+                last_bits = edge_bits(curr_index);
+                cost_nopar += last_bits;
+            }
         }
     }
     if *cps.last().expect("non-empty") != n - 1 {
         cps.push(n - 1); // line 12: the ending point
     }
-    // Degenerate guard: restarting at curr−1 can re-push the same index when
-    // the trajectory contains repeated points; deduplicate while keeping
-    // order strictly increasing.
-    cps.dedup();
     Partitioning {
         characteristic_points: cps,
     }
@@ -316,6 +341,30 @@ pub fn partition_trajectories<const D: usize>(
     out
 }
 
+/// [`partition_trajectories`] on the ordered parallel map: `threads`
+/// workers partition one trajectory each (Figure 8), and the calling thread
+/// identifies the segments in trajectory order as they arrive, so the
+/// result is the same for every thread count.
+pub(crate) fn partition_trajectories_on<const D: usize>(
+    config: &PartitionConfig,
+    trajectories: &[Trajectory<D>],
+    threads: usize,
+) -> Vec<IdentifiedSegment<D>> {
+    let mut out = Vec::new();
+    for_each_ordered(
+        trajectories,
+        threads,
+        |tr, segments| segments.extend(partition_segments(config, &tr.points)),
+        |tr, segments| {
+            let first_id = out.len() as u32;
+            out.extend(identified(tr, first_id, segments.iter().copied()));
+        },
+    );
+    #[cfg(feature = "invariant-checks")]
+    crate::invariants::assert_partition_matches_reference(&out, trajectories, config);
+    out
+}
+
 /// Partitions **one** trajectory, identifying its partitions with dense
 /// segment ids starting at `first_id` — the per-trajectory unit of work the
 /// streaming engine ([`crate::stream`]) performs on every ingested
@@ -348,22 +397,43 @@ pub fn partition_trajectory_from<const D: usize>(
     trajectory: &Trajectory<D>,
     first_id: u32,
 ) -> Vec<IdentifiedSegment<D>> {
-    let partitioning = approximate_partition(config, &trajectory.points);
-    let mut out = Vec::new();
-    let mut next_id = first_id;
-    for seg in partitioning.segments(&trajectory.points) {
-        if seg.is_degenerate() {
-            continue;
-        }
-        out.push(IdentifiedSegment {
-            id: SegmentId(next_id),
+    identified(
+        trajectory,
+        first_id,
+        partition_segments(config, &trajectory.points),
+    )
+    .collect()
+}
+
+/// The partitions of `points` that [`partition_trajectory_from`] keeps:
+/// the segments between consecutive characteristic points, in order,
+/// minus the degenerate ones.
+fn partition_segments<'a, const D: usize>(
+    config: &PartitionConfig,
+    points: &'a [Point<D>],
+) -> impl Iterator<Item = Segment<D>> + 'a {
+    let cps = approximate_partition(config, points).characteristic_points;
+    (1..cps.len())
+        .map(move |k| Segment::new(points[cps[k - 1]], points[cps[k]]))
+        .filter(|s| !s.is_degenerate())
+}
+
+/// `segments` of `trajectory`, identified with dense ids from `first_id`
+/// and carrying the trajectory's id and weight.
+fn identified<'a, const D: usize>(
+    trajectory: &'a Trajectory<D>,
+    first_id: u32,
+    segments: impl IntoIterator<Item = Segment<D>> + 'a,
+) -> impl Iterator<Item = IdentifiedSegment<D>> + 'a {
+    segments
+        .into_iter()
+        .zip(first_id..)
+        .map(move |(segment, id)| IdentifiedSegment {
+            id: SegmentId(id),
             trajectory: trajectory.id,
-            segment: seg,
+            segment,
             weight: trajectory.weight(),
-        });
-        next_id += 1;
-    }
-    out
+        })
 }
 
 /// Convenience: partitions a single raw point sequence (no ids) — handy in
@@ -375,13 +445,11 @@ pub fn partition_points<const D: usize>(
     approximate_partition(config, points).segments(points)
 }
 
-#[allow(dead_code)]
-fn unused_trajectory_id(_: TrajectoryId) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traclus_geom::Point2;
+    use proptest::prelude::*;
+    use traclus_geom::{Point2, TrajectoryId};
 
     fn pts(coords: &[(f64, f64)]) -> Vec<Point2> {
         coords.iter().map(|&(x, y)| Point2::xy(x, y)).collect()
@@ -518,6 +586,124 @@ mod tests {
         let p = approximate_partition(&config, &points);
         assert!(p.characteristic_points.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*p.characteristic_points.last().unwrap(), 4);
+    }
+
+    /// Characteristic points start at 0, strictly increase and end at
+    /// `n − 1`.
+    fn assert_well_formed(p: &Partitioning, n: usize) {
+        let cps = &p.characteristic_points;
+        assert_eq!(cps.first(), Some(&0), "{cps:?}");
+        assert_eq!(cps.last(), Some(&(n - 1)), "{cps:?}");
+        assert!(cps.windows(2).all(|w| w[0] < w[1]), "{cps:?}");
+    }
+
+    // Figure 8 taken literally cuts a one-edge candidate whenever its
+    // MDL_par exceeds MDL_nopar + suppression, then restarts at the same
+    // start point and loops forever. These two inputs made it fire.
+
+    #[test]
+    fn negative_suppression_terminates() {
+        let zigzag: Vec<Point2> = (0..40)
+            .map(|k| Point2::xy(4.0 * k as f64, if k % 2 == 0 { 0.0 } else { 3.0 }))
+            .collect();
+        let config = PartitionConfig {
+            suppression: -0.5,
+            ..PartitionConfig::default()
+        };
+        assert_well_formed(&approximate_partition(&config, &zigzag), zigzag.len());
+    }
+
+    #[test]
+    fn ulp_sized_deviations_terminate() {
+        // `start + (end − start) ≠ end` on some of these edges, so a
+        // one-edge hypothesis leaves an ulp-sized d⊥, which costs bits at
+        // δ = 1e-20.
+        let points: Vec<Point2> = (0..30)
+            .map(|k| Point2::xy(0.1 + 0.2 * k as f64, (k as f64).sin()))
+            .collect();
+        let config = PartitionConfig {
+            cost: MdlCost::with_precision(1e-20),
+            ..PartitionConfig::default()
+        };
+        for n in [4, points.len()] {
+            assert_well_formed(&approximate_partition(&config, &points[..n]), n);
+        }
+    }
+
+    /// The Figure 8 loop verbatim, recomputing `MDL_par` and `MDL_nopar`
+    /// at every step and comparing one-edge candidates too: the reference
+    /// the production scan must match. It never ends where a one-edge cut
+    /// fires, so it is only run with suppression > 0 and δ far above an
+    /// ulp.
+    fn reference_partition<const D: usize>(
+        config: &PartitionConfig,
+        points: &[Point<D>],
+    ) -> Vec<usize> {
+        let n = points.len();
+        if n <= 2 {
+            return (0..n).collect();
+        }
+        let mut cps = vec![0];
+        let (mut start_index, mut length) = (0, 1);
+        while start_index + length < n {
+            let curr_index = start_index + length;
+            let cost_par = config.mdl_par(points, start_index, curr_index);
+            let cost_nopar = config.mdl_nopar(points, start_index, curr_index) + config.suppression;
+            if cost_par > cost_nopar {
+                cps.push(curr_index - 1);
+                start_index = curr_index - 1;
+                length = 1;
+            } else {
+                length += 1;
+            }
+        }
+        if cps.last() != Some(&(n - 1)) {
+            cps.push(n - 1);
+        }
+        cps
+    }
+
+    prop_compose! {
+        /// A walk of up to 60 points whose heading drifts, so candidate
+        /// partitions grow long before they are cut; one step in eight
+        /// repeats its point.
+        fn drifting_walk()(
+            steps in prop::collection::vec((0.2..12.0f64, -0.9..0.9f64, 0u8..8), 1..60),
+            x0 in -100.0..100.0f64,
+            y0 in -100.0..100.0f64,
+        ) -> Vec<Point2> {
+            let (mut x, mut y, mut heading) = (x0, y0, 0.0f64);
+            let mut points = vec![Point2::xy(x, y)];
+            for (length, turn, repeat) in steps {
+                if repeat > 0 {
+                    heading += turn;
+                    x += length * heading.cos();
+                    y += length * heading.sin();
+                }
+                points.push(Point2::xy(x, y));
+            }
+            points
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn running_sum_scan_matches_the_verbatim_loop(
+            points in drifting_walk(),
+            precision in 0.05..5.0f64,
+            suppression in 0.01..6.0f64,
+        ) {
+            let config = PartitionConfig {
+                cost: MdlCost::with_precision(precision),
+                suppression,
+                ..PartitionConfig::default()
+            };
+            prop_assert_eq!(
+                approximate_partition(&config, &points).characteristic_points,
+                reference_partition(&config, &points)
+            );
+        }
     }
 
     #[test]

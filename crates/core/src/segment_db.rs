@@ -25,7 +25,8 @@ use traclus_geom::{
 };
 use traclus_index::{filter_radius, RTree, RTreeParams, SpatialIndex};
 
-use crate::partition::{partition_trajectories, PartitionConfig};
+use crate::params::Parallelism;
+use crate::partition::{partition_trajectories_on, PartitionConfig};
 
 /// Which acceleration structure backs ε-neighborhood queries (Lemma 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -248,8 +249,9 @@ impl<const D: usize> SegmentDatabase<D> {
     /// Builds the database from already-partitioned segments.
     ///
     /// Segment ids must be dense (`segments[k].id.0 == k`); the clustering
-    /// algorithm indexes label arrays by id. [`partition_trajectories`]
-    /// produces exactly this layout.
+    /// algorithm indexes label arrays by id.
+    /// [`crate::partition::partition_trajectories`] produces exactly this
+    /// layout.
     pub fn from_segments(segments: Vec<IdentifiedSegment<D>>, distance: SegmentDistance) -> Self {
         for (k, s) in segments.iter().enumerate() {
             assert_eq!(
@@ -344,12 +346,22 @@ impl<const D: usize> SegmentDatabase<D> {
 
     /// Runs the partitioning phase over `trajectories` and builds the
     /// database from the result (Figure 4, lines 1–3).
+    ///
+    /// Trajectories are partitioned on the threads of the default
+    /// [`Parallelism`], and the segments are numbered densely in trajectory
+    /// order. The database is identical for every thread count: it equals
+    /// [`Self::from_segments`] over
+    /// [`crate::partition::partition_trajectories`], the sequential
+    /// reference. [`crate::Traclus::run`] partitions with its configured
+    /// [`Parallelism`] instead.
     pub fn from_trajectories(
         trajectories: &[Trajectory<D>],
         partition: &PartitionConfig,
         distance: SegmentDistance,
     ) -> Self {
-        Self::from_segments(partition_trajectories(partition, trajectories), distance)
+        let threads = Parallelism::default().thread_count();
+        let segments = partition_trajectories_on(partition, trajectories, threads);
+        Self::from_segments(segments, distance)
     }
 
     /// Number of id slots (`numln` over the whole stream — live *and*

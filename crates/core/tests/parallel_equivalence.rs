@@ -10,12 +10,15 @@
 //!   fixtures;
 //! * a long-chain regression shaped like the stolen-border bug, whose
 //!   ids span several worker blocks;
+//! * the whole `Traclus::run` pipeline under `Parallelism::Threads(t)`
+//!   against `Parallelism::Sequential`, with enough trajectories that the
+//!   partition phase runs on workers too;
 //! * an extra thread count taken from `RUST_TEST_THREADS` when set, so CI
 //!   sweeps thread counts that the hard-coded list misses.
 
 use traclus_core::{
-    ClusterConfig, Clustering, IndexKind, LineSegmentClustering, PartitionConfig, SegmentDatabase,
-    SegmentLabel,
+    partition_trajectories, ClusterConfig, Clustering, IndexKind, LineSegmentClustering,
+    Parallelism, PartitionConfig, SegmentDatabase, SegmentLabel, Traclus, TraclusConfig,
 };
 use traclus_data::{HurricaneConfig, HurricaneGenerator};
 use traclus_geom::{
@@ -46,11 +49,7 @@ fn canonical_clusters(clustering: &Clustering) -> Vec<Vec<u32>> {
 fn assert_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixture: &str) {
     let algo = LineSegmentClustering::new(db, config);
     let sequential = algo.run();
-    let mut counts: Vec<usize> = THREAD_COUNTS.to_vec();
-    if let Some(extra) = env_thread_count() {
-        counts.push(extra);
-    }
-    for t in counts {
+    for t in thread_counts() {
         let parallel = algo.run_parallel(t);
         // Canonical comparison: same clusters up to id renumbering...
         assert_eq!(
@@ -78,13 +77,15 @@ fn assert_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixture: &s
     }
 }
 
-/// `RUST_TEST_THREADS`, reused as a thread-count override so CI can sweep
-/// thread counts without recompiling the test list.
-fn env_thread_count() -> Option<usize> {
-    std::env::var("RUST_TEST_THREADS")
+/// [`THREAD_COUNTS`] plus `RUST_TEST_THREADS`, reused as a thread-count
+/// override so CI can sweep thread counts without recompiling the test
+/// list.
+fn thread_counts() -> Vec<usize> {
+    let extra = std::env::var("RUST_TEST_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0 && t <= 64)
+        .filter(|&t| t > 0 && t <= 64);
+    THREAD_COUNTS.iter().copied().chain(extra).collect()
 }
 
 fn identified(segments: Vec<(Segment2, u32)>) -> SegmentDatabase<2> {
@@ -211,25 +212,58 @@ fn random_walk_fixture_is_equivalent() {
 
 #[test]
 fn whole_pipeline_fixture_is_equivalent() {
-    // Trajectory partitioning feeding straight into the grouping phase —
-    // the exact shape Traclus::run produces.
-    let trajectories: Vec<Trajectory<2>> = (0..12)
+    // Trajectory partitioning feeding straight into the grouping phase.
+    // Eight bundles of 13 trajectories: 104 is over three blocks of 32
+    // trajectories, so the partition phase runs on workers as well.
+    let trajectories: Vec<Trajectory<2>> = (0..104)
         .map(|i| {
-            let jitter = i as f64 * 0.4;
+            let (bundle, jitter) = ((i / 13) as f64, (i % 13) as f64 * 0.4);
             Trajectory::new(
                 TrajectoryId(i),
                 (0..25)
-                    .map(|k| Point2::xy(k as f64 * 5.0, jitter + (k as f64 * 0.6).sin()))
+                    .map(|k| {
+                        let x = k as f64 * 5.0 + bundle * 17.0;
+                        let y = bundle * 30.0 + jitter + (k as f64 * (0.4 + 0.05 * bundle)).sin();
+                        Point2::xy(x, y)
+                    })
                     .collect(),
             )
         })
         .collect();
-    let db = SegmentDatabase::from_trajectories(
-        &trajectories,
-        &PartitionConfig::default(),
+    let db = SegmentDatabase::from_segments(
+        partition_trajectories(&PartitionConfig::default(), &trajectories),
         SegmentDistance::default(),
     );
     assert_equivalent(&db, ClusterConfig::new(4.0, 4), "pipeline");
+
+    let run = |parallelism| {
+        let config = TraclusConfig {
+            eps: 4.0,
+            min_lns: 4,
+            parallelism,
+            ..TraclusConfig::default()
+        };
+        Traclus::new(config).run(&trajectories)
+    };
+    let sequential = run(Parallelism::Sequential);
+    assert_eq!(sequential.database.segments(), db.segments());
+    assert!(sequential.clusters.len() >= 8, "every bundle clusters");
+    for t in thread_counts() {
+        let parallel = run(Parallelism::Threads(t));
+        assert_eq!(
+            parallel.database.segments(),
+            sequential.database.segments(),
+            "pipeline: segments diverge at t={t}"
+        );
+        assert_eq!(
+            parallel.clustering, sequential.clustering,
+            "pipeline: clustering diverges at t={t}"
+        );
+        assert_eq!(
+            parallel.clusters, sequential.clusters,
+            "pipeline: representatives diverge at t={t}"
+        );
+    }
 }
 
 /// The PR 2 bug shape, parallelised: one density-connected cluster strung

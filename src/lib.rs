@@ -10,8 +10,9 @@
 //! * [`geom`] — points, segments, and the composite segment distance
 //!   (Definitions 1–3);
 //! * [`core`] — MDL partitioning (Section 3), density-based line-segment
-//!   clustering (Section 4.2; sequential, or parallel ε-queries selected by
-//!   the `Parallelism` knob), representative trajectories (Section 4.3),
+//!   clustering (Section 4.2; sequential, or parallel partitioning and
+//!   ε-queries selected by the `Parallelism` knob), representative
+//!   trajectories (Section 4.3),
 //!   the parameter-selection heuristics (Section 4.4), and the streaming
 //!   engine (`IncrementalClustering`) that ingests trajectories one at a
 //!   time while keeping the clustering identical to a batch run;
