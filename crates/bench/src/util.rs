@@ -4,8 +4,6 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use traclus_core::{
@@ -96,52 +94,25 @@ pub fn default_pipeline() -> (PartitionConfig, SegmentDistance) {
     (PartitionConfig::default(), SegmentDistance::default())
 }
 
-/// Entropy curve computed with one worker thread per CPU (each ε sample is
-/// independent; each worker builds its own R-tree — bulk loading is
-/// milliseconds). Semantically identical to [`EntropyCurve::scan`].
+/// Entropy curve with the ε samples spread over one worker thread per CPU
+/// by [`parallel_map`] (each sample is independent), all reading one
+/// shared R-tree. Equal to [`EntropyCurve::scan`] with [`IndexKind::RTree`],
+/// point for point.
 pub fn parallel_entropy_curve(
     db: &SegmentDatabase<2>,
     grid: &[f64],
     weighted: bool,
 ) -> EntropyCurve {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(grid.len().max(1));
-    let results: Vec<Mutex<Option<EntropyPoint>>> =
-        (0..grid.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let index = db.build_index(IndexKind::RTree, 1.0);
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= grid.len() {
-                        break;
-                    }
-                    let eps = grid[i];
-                    let stats = NeighborhoodStats::compute(db, &index, eps, weighted);
-                    *results[i].lock().expect("entropy workers do not panic") =
-                        Some(EntropyPoint {
-                            eps,
-                            entropy: stats.entropy(),
-                            avg_neighborhood: stats.average(),
-                        });
-                }
-            });
+    let index = db.build_index(IndexKind::RTree, 1.0);
+    let points = parallel_map(grid.to_vec(), |&eps| {
+        let stats = NeighborhoodStats::compute(db, &index, eps, weighted);
+        EntropyPoint {
+            eps,
+            entropy: stats.entropy(),
+            avg_neighborhood: stats.average(),
         }
     });
-    EntropyCurve {
-        points: results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("entropy workers do not panic")
-                    .expect("all grid points computed")
-            })
-            .collect(),
-    }
+    EntropyCurve { points }
 }
 
 // Re-exported for the experiment binaries; the implementation moved into
@@ -215,6 +186,33 @@ mod tests {
         let (v, secs) = timed(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
+    }
+
+    #[test]
+    fn parallel_entropy_curve_equals_the_sequential_scan() {
+        let trajectories = &HurricaneGenerator::paper_scale(1)[..60];
+        let partition = partition_with_precision(HURRICANE_MDL_PRECISION);
+        let db = SegmentDatabase::from_trajectories(
+            trajectories,
+            &partition,
+            SegmentDistance::default(),
+        );
+        let grid = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0];
+        let bits = |p: &EntropyPoint| {
+            (
+                p.eps.to_bits(),
+                p.entropy.to_bits(),
+                p.avg_neighborhood.to_bits(),
+            )
+        };
+        for weighted in [false, true] {
+            let parallel = parallel_entropy_curve(&db, &grid, weighted);
+            let sequential = EntropyCurve::scan(&db, IndexKind::RTree, grid, weighted);
+            assert_eq!(parallel.points.len(), grid.len());
+            for (p, s) in parallel.points.iter().zip(&sequential.points) {
+                assert_eq!(bits(p), bits(s), "weighted {weighted}, eps {}", s.eps);
+            }
+        }
     }
 
     #[test]

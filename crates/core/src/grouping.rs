@@ -68,6 +68,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
+use traclus_geom::remove_sorted;
+
 use crate::cluster::{finalize_raw, ClusterConfig, ClusterStats, Clustering};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
 
@@ -329,8 +331,8 @@ pub(crate) struct Classification {
     pub(crate) dsu: UnionFind,
     /// For each non-core segment: core ids within ε that claim it as a
     /// border member. Lists may carry stale entries for cores that were
-    /// since retired or demoted; [`Self::raw_labels`] filters on the
-    /// current core flags.
+    /// since demoted; [`Self::raw_labels`] filters on the current core
+    /// flags.
     pub(crate) claims: Vec<Vec<u32>>,
 }
 
@@ -354,6 +356,28 @@ impl Classification {
         self.core.push(false);
         self.dsu.push();
         self.claims.push(Vec::new());
+    }
+
+    /// Follows [`SegmentDatabase::remove_segments`] into the compacted id
+    /// space: drops the rows of the ascending ids `removed`, drops claims
+    /// made by a removed core, and renumbers every other claim to its old
+    /// id less the removed ids below it. The union-find restarts as
+    /// singletons; the repair or rebuild that follows re-unions the
+    /// components.
+    pub(crate) fn compact(&mut self, removed: &[u32]) {
+        remove_sorted(&mut self.core, removed);
+        remove_sorted(&mut self.claims, removed);
+        for claims in &mut self.claims {
+            claims.retain_mut(|c| match removed.binary_search(c) {
+                Ok(_) => false,
+                // `below` removed ids sit under `c`: its compacted id.
+                Err(below) => {
+                    *c -= below as u32;
+                    true
+                }
+            });
+        }
+        self.dsu = UnionFind::new(self.core.len() as u32);
     }
 
     /// Visits `id` in the ascending pass: records its final core flag and
@@ -391,49 +415,33 @@ impl Classification {
         }
     }
 
-    /// Raw cluster ids of the `live_len` ids for which `live` holds, in
-    /// ascending id order (dense), plus the raw cluster count: components
-    /// numbered in ascending minimum-core-id order (the sequential seed
-    /// order), border segments in their earliest claiming component.
-    pub(crate) fn raw_labels(
-        &self,
-        live: impl Fn(u32) -> bool,
-        live_len: usize,
-    ) -> (Vec<Option<u32>>, u32) {
+    /// Raw cluster id of every segment, plus the raw cluster count:
+    /// components numbered in ascending minimum-core-id order (the
+    /// sequential seed order), border segments in their earliest claiming
+    /// component.
+    pub(crate) fn raw_labels(&self) -> (Vec<Option<u32>>, u32) {
         let n = self.core.len();
         let mut comp_of_root = vec![u32::MAX; n];
-        let mut raw: Vec<Option<u32>> = vec![None; live_len];
+        let mut raw: Vec<Option<u32>> = vec![None; n];
         let mut cluster_count = 0u32;
-        // Live ids map to dense ranks monotonically, so walking the id
-        // space ascending visits dense slots ascending.
-        let mut dense = 0usize;
-        for id in 0..n as u32 {
-            if !live(id) {
-                continue;
-            }
-            if self.core[id as usize] {
-                let root = self.dsu.find_readonly(id) as usize;
+        for id in 0..n {
+            if self.core[id] {
+                let root = self.dsu.find_readonly(id as u32) as usize;
                 if comp_of_root[root] == u32::MAX {
                     comp_of_root[root] = cluster_count;
                     cluster_count += 1;
                 }
-                raw[dense] = Some(comp_of_root[root]);
+                raw[id] = Some(comp_of_root[root]);
             }
-            dense += 1;
         }
-        let mut dense = 0usize;
         for id in 0..n {
-            if !live(id as u32) {
-                continue;
-            }
             if !self.core[id] {
-                raw[dense] = self.claims[id]
+                raw[id] = self.claims[id]
                     .iter()
                     .filter(|&&c| self.core[c as usize])
                     .map(|&c| comp_of_root[self.dsu.find_readonly(c) as usize])
                     .min();
             }
-            dense += 1;
         }
         (raw, cluster_count)
     }
@@ -455,30 +463,28 @@ pub(crate) fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
 }
 
 /// The ordered pass over forward-only ε-queries (see the module docs):
-/// visits `ids` — every live id, ascending — and leaves `|Nε(id)|` in
-/// `counts[id]` and each id's core flag, components and claims in
-/// `classes`, exactly as [`Classification::classify`] over whole
-/// neighbourhoods would. `counts` is zeroed at `ids` first. Returns
+/// visits every id ascending and leaves `|Nε(id)|` in `counts[id]` and
+/// each id's core flag, components and claims in `classes`, exactly as
+/// [`Classification::classify`] over whole neighbourhoods would. `counts`
+/// is zeroed first; the union-find must start as singletons. Returns
 /// whether workers were spawned.
 pub(crate) fn classify_forward<const D: usize>(
     db: &SegmentDatabase<D>,
     index: &NeighborIndex<D>,
-    ids: &[u32],
     config: &ClusterConfig,
     threads: usize,
     counts: &mut [f64],
     classes: &mut Classification,
 ) -> bool {
-    for &id in ids {
-        counts[id as usize] = 0.0;
-    }
+    counts.fill(0.0);
+    let ids: Vec<u32> = (0..db.len() as u32).collect();
     // `carried[c]`: visited `b < c` with `c ∈ Nε(b)`, ascending, minus the
     // cores whose component the list already reaches.
     let mut carried: Vec<Vec<u32>> = vec![Vec::new(); db.len()];
     let query = |&id: &u32, forward: &mut Vec<u32>| {
         db.neighborhood_from(index, id, config.eps, id, forward);
     };
-    for_each_ordered(ids, threads, query, |&id, forward| {
+    for_each_ordered(&ids, threads, query, |&id, forward| {
         let count = db.add_cardinality(counts[id as usize], forward, config.weighted);
         counts[id as usize] = count;
         let is_core = count >= config.min_lns;
@@ -509,16 +515,15 @@ pub(crate) fn run_ordered<const D: usize>(
     let n = db.len();
     let mut index = db.build_index(config.index, config.eps);
     index.set_pruning(config.pruning);
-    let ids: Vec<u32> = (0..n as u32).collect();
     let mut counts = vec![0.0; n];
     let mut classes = Classification::new(n);
-    classify_forward(db, &index, &ids, config, threads, &mut counts, &mut classes);
+    classify_forward(db, &index, config, threads, &mut counts, &mut classes);
     #[cfg(feature = "invariant-checks")]
     {
         crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
-        crate::invariants::assert_counts_exact(db, config, &ids, &counts, &classes, "grouping");
+        crate::invariants::assert_counts_exact(db, config, &counts, &classes, "grouping");
     }
-    let (raw, cluster_count) = classes.raw_labels(|_| true, n);
+    let (raw, cluster_count) = classes.raw_labels();
     let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
     let stats = ClusterStats {
         prune: index.prune_stats(),
@@ -770,69 +775,39 @@ mod tests {
             s.weight = 0.3 + 0.1 * (k % 7) as f64;
         }
         let weighted = SegmentDatabase::from_segments(segments, SegmentDistance::default());
-        for (full, is_weighted, min_lns) in [(plain, false, 6.0), (weighted, true, 3.3)] {
-            // A gapped live list: scattered tombstones plus one dead run.
-            let mut gapped = full.clone();
-            for id in 0..full.len() as u32 {
-                if id % 5 == 2 || (200..260).contains(&id) {
-                    gapped.remove_segment(id);
+        for (db, is_weighted, min_lns) in [(plain, false, 6.0), (weighted, true, 3.3)] {
+            for kind in [IndexKind::Linear, IndexKind::RTree] {
+                let config = ClusterConfig {
+                    weighted: is_weighted,
+                    min_lns,
+                    index: kind,
+                    ..ClusterConfig::new(6.0, 1)
+                };
+                let index = db.build_index(kind, config.eps);
+                // Reference: whole neighbourhoods, classified ascending.
+                let mut want_counts = vec![0.0; db.len()];
+                let mut want = Classification::new(db.len());
+                let mut hood = Vec::new();
+                for id in 0..db.len() as u32 {
+                    db.neighborhood_into(&index, id, config.eps, &mut hood);
+                    let count = db.neighborhood_cardinality(&hood, is_weighted);
+                    want_counts[id as usize] = count;
+                    want.classify(id, count >= min_lns, &hood);
                 }
-            }
-            for db in [&full, &gapped] {
-                let ids: Vec<u32> = (0..db.len() as u32).filter(|&id| db.is_live(id)).collect();
-                let live = |id: u32| db.is_live(id);
-                for kind in [IndexKind::Linear, IndexKind::RTree] {
-                    let config = ClusterConfig {
-                        weighted: is_weighted,
-                        min_lns,
-                        index: kind,
-                        ..ClusterConfig::new(6.0, 1)
-                    };
-                    let index = db.build_index(kind, config.eps);
-                    // Reference: whole neighbourhoods, classified ascending.
-                    let mut want_counts = vec![0.0; db.len()];
-                    let mut want = Classification::new(db.len());
-                    let mut hood = Vec::new();
-                    for &id in &ids {
-                        db.neighborhood_into(&index, id, config.eps, &mut hood);
-                        let count = db.neighborhood_cardinality(&hood, is_weighted);
-                        want_counts[id as usize] = count;
-                        want.classify(id, count >= min_lns, &hood);
+                let core_count = want.core.iter().filter(|&&c| c).count();
+                assert!(core_count > 0 && core_count < db.len(), "cores and borders");
+                let want_labels = want.raw_labels();
+                for threads in [1, 2, 3, 8] {
+                    let context = format!("weighted={is_weighted} {kind:?} t={threads}");
+                    // The pass zeroes the counts itself.
+                    let mut counts = vec![f64::NAN; db.len()];
+                    let mut classes = Classification::new(db.len());
+                    classify_forward(&db, &index, &config, threads, &mut counts, &mut classes);
+                    for (id, (got, want)) in counts.iter().zip(&want_counts).enumerate() {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{context}: count of {id}");
                     }
-                    let core_count = want.core.iter().filter(|&&c| c).count();
-                    assert!(
-                        core_count > 0 && core_count < ids.len(),
-                        "cores and borders"
-                    );
-                    let want_labels = want.raw_labels(live, ids.len());
-                    for threads in [1, 2, 3, 8] {
-                        let context = format!("weighted={is_weighted} {kind:?} t={threads}");
-                        // The pass zeroes the counts of `ids` itself.
-                        let mut counts = vec![f64::NAN; db.len()];
-                        let mut classes = Classification::new(db.len());
-                        classify_forward(
-                            db,
-                            &index,
-                            &ids,
-                            &config,
-                            threads,
-                            &mut counts,
-                            &mut classes,
-                        );
-                        for &id in &ids {
-                            assert_eq!(
-                                counts[id as usize].to_bits(),
-                                want_counts[id as usize].to_bits(),
-                                "{context}: count of {id}"
-                            );
-                        }
-                        assert_eq!(classes.core, want.core, "{context}: core flags");
-                        assert_eq!(
-                            classes.raw_labels(live, ids.len()),
-                            want_labels,
-                            "{context}: labels"
-                        );
-                    }
+                    assert_eq!(classes.core, want.core, "{context}: core flags");
+                    assert_eq!(classes.raw_labels(), want_labels, "{context}: labels");
                 }
             }
         }

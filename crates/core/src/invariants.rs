@@ -22,9 +22,11 @@
 //! * an incrementally grown spatial index answers exactly like a full
 //!   scan (a stale or mis-inserted entry would corrupt ε-neighborhoods
 //!   long before any test compares clusterings);
-//! * a decrementally shrunk database keeps its tombstone flags, cached
-//!   live count, and dense compaction mutually coherent (the live-window
-//!   batch comparison is only meaningful if compaction is faithful);
+//! * the stream's arrival log tiles the database in order: each arrival's
+//!   segments follow the previous arrival's, carry its trajectory id, and
+//!   sit at ids equal to their positions, so a removal compacts exactly
+//!   the departing rows and the database stays the one the batch pipeline
+//!   builds over the live window;
 //! * at sampled points of a stream — and after **every** removal —
 //!   `snapshot()` still equals the batch run over the live window (a cheap
 //!   in-process spot check of the headline guarantee).
@@ -33,7 +35,7 @@
 //! exist and the hot paths carry zero overhead; with it on, the regular
 //! test suite doubles as a sanitizer pass (the CI `invariant-checks` job).
 
-use traclus_geom::{IdentifiedSegment, SegmentSoa, Trajectory};
+use traclus_geom::{IdentifiedSegment, SegmentSoa, Trajectory, TrajectoryId};
 
 use crate::cluster::ClusterConfig;
 use crate::grouping::{Classification, UnionFind};
@@ -60,20 +62,19 @@ pub(crate) fn assert_union_find_canonical(dsu: &UnionFind, context: &str) {
 }
 
 /// Asserts the ordered pass's counts and core flags at the power-of-two
-/// ids of `ids` against full ε-queries (a fresh full scan): the forward
-/// folds plus the carried backward weights must add up to the
-/// whole-neighbourhood count bit for bit, and the core flags must follow.
+/// ids against full ε-queries (a fresh full scan): the forward folds plus
+/// the carried backward weights must add up to the whole-neighbourhood
+/// count bit for bit, and the core flags must follow.
 pub(crate) fn assert_counts_exact<const D: usize>(
     db: &SegmentDatabase<D>,
     config: &ClusterConfig,
-    ids: &[u32],
     counts: &[f64],
     classes: &Classification,
     context: &str,
 ) {
     let linear = db.build_index(IndexKind::Linear, config.eps);
     let mut hood = Vec::new();
-    for &id in ids.iter().filter(|id| id.is_power_of_two()) {
+    for id in (0..db.len() as u32).filter(|id| id.is_power_of_two()) {
         db.neighborhood_into(&linear, id, config.eps, &mut hood);
         let full = db.neighborhood_cardinality(&hood, config.weighted);
         let (count, core) = (counts[id as usize], classes.core[id as usize]);
@@ -146,43 +147,47 @@ pub(crate) fn assert_soa_coherent<const D: usize>(db: &SegmentDatabase<D>, conte
     }
 }
 
-/// Asserts the tombstone bookkeeping of a decrementally shrunk database is
-/// coherent: the cached live count matches the flags, and
-/// [`SegmentDatabase::compact_live`] reproduces exactly the live segments
-/// in ascending-id order under densely reassigned ids — the contract that
-/// lets `snapshot()` compare label-for-label against a batch run over the
-/// surviving window.
-pub(crate) fn assert_tombstones_coherent<const D: usize>(db: &SegmentDatabase<D>, context: &str) {
-    let flagged = (0..db.len() as u32).filter(|&id| db.is_live(id)).count();
-    assert!(
-        flagged == db.live_len(),
-        "invariant-checks[{context}]: cached live count {} != {flagged} set \
-         tombstone flags",
-        db.live_len()
-    );
-    let compact = db.compact_live();
-    assert!(
-        compact.len() == db.live_len() && compact.live_len() == compact.len(),
-        "invariant-checks[{context}]: compact_live holds {} segments, \
-         expected {}",
-        compact.len(),
-        db.live_len()
-    );
-    let mut dense = 0u32;
-    for id in 0..db.len() as u32 {
-        if !db.is_live(id) {
-            continue;
-        }
-        let (sparse, packed) = (db.segment(id), compact.segment(dense));
+/// Asserts the stream's arrival log — `(trajectory, segment count)` per
+/// live arrival, in arrival order — tiles the database: laid end to end,
+/// the arrivals cover `0..len` exactly, every segment carries its
+/// arrival's trajectory id, and every segment's id is its position. That
+/// is the layout the batch pipeline builds over the live window, and the
+/// one a removal's compaction relies on to find the departing rows.
+pub(crate) fn assert_arrivals_tile<const D: usize>(
+    db: &SegmentDatabase<D>,
+    arrivals: impl IntoIterator<Item = (TrajectoryId, u32)>,
+    context: &str,
+) {
+    let mut next = 0usize;
+    for (trajectory, count) in arrivals {
+        let end = next + count as usize;
         assert!(
-            packed.id.0 == dense
-                && sparse.trajectory == packed.trajectory
-                && sparse.segment == packed.segment
-                && sparse.weight == packed.weight,
-            "invariant-checks[{context}]: compact_live slot {dense} diverged \
-             from live segment {id}"
+            count > 0 && end <= db.len(),
+            "invariant-checks[{context}]: an arrival of {count} segments at id \
+             {next} overruns the {} segments of the database",
+            db.len()
         );
-        dense += 1;
+        for id in next..end {
+            assert!(
+                db.segment(id as u32).trajectory == trajectory,
+                "invariant-checks[{context}]: segment {id} lies in an arrival of \
+                 {trajectory:?} but carries {:?}",
+                db.segment(id as u32).trajectory
+            );
+        }
+        next = end;
+    }
+    assert!(
+        next == db.len(),
+        "invariant-checks[{context}]: the arrivals cover {next} of {} segments",
+        db.len()
+    );
+    for (k, s) in db.segments().iter().enumerate() {
+        assert!(
+            s.id.0 as usize == k,
+            "invariant-checks[{context}]: segment at position {k} has id {}",
+            s.id.0
+        );
     }
 }
 
@@ -212,7 +217,8 @@ pub(crate) fn assert_pruned_pair_outside_eps<const D: usize>(
 
 /// Asserts the live index answers ε-neighborhood queries for `ids` exactly
 /// like a full scan of the current database — the correctness contract of
-/// [`NeighborIndex::insert`] after incremental growth.
+/// [`NeighborIndex::insert`] after incremental growth and of
+/// [`SegmentDatabase::remove_segments`] after a compaction.
 pub(crate) fn assert_index_consistent<const D: usize>(
     db: &SegmentDatabase<D>,
     index: &NeighborIndex<D>,
@@ -264,7 +270,7 @@ mod tests {
             }
             assert!(!engine.snapshot().clusters.is_empty());
             // Decremental pass: every removal runs the post-removal
-            // sanitizer (tombstone coherence, scoped union-find, shrunk
+            // sanitizer (arrival tiling, scoped union-find, compacted
             // index vs full scan, snapshot == live-window batch).
             for i in [4u32, 0, 8] {
                 let report = engine.remove_trajectory(TrajectoryId(i));

@@ -5,7 +5,11 @@
 //! caches their lengths (the distance function orders operands by length;
 //! Lemma 2), and answers Definition 4 neighborhood queries either by full
 //! scan or through a spatial index with the conservative filter radius
-//! derived in `traclus-index`.
+//! derived in `traclus-index`. Ids are always dense: the streaming engine
+//! appends segments and removes them with
+//! [`SegmentDatabase::remove_segments`], which renumbers the survivors in
+//! order, so a database is at every point the one the batch pipeline
+//! would build over the same segments.
 //!
 //! Queries run **filter-and-refine**: the index hands over its candidates
 //! in whatever order it stores them, and before a candidate reaches the
@@ -21,7 +25,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use traclus_geom::{
-    lower_bound, Aabb, IdentifiedSegment, SegmentDistance, SegmentSoa, Trajectory, TrajectoryId,
+    lower_bound, remove_sorted, Aabb, IdentifiedSegment, SegmentDistance, SegmentId, SegmentSoa,
+    Trajectory, TrajectoryId,
 };
 use traclus_index::{filter_radius, RTree, RTreeParams, SpatialIndex};
 
@@ -125,8 +130,9 @@ struct LocalPruneCounts {
 /// A built neighborhood index bound to a database snapshot.
 ///
 /// The index answers queries for whatever database state it was built
-/// against; [`Self::insert`] keeps it in sync as segments are appended
-/// (the streaming path in `traclus-core::stream`).
+/// against; [`Self::insert`] keeps it in sync as segments are appended and
+/// [`SegmentDatabase::remove_segments`] as they leave (the streaming path
+/// in `traclus-core::stream`).
 ///
 /// Queries prune candidates through the admissible lower bounds of
 /// [`traclus_geom::lower_bound`] by default — results are bit-identical
@@ -191,24 +197,11 @@ impl<const D: usize> NeighborIndex<D> {
     /// the R-tree takes the Guttman insertion path (choose-leaf by least
     /// enlargement, quadratic split on overflow). Must be called once per
     /// segment appended via [`SegmentDatabase::append_segments`], in id
-    /// order.
+    /// order. Removal goes through [`SegmentDatabase::remove_segments`],
+    /// which updates the index itself.
     pub fn insert(&mut self, id: u32, bbox: &Aabb<D>) {
         if let Some(tree) = &mut self.tree {
             tree.insert(id, *bbox);
-        }
-    }
-
-    /// Deregisters one removed segment so subsequent queries no longer see
-    /// it — the decremental counterpart of [`Self::insert`]. `bbox` must be
-    /// the box the segment was registered under (it guides the R-tree
-    /// descent). Linear scans need no action here; the database's own
-    /// tombstone flags keep dead segments out of full scans.
-    ///
-    /// Must be called once per segment retired via
-    /// [`SegmentDatabase::remove_segment`], before the next query.
-    pub fn remove(&mut self, id: u32, bbox: &Aabb<D>) {
-        if let Some(tree) = &mut self.tree {
-            tree.remove(id, bbox);
         }
     }
 }
@@ -221,29 +214,35 @@ impl<const D: usize> NeighborIndex<D> {
 /// once at construction, so ε-neighborhood refinement runs the batched
 /// `distance_many` kernel instead of re-deriving projection setup from raw
 /// endpoints on every pair.
-/// Removal is tombstone-based: [`Self::remove_segment`] marks a segment
-/// dead without disturbing the dense id space (labels, counts, and the
-/// union-find in `traclus-core::stream` are all indexed by id). Dead
-/// segments keep their geometry — a removal repair still needs to ask
-/// "who was near the departed segment?" — but drop out of every
-/// neighborhood query, the database bounding box, and freshly built
-/// indexes. [`Self::compact_live`] produces the dense, all-live database
-/// the batch pipeline would build over the surviving window.
+///
+/// Segment `k` always has id `k`. [`Self::append_segments`] continues the
+/// sequence and [`Self::remove_segments`] closes the gaps it leaves,
+/// renumbering the survivors in order, so labels, counts and the
+/// union-find in `traclus-core::stream` index the same id space as the
+/// batch pipeline.
 #[derive(Clone)]
 pub struct SegmentDatabase<const D: usize> {
     segments: Vec<IdentifiedSegment<D>>,
     soa: SegmentSoa<D>,
     bboxes: Vec<Aabb<D>>,
-    /// Tombstone flags: `alive[id]` is cleared by [`Self::remove_segment`].
-    alive: Vec<bool>,
-    /// Count of set flags in `alive`.
-    live: usize,
     distance: SegmentDistance,
 }
 
 /// Candidates are refined through the batched kernel in stack-allocated
 /// chunks of this many distances (no per-query heap traffic).
 const REFINE_CHUNK: usize = 64;
+
+/// The id a surviving segment takes once the ascending ids `removed` have
+/// left the database: its old id less the removed ids below it. The
+/// renumbering keeps id order, and with it every ascending-id fold, the
+/// min-root union-find and the Lemma 2 id tie-break.
+pub(crate) fn compacted_id(removed: &[u32], id: u32) -> u32 {
+    match removed.last() {
+        // Past every removed id, as most survivors of an expiry are.
+        Some(&last) if id > last => id - removed.len() as u32,
+        _ => id - removed.partition_point(|&r| r < id) as u32,
+    }
+}
 
 impl<const D: usize> SegmentDatabase<D> {
     /// Builds the database from already-partitioned segments.
@@ -261,10 +260,7 @@ impl<const D: usize> SegmentDatabase<D> {
         }
         let soa = SegmentSoa::from_segments(segments.iter().map(|s| &s.segment));
         let bboxes = segments.iter().map(|s| s.bounding_box()).collect();
-        let live = segments.len();
         Self {
-            alive: vec![true; live],
-            live,
             segments,
             soa,
             bboxes,
@@ -291,57 +287,37 @@ impl<const D: usize> SegmentDatabase<D> {
             self.soa.push(&s.segment);
             self.bboxes.push(s.bounding_box());
             self.segments.push(s);
-            self.alive.push(true);
-            self.live += 1;
         }
     }
 
-    /// Tombstones one segment: it vanishes from neighborhood queries, the
-    /// database bounding box, and future [`Self::build_index`] builds, but
-    /// keeps its id slot and geometry (removal repair queries the dead
-    /// segment's old ε-ball, and dense label arrays stay index-aligned).
-    /// Any live [`NeighborIndex`] must be told via [`NeighborIndex::remove`]
-    /// before its next query. Returns whether the segment was live.
-    pub fn remove_segment(&mut self, id: u32) -> bool {
-        let slot = &mut self.alive[id as usize];
-        if !*slot {
-            return false;
+    /// Removes the segments with the ascending, duplicate-free ids
+    /// `removed` from the database and from `index`, then renumbers every
+    /// survivor to its old id less the removed ids below it, in both. The
+    /// rows, their geometry cache entries and boxes close up in place; the
+    /// R-tree deletes each removed entry (Guttman) and rewrites the ids in
+    /// its leaves.
+    ///
+    /// Per-trajectory partitioning is independent, so the result equals
+    /// the database the batch pipeline builds over the surviving
+    /// trajectories in arrival order: same ids, trajectory ids, geometry
+    /// and weights.
+    pub fn remove_segments(&mut self, removed: &[u32], index: &mut NeighborIndex<D>) {
+        let Some(&first) = removed.first() else {
+            return;
+        };
+        if let Some(tree) = &mut index.tree {
+            for &r in removed {
+                let found = tree.remove(r, &self.bboxes[r as usize]);
+                debug_assert!(found, "segment {r} was not indexed");
+            }
+            tree.remap_ids(|id| compacted_id(removed, id));
         }
-        *slot = false;
-        self.live -= 1;
-        true
-    }
-
-    /// Whether a segment is live (not tombstoned).
-    pub fn is_live(&self, id: u32) -> bool {
-        self.alive[id as usize]
-    }
-
-    /// Number of live (non-tombstoned) segments.
-    pub fn live_len(&self) -> usize {
-        self.live
-    }
-
-    /// A fresh database holding exactly the live segments, re-identified
-    /// densely in ascending-id order — bit-identical to what the batch
-    /// pipeline builds over the surviving trajectories in arrival order
-    /// (per-trajectory partitioning is independent, so compaction and
-    /// re-partitioning agree). Trajectory ids and weights are preserved.
-    pub fn compact_live(&self) -> SegmentDatabase<D> {
-        let segments = self
-            .segments
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &alive)| alive)
-            .enumerate()
-            .map(|(k, (s, _))| IdentifiedSegment {
-                id: traclus_geom::SegmentId(k as u32),
-                trajectory: s.trajectory,
-                segment: s.segment,
-                weight: s.weight,
-            })
-            .collect();
-        Self::from_segments(segments, self.distance)
+        remove_sorted(&mut self.segments, removed);
+        remove_sorted(&mut self.bboxes, removed);
+        self.soa.remove_sorted(removed);
+        for (k, s) in self.segments.iter_mut().enumerate().skip(first as usize) {
+            s.id = SegmentId(k as u32);
+        }
     }
 
     /// Runs the partitioning phase over `trajectories` and builds the
@@ -364,8 +340,7 @@ impl<const D: usize> SegmentDatabase<D> {
         Self::from_segments(segments, distance)
     }
 
-    /// Number of id slots (`numln` over the whole stream — live *and*
-    /// tombstoned segments; see [`Self::live_len`] for the live count).
+    /// Number of segments (`numln`).
     pub fn len(&self) -> usize {
         self.segments.len()
     }
@@ -446,21 +421,15 @@ impl<const D: usize> SegmentDatabase<D> {
         }
     }
 
-    /// Builds a neighborhood index of the requested kind over the live
+    /// Builds a neighborhood index of the requested kind over the
     /// segments: an STR bulk-loaded R-tree, or nothing for the full scan.
     ///
     /// `_typical_eps` is ignored — neither index is sized by ε. It remains
     /// so that existing callers (`perfbench` among them) keep compiling.
     pub fn build_index(&self, kind: IndexKind, _typical_eps: f64) -> NeighborIndex<D> {
         let tree = (kind == IndexKind::RTree).then(|| {
-            let live = self
-                .segments
-                .iter()
-                .zip(&self.bboxes)
-                .zip(&self.alive)
-                .filter(|(_, &alive)| alive)
-                .map(|((s, b), _)| (s.id.0, *b));
-            RTree::bulk_load(RTreeParams::default(), live)
+            let entries = (0..).zip(self.bboxes.iter().copied());
+            RTree::bulk_load(RTreeParams::default(), entries)
         });
         NeighborIndex {
             tree,
@@ -530,68 +499,43 @@ impl<const D: usize> SegmentDatabase<D> {
         let prune = index.prune;
         let mut local = LocalPruneCounts::default();
         match (&index.tree, index.radius_per_eps) {
-            (None, _) | (_, None) => {
-                // Full scan: either requested or forced by degenerate
-                // weights (no conservative filter exists). The candidate
-                // universe is the live ids ascending, so pack consecutive
-                // live chunks and feed them to the batched kernel; the
-                // output comes out ascending without a sort.
-                let n = self.segments.len() as u32;
-                let mut ids = [0u32; REFINE_CHUNK];
-                let mut dists = [0.0f64; REFINE_CHUNK];
-                let mut take = 0usize;
-                for cand in from..n {
-                    if !self.alive[cand as usize] {
-                        continue;
-                    }
-                    if prune && self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local) {
-                        continue;
-                    }
-                    ids[take] = cand;
-                    take += 1;
-                    if take == REFINE_CHUNK {
-                        self.refine_chunk(id, &ids[..take], &mut dists[..take], eps, out);
-                        take = 0;
-                    }
-                }
-                if take > 0 {
-                    self.refine_chunk(id, &ids[..take], &mut dists[..take], eps, out);
-                }
-            }
             (Some(tree), Some(r)) => {
                 let window = self.bboxes[id as usize].expanded(eps * r);
                 tree.query_into(&window, out);
-                out.retain(|&cand| {
-                    cand >= from
-                        && !(prune
-                            && self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local))
-                });
-                // Refine in place: each chunk's distances are computed
-                // before any of its entries is overwritten, and the write
-                // cursor never passes the read position.
-                let mut dists = [0.0f64; REFINE_CHUNK];
-                let mut kept = 0;
-                let mut read = 0;
-                while read < out.len() {
-                    let take = (out.len() - read).min(REFINE_CHUNK);
-                    self.distance.distance_many_into(
-                        &self.soa,
-                        id,
-                        &out[read..read + take],
-                        &mut dists[..take],
-                    );
-                    for (k, &d) in dists[..take].iter().enumerate() {
-                        if d <= eps {
-                            out[kept] = out[read + k];
-                            kept += 1;
-                        }
-                    }
-                    read += take;
-                }
-                out.truncate(kept);
-                out.sort_unstable();
             }
+            // Full scan: either requested or forced by degenerate weights
+            // (no conservative filter exists). Every id from `from` on is a
+            // candidate.
+            _ => out.extend(from..self.segments.len() as u32),
         }
+        out.retain(|&cand| {
+            cand >= from
+                && !(prune && self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local))
+        });
+        // Refine in place: each chunk's distances are computed before any
+        // of its entries is overwritten, and the write cursor never passes
+        // the read position.
+        let mut dists = [0.0f64; REFINE_CHUNK];
+        let mut kept = 0;
+        let mut read = 0;
+        while read < out.len() {
+            let take = (out.len() - read).min(REFINE_CHUNK);
+            self.distance.distance_many_into(
+                &self.soa,
+                id,
+                &out[read..read + take],
+                &mut dists[..take],
+            );
+            for (k, &d) in dists[..take].iter().enumerate() {
+                if d <= eps {
+                    out[kept] = out[read + k];
+                    kept += 1;
+                }
+            }
+            read += take;
+        }
+        out.truncate(kept);
+        out.sort_unstable();
         index.counters.flush(&local);
     }
 
@@ -623,26 +567,6 @@ impl<const D: usize> SegmentDatabase<D> {
             None => {
                 local.refined += 1;
                 false
-            }
-        }
-    }
-
-    /// Batch-evaluates distances from `id` to one candidate chunk and keeps
-    /// the candidates within `eps`.
-    #[inline]
-    fn refine_chunk(
-        &self,
-        id: u32,
-        chunk: &[u32],
-        dists: &mut [f64],
-        eps: f64,
-        out: &mut Vec<u32>,
-    ) {
-        self.distance
-            .distance_many_into(&self.soa, id, chunk, dists);
-        for (&cand, &d) in chunk.iter().zip(dists.iter()) {
-            if d <= eps {
-                out.push(cand);
             }
         }
     }
@@ -690,13 +614,11 @@ impl<const D: usize> SegmentDatabase<D> {
         self.segments[id as usize].trajectory
     }
 
-    /// Bounding box of the live contents of the database.
+    /// Bounding box of the contents of the database.
     pub fn bounding_box(&self) -> Aabb<D> {
         let mut b = Aabb::empty();
-        for (bb, &alive) in self.bboxes.iter().zip(&self.alive) {
-            if alive {
-                b.extend(bb);
-            }
+        for bb in &self.bboxes {
+            b.extend(bb);
         }
         b
     }
@@ -705,7 +627,7 @@ impl<const D: usize> SegmentDatabase<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traclus_geom::{Segment2, SegmentId};
+    use traclus_geom::Segment2;
 
     fn db_from(segs: &[Segment2]) -> SegmentDatabase<2> {
         let identified = segs
@@ -814,70 +736,73 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_drop_out_of_queries_and_builds() {
-        let mut db = sample_db();
-        assert_eq!(db.live_len(), 4);
-        assert!(db.remove_segment(1));
-        assert!(!db.remove_segment(1), "second removal is a no-op");
-        assert_eq!(db.live_len(), 3);
-        assert_eq!(db.len(), 4, "id space keeps the tombstone slot");
-        assert!(!db.is_live(1));
-
-        // Full scans skip the dead segment; the query center may itself be
-        // dead (removal repair asks who was near the departed segment).
-        let linear = db.build_index(IndexKind::Linear, 1.5);
-        assert_eq!(db.neighborhood(&linear, 0, 1.5), vec![0]);
-        assert_eq!(db.neighborhood(&linear, 1, 1.5), vec![0, 2]);
-
-        // A freshly built R-tree agrees (the dead entry is absent).
-        let idx = db.build_index(IndexKind::RTree, 1.5);
-        for id in [0u32, 2, 3] {
-            assert_eq!(
-                db.neighborhood(&idx, id, 1.5),
-                db.neighborhood(&linear, id, 1.5),
-                "rtree vs linear for id={id}"
-            );
+    fn removed_segments_drop_out_of_queries_and_builds() {
+        for kind in [IndexKind::Linear, IndexKind::RTree] {
+            let mut db = sample_db();
+            let mut idx = db.build_index(kind, 1.5);
+            db.remove_segments(&[1], &mut idx);
+            assert_eq!(db.len(), 3, "{kind:?}: the row is gone");
+            // The old id 2 (y = 2) is now id 1, and without the old id 1
+            // (y = 1) it is no longer within ε of id 0 (y = 0).
+            assert_eq!(db.neighborhood(&idx, 0, 1.5), vec![0], "{kind:?}");
+            assert_eq!(db.neighborhood(&idx, 1, 1.5), vec![1], "{kind:?}");
+            // The updated index answers like fresh builds over the survivors.
+            let linear = db.build_index(IndexKind::Linear, 1.5);
+            let fresh = db.build_index(IndexKind::RTree, 1.5);
+            for id in 0..db.len() as u32 {
+                let want = db.neighborhood(&linear, id, 1.5);
+                assert_eq!(db.neighborhood(&idx, id, 1.5), want, "{kind:?} id={id}");
+                assert_eq!(db.neighborhood(&fresh, id, 1.5), want, "{kind:?} id={id}");
+            }
+            // Removing nothing changes nothing.
+            db.remove_segments(&[], &mut idx);
+            assert_eq!(db.len(), 3);
         }
-
-        // A live index tracks removal incrementally.
-        let mut db2 = sample_db();
-        let mut idx = db2.build_index(IndexKind::RTree, 1.5);
-        let bbox = *db2.bbox_of(1);
-        db2.remove_segment(1);
-        idx.remove(1, &bbox);
-        assert_eq!(db2.neighborhood(&idx, 0, 1.5), vec![0]);
     }
 
     #[test]
-    fn compact_live_reindexes_densely() {
+    fn remove_segments_renumbers_survivors_in_order() {
         let mut db = sample_db();
-        db.remove_segment(0);
-        db.remove_segment(2);
-        let live = db.compact_live();
-        assert_eq!(live.len(), 2);
-        assert_eq!(live.live_len(), 2);
-        // Survivors keep their order, trajectory ids, and geometry.
-        assert_eq!(live.segment(0).trajectory, TrajectoryId(1));
-        assert_eq!(live.segment(1).trajectory, TrajectoryId(3));
-        assert_eq!(live.segment(0).segment, db.segment(1).segment);
-        assert_eq!(live.segment(1).segment, db.segment(3).segment);
-        assert_eq!(live.segment(0).id, SegmentId(0));
-        assert_eq!(live.segment(1).id, SegmentId(1));
+        let before = db.clone();
+        let mut idx = db.build_index(IndexKind::RTree, 1.5);
+        db.remove_segments(&[0, 2], &mut idx);
+        // Survivors keep their order, trajectory ids, geometry and weights
+        // under dense ids: exactly the database built from them directly.
+        let survivors: Vec<IdentifiedSegment<2>> = [1, 3]
+            .iter()
+            .enumerate()
+            .map(|(k, &old)| IdentifiedSegment {
+                id: SegmentId(k as u32),
+                ..*before.segment(old)
+            })
+            .collect();
+        let direct = SegmentDatabase::from_segments(survivors, SegmentDistance::default());
+        assert_eq!(db.segments(), direct.segments());
+        assert!(db.soa() == direct.soa());
+        for id in 0..db.len() as u32 {
+            assert_eq!(db.bbox_of(id), direct.bbox_of(id));
+        }
+        assert_eq!(db.segment(0).trajectory, TrajectoryId(1));
+        assert_eq!(db.segment(1).trajectory, TrajectoryId(3));
+        // The R-tree leaves were renumbered too: the far outlier answers
+        // under its new id.
+        assert_eq!(db.neighborhood(&idx, 1, 1.5), vec![1]);
+        assert_eq!(compacted_id(&[0, 2], 1), 0);
+        assert_eq!(compacted_id(&[0, 2], 3), 1);
     }
 
     #[test]
     fn bounding_box_shrinks_with_removals() {
         let mut db = sample_db();
+        let mut idx = db.build_index(IndexKind::RTree, 1.5);
         let before = db.bounding_box();
         assert!(before.max[0] >= 110.0, "outlier spans far right");
-        db.remove_segment(3);
+        db.remove_segments(&[3], &mut idx);
         let after = db.bounding_box();
         assert!(after.max[0] <= 10.0, "outlier no longer stretches the box");
-        for id in [0, 1, 2] {
-            db.remove_segment(id);
-        }
+        db.remove_segments(&[0, 1, 2], &mut idx);
         assert!(db.bounding_box().is_empty());
-        assert_eq!(db.live_len(), 0);
+        assert!(db.is_empty());
     }
 
     #[test]

@@ -95,15 +95,13 @@ impl<const D: usize> ClusterSnapshot<D> {
 
     /// Captures the engine's current state under the given epoch.
     ///
-    /// This is the expensive step (it clones the clustering and runs the
-    /// representative sweep); do it **outside** any lock shared with
-    /// readers — [`SnapshotCell::publish_from`] does.
+    /// This is the expensive step (it labels the clustering and runs the
+    /// representative sweep over the engine's own database, without
+    /// copying it); do it **outside** any lock shared with readers —
+    /// [`SnapshotCell::publish_from`] does.
     pub fn capture(engine: &IncrementalClustering<D>, epoch: u64) -> Self {
         let clustering = engine.snapshot();
-        // The clustering is labelled over the live window (dense ids), so
-        // the representative sweep must read the matching live database.
-        let live = engine.live_database();
-        let clusters = representatives_for(engine.config(), &live, &clustering);
+        let clusters = representatives_for(engine.config(), engine.database(), &clustering);
         Self {
             epoch,
             trajectories: engine.stats().trajectories,
@@ -127,7 +125,7 @@ impl<const D: usize> ClusterSnapshot<D> {
         self.trajectories
     }
 
-    /// Segments in the engine's database at capture time.
+    /// Live segments in the engine's database at capture time.
     pub fn segments(&self) -> usize {
         self.segments
     }
@@ -279,14 +277,6 @@ impl<const D: usize> SnapshotCell<D> {
     pub fn publish_from(&self, engine: &IncrementalClustering<D>) -> Arc<ClusterSnapshot<D>> {
         let epoch = self.load().epoch + 1;
         let snapshot = Arc::new(ClusterSnapshot::capture(engine, epoch));
-        *lock_unpoisoned(&self.current) = Arc::clone(&snapshot);
-        snapshot
-    }
-
-    /// Publishes an already-captured snapshot verbatim (e.g. one built on
-    /// a worker thread). The caller owns epoch discipline here.
-    pub fn publish(&self, snapshot: ClusterSnapshot<D>) -> Arc<ClusterSnapshot<D>> {
-        let snapshot = Arc::new(snapshot);
         *lock_unpoisoned(&self.current) = Arc::clone(&snapshot);
         snapshot
     }

@@ -57,18 +57,23 @@
 //! retraction ([`IncrementalClustering::remove_trajectory`]) or a sliding
 //! window that ages old data out ([`StreamConfig::time_window`],
 //! [`StreamConfig::capacity`]). Removal is repaired by the mirror-image
-//! scheme: departed segments are tombstoned in the database (the id space
-//! stays dense, so every per-id array keeps its meaning) and deleted from
-//! the live index, the cardinalities of their surviving ε-neighbors are
-//! *recomputed* with fresh whole-window sums (never decremented — repeated
-//! subtraction would drift off the batch bit pattern), and the only
-//! components rebuilt are those that contained a departed or demoted core
-//! — removal never adds ε-edges, so every other component transplants
-//! unchanged into a fresh union-find under its old minimum root, while the
-//! affected components' surviving cores are re-expanded, which reproduces
-//! any split. The same [`StreamConfig::rebuild_threshold`] bounds the
-//! repair: an oversized dirty region falls back to the full re-cluster.
-//! Either way the headline guarantee is unchanged: after every
+//! scheme, in two halves. The analysis runs on the old database with the
+//! departing ids masked out of every ε-neighborhood: the cardinalities of
+//! the departed segments' surviving ε-neighbors are *recomputed* with
+//! fresh whole-window sums (never decremented — repeated subtraction would
+//! drift off the batch bit pattern), and every component that contained a
+//! departed or demoted core is marked affected. Then the database, the
+//! index and every per-id array compact once: the departed rows leave and
+//! each survivor is renumbered in order, so the engine's database is
+//! always the one the batch pipeline builds over the live window, ids
+//! included. On the dense ids, every unaffected component transplants
+//! unchanged into a fresh union-find under its minimum root — removal
+//! never adds ε-edges — while the affected components' surviving cores are
+//! re-expanded, which reproduces any split. The renumbering keeps id
+//! order, so the min-root union-find, the ascending-id sums and the claim
+//! minima all carry over. The same [`StreamConfig::rebuild_threshold`]
+//! bounds the repair: an oversized dirty region falls back to the full
+//! re-cluster. Either way the headline guarantee is unchanged: after every
 //! operation, [`IncrementalClustering::snapshot`] equals the batch run
 //! over the live window (`crates/core/tests/decremental_equivalence.rs`
 //! drives random insert/remove/expiry interleavings against it).
@@ -86,14 +91,15 @@
 //! untouched by the thread count. [`StreamStats::repair_parallel_batches`]
 //! counts how often the workers actually engaged.
 
-use traclus_geom::Trajectory;
+use traclus_geom::{remove_sorted, Trajectory, TrajectoryId};
 
 use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
 use crate::grouping::{
-    classify_forward, for_each_neighborhood, push_claim, Classification, Neighborhoods, UnionFind,
+    classify_forward, for_each_neighborhood, for_each_ordered, push_claim, Classification,
+    Neighborhoods, UnionFind,
 };
 use crate::partition::partition_trajectory_from;
-use crate::segment_db::{NeighborIndex, PruneStats, SegmentDatabase};
+use crate::segment_db::{compacted_id, NeighborIndex, PruneStats, SegmentDatabase};
 use crate::{TraclusConfig, TraclusOutcome};
 
 /// Maintenance knobs of the incremental engine — the run-time parameters
@@ -170,7 +176,7 @@ pub struct InsertReport {
 pub struct RemoveReport {
     /// Live trajectories the operation retired.
     pub removed_trajectories: usize,
-    /// Segments tombstoned in the database and deleted from the index.
+    /// Segments removed from the database and the index.
     pub removed_segments: usize,
     /// Surviving segments whose core-ness the removal demoted.
     pub demoted_cores: usize,
@@ -196,7 +202,7 @@ pub struct StreamStats {
     pub removals: usize,
     /// The subset of `removals` retired by the sliding-window policy.
     pub expired: usize,
-    /// Segments tombstoned by removals.
+    /// Segments retired by removals.
     pub removed_segments: usize,
     /// Surviving segments demoted from core by a removal.
     pub core_demotions: usize,
@@ -299,7 +305,7 @@ pub struct IncrementalClustering<const D: usize> {
     counts: Vec<f64>,
     /// Core flags (monotone under insertion), the min-root union-find over
     /// cores, and per-border claim lists (cleared when a segment becomes
-    /// core; possibly stale after removals, which [`Self::snapshot`]
+    /// core; possibly stale after demotions, which [`Self::snapshot`]
     /// filters).
     classes: Classification,
     stats: StreamStats,
@@ -307,25 +313,21 @@ pub struct IncrementalClustering<const D: usize> {
     /// caller-supplied (monotone) timestamp in [`Self::insert_at`]. Drives
     /// [`StreamConfig::time_window`] expiry — no wall clock is ever read.
     clock: u64,
-    /// Arrival log: one record per segment-producing insertion, in ingest
-    /// order. Removal and expiry mark records dead; the id range each
-    /// record spans is what a removal tombstones.
+    /// Arrival log: one record per live segment-producing insertion, in
+    /// ingest order. The records tile the id space: each arrival's
+    /// segments directly follow the previous arrival's, so a record's ids
+    /// are the running sum of the counts before it.
     arrivals: Vec<Arrival>,
-    /// Count of live records in `arrivals`.
-    live_arrivals: usize,
 }
 
-/// One segment-producing insertion in the arrival log.
+/// One live segment-producing insertion in the arrival log.
 #[derive(Debug, Clone, Copy)]
 struct Arrival {
-    trajectory: traclus_geom::TrajectoryId,
-    /// First segment id the insertion appended.
-    first: u32,
-    /// Number of segments appended.
+    trajectory: TrajectoryId,
+    /// Number of segments the insertion appended.
     count: u32,
     /// Logical-clock timestamp at ingest.
     timestamp: u64,
-    live: bool,
 }
 
 impl<const D: usize> IncrementalClustering<D> {
@@ -349,7 +351,6 @@ impl<const D: usize> IncrementalClustering<D> {
             stats: StreamStats::default(),
             clock: 0,
             arrivals: Vec::new(),
-            live_arrivals: 0,
         }
     }
 
@@ -358,40 +359,23 @@ impl<const D: usize> IncrementalClustering<D> {
         &self.config
     }
 
-    /// The growing segment database (phase 1 output so far), in sparse id
-    /// space: tombstoned segments keep their slots. Use
-    /// [`Self::live_database`] for the dense live-window view the batch
-    /// pipeline would build.
+    /// The segment database of the live window (phase 1 output): exactly
+    /// what [`SegmentDatabase::from_trajectories`] builds over the live
+    /// trajectories in arrival order — same ids, trajectory ids, geometry
+    /// and weights.
     pub fn database(&self) -> &SegmentDatabase<D> {
         &self.db
     }
 
-    /// The live window as a dense database — exactly what the batch
-    /// pipeline would build over the surviving trajectories in arrival
-    /// order. Borrowed (free) while nothing has ever been removed, a
-    /// compacting copy otherwise.
-    pub fn live_database(&self) -> std::borrow::Cow<'_, SegmentDatabase<D>> {
-        if self.db.live_len() == self.db.len() {
-            std::borrow::Cow::Borrowed(&self.db)
-        } else {
-            std::borrow::Cow::Owned(self.db.compact_live())
-        }
-    }
-
-    /// Number of segment id slots allocated so far (live plus tombstoned).
-    pub fn len(&self) -> usize {
-        self.db.len()
-    }
-
     /// Number of live (not removed or expired) segments.
     pub fn live_len(&self) -> usize {
-        self.db.live_len()
+        self.db.len()
     }
 
     /// Number of live trajectories in the window (segment-producing
     /// insertions not yet removed or expired).
     pub fn live_trajectories(&self) -> usize {
-        self.live_arrivals
+        self.arrivals.len()
     }
 
     /// The engine's logical clock: the timestamp of the latest insertion.
@@ -399,7 +383,7 @@ impl<const D: usize> IncrementalClustering<D> {
         self.clock
     }
 
-    /// True before the first segment-producing insertion.
+    /// True when the live window holds no segments.
     pub fn is_empty(&self) -> bool {
         self.db.is_empty()
     }
@@ -473,12 +457,9 @@ impl<const D: usize> IncrementalClustering<D> {
         }
         self.arrivals.push(Arrival {
             trajectory: trajectory.id,
-            first,
             count: new_count as u32,
             timestamp,
-            live: true,
         });
-        self.live_arrivals += 1;
         self.db.append_segments(segments);
         let n = self.db.len() as u32;
         for id in first..n {
@@ -541,7 +522,7 @@ impl<const D: usize> IncrementalClustering<D> {
         let flipped_cores = flips.len();
 
         let dirty = new_count + flipped_cores;
-        let rebuilt = (dirty as f64) > self.stream.rebuild_threshold * self.db.live_len() as f64;
+        let rebuilt = (dirty as f64) > self.stream.rebuild_threshold * self.db.len() as f64;
         if rebuilt {
             self.rebuild();
             self.stats.full_rebuilds += 1;
@@ -562,14 +543,15 @@ impl<const D: usize> IncrementalClustering<D> {
     }
 
     /// Post-insertion sanitizer pass (`invariant-checks` feature only):
-    /// union-find canonical form, SoA/AoS coherence, incrementally grown
-    /// index vs full scan on the dirty region, and — at power-of-two
-    /// trajectory counts, so the extra work stays O(log n) batch runs over
-    /// a stream — the full snapshot == batch spot check.
+    /// union-find canonical form, SoA/AoS coherence, arrival tiling,
+    /// incrementally grown index vs full scan on the dirty region, and — at
+    /// power-of-two trajectory counts, so the extra work stays O(log n)
+    /// batch runs over a stream — the full snapshot == batch spot check.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_insert(&self, first: u32, flips: &[u32]) {
         crate::invariants::assert_union_find_canonical(&self.classes.dsu, "stream-insert");
         crate::invariants::assert_soa_coherent(&self.db, "stream-insert");
+        crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-insert");
         let mut dirty: Vec<u32> = (first..self.db.len() as u32).collect();
         dirty.extend_from_slice(flips);
         crate::invariants::assert_index_consistent(
@@ -580,50 +562,50 @@ impl<const D: usize> IncrementalClustering<D> {
             "stream-insert",
         );
         if self.stats.trajectories.is_power_of_two() {
-            let live = self.live_database();
-            let batch = crate::cluster::LineSegmentClustering::new(&live, self.cluster).run();
+            let batch = crate::cluster::LineSegmentClustering::new(&self.db, self.cluster).run();
             assert!(
                 self.snapshot() == batch,
                 "invariant-checks[stream-insert]: snapshot diverged from the \
                  batch run at {} trajectories / {} live segments",
                 self.stats.trajectories,
-                self.db.live_len()
+                self.db.len()
             );
         }
     }
 
     /// Post-removal sanitizer pass (`invariant-checks` feature only): the
     /// decremental siblings of [`Self::debug_check_insert`] — union-find
-    /// canonical form over the repaired components, tombstone bookkeeping,
-    /// incrementally shrunk index vs full scan on the dirty region, and
-    /// the headline decremental guarantee itself: after **every** removal,
-    /// `snapshot()` equals a batch run over the live window.
+    /// canonical form over the repaired components, SoA/AoS coherence and
+    /// arrival tiling after the compaction, the compacted index vs full
+    /// scan on the dirty region (dense ids), and the headline decremental
+    /// guarantee itself: after **every** removal, `snapshot()` equals a
+    /// batch run over the engine's own database.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_remove(&self, dirty: &[u32]) {
         crate::invariants::assert_union_find_canonical(&self.classes.dsu, "stream-remove");
         crate::invariants::assert_soa_coherent(&self.db, "stream-remove");
-        crate::invariants::assert_tombstones_coherent(&self.db, "stream-remove");
-        let live_dirty: Vec<u32> = dirty
-            .iter()
-            .copied()
-            .filter(|&d| self.db.is_live(d))
-            .collect();
+        crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-remove");
         crate::invariants::assert_index_consistent(
             &self.db,
             &self.index,
             self.cluster.eps,
-            &live_dirty,
+            dirty,
             "stream-remove",
         );
-        let live = self.live_database();
-        let batch = crate::cluster::LineSegmentClustering::new(&live, self.cluster).run();
+        let batch = crate::cluster::LineSegmentClustering::new(&self.db, self.cluster).run();
         assert!(
             self.snapshot() == batch,
             "invariant-checks[stream-remove]: snapshot diverged from the \
-             batch run over the live window ({} live segments, {} slots)",
-            self.db.live_len(),
+             batch run over the live window ({} segments)",
             self.db.len()
         );
+    }
+
+    /// `(trajectory, segment count)` of each live arrival, in arrival
+    /// order, for the tiling check.
+    #[cfg(feature = "invariant-checks")]
+    fn arrival_counts(&self) -> impl Iterator<Item = (TrajectoryId, u32)> + '_ {
+        self.arrivals.iter().map(|a| (a.trajectory, a.count))
     }
 
     /// Ingests a whole sequence, returning the number of trajectories.
@@ -650,8 +632,8 @@ impl<const D: usize> IncrementalClustering<D> {
     /// label for label.
     ///
     /// Removing an id with no live arrivals is a no-op (default report).
-    /// The same trajectory id may be re-inserted later; it gets fresh
-    /// segment ids.
+    /// The same trajectory id may be re-inserted later; its segments join
+    /// the end of the window, like any new arrival's.
     ///
     /// ```
     /// use traclus_core::{IncrementalClustering, Traclus, TraclusConfig};
@@ -676,15 +658,8 @@ impl<const D: usize> IncrementalClustering<D> {
     /// let batch = Traclus::new(config).run(&survivors);
     /// assert_eq!(engine.snapshot(), batch.clustering);
     /// ```
-    pub fn remove_trajectory(&mut self, id: traclus_geom::TrajectoryId) -> RemoveReport {
-        let kill: Vec<usize> = self
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.live && a.trajectory == id)
-            .map(|(k, _)| k)
-            .collect();
-        self.remove_arrivals(kill)
+    pub fn remove_trajectory(&mut self, id: TrajectoryId) -> RemoveReport {
+        self.remove_arrivals(|_, a| a.trajectory == id)
     }
 
     /// Expires every live trajectory whose ingest timestamp is strictly
@@ -694,14 +669,7 @@ impl<const D: usize> IncrementalClustering<D> {
     /// the window policy expires a trajectory whose age exactly equals the
     /// window — see [`StreamConfig::time_window`]).
     pub fn expire_older_than(&mut self, cutoff: u64) -> RemoveReport {
-        let kill: Vec<usize> = self
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.live && a.timestamp < cutoff)
-            .map(|(k, _)| k)
-            .collect();
-        let report = self.remove_arrivals(kill);
+        let report = self.remove_arrivals(|_, a| a.timestamp < cutoff);
         self.stats.expired += report.removed_trajectories;
         report
     }
@@ -709,16 +677,8 @@ impl<const D: usize> IncrementalClustering<D> {
     /// Expires the oldest live trajectories until at most `keep` remain —
     /// the explicit form of [`StreamConfig::capacity`] expiry.
     pub fn expire_to_capacity(&mut self, keep: usize) -> RemoveReport {
-        let excess = self.live_arrivals.saturating_sub(keep);
-        let kill: Vec<usize> = self
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.live)
-            .map(|(k, _)| k)
-            .take(excess)
-            .collect();
-        let report = self.remove_arrivals(kill);
+        let excess = self.arrivals.len().saturating_sub(keep);
+        let report = self.remove_arrivals(|k, _| k < excess);
         self.stats.expired += report.removed_trajectories;
         report
     }
@@ -728,95 +688,77 @@ impl<const D: usize> IncrementalClustering<D> {
     /// retires oldest-first down to [`StreamConfig::capacity`]. One batched
     /// removal covers both. Returns the number of expired trajectories.
     fn enforce_window(&mut self) -> usize {
-        if self.stream.time_window.is_none() && self.stream.capacity.is_none() {
+        let (window, capacity, clock) = (self.stream.time_window, self.stream.capacity, self.clock);
+        if window.is_none() && capacity.is_none() {
             return 0;
         }
-        let mut kill: Vec<usize> = Vec::new();
-        let mut survivors = self.live_arrivals;
-        for (k, a) in self.arrivals.iter().enumerate() {
-            if !a.live {
-                continue;
-            }
-            let aged_out = self
-                .stream
-                .time_window
-                .is_some_and(|w| self.clock.saturating_sub(a.timestamp) >= w);
-            let over_capacity = self.stream.capacity.is_some_and(|cap| survivors > cap);
-            if !(aged_out || over_capacity) {
-                // Timestamps are non-decreasing, so the expirable live
-                // arrivals form a prefix; nothing later can age out either.
-                break;
-            }
-            kill.push(k);
-            survivors -= 1;
-        }
-        let report = self.remove_arrivals(kill);
+        // Timestamps are non-decreasing, so both policies expire a prefix
+        // of the log.
+        let excess = capacity.map_or(0, |cap| self.arrivals.len().saturating_sub(cap));
+        let aged_out = |a: &Arrival| window.is_some_and(|w| clock.saturating_sub(a.timestamp) >= w);
+        let report = self.remove_arrivals(|k, a| k < excess || aged_out(a));
         self.stats.expired += report.removed_trajectories;
         report.removed_trajectories
     }
 
-    /// Marks the selected live arrivals dead and repairs the clustering in
-    /// one batched removal. `kill` holds indexes into `arrivals`, ascending.
-    fn remove_arrivals(&mut self, kill: Vec<usize>) -> RemoveReport {
-        if kill.is_empty() {
+    /// Retires the live arrivals `kill` selects — it sees each record with
+    /// its position in the log — and repairs the clustering in one batched
+    /// removal.
+    fn remove_arrivals(&mut self, mut kill: impl FnMut(usize, &Arrival) -> bool) -> RemoveReport {
+        let mut removed: Vec<u32> = Vec::new();
+        let (mut position, mut first) = (0usize, 0u32);
+        let before = self.arrivals.len();
+        self.arrivals.retain(|a| {
+            let dead = kill(position, a);
+            if dead {
+                removed.extend(first..first + a.count);
+            }
+            position += 1;
+            first += a.count;
+            !dead
+        });
+        let killed = before - self.arrivals.len();
+        if killed == 0 {
             return RemoveReport::default();
         }
-        let mut removed: Vec<u32> = Vec::new();
-        for &k in &kill {
-            let a = &mut self.arrivals[k];
-            debug_assert!(a.live, "killing an already-dead arrival");
-            a.live = false;
-            removed.extend(a.first..a.first + a.count);
-        }
-        self.live_arrivals -= kill.len();
-        // Arrivals hold disjoint ascending id ranges, so `removed` is
-        // already sorted and duplicate-free.
-        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
-        self.apply_removal(kill.len(), removed)
+        // The arrivals tile the id space in log order, so `removed` is
+        // ascending and duplicate-free.
+        self.apply_removal(killed, removed)
     }
 
-    /// The decremental workhorse: tombstones and unindexes the departing
-    /// segments, recomputes the dirty ε-region's cardinalities with fresh
+    /// The decremental workhorse. It analyses the dirty ε-region on the
+    /// old database with the ascending ids `removed` masked out of every
+    /// neighborhood: the dirty cardinalities are recomputed with fresh
     /// whole-window sums (never incremental subtraction, which would drift
-    /// off the batch bit pattern), and repairs the component structure —
-    /// scoped local repair when the dirty region stays under
+    /// off the batch bit pattern), and the components the removal may have
+    /// split are found. It then compacts the database, the index and the
+    /// per-id state once, and repairs the component structure on the dense
+    /// ids — scoped local repair when the dirty region stays under
     /// [`StreamConfig::rebuild_threshold`], the full re-cluster fallback
     /// otherwise.
     fn apply_removal(&mut self, removed_trajectories: usize, removed: Vec<u32>) -> RemoveReport {
         self.stats.removals += removed_trajectories;
         self.stats.removed_segments += removed.len();
+        let departed = |id: u32| removed.binary_search(&id).is_ok();
 
-        // 1. Tombstone + unindex every departing segment first, so the
-        //    ε-queries below see exactly the post-removal window.
-        for &r in &removed {
-            let was_live = self.db.remove_segment(r);
-            debug_assert!(was_live, "removing a dead segment");
-            let bbox = *self.db.bbox_of(r);
-            self.index.remove(r, &bbox);
-        }
-
-        // 2. Dirty region: the surviving ε-neighbors of the departed
-        //    segments (a dead center keeps its geometry; candidates are
-        //    live-only). While visiting, scrub departed core ids from their
-        //    neighbours' claim lists — the snapshot would filter them
-        //    anyway, retention just bounds memory.
+        // 1. Dirty region: the surviving ε-neighbors of the departed
+        //    segments.
         let mut dirty: Vec<u32> = Vec::new();
         let (threads, eps) = (self.threads(), self.cluster.eps);
-        let classes = &mut self.classes;
-        let spawned =
-            for_each_neighborhood(&self.db, &self.index, &removed, eps, threads, |r, hood| {
-                for &m in hood {
-                    dirty.push(m);
-                    if classes.core[r as usize] && !classes.core[m as usize] {
-                        classes.claims[m as usize].retain(|&c| c != r);
-                    }
-                }
-            });
+        let spawned = for_each_surviving_neighborhood(
+            &self.db,
+            &self.index,
+            &removed,
+            &removed,
+            eps,
+            threads,
+            |_, hood| dirty.extend_from_slice(hood),
+        );
         self.stats.note_sweep(spawned, removed.len());
         dirty.sort_unstable();
         dirty.dedup();
 
-        // 3. Recompute the dirty cardinalities in ascending id order — the
+        // 2. Recompute the dirty cardinalities in ascending id order — the
         //    accumulation order the batch pass uses, so the sums stay
         //    bit-identical. Collect core demotions.
         let mut demoted: Vec<u32> = Vec::new();
@@ -826,21 +768,29 @@ impl<const D: usize> IncrementalClustering<D> {
             &mut self.counts,
             &self.classes.core,
         );
-        let spawned = for_each_neighborhood(db, &self.index, &dirty, eps, threads, |d, hood| {
-            counts[d as usize] = db.neighborhood_cardinality(hood, cluster.weighted);
-            let is_core = counts[d as usize] >= cluster.min_lns;
-            debug_assert!(
-                core[d as usize] || !is_core,
-                "removal promoted segment {d}: with positive weights and monotone \
-                 rounding, dropping a term from an ascending-id sum never raises it"
-            );
-            if core[d as usize] && !is_core {
-                demoted.push(d);
-            }
-        });
+        let spawned = for_each_surviving_neighborhood(
+            db,
+            &self.index,
+            &dirty,
+            &removed,
+            eps,
+            threads,
+            |d, hood| {
+                counts[d as usize] = db.neighborhood_cardinality(hood, cluster.weighted);
+                let is_core = counts[d as usize] >= cluster.min_lns;
+                debug_assert!(
+                    core[d as usize] || !is_core,
+                    "removal promoted segment {d}: with positive weights and monotone \
+                     rounding, dropping a term from an ascending-id sum never raises it"
+                );
+                if core[d as usize] && !is_core {
+                    demoted.push(d);
+                }
+            },
+        );
         self.stats.note_sweep(spawned, dirty.len());
 
-        // 4. Affected components: any old component holding a departed or
+        // 3. Affected components: any old component holding a departed or
         //    demoted core may have split and must be rebuilt from its
         //    survivors. Every other component is untouched — removal never
         //    adds ε-edges, so no cross-component merge can be pending.
@@ -857,15 +807,13 @@ impl<const D: usize> IncrementalClustering<D> {
         affected_roots.sort_unstable();
         affected_roots.dedup();
 
-        // 5. Partition the surviving cores: members of affected components
-        //    get re-expanded; the rest transplant wholesale, grouped by
-        //    their old root.
+        // 4. Partition the surviving cores: members of affected components
+        //    get re-expanded; the rest transplant wholesale under their
+        //    old root, which is itself a surviving core.
         let mut affected_cores: Vec<u32> = Vec::new();
         let mut keep: Vec<(u32, u32)> = Vec::new();
         for id in 0..self.db.len() as u32 {
-            if !self.classes.core[id as usize]
-                || !self.db.is_live(id)
-                || demoted.binary_search(&id).is_ok()
+            if !self.classes.core[id as usize] || departed(id) || demoted.binary_search(&id).is_ok()
             {
                 continue;
             }
@@ -877,16 +825,23 @@ impl<const D: usize> IncrementalClustering<D> {
             }
         }
 
-        // 6. Repair or rebuild. The departed segments' clustering state is
-        //    retired either way.
-        let work = removed.len() + dirty.len() + affected_cores.len();
-        let rebuilt =
-            (work as f64) > self.stream.rebuild_threshold * self.db.live_len().max(1) as f64;
-        for &r in &removed {
-            self.classes.core[r as usize] = false;
-            self.counts[r as usize] = 0.0;
-            self.classes.claims[r as usize] = Vec::new();
+        // 5. Compact: the departed rows leave the database, the index and
+        //    the per-id state, and every survivor is renumbered in order.
+        self.db.remove_segments(&removed, &mut self.index);
+        remove_sorted(&mut self.counts, &removed);
+        self.classes.compact(&removed);
+        let renumber = |id: &mut u32| *id = compacted_id(&removed, *id);
+        dirty.iter_mut().for_each(renumber);
+        demoted.iter_mut().for_each(renumber);
+        affected_cores.iter_mut().for_each(renumber);
+        for (root, id) in &mut keep {
+            renumber(root);
+            renumber(id);
         }
+
+        // 6. Repair or rebuild on the dense ids.
+        let work = removed.len() + dirty.len() + affected_cores.len();
+        let rebuilt = (work as f64) > self.stream.rebuild_threshold * self.db.len().max(1) as f64;
         if rebuilt {
             self.rebuild();
             self.stats.decremental_rebuilds += 1;
@@ -895,25 +850,21 @@ impl<const D: usize> IncrementalClustering<D> {
             self.stats.decremental_repairs += 1;
         }
         self.stats.core_demotions += demoted.len();
-        let report = RemoveReport {
+        #[cfg(feature = "invariant-checks")]
+        self.debug_check_remove(&dirty);
+        RemoveReport {
             removed_trajectories,
             removed_segments: removed.len(),
             demoted_cores: demoted.len(),
             rebuilt,
-        };
-        #[cfg(feature = "invariant-checks")]
-        {
-            let mut check = dirty;
-            check.extend_from_slice(&removed);
-            self.debug_check_remove(&check);
         }
-        report
     }
 
-    /// Scoped decremental repair: a fresh union-find where unaffected
-    /// components transplant wholesale under their old minimum root,
-    /// demoted cores turn into border candidates with freshly computed
-    /// claim lists, and the surviving cores of affected components are
+    /// Scoped decremental repair on the compacted ids, starting from the
+    /// singleton union-find [`Classification::compact`] leaves: unaffected
+    /// components transplant wholesale under their minimum root, demoted
+    /// cores turn into border candidates with freshly computed claim
+    /// lists, and the surviving cores of affected components are
     /// re-expanded from scratch — the same min-root rules as the batch
     /// grouping pass, confined to the components the removal could have
     /// split.
@@ -946,22 +897,11 @@ impl<const D: usize> IncrementalClustering<D> {
             });
         self.stats.note_sweep(spawned, demoted.len());
 
-        // Fresh union-find; transplant the unaffected components. `keep`
-        // was gathered in ascending id order, so after the (root, id) sort
-        // each group's first member is its minimum surviving core — the
-        // root the batch pass would seed the component with.
-        self.classes.dsu = UnionFind::new(self.db.len() as u32);
-        let mut keep = keep.to_vec();
-        keep.sort_unstable();
-        let mut k = 0;
-        while k < keep.len() {
-            let (root, anchor) = keep[k];
-            let mut j = k + 1;
-            while j < keep.len() && keep[j].0 == root {
-                self.classes.dsu.union(anchor, keep[j].1);
-                j += 1;
-            }
-            k = j;
+        // Transplant the unaffected components. Each member joins its old
+        // root, the component's minimum surviving core — the root the
+        // batch pass would seed the component with.
+        for &(root, id) in keep {
+            self.classes.dsu.union(root, id);
         }
 
         // Re-expand every surviving core of an affected component with a
@@ -1030,45 +970,32 @@ impl<const D: usize> IncrementalClustering<D> {
     /// from scratch over the whole database, against a freshly bulk-built
     /// index (undoing any R-tree degradation from incremental inserts).
     ///
-    /// This is the batch grouping pass over the live ids: one forward-only
-    /// ε-query per segment, with the backward half of each neighbourhood
-    /// carried from earlier ids, fixes its count and core flag, and
-    /// visiting ids ascending lets every backward edge be classified on the
-    /// spot (see the `grouping` module docs for why later repairs stay
-    /// exact on top of it).
+    /// This is the batch grouping pass: one forward-only ε-query per
+    /// segment, with the backward half of each neighbourhood carried from
+    /// earlier ids, fixes its count and core flag, and visiting ids
+    /// ascending lets every backward edge be classified on the spot (see
+    /// the `grouping` module docs for why later repairs stay exact on top
+    /// of it).
     fn rebuild(&mut self) {
-        let n = self.db.len() as u32;
         // The outgoing index carries prune tallies the lifetime stats must
         // keep; fold them in before the replacement drops it.
         self.stats.absorb_prune(self.index.prune_stats());
         self.index = self.db.build_index(self.cluster.index, self.cluster.eps);
         self.index.set_pruning(self.cluster.pruning);
-        self.classes.dsu = UnionFind::new(n);
-        let mut live_ids: Vec<u32> = Vec::with_capacity(self.db.live_len());
-        for id in 0..n {
-            if self.db.is_live(id) {
-                live_ids.push(id);
-            } else {
-                self.counts[id as usize] = 0.0;
-                self.classes.core[id as usize] = false;
-                self.classes.claims[id as usize] = Vec::new();
-            }
-        }
+        self.classes.dsu = UnionFind::new(self.db.len() as u32);
         let spawned = classify_forward(
             &self.db,
             &self.index,
-            &live_ids,
             &self.cluster,
             self.threads(),
             &mut self.counts,
             &mut self.classes,
         );
-        self.stats.note_sweep(spawned, live_ids.len());
+        self.stats.note_sweep(spawned, self.db.len());
         #[cfg(feature = "invariant-checks")]
         crate::invariants::assert_counts_exact(
             &self.db,
             &self.cluster,
-            &live_ids,
             &self.counts,
             &self.classes,
             "stream-rebuild",
@@ -1082,11 +1009,9 @@ impl<const D: usize> IncrementalClustering<D> {
     /// earliest claiming component, and the Definition 10
     /// trajectory-cardinality filter runs last.
     pub fn snapshot(&self) -> Clustering {
-        let (raw, cluster_count) = self
-            .classes
-            .raw_labels(|id| self.db.is_live(id), self.db.live_len());
+        let (raw, cluster_count) = self.classes.raw_labels();
         finalize_raw(
-            &self.live_database(),
+            &self.db,
             &raw,
             cluster_count,
             self.cluster.trajectory_threshold(),
@@ -1099,13 +1024,27 @@ impl<const D: usize> IncrementalClustering<D> {
     /// window's trajectories.
     pub fn finish(self) -> TraclusOutcome<D> {
         let clustering = self.snapshot();
-        let db = if self.db.live_len() == self.db.len() {
-            self.db
-        } else {
-            self.db.compact_live()
-        };
-        crate::attach_representatives(&self.config, db, clustering)
+        crate::attach_representatives(&self.config, self.db, clustering)
     }
+}
+
+/// [`for_each_neighborhood`] with the ascending ids `departed` masked out
+/// of every neighborhood, so a removal's analysis on the old database sees
+/// exactly the post-removal window.
+fn for_each_surviving_neighborhood<const D: usize>(
+    db: &SegmentDatabase<D>,
+    index: &NeighborIndex<D>,
+    ids: &[u32],
+    departed: &[u32],
+    eps: f64,
+    threads: usize,
+    mut visit: impl FnMut(u32, &[u32]),
+) -> bool {
+    let fill = |&id: &u32, hood: &mut Vec<u32>| {
+        db.neighborhood_into(index, id, eps, hood);
+        hood.retain(|m| departed.binary_search(m).is_err());
+    };
+    for_each_ordered(ids, threads, fill, |&id, hood| visit(id, hood))
 }
 
 #[cfg(test)]
@@ -1181,7 +1120,7 @@ mod tests {
             );
         }
         assert_eq!(engine.stats().trajectories, 7);
-        assert_eq!(engine.len(), engine.snapshot().labels.len());
+        assert_eq!(engine.live_len(), engine.snapshot().labels.len());
     }
 
     #[test]
@@ -1410,7 +1349,8 @@ mod tests {
         let mut engine = IncrementalClustering::<2>::new(cfg);
         engine.extend(&trajectories);
         engine.remove_trajectory(TrajectoryId(2));
-        // The trajectory id is reusable; its segments get fresh slots.
+        // The trajectory id is reusable; its segments join the end of the
+        // window.
         engine.insert(&trajectories[2]);
         let mut live = trajectories.clone();
         live.retain(|t| t.id != TrajectoryId(2));
@@ -1571,7 +1511,8 @@ mod tests {
         assert_eq!(engine.live_trajectories(), 3);
         let report = engine.expire_older_than(101);
         assert_eq!(report.removed_trajectories, 3);
-        assert!(engine.is_empty() || engine.live_trajectories() == 0);
+        assert!(engine.is_empty());
+        assert_eq!(engine.live_trajectories(), 0);
         assert!(engine.snapshot().clusters.is_empty());
     }
 

@@ -4,13 +4,16 @@
 //! The headline guarantee under test: after **every** operation — insert,
 //! explicit removal, capacity expiry, time-window expiry, in any
 //! interleaving — [`IncrementalClustering::snapshot`] equals the batch
-//! pipeline run over the live window, label for label. The property tests
-//! drive randomized interleavings against a shadow model (the live window
-//! as a plain `Vec<Trajectory>`); the deterministic regressions pin the
-//! structurally interesting repairs — a bridge removal that must *split* a
-//! component through the scoped local-repair path (verified by the
-//! repair-vs-rebuild counters), core demotion down to an empty clustering,
-//! and trajectory-id reuse after removal.
+//! pipeline run over the live window, label for label, and the engine's
+//! database *is* the batch database of the live window: the same segments
+//! under the same ids, so removals leave nothing behind. The property
+//! tests drive randomized interleavings against a shadow model (the live
+//! window as a plain `Vec<Trajectory>`); a soak test streams ten windows'
+//! worth of arrivals through a capacity window; the deterministic
+//! regressions pin the structurally interesting repairs — a bridge removal
+//! that must *split* a component through the scoped local-repair path
+//! (verified by the repair-vs-rebuild counters), core demotion down to an
+//! empty clustering, and trajectory-id reuse after removal.
 //!
 //! Every scenario runs at three rebuild thresholds — 0.0 (every operation
 //! falls back to the full re-cluster), the 0.25 default (mixed), and 10.0
@@ -19,7 +22,8 @@
 
 use proptest::prelude::*;
 use traclus_core::{
-    Clustering, IncrementalClustering, RemoveReport, StreamConfig, Traclus, TraclusConfig,
+    Clustering, IncrementalClustering, RemoveReport, SegmentDatabase, StreamConfig, Traclus,
+    TraclusConfig,
 };
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
@@ -39,6 +43,12 @@ fn config_with(eps: f64, min_lns: usize, stream: StreamConfig) -> TraclusConfig 
 /// order — exactly what the engine's snapshot claims to equal.
 fn batch(config: &TraclusConfig, live: &[Trajectory<2>]) -> Clustering {
     Traclus::new(*config).run(live).clustering
+}
+
+/// The batch database over the live window in arrival order — exactly
+/// what the engine's database claims to equal, ids included.
+fn batch_database(config: &TraclusConfig, live: &[Trajectory<2>]) -> SegmentDatabase<2> {
+    SegmentDatabase::from_trajectories(live, &config.partition, config.distance)
 }
 
 prop_compose! {
@@ -152,6 +162,12 @@ proptest! {
                 "diverged after op {} ({}, {}) at threshold {} (weighted {})",
                 step, op, pick, THRESHOLDS[threshold_sel], weighted
             );
+            let want = batch_database(&config, &model);
+            prop_assert_eq!(
+                engine.database().segments(),
+                want.segments(),
+                "database diverged after op {}", step
+            );
         }
         // The engine exercised the path the threshold selects.
         let stats = engine.stats();
@@ -184,6 +200,8 @@ proptest! {
                 model.remove(0);
             }
             prop_assert_eq!(engine.snapshot(), batch(&config, &model));
+            let want = batch_database(&config, &model);
+            prop_assert_eq!(engine.database().segments(), want.segments());
             prop_assert!(engine.live_trajectories() <= cap);
         }
     }
@@ -216,6 +234,8 @@ proptest! {
             model.retain(|&(ts, _)| now - ts < window);
             let live: Vec<Trajectory<2>> = model.iter().map(|(_, t)| t.clone()).collect();
             prop_assert_eq!(engine.snapshot(), batch(&config, &live));
+            let want = batch_database(&config, &live);
+            prop_assert_eq!(engine.database().segments(), want.segments());
             prop_assert_eq!(engine.live_trajectories(), live.len());
         }
     }
@@ -230,6 +250,114 @@ fn segment_producing(config: &TraclusConfig, live: &[Trajectory<2>]) -> usize {
                 .is_empty()
         })
         .count()
+}
+
+/// Soak: a capacity window streamed through twelve times its size, with a
+/// mid-window retraction every fifth arrival, unweighted and weighted, at
+/// the default rebuild threshold and one that pins removals to local
+/// repair. After every operation the engine's database is the batch
+/// database of the live window — its length is the window's segment
+/// count, and the arrivals tile it in arrival order — and at checkpoints
+/// the snapshot equals the batch run.
+#[test]
+fn long_capacity_window_stays_the_batch_database() {
+    const WINDOW: usize = 8;
+    // Deterministic uniform draws from [0, 1) (xorshift64).
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    // Jittered corridors in three bands, so clusters form, grow, split
+    // and dissolve as the window slides.
+    let pool: Vec<Trajectory<2>> = (0..12 * WINDOW as u32)
+        .map(|i| {
+            let y0 = f64::from(i % 3) * 3.0 + 1.5 * next();
+            let x0 = 10.0 * next();
+            let points = (0..6 + i % 5)
+                .map(|k| Point2::xy(x0 + f64::from(k) * 4.0, y0 + 0.8 * next()))
+                .collect();
+            Trajectory::new(TrajectoryId(i), points)
+        })
+        .collect();
+    for weighted in [false, true] {
+        for threshold in [0.25, 10.0] {
+            let pool: Vec<Trajectory<2>> = pool
+                .iter()
+                .map(|t| {
+                    let weight = if weighted {
+                        0.3 + 0.1 * f64::from(t.id.0 % 7)
+                    } else {
+                        1.0
+                    };
+                    Trajectory::with_weight(t.id, t.points.clone(), weight)
+                })
+                .collect();
+            let config = TraclusConfig {
+                weighted,
+                ..config_with(
+                    2.5,
+                    3,
+                    StreamConfig {
+                        rebuild_threshold: threshold,
+                        capacity: Some(WINDOW),
+                        ..StreamConfig::default()
+                    },
+                )
+            };
+            let context = format!("weighted {weighted}, threshold {threshold}");
+            let check = |engine: &IncrementalClustering<2>, live: &[Trajectory<2>], k: usize| {
+                let want = batch_database(&config, live);
+                assert_eq!(engine.database().len(), want.len(), "{context}, step {k}");
+                assert_eq!(engine.live_len(), want.len(), "{context}, step {k}");
+                assert_eq!(
+                    engine.database().segments(),
+                    want.segments(),
+                    "{context}, step {k}"
+                );
+                assert_eq!(
+                    engine.live_trajectories(),
+                    live.len(),
+                    "{context}, step {k}"
+                );
+            };
+            let mut engine = IncrementalClustering::<2>::new(config);
+            let mut live: Vec<Trajectory<2>> = Vec::new();
+            for (k, t) in pool.iter().enumerate() {
+                assert!(
+                    engine.insert(t).new_segments > 0,
+                    "every arrival is tracked"
+                );
+                live.push(t.clone());
+                if live.len() > WINDOW {
+                    live.remove(0);
+                }
+                check(&engine, &live, k);
+                if k % 5 == 4 {
+                    let gone = live.remove(live.len() / 2).id;
+                    assert_eq!(engine.remove_trajectory(gone).removed_trajectories, 1);
+                    check(&engine, &live, k);
+                }
+                if k % WINDOW == WINDOW - 1 {
+                    assert_eq!(
+                        engine.snapshot(),
+                        batch(&config, &live),
+                        "{context}, step {k}"
+                    );
+                }
+            }
+            assert_eq!(engine.snapshot(), batch(&config, &live), "{context}");
+            let stats = engine.stats();
+            assert_eq!(stats.removals, pool.len() - live.len(), "{context}");
+            assert!(stats.expired > 5 * WINDOW, "{context}: the window slid");
+            assert!(stats.decremental_repairs > 0, "{context}");
+            if threshold > 1.0 {
+                assert_eq!(stats.decremental_rebuilds, 0, "{context}");
+            }
+        }
+    }
 }
 
 /// A straight corridor trajectory at height `y`.
@@ -324,8 +452,9 @@ fn removal_demotes_cores_to_noise() {
 }
 
 /// Regression: a removed trajectory id is immediately reusable; the
-/// re-inserted trajectory takes fresh segment slots and the clustering
-/// matches the batch run with the re-arrival at the window's tail.
+/// re-inserted trajectory's segments join the end of the window — the
+/// database is the batch database with the re-arrival at the tail — and
+/// the clustering matches the batch run in that order.
 #[test]
 fn removed_trajectory_id_reuse_round_trips() {
     let config = config_with(3.0, 3, StreamConfig::default());
@@ -335,7 +464,7 @@ fn removed_trajectory_id_reuse_round_trips() {
     for t in &trajectories {
         engine.insert(t);
     }
-    let slots_before = engine.len();
+    let len_before = engine.database().len();
 
     assert_eq!(
         engine
@@ -343,15 +472,22 @@ fn removed_trajectory_id_reuse_round_trips() {
             .removed_trajectories,
         1
     );
+    assert!(engine.database().len() < len_before, "the rows are gone");
     engine.insert(&trajectories[2]);
-    assert!(
-        engine.len() > slots_before,
-        "re-insertion takes fresh slots"
-    );
 
     let mut live: Vec<Trajectory<2>> = trajectories.clone();
     live.retain(|t| t.id != TrajectoryId(2));
     live.push(trajectories[2].clone());
+    assert_eq!(
+        engine.database().len(),
+        len_before,
+        "the same segments, renumbered"
+    );
+    assert_eq!(
+        engine.database().segments(),
+        batch_database(&config, &live).segments(),
+        "re-insertion lands at the tail of the id space"
+    );
     assert_eq!(engine.snapshot(), batch(&config, &live));
 
     // Removing the reused id again retires only the one live arrival.

@@ -102,6 +102,18 @@ impl<const D: usize> SegmentSoa<D> {
         self.midpoints.push(s.midpoint());
     }
 
+    /// Drops the segments at the ascending, duplicate-free indices
+    /// `removed`; the rest keep their order and close the gaps, so index
+    /// `i` becomes `i` less the number of removed indices below it.
+    pub fn remove_sorted(&mut self, removed: &[u32]) {
+        remove_sorted(&mut self.starts, removed);
+        remove_sorted(&mut self.ends, removed);
+        remove_sorted(&mut self.dirs, removed);
+        remove_sorted(&mut self.norms_sq, removed);
+        remove_sorted(&mut self.lengths, removed);
+        remove_sorted(&mut self.midpoints, removed);
+    }
+
     /// Number of cached segments.
     pub fn len(&self) -> usize {
         self.starts.len()
@@ -161,6 +173,25 @@ impl<const D: usize> SegmentSoa<D> {
             lengths: &self.lengths[..n],
             midpoints: &self.midpoints[..n],
         }
+    }
+}
+
+/// Drops the entries of `items` at the ascending, duplicate-free indices
+/// `removed`, keeping the rest in order — the compaction behind
+/// [`SegmentSoa::remove_sorted`], shared with every other per-segment array
+/// that must stay aligned with it. Each run of consecutive indices goes in
+/// one `drain` (one move of the tail), last run first; the usual removal,
+/// one trajectory's segments or the oldest arrivals, is a single run.
+pub fn remove_sorted<T>(items: &mut Vec<T>, removed: &[u32]) {
+    debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
+    let mut end = removed.len();
+    while end > 0 {
+        let mut start = end - 1;
+        while start > 0 && removed[start - 1] + 1 == removed[start] {
+            start -= 1;
+        }
+        items.drain(removed[start] as usize..=removed[end - 1] as usize);
+        end = start;
     }
 }
 
@@ -791,5 +822,23 @@ mod tests {
             assert_eq!(soa.midpoint(i), s.midpoint());
         }
         assert!(SegmentSoa::<2>::new().is_empty());
+    }
+
+    #[test]
+    fn remove_sorted_matches_a_fresh_cache_of_the_survivors() {
+        let segs = sample_segments();
+        let mut soa = SegmentSoa::from_segments(segs.iter());
+        let removed = [0u32, 2, 3, segs.len() as u32 - 1];
+        soa.remove_sorted(&removed);
+        let survivors: Vec<Segment<2>> = (0..segs.len() as u32)
+            .filter(|i| !removed.contains(i))
+            .map(|i| segs[i as usize])
+            .collect();
+        assert_eq!(soa, SegmentSoa::from_segments(survivors.iter()));
+        soa.remove_sorted(&[]);
+        assert_eq!(soa.len(), survivors.len());
+        let everything: Vec<u32> = (0..soa.len() as u32).collect();
+        soa.remove_sorted(&everything);
+        assert!(soa.is_empty());
     }
 }

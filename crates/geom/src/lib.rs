@@ -43,7 +43,7 @@ pub mod point;
 pub mod segment;
 pub mod trajectory;
 
-pub use batch::{PreparedBase, SegmentSoa};
+pub use batch::{remove_sorted, PreparedBase, SegmentSoa};
 pub use bbox::{Aabb, Aabb2};
 pub use distance::{
     endpoint_sum_distance, lehmer_mean_2, order_by_length, AngleMode, DistanceComponents,

@@ -239,6 +239,27 @@ impl<const D: usize> RTree<D> {
         true
     }
 
+    /// Rewrites every stored id through `f`, leaving boxes and structure
+    /// untouched — how an owner renumbers its ids after compacting them.
+    /// `f` must be injective on the stored ids.
+    pub fn remap_ids(&mut self, mut f: impl FnMut(u32) -> u32) {
+        fn walk<const D: usize>(node: &mut Node<D>, f: &mut impl FnMut(u32) -> u32) {
+            match node {
+                Node::Leaf { entries } => {
+                    for (id, _) in entries {
+                        *id = f(*id);
+                    }
+                }
+                Node::Internal { children } => {
+                    for (_, child) in children {
+                        walk(child, f);
+                    }
+                }
+            }
+        }
+        walk(&mut self.root, &mut f);
+    }
+
     /// Tree height (1 for a single leaf).
     pub fn depth(&self) -> usize {
         self.root.depth()
@@ -642,6 +663,24 @@ mod tests {
         assert_eq!(tree.len(), 128);
         let hits = tree.query(&aabb2(200.0, 0.0, 300.0, 1.0));
         assert_eq!(hits.len(), 64);
+    }
+
+    #[test]
+    fn remap_ids_renumbers_every_entry_in_place() {
+        let entries = lattice(200);
+        let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        tree.remap_ids(|id| 3 * id + 1);
+        tree.check_invariants();
+        let remapped = entries.iter().map(|&(id, b)| (3 * id + 1, b));
+        let linear = LinearScanIndex::build(remapped);
+        for &(x, y, s) in &[(0.0, 0.0, 100.0), (3.0, 3.0, 4.0), (20.0, 12.0, 6.0)] {
+            let w = aabb2(x, y, x + s, y + s);
+            let mut a = tree.query(&w);
+            let mut b = linear.query(&w);
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "window {w:?}");
+        }
     }
 
     #[test]

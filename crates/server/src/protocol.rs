@@ -1,7 +1,8 @@
 //! The line-delimited JSON wire protocol.
 //!
-//! Every request is one JSON object on one line; every response is one
-//! JSON object on one line. The protocol is 2-D (points are `[x, y]`
+//! Every request is one JSON object on one line of at most
+//! [`MAX_LINE_BYTES`] bytes; every response is one JSON object on one
+//! line. The protocol is 2-D (points are `[x, y]`
 //! pairs) — the serving daemon targets the paper's trajectory datasets,
 //! which are planar. Requests:
 //!
@@ -24,6 +25,12 @@
 //! `tests/protocol_proptest.rs` holds the parser to that).
 
 use traclus_json::{JsonError, JsonValue};
+
+/// The longest request line the daemon accepts, newline included: 1 MiB,
+/// enough for an ingest of about 30k points. A longer line is answered
+/// with [`ProtocolError::LineTooLong`] and its connection is closed, so no
+/// client can grow the server's memory by withholding the newline.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +108,11 @@ pub enum ProtocolError {
         /// What the field must look like.
         expected: &'static str,
     },
+    /// The request line outgrew [`MAX_LINE_BYTES`] before its newline.
+    LineTooLong {
+        /// The cap it exceeded, in bytes.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -118,6 +130,9 @@ impl std::fmt::Display for ProtocolError {
                 field,
                 expected,
             } => write!(f, "{op}: field \"{field}\" must be {expected}"),
+            ProtocolError::LineTooLong { limit } => {
+                write!(f, "request line exceeds {limit} bytes")
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 // snapshot layers below this file stay wall-clock-free, so determinism of
 // results is untouched.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -19,7 +19,7 @@ use traclus_geom::{Aabb, Point2, TrajectoryId};
 use traclus_json::JsonValue;
 
 use crate::engine::{expire, flush, remove, send_command, EngineCommand, EngineThread};
-use crate::protocol::{error_response, Request};
+use crate::protocol::{error_response, ProtocolError, Request, MAX_LINE_BYTES};
 
 /// Configuration of one serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,17 +252,30 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, so an oversized line shows
+        // without any more of it being buffered.
+        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break, // client hung up (a stale partial line dies with it)
+            Ok(_) if line.len() > MAX_LINE_BYTES => {
+                let error = ProtocolError::LineTooLong {
+                    limit: MAX_LINE_BYTES,
+                };
+                let _ = write_line(&mut writer, &error_response(&error));
+                break;
+            }
             Ok(_) => {
                 // A complete line (or the final unterminated line before
                 // EOF) is in the buffer; clear it only after dispatch, so
                 // nothing accumulated survives into the next request.
-                if !line.trim().is_empty() {
+                let Ok(request) = std::str::from_utf8(&line) else {
+                    break; // not text: drop the connection
+                };
+                if !request.trim().is_empty() {
                     let started = Instant::now();
-                    let (response, shutdown) = dispatch(&line, shared);
+                    let (response, shutdown) = dispatch(request, shared);
                     let response = with_timing(response, started);
                     if write_line(&mut writer, &response).is_err() {
                         break;
@@ -275,7 +288,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 line.clear();
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // The read timeout is only a shutdown poll, but read_line
+                // The read timeout is only a shutdown poll, but read_until
                 // may already have appended part of a request before
                 // timing out — keep the buffer intact so a client that
                 // pauses mid-line resumes exactly where it left off.

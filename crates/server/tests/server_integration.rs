@@ -349,6 +349,53 @@ fn requests_paused_mid_line_survive_read_timeouts() {
     server.join().expect("join").expect("clean shutdown");
 }
 
+/// A client that never sends a newline cannot grow the server's line
+/// buffer without bound: one byte past the cap it gets a typed error and
+/// then EOF, and a second client is still served.
+///
+/// The client sends exactly one byte more than the cap, so the server has
+/// read everything it was sent when it closes (the close is then a clean
+/// FIN, not a reset that could swallow the error reply).
+#[test]
+fn oversized_request_line_is_refused_and_closed() {
+    use std::io::{BufRead, BufReader, Write};
+    use traclus_server::protocol::MAX_LINE_BYTES;
+
+    let (config, _) = fixture();
+    let (addr, server) = start(config);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    // Fail rather than hang should the server wait for the newline.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream
+        .write_all(&vec![b' '; MAX_LINE_BYTES + 1])
+        .expect("oversized line");
+    stream.flush().expect("flush");
+
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("error reply");
+    let value = JsonValue::parse(response.trim_end()).expect("reply is JSON");
+    assert_eq!(value.get("ok"), Some(&JsonValue::Bool(false)), "{response}");
+    let error = value.get("error").and_then(JsonValue::as_str);
+    assert_eq!(
+        error,
+        Some(format!("request line exceeds {MAX_LINE_BYTES} bytes").as_str())
+    );
+    response.clear();
+    assert_eq!(
+        reader.read_line(&mut response).expect("clean close"),
+        0,
+        "the connection closes after the error: {response:?}"
+    );
+
+    let mut client = Client::connect(addr).expect("second client");
+    assert_ok(&client.request(&Request::Stats).expect("stats"));
+    assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
+    server.join().expect("join").expect("clean shutdown");
+}
+
 #[test]
 fn queries_on_an_empty_daemon_are_well_formed() {
     let (config, _) = fixture();

@@ -46,7 +46,7 @@ fn main() {
             let snapshot = engine.snapshot();
             println!(
                 "after storm {arrived:>3}: {:>4} segments, {:>2} clusters, noise {:>4.1}%{}",
-                engine.len(),
+                engine.live_len(),
                 snapshot.clusters.len(),
                 snapshot.noise_ratio() * 100.0,
                 if report.rebuilt {

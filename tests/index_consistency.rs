@@ -43,11 +43,11 @@ proptest! {
         }
     }
 
-    // Decremental agreement: after every deletion batch, the
-    // incrementally-maintained R-tree answers every live
-    // neighborhood identically to a fresh full build over the survivors
-    // and to the Linear reference (which reads the database's tombstones
-    // directly, so it needs no maintenance).
+    // Decremental agreement: after every deletion batch, the database is
+    // the one built directly from the survivors (dense ids, order kept),
+    // and the R-tree `remove_segments` updated in place answers every
+    // neighborhood identically to a fresh build over the survivors and to
+    // the Linear reference (a full scan, so it needs no maintenance).
     #[test]
     fn deletions_agree_with_fresh_builds_and_linear(
         raw in prop::collection::vec(
@@ -64,17 +64,23 @@ proptest! {
         let linear = db.build_index(IndexKind::Linear, eps);
         let mut rtree = db.build_index(IndexKind::RTree, eps);
         for (b, batch) in batches.iter().enumerate() {
-            for &pick in batch {
-                let live: Vec<u32> = (0..db.len() as u32).filter(|&id| db.is_live(id)).collect();
-                let Some(&kill) = live.get(pick % live.len().max(1)) else {
-                    break; // everything is dead already
-                };
-                let bbox = *db.bbox_of(kill);
-                prop_assert!(db.remove_segment(kill));
-                rtree.remove(kill, &bbox);
+            if db.is_empty() {
+                break;
             }
+            let mut kill: Vec<u32> = batch.iter().map(|&pick| (pick % db.len()) as u32).collect();
+            kill.sort_unstable();
+            kill.dedup();
+            let survivors: Vec<IdentifiedSegment<2>> = db
+                .segments()
+                .iter()
+                .filter(|s| kill.binary_search(&s.id.0).is_err())
+                .enumerate()
+                .map(|(k, s)| IdentifiedSegment { id: SegmentId(k as u32), ..*s })
+                .collect();
+            db.remove_segments(&kill, &mut rtree);
+            prop_assert_eq!(db.segments(), &survivors[..], "after batch {}", b);
             let fresh_rtree = db.build_index(IndexKind::RTree, eps);
-            for id in (0..db.len() as u32).filter(|&id| db.is_live(id)) {
+            for id in 0..db.len() as u32 {
                 let reference = db.neighborhood(&linear, id, eps);
                 for (name, index) in [
                     ("incremental rtree", &rtree),
@@ -144,7 +150,7 @@ fn emptying_a_cell_then_the_whole_index_stays_consistent() {
 
     let check = |db: &SegmentDatabase<2>, rtree: &traclus::core::NeighborIndex<2>| {
         let fresh_rtree = db.build_index(IndexKind::RTree, eps);
-        for id in (0..db.len() as u32).filter(|&id| db.is_live(id)) {
+        for id in 0..db.len() as u32 {
             let reference = db.neighborhood(&linear, id, eps);
             for index in [rtree, &fresh_rtree] {
                 assert_eq!(reference, db.neighborhood(index, id, eps), "id {id}");
@@ -153,24 +159,23 @@ fn emptying_a_cell_then_the_whole_index_stays_consistent() {
     };
 
     // Empty the origin knot one segment at a time — the last removal
-    // leaves its leaf with zero entries.
-    for kill in 0..4u32 {
-        let bbox = *db.bbox_of(kill);
-        assert!(db.remove_segment(kill));
-        rtree.remove(kill, &bbox);
+    // leaves its leaf with zero entries. Each removal renumbers the
+    // survivors down by one, so the knot's next segment is always id 0.
+    for _ in 0..4 {
+        db.remove_segments(&[0], &mut rtree);
         check(&db, &rtree);
     }
-    // The far knot is untouched: each survivor still sees all four.
-    assert_eq!(db.live_len(), 4);
-    assert_eq!(db.neighborhood(&linear, 4, eps).len(), 4);
+    // The far knot is untouched: each survivor still sees all four, under
+    // ids 0..4 now.
+    assert_eq!(db.len(), 4);
+    assert_eq!(db.segment(0).trajectory, TrajectoryId(4));
+    assert_eq!(db.neighborhood(&linear, 0, eps).len(), 4);
 
-    // Now empty the index entirely; incremental and fresh builds must
-    // agree on the nothing that remains.
-    for kill in 4..8u32 {
-        let bbox = *db.bbox_of(kill);
-        assert!(db.remove_segment(kill));
-        rtree.remove(kill, &bbox);
+    // Now empty the index entirely, from the back; incremental and fresh
+    // builds must agree on the nothing that remains.
+    while let Some(last) = db.len().checked_sub(1) {
+        db.remove_segments(&[last as u32], &mut rtree);
         check(&db, &rtree);
     }
-    assert_eq!(db.live_len(), 0);
+    assert!(db.is_empty());
 }
