@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the segment distance function (Definitions 1–3) —
 //! the innermost kernel of both TRACLUS phases — against the naive
-//! endpoint-sum distance of Appendix A, plus the batched SoA kernel
+//! endpoint-sum distance of Appendix A, plus the batched table kernel
 //! (`distance_many`) against the scalar path on the identical workload.
 //!
 //! The ROADMAP target for the batched path is ≥2× on
@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use traclus_geom::{endpoint_sum_distance, Segment2, SegmentDistance, SegmentSoa};
+use traclus_geom::{endpoint_sum_distance, Segment2, SegmentDistance, SegmentTable};
 
 fn random_segments(n: usize, seed: u64) -> Vec<Segment2> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -40,15 +40,21 @@ fn bench_distance(c: &mut Criterion) {
             acc
         })
     });
-    // The same 32×32 pair workload through the batched SoA kernel: one
-    // hoisted query setup per row, cached geometry per candidate.
-    let soa = SegmentSoa::from_segments(segs.iter());
+    // The same 32×32 pair workload through the batched kernel over a
+    // segment table: one hoisted query setup per row, cached geometry per
+    // candidate.
+    let table = SegmentTable::from_geometry(segs.iter());
     let ids: Vec<u32> = (0..segs.len() as u32).step_by(32).collect();
     let mut dists = vec![0.0f64; ids.len()];
     group.bench_function("composite_pairwise_32x32_batched", |b| {
         b.iter(|| {
             for &i in &ids {
-                dist.distance_many_into(black_box(&soa), black_box(i), black_box(&ids), &mut dists);
+                dist.distance_many_into(
+                    black_box(&table),
+                    black_box(i),
+                    black_box(&ids),
+                    &mut dists,
+                );
                 black_box(&dists);
             }
         })

@@ -47,7 +47,7 @@ fn evaluate(
     let mut corridor_clustered = 0usize;
     let mut noise_segments = 0usize;
     let mut noise_rejected = 0usize;
-    for (i, seg) in outcome.database.segments().iter().enumerate() {
+    for (i, seg) in outcome.database.segments().enumerate() {
         let truth = scene.truth[seg.trajectory.0 as usize];
         let label = outcome.clustering.labels[i];
         match truth {

@@ -770,7 +770,7 @@ mod tests {
         let plain = walk_db(700);
         // Non-dyadic, non-uniform weights: a sum folded in any other order
         // shows in the bits.
-        let mut segments = plain.segments().to_vec();
+        let mut segments: Vec<_> = plain.segments().collect();
         for (k, s) in segments.iter_mut().enumerate() {
             s.weight = 0.3 + 0.1 * (k % 7) as f64;
         }

@@ -16,17 +16,18 @@
 //!   the sequential reference [`crate::partition::partition_trajectories`]
 //!   bit for bit (a numbering or ordering slip in the ordered map would
 //!   shift ids without changing any cluster count);
-//! * the [`SegmentDatabase`] structure-of-arrays cache stays bit-coherent
-//!   with the authoritative array-of-structs segments after streaming
-//!   appends (the batched distance kernel reads only the SoA);
+//! * every record of the [`SegmentDatabase`]'s segment table equals the
+//!   record a fresh build derives from its own endpoints, weight and
+//!   trajectory id, after streaming appends and removals (the batched
+//!   distance kernel and the lower-bound filter read only the cached
+//!   geometry);
 //! * an incrementally grown spatial index answers exactly like a full
 //!   scan (a stale or mis-inserted entry would corrupt ε-neighborhoods
 //!   long before any test compares clusterings);
 //! * the stream's arrival log tiles the database in order: each arrival's
-//!   segments follow the previous arrival's, carry its trajectory id, and
-//!   sit at ids equal to their positions, so a removal compacts exactly
-//!   the departing rows and the database stays the one the batch pipeline
-//!   builds over the live window;
+//!   segments follow the previous arrival's and carry its trajectory id,
+//!   so a removal compacts exactly the departing rows and the database
+//!   stays the one the batch pipeline builds over the live window;
 //! * at sampled points of a stream — and after **every** removal —
 //!   `snapshot()` still equals the batch run over the live window (a cheap
 //!   in-process spot check of the headline guarantee).
@@ -35,7 +36,7 @@
 //! exist and the hot paths carry zero overhead; with it on, the regular
 //! test suite doubles as a sanitizer pass (the CI `invariant-checks` job).
 
-use traclus_geom::{IdentifiedSegment, SegmentSoa, Trajectory, TrajectoryId};
+use traclus_geom::{IdentifiedSegment, SegmentTable, Trajectory, TrajectoryId};
 
 use crate::cluster::ClusterConfig;
 use crate::grouping::{Classification, UnionFind};
@@ -125,34 +126,29 @@ pub(crate) fn assert_partition_matches_reference<const D: usize>(
     }
 }
 
-/// Asserts the SoA geometry cache matches a from-scratch recomputation of
-/// the stored segments, field for field (`SegmentSoa` compares all six
-/// component arrays). Streaming appends grow the cache incrementally; any
-/// divergence from the batch construction would feed the batched distance
-/// kernel different operands than the scalar path sees.
-pub(crate) fn assert_soa_coherent<const D: usize>(db: &SegmentDatabase<D>, context: &str) {
-    let fresh = SegmentSoa::from_segments(db.segments().iter().map(|s| &s.segment));
+/// Asserts the segment table equals a table rebuilt from its own
+/// segments, record for record: the cached direction, squared norm,
+/// length and midpoint of every record are the values a fresh build
+/// derives from its endpoints. Streaming appends and removals change the
+/// table in place; any divergence from the batch construction would feed
+/// the batched distance kernel different operands than the scalar path
+/// sees.
+pub(crate) fn assert_table_coherent<const D: usize>(db: &SegmentDatabase<D>, context: &str) {
+    let fresh = SegmentTable::from_segments(db.segments());
     assert!(
-        fresh == *db.soa(),
-        "invariant-checks[{context}]: SoA cache diverged from a fresh \
-         rebuild over {} segments",
+        fresh == *db.table(),
+        "invariant-checks[{context}]: the segment table diverged from a \
+         fresh rebuild over {} segments",
         db.len()
     );
-    for id in 0..db.len() as u32 {
-        assert!(
-            *db.bbox_of(id) == db.segment(id).bounding_box(),
-            "invariant-checks[{context}]: cached bbox of segment {id} \
-             diverged from its segment"
-        );
-    }
 }
 
 /// Asserts the stream's arrival log — `(trajectory, segment count)` per
 /// live arrival, in arrival order — tiles the database: laid end to end,
-/// the arrivals cover `0..len` exactly, every segment carries its
-/// arrival's trajectory id, and every segment's id is its position. That
-/// is the layout the batch pipeline builds over the live window, and the
-/// one a removal's compaction relies on to find the departing rows.
+/// the arrivals cover `0..len` exactly and every segment carries its
+/// arrival's trajectory id. That is the layout the batch pipeline builds
+/// over the live window, and the one a removal's compaction relies on to
+/// find the departing rows.
 pub(crate) fn assert_arrivals_tile<const D: usize>(
     db: &SegmentDatabase<D>,
     arrivals: impl IntoIterator<Item = (TrajectoryId, u32)>,
@@ -182,13 +178,6 @@ pub(crate) fn assert_arrivals_tile<const D: usize>(
         "invariant-checks[{context}]: the arrivals cover {next} of {} segments",
         db.len()
     );
-    for (k, s) in db.segments().iter().enumerate() {
-        assert!(
-            s.id.0 as usize == k,
-            "invariant-checks[{context}]: segment at position {k} has id {}",
-            s.id.0
-        );
-    }
 }
 
 /// Asserts an admissible lower bound really was admissible for one pruned

@@ -1,15 +1,17 @@
 //! The segment database `D` of Figure 12 with accelerated ε-neighborhood
 //! queries.
 //!
-//! Holds the identified line segments produced by the partitioning phase,
-//! caches their lengths (the distance function orders operands by length;
-//! Lemma 2), and answers Definition 4 neighborhood queries either by full
-//! scan or through a spatial index with the conservative filter radius
-//! derived in `traclus-index`. Ids are always dense: the streaming engine
+//! Holds the line segments produced by the partitioning phase in one
+//! segment table, one record per segment that caches its length (the
+//! distance function orders operands by length; Lemma 2) and the rest of
+//! its derived geometry, and answers Definition 4 neighborhood queries
+//! either by full scan or through a spatial index with the conservative
+//! filter radius derived in `traclus-index`. A segment's id is its
+//! position in the table, so ids are always dense: the streaming engine
 //! appends segments and removes them with
-//! [`SegmentDatabase::remove_segments`], which renumbers the survivors in
-//! order, so a database is at every point the one the batch pipeline
-//! would build over the same segments.
+//! [`SegmentDatabase::remove_segments`], which closes the gaps in order,
+//! so a database is at every point the one the batch pipeline would build
+//! over the same segments.
 //!
 //! Queries run **filter-and-refine**: the index hands over its candidates
 //! in whatever order it stores them, and before a candidate reaches the
@@ -25,8 +27,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use traclus_geom::{
-    lower_bound, remove_sorted, Aabb, IdentifiedSegment, SegmentDistance, SegmentId, SegmentSoa,
-    Trajectory, TrajectoryId,
+    lower_bound, Aabb, IdentifiedSegment, Point, SegmentDistance, SegmentTable, Trajectory,
+    TrajectoryId,
 };
 use traclus_index::{filter_radius, RTree, RTreeParams, SpatialIndex};
 
@@ -206,25 +208,25 @@ impl<const D: usize> NeighborIndex<D> {
     }
 }
 
-/// The segment database: segments + cached geometry + the distance
-/// function all phases share.
+/// The segment database: the segment table plus the distance function
+/// all phases share.
 ///
-/// Geometry derived from the segments (direction vectors, squared norms,
-/// lengths, midpoints) lives in a structure-of-arrays [`SegmentSoa`] built
-/// once at construction, so ε-neighborhood refinement runs the batched
-/// `distance_many` kernel instead of re-deriving projection setup from raw
-/// endpoints on every pair.
+/// Each segment is stored once, as one record of a [`SegmentTable`]: its
+/// endpoints, the geometry derived from them at insertion (direction
+/// vector, squared norm, length, midpoint), its weight and its trajectory
+/// id. ε-neighborhood refinement runs the batched `distance_many` kernel
+/// on those records instead of re-deriving projection setup from raw
+/// endpoints on every pair, and bounding boxes are computed from the
+/// endpoints where a query or the R-tree needs one.
 ///
-/// Segment `k` always has id `k`. [`Self::append_segments`] continues the
-/// sequence and [`Self::remove_segments`] closes the gaps it leaves,
-/// renumbering the survivors in order, so labels, counts and the
-/// union-find in `traclus-core::stream` index the same id space as the
-/// batch pipeline.
-#[derive(Clone)]
+/// Segment `k` always has id `k`: its position in the table.
+/// [`Self::append_segments`] continues the sequence and
+/// [`Self::remove_segments`] closes the gaps it leaves, so labels, counts
+/// and the union-find in `traclus-core::stream` index the same id space as
+/// the batch pipeline.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentDatabase<const D: usize> {
-    segments: Vec<IdentifiedSegment<D>>,
-    soa: SegmentSoa<D>,
-    bboxes: Vec<Aabb<D>>,
+    table: SegmentTable<D>,
     distance: SegmentDistance,
 }
 
@@ -245,32 +247,22 @@ pub(crate) fn compacted_id(removed: &[u32], id: u32) -> u32 {
 }
 
 impl<const D: usize> SegmentDatabase<D> {
-    /// Builds the database from already-partitioned segments.
+    /// Builds the database from already-partitioned segments, allocating
+    /// the segment table once.
     ///
     /// Segment ids must be dense (`segments[k].id.0 == k`); the clustering
     /// algorithm indexes label arrays by id.
     /// [`crate::partition::partition_trajectories`] produces exactly this
     /// layout.
     pub fn from_segments(segments: Vec<IdentifiedSegment<D>>, distance: SegmentDistance) -> Self {
-        for (k, s) in segments.iter().enumerate() {
-            assert_eq!(
-                s.id.0 as usize, k,
-                "segment ids must be dense and sequential"
-            );
-        }
-        let soa = SegmentSoa::from_segments(segments.iter().map(|s| &s.segment));
-        let bboxes = segments.iter().map(|s| s.bounding_box()).collect();
         Self {
-            segments,
-            soa,
-            bboxes,
+            table: SegmentTable::from_segments(segments),
             distance,
         }
     }
 
-    /// Appends already-identified segments to the database, extending the
-    /// structure-of-arrays geometry cache and the cached bounding boxes in
-    /// place — the streaming counterpart of [`Self::from_segments`].
+    /// Appends already-identified segments to the table — the streaming
+    /// counterpart of [`Self::from_segments`].
     ///
     /// Ids must continue the dense sequence (`segments[k].id.0 == len + k`),
     /// exactly what [`crate::partition::partition_trajectory_from`] emits
@@ -279,45 +271,32 @@ impl<const D: usize> SegmentDatabase<D> {
     /// via [`NeighborIndex::insert`] (or be rebuilt) before its next query.
     pub fn append_segments(&mut self, segments: impl IntoIterator<Item = IdentifiedSegment<D>>) {
         for s in segments {
-            assert_eq!(
-                s.id.0 as usize,
-                self.segments.len(),
-                "appended segment ids must continue the dense sequence"
-            );
-            self.soa.push(&s.segment);
-            self.bboxes.push(s.bounding_box());
-            self.segments.push(s);
+            self.table.push(&s);
         }
     }
 
     /// Removes the segments with the ascending, duplicate-free ids
-    /// `removed` from the database and from `index`, then renumbers every
-    /// survivor to its old id less the removed ids below it, in both. The
-    /// rows, their geometry cache entries and boxes close up in place; the
-    /// R-tree deletes each removed entry (Guttman) and rewrites the ids in
-    /// its leaves.
+    /// `removed` from the database and from `index`. The table closes up
+    /// in place, so every survivor's id, its position, drops by the
+    /// number of removed ids below it; the R-tree deletes each removed
+    /// entry (Guttman) and rewrites the ids in its leaves to match.
     ///
     /// Per-trajectory partitioning is independent, so the result equals
     /// the database the batch pipeline builds over the surviving
     /// trajectories in arrival order: same ids, trajectory ids, geometry
     /// and weights.
     pub fn remove_segments(&mut self, removed: &[u32], index: &mut NeighborIndex<D>) {
-        let Some(&first) = removed.first() else {
+        if removed.is_empty() {
             return;
-        };
+        }
         if let Some(tree) = &mut index.tree {
             for &r in removed {
-                let found = tree.remove(r, &self.bboxes[r as usize]);
+                let found = tree.remove(r, &self.bbox_of(r));
                 debug_assert!(found, "segment {r} was not indexed");
             }
             tree.remap_ids(|id| compacted_id(removed, id));
         }
-        remove_sorted(&mut self.segments, removed);
-        remove_sorted(&mut self.bboxes, removed);
-        self.soa.remove_sorted(removed);
-        for (k, s) in self.segments.iter_mut().enumerate().skip(first as usize) {
-            s.id = SegmentId(k as u32);
-        }
+        self.table.remove_sorted(removed);
     }
 
     /// Runs the partitioning phase over `trajectories` and builds the
@@ -342,44 +321,43 @@ impl<const D: usize> SegmentDatabase<D> {
 
     /// Number of segments (`numln`).
     pub fn len(&self) -> usize {
-        self.segments.len()
+        self.table.len()
     }
 
     /// True when no segments are stored.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.table.is_empty()
     }
 
     /// The stored segments, id-ordered.
-    pub fn segments(&self) -> &[IdentifiedSegment<D>] {
-        &self.segments
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = IdentifiedSegment<D>> + '_ {
+        self.table.segments()
     }
 
     /// One segment by dense id.
-    pub fn segment(&self, id: u32) -> &IdentifiedSegment<D> {
-        &self.segments[id as usize]
+    pub fn segment(&self, id: u32) -> IdentifiedSegment<D> {
+        self.table.segment(id)
     }
 
     /// Cached length of a segment.
     pub fn length(&self, id: u32) -> f64 {
-        self.soa.length(id as usize)
+        self.table.record(id).length
     }
 
     /// Cached midpoint of a segment.
-    pub fn midpoint(&self, id: u32) -> traclus_geom::Point<D> {
-        self.soa.midpoint(id as usize)
+    pub fn midpoint(&self, id: u32) -> Point<D> {
+        self.table.record(id).midpoint
     }
 
-    /// Cached bounding box of a segment.
-    pub fn bbox_of(&self, id: u32) -> &Aabb<D> {
-        &self.bboxes[id as usize]
+    /// The tight bounding box of a segment, computed from its endpoints.
+    pub fn bbox_of(&self, id: u32) -> Aabb<D> {
+        self.table.record(id).bounding_box()
     }
 
-    /// The structure-of-arrays geometry cache (contiguous starts, ends,
-    /// directions, squared norms, lengths, midpoints), built once at
-    /// construction for the batched distance kernel.
-    pub fn soa(&self) -> &SegmentSoa<D> {
-        &self.soa
+    /// The segment table: one record per segment, id-ordered, read by the
+    /// batched distance kernel and the lower-bound filter.
+    pub fn table(&self) -> &SegmentTable<D> {
+        &self.table
     }
 
     /// The distance function shared by all phases.
@@ -392,10 +370,8 @@ impl<const D: usize> SegmentDatabase<D> {
     /// identifier").
     pub fn distance(&self, a: u32, b: u32) -> f64 {
         let (i, j) = self.ordered_pair(a, b);
-        self.distance.distance_ordered(
-            &self.segments[i as usize].segment,
-            &self.segments[j as usize].segment,
-        )
+        let segment = |id| self.table.record(id).segment();
+        self.distance.distance_ordered(&segment(i), &segment(j))
     }
 
     /// Batched distances from `query` to each candidate (same ordering and
@@ -404,12 +380,11 @@ impl<const D: usize> SegmentDatabase<D> {
     /// distance to `candidates[k]`.
     pub fn distances_into(&self, query: u32, candidates: &[u32], out: &mut Vec<f64>) {
         self.distance
-            .distance_many(&self.soa, query, candidates, out);
+            .distance_many(&self.table, query, candidates, out);
     }
 
     fn ordered_pair(&self, a: u32, b: u32) -> (u32, u32) {
-        let la = self.soa.length(a as usize);
-        let lb = self.soa.length(b as usize);
+        let (la, lb) = (self.length(a), self.length(b));
         if la > lb {
             (a, b)
         } else if lb > la {
@@ -428,8 +403,8 @@ impl<const D: usize> SegmentDatabase<D> {
     /// so that existing callers (`perfbench` among them) keep compiling.
     pub fn build_index(&self, kind: IndexKind, _typical_eps: f64) -> NeighborIndex<D> {
         let tree = (kind == IndexKind::RTree).then(|| {
-            let entries = (0..).zip(self.bboxes.iter().copied());
-            RTree::bulk_load(RTreeParams::default(), entries)
+            let boxes = self.table.records().iter().map(|r| r.bounding_box());
+            RTree::bulk_load(RTreeParams::default(), (0..).zip(boxes))
         });
         NeighborIndex {
             tree,
@@ -486,13 +461,7 @@ impl<const D: usize> SegmentDatabase<D> {
         // weights, in which case every candidate refines but is still
         // tallied so the counter invariants hold.
         let filter = if index.prune {
-            lower_bound::PruneFilter::new(
-                &self.soa,
-                id,
-                &self.bboxes[id as usize],
-                &self.distance,
-                eps,
-            )
+            lower_bound::PruneFilter::new(&self.table, id, &self.distance, eps)
         } else {
             None
         };
@@ -500,13 +469,13 @@ impl<const D: usize> SegmentDatabase<D> {
         let mut local = LocalPruneCounts::default();
         match (&index.tree, index.radius_per_eps) {
             (Some(tree), Some(r)) => {
-                let window = self.bboxes[id as usize].expanded(eps * r);
+                let window = self.bbox_of(id).expanded(eps * r);
                 tree.query_into(&window, out);
             }
             // Full scan: either requested or forced by degenerate weights
             // (no conservative filter exists). Every id from `from` on is a
             // candidate.
-            _ => out.extend(from..self.segments.len() as u32),
+            _ => out.extend(from..self.len() as u32),
         }
         out.retain(|&cand| {
             cand >= from
@@ -521,7 +490,7 @@ impl<const D: usize> SegmentDatabase<D> {
         while read < out.len() {
             let take = (out.len() - read).min(REFINE_CHUNK);
             self.distance.distance_many_into(
-                &self.soa,
+                &self.table,
                 id,
                 &out[read..read + take],
                 &mut dists[..take],
@@ -554,7 +523,7 @@ impl<const D: usize> SegmentDatabase<D> {
         local: &mut LocalPruneCounts,
     ) -> bool {
         local.candidates += 1;
-        let tier = filter.and_then(|f| f.check(&self.soa, cand, &self.bboxes[cand as usize]));
+        let tier = filter.and_then(|f| f.check(&self.table, cand));
         #[cfg(not(feature = "invariant-checks"))]
         let _ = (query, eps);
         match tier {
@@ -603,7 +572,7 @@ impl<const D: usize> SegmentDatabase<D> {
     /// else one.
     pub(crate) fn cardinality_weight(&self, id: u32, weighted: bool) -> f64 {
         if weighted {
-            self.segments[id as usize].weight
+            self.table.record(id).weight
         } else {
             1.0
         }
@@ -611,14 +580,15 @@ impl<const D: usize> SegmentDatabase<D> {
 
     /// The trajectory a segment came from (`TR(L)` of Definition 10).
     pub fn trajectory_of(&self, id: u32) -> TrajectoryId {
-        self.segments[id as usize].trajectory
+        self.table.record(id).trajectory
     }
 
     /// Bounding box of the contents of the database.
     pub fn bounding_box(&self) -> Aabb<D> {
         let mut b = Aabb::empty();
-        for bb in &self.bboxes {
-            b.extend(bb);
+        for r in self.table.records() {
+            b.extend_point(&r.start);
+            b.extend_point(&r.end);
         }
         b
     }
@@ -627,7 +597,7 @@ impl<const D: usize> SegmentDatabase<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traclus_geom::Segment2;
+    use traclus_geom::{Segment2, SegmentId};
 
     fn db_from(segs: &[Segment2]) -> SegmentDatabase<2> {
         let identified = segs
@@ -773,22 +743,33 @@ mod tests {
             .enumerate()
             .map(|(k, &old)| IdentifiedSegment {
                 id: SegmentId(k as u32),
-                ..*before.segment(old)
+                ..before.segment(old)
             })
             .collect();
         let direct = SegmentDatabase::from_segments(survivors, SegmentDistance::default());
-        assert_eq!(db.segments(), direct.segments());
-        assert!(db.soa() == direct.soa());
-        for id in 0..db.len() as u32 {
-            assert_eq!(db.bbox_of(id), direct.bbox_of(id));
-        }
+        assert_eq!(db, direct);
         assert_eq!(db.segment(0).trajectory, TrajectoryId(1));
         assert_eq!(db.segment(1).trajectory, TrajectoryId(3));
+        assert!(db.segments().map(|s| s.id).eq([SegmentId(0), SegmentId(1)]));
         // The R-tree leaves were renumbered too: the far outlier answers
         // under its new id.
         assert_eq!(db.neighborhood(&idx, 1, 1.5), vec![1]);
         assert_eq!(compacted_id(&[0, 2], 1), 0);
         assert_eq!(compacted_id(&[0, 2], 3), 1);
+    }
+
+    #[test]
+    fn bbox_of_boxes_each_segment_before_and_after_compaction() {
+        let mut db = sample_db();
+        let tight = |db: &SegmentDatabase<2>| {
+            (0..db.len() as u32)
+                .all(|id| db.bbox_of(id) == Aabb::from_segment(&db.segment(id).segment))
+        };
+        assert!(tight(&db));
+        let mut idx = db.build_index(IndexKind::RTree, 1.5);
+        db.remove_segments(&[1, 2], &mut idx);
+        assert!(tight(&db));
+        assert_eq!(db.bbox_of(1), Aabb::new([100.0, 100.0], [110.0, 100.0]));
     }
 
     #[test]

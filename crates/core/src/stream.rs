@@ -463,7 +463,7 @@ impl<const D: usize> IncrementalClustering<D> {
         self.db.append_segments(segments);
         let n = self.db.len() as u32;
         for id in first..n {
-            self.index.insert(id, self.db.bbox_of(id));
+            self.index.insert(id, &self.db.bbox_of(id));
             self.counts.push(0.0);
             self.classes.push();
         }
@@ -543,14 +543,14 @@ impl<const D: usize> IncrementalClustering<D> {
     }
 
     /// Post-insertion sanitizer pass (`invariant-checks` feature only):
-    /// union-find canonical form, SoA/AoS coherence, arrival tiling,
+    /// union-find canonical form, segment-table coherence, arrival tiling,
     /// incrementally grown index vs full scan on the dirty region, and — at
     /// power-of-two trajectory counts, so the extra work stays O(log n)
     /// batch runs over a stream — the full snapshot == batch spot check.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_insert(&self, first: u32, flips: &[u32]) {
         crate::invariants::assert_union_find_canonical(&self.classes.dsu, "stream-insert");
-        crate::invariants::assert_soa_coherent(&self.db, "stream-insert");
+        crate::invariants::assert_table_coherent(&self.db, "stream-insert");
         crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-insert");
         let mut dirty: Vec<u32> = (first..self.db.len() as u32).collect();
         dirty.extend_from_slice(flips);
@@ -575,15 +575,15 @@ impl<const D: usize> IncrementalClustering<D> {
 
     /// Post-removal sanitizer pass (`invariant-checks` feature only): the
     /// decremental siblings of [`Self::debug_check_insert`] — union-find
-    /// canonical form over the repaired components, SoA/AoS coherence and
-    /// arrival tiling after the compaction, the compacted index vs full
+    /// canonical form over the repaired components, segment-table coherence
+    /// and arrival tiling after the compaction, the compacted index vs full
     /// scan on the dirty region (dense ids), and the headline decremental
     /// guarantee itself: after **every** removal, `snapshot()` equals a
     /// batch run over the engine's own database.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_remove(&self, dirty: &[u32]) {
         crate::invariants::assert_union_find_canonical(&self.classes.dsu, "stream-remove");
-        crate::invariants::assert_soa_coherent(&self.db, "stream-remove");
+        crate::invariants::assert_table_coherent(&self.db, "stream-remove");
         crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-remove");
         crate::invariants::assert_index_consistent(
             &self.db,
@@ -863,39 +863,22 @@ impl<const D: usize> IncrementalClustering<D> {
     /// Scoped decremental repair on the compacted ids, starting from the
     /// singleton union-find [`Classification::compact`] leaves: unaffected
     /// components transplant wholesale under their minimum root, demoted
-    /// cores turn into border candidates with freshly computed claim
-    /// lists, and the surviving cores of affected components are
-    /// re-expanded from scratch — the same min-root rules as the batch
-    /// grouping pass, confined to the components the removal could have
-    /// split.
+    /// cores turn into border candidates, and the surviving cores of
+    /// affected components are re-expanded from scratch — the same min-root
+    /// rules as the batch grouping pass, confined to the components the
+    /// removal could have split.
+    ///
+    /// A demoted segment needs no ε-query of its own. It was a core, so
+    /// every surviving core within ε of it shared its component; those
+    /// cores are all affected, and their re-expansion lands their claims
+    /// on it. Claims its non-core neighbours still hold on it go stale,
+    /// and [`Classification::raw_labels`] skips claims by non-cores.
     fn repair_removal(&mut self, demoted: &[u32], keep: &[(u32, u32)], affected_cores: &[u32]) {
-        // All demotions land before any claim list is derived, so the core
-        // flags each derivation reads are final.
+        // All demotions land before any core is re-expanded, so the
+        // expansions claim the demoted segments instead of joining them.
         for &d in demoted {
             self.classes.core[d as usize] = false;
         }
-        let (threads, eps) = (self.threads(), self.cluster.eps);
-        let classes = &mut self.classes;
-        let spawned =
-            for_each_neighborhood(&self.db, &self.index, demoted, eps, threads, |d, hood| {
-                // A demoted core becomes a border candidate: its claims are
-                // exactly its surviving core neighbours (its old list is empty
-                // — it was core). Conversely its non-core neighbours may hold
-                // claims on it; scrub those.
-                let mut claims = Vec::new();
-                for &m in hood {
-                    if m == d {
-                        continue;
-                    }
-                    if classes.core[m as usize] {
-                        claims.push(m);
-                    } else {
-                        classes.claims[m as usize].retain(|&c| c != d);
-                    }
-                }
-                classes.claims[d as usize] = claims;
-            });
-        self.stats.note_sweep(spawned, demoted.len());
 
         // Transplant the unaffected components. Each member joins its old
         // root, the component's minimum surviving core — the root the
@@ -909,6 +892,7 @@ impl<const D: usize> IncrementalClustering<D> {
         // post-removal connectivity (splits fall out naturally), and their
         // claims re-land on bordering non-cores (duplicates are harmless —
         // the snapshot takes a min over live core claims).
+        let (threads, eps) = (self.threads(), self.cluster.eps);
         let classes = &mut self.classes;
         let spawned = for_each_neighborhood(
             &self.db,
@@ -1285,6 +1269,51 @@ mod tests {
             matches!(snap.labels[3], SegmentLabel::Cluster(_)),
             "the border keeps its cluster through core 3"
         );
+    }
+
+    #[test]
+    fn removal_demotes_a_core_that_stays_a_border_of_its_component() {
+        // Five bars, ε = 2, MinLns = 4: the four lowest are cores. Removing
+        // the bar at y = 0 drops the bars at y = 0.5 and y = 1 to three
+        // neighbours each — demoted — while both stay within ε of the core
+        // at y = 1.5, which keeps four. The repair must land that core's
+        // claim on them, so they stay border members of its cluster.
+        let bar = |id: u32, y: f64| {
+            Trajectory::new(
+                TrajectoryId(id),
+                vec![Point2::xy(0.0, y), Point2::xy(10.0, y)],
+            )
+        };
+        let trajectories: Vec<Trajectory<2>> = [0.0, 0.5, 1.0, 1.5, 3.4]
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| bar(i as u32, y))
+            .collect();
+        let cfg = TraclusConfig {
+            stream: StreamConfig {
+                rebuild_threshold: 10.0,
+                ..StreamConfig::default()
+            },
+            ..config(2.0, 4)
+        };
+        let mut engine = IncrementalClustering::<2>::new(cfg);
+        engine.extend(&trajectories);
+        assert_eq!(engine.classes.core, [true, true, true, true, false]);
+
+        let report = engine.remove_trajectory(TrajectoryId(0));
+        assert!(!report.rebuilt, "threshold 10 pins local repair");
+        assert_eq!(report.demoted_cores, 2);
+        // Ids after the compaction: y = 0.5, 1, 1.5, 3.4.
+        assert_eq!(engine.classes.core, [false, false, true, false]);
+        let snap = engine.snapshot();
+        assert_eq!(snap, batch_clustering(&cfg, &trajectories[1..]));
+        for demoted in [0, 1] {
+            assert_eq!(
+                snap.labels[demoted], snap.labels[2],
+                "demoted segment {demoted} stays a border of the core's cluster"
+            );
+        }
+        assert!(matches!(snap.labels[2], SegmentLabel::Cluster(_)));
     }
 
     #[test]

@@ -163,11 +163,7 @@ proptest! {
                 step, op, pick, THRESHOLDS[threshold_sel], weighted
             );
             let want = batch_database(&config, &model);
-            prop_assert_eq!(
-                engine.database().segments(),
-                want.segments(),
-                "database diverged after op {}", step
-            );
+            prop_assert_eq!(engine.database(), &want, "database diverged after op {}", step);
         }
         // The engine exercised the path the threshold selects.
         let stats = engine.stats();
@@ -201,7 +197,7 @@ proptest! {
             }
             prop_assert_eq!(engine.snapshot(), batch(&config, &model));
             let want = batch_database(&config, &model);
-            prop_assert_eq!(engine.database().segments(), want.segments());
+            prop_assert_eq!(engine.database(), &want);
             prop_assert!(engine.live_trajectories() <= cap);
         }
     }
@@ -235,7 +231,7 @@ proptest! {
             let live: Vec<Trajectory<2>> = model.iter().map(|(_, t)| t.clone()).collect();
             prop_assert_eq!(engine.snapshot(), batch(&config, &live));
             let want = batch_database(&config, &live);
-            prop_assert_eq!(engine.database().segments(), want.segments());
+            prop_assert_eq!(engine.database(), &want);
             prop_assert_eq!(engine.live_trajectories(), live.len());
         }
     }
@@ -312,11 +308,7 @@ fn long_capacity_window_stays_the_batch_database() {
                 let want = batch_database(&config, live);
                 assert_eq!(engine.database().len(), want.len(), "{context}, step {k}");
                 assert_eq!(engine.live_len(), want.len(), "{context}, step {k}");
-                assert_eq!(
-                    engine.database().segments(),
-                    want.segments(),
-                    "{context}, step {k}"
-                );
+                assert_eq!(engine.database(), &want, "{context}, step {k}");
                 assert_eq!(
                     engine.live_trajectories(),
                     live.len(),
@@ -484,8 +476,8 @@ fn removed_trajectory_id_reuse_round_trips() {
         "the same segments, renumbered"
     );
     assert_eq!(
-        engine.database().segments(),
-        batch_database(&config, &live).segments(),
+        engine.database(),
+        &batch_database(&config, &live),
         "re-insertion lands at the tail of the id space"
     );
     assert_eq!(engine.snapshot(), batch(&config, &live));

@@ -246,13 +246,12 @@ fn whole_pipeline_fixture_is_equivalent() {
         Traclus::new(config).run(&trajectories)
     };
     let sequential = run(Parallelism::Sequential);
-    assert_eq!(sequential.database.segments(), db.segments());
+    assert_eq!(sequential.database, db);
     assert!(sequential.clusters.len() >= 8, "every bundle clusters");
     for t in thread_counts() {
         let parallel = run(Parallelism::Threads(t));
         assert_eq!(
-            parallel.database.segments(),
-            sequential.database.segments(),
+            parallel.database, sequential.database,
             "pipeline: segments diverge at t={t}"
         );
         assert_eq!(

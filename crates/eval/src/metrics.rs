@@ -261,10 +261,10 @@ pub fn ssq_to_representatives<const D: usize>(
         if rep_edges.is_empty() {
             continue;
         }
-        let seg = &db.segment(i as u32).segment;
+        let seg = db.segment(i as u32).segment;
         let d = rep_edges
             .iter()
-            .map(|e| dist.distance(seg, e))
+            .map(|e| dist.distance(&seg, e))
             .fold(f64::INFINITY, f64::min);
         total += d * d;
         count += 1;

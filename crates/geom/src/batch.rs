@@ -1,5 +1,6 @@
-//! Batched evaluation of the composite segment distance over a
-//! structure-of-arrays geometry cache.
+//! Batched evaluation of the composite segment distance over a segment
+//! table: one record per segment, holding its endpoints and the geometry
+//! every kernel derives from them.
 //!
 //! `SegmentDistance::distance` dominates both TRACLUS phases: every
 //! ε-neighborhood query of Figure 12 evaluates it against dozens of
@@ -11,7 +12,7 @@
 //!
 //! Two entry points:
 //!
-//! * [`SegmentSoa`] + [`SegmentDistance::distance_many`] — the symmetric
+//! * [`SegmentTable`] + [`SegmentDistance::distance_many`] — the symmetric
 //!   clustering-phase distance against cached candidate geometry;
 //! * [`PreparedBase`] + [`SegmentDistance::mdl_components_prepared`] — the
 //!   role-explicit perpendicular + angle pair used by Formula 7, skipping
@@ -35,153 +36,189 @@
 //!
 //! [`SegmentDistance::distance_many`] assigns the *longer* segment the base
 //! role `Lᵢ` (Lemma 2), comparing the **cached** lengths; exact-length ties
-//! are broken by the smaller SoA index — the paper's "internal identifier"
-//! tie-break, matching `SegmentDatabase::distance` in `traclus-core` (which
-//! stores segments id-ordered) rather than the coordinate-lexicographic
+//! are broken by the smaller id — the paper's "internal identifier"
+//! tie-break, matching `SegmentDatabase::distance` in `traclus-core` (whose
+//! ids are table positions) rather than the coordinate-lexicographic
 //! fallback of the id-free scalar [`SegmentDistance::distance`].
 
+use crate::bbox::Aabb;
 use crate::distance::{
     lehmer_mean_2, AngleMode, DistanceComponents, DistanceWeights, SegmentDistance,
 };
 use crate::point::{Point, Vector};
 use crate::segment::Segment;
+use crate::trajectory::{IdentifiedSegment, SegmentId, TrajectoryId};
 
-/// Structure-of-arrays geometry cache: contiguous per-segment starts, ends,
-/// direction vectors, squared norms, lengths, and midpoints, precomputed
-/// once so batched distance evaluation touches no `Segment` values.
-///
-/// Index `i` everywhere refers to the `i`-th pushed segment; in
-/// `traclus-core` that is exactly the dense segment id.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SegmentSoa<const D: usize> {
-    starts: Vec<Point<D>>,
-    ends: Vec<Point<D>>,
-    /// Raw (unnormalised) direction vectors `→se`; kept unnormalised
+/// One segment's row of a [`SegmentTable`]: the endpoints, the geometry
+/// derived from them once at insertion, and the provenance the grouping
+/// phase reads. The record's id is its position in the table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentRecord<const D: usize> {
+    /// The start point `sᵢ`.
+    pub start: Point<D>,
+    /// The end point `eᵢ`.
+    pub end: Point<D>,
+    /// The raw (unnormalised) direction vector `→sᵢeᵢ`; kept unnormalised
     /// because the scalar path projects with `(p − s)·v / ‖v‖²` and bit
     /// equality requires the same operands. `dir / length` recovers the
     /// unit direction where one is needed.
-    dirs: Vec<Vector<D>>,
-    norms_sq: Vec<f64>,
-    lengths: Vec<f64>,
-    midpoints: Vec<Point<D>>,
+    pub dir: Vector<D>,
+    /// The squared norm of [`Self::dir`].
+    pub norm_sq: f64,
+    /// The length `‖Lᵢ‖`, bit-identical to `Segment::length()`.
+    pub length: f64,
+    /// The midpoint.
+    pub midpoint: Point<D>,
+    /// Weight inherited from the trajectory (1.0 unless weighted).
+    pub weight: f64,
+    /// The trajectory the segment came from (`TR(Lᵢ)` in Definition 10).
+    pub trajectory: TrajectoryId,
 }
 
-impl<const D: usize> SegmentSoa<D> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self {
-            starts: Vec::new(),
-            ends: Vec::new(),
-            dirs: Vec::new(),
-            norms_sq: Vec::new(),
-            lengths: Vec::new(),
-            midpoints: Vec::new(),
-        }
-    }
-
-    /// Builds the cache from a segment sequence.
-    pub fn from_segments<'a>(segments: impl IntoIterator<Item = &'a Segment<D>>) -> Self {
-        let mut soa = Self::new();
-        for s in segments {
-            soa.push(s);
-        }
-        soa
-    }
-
-    /// Appends one segment's derived geometry.
-    pub fn push(&mut self, s: &Segment<D>) {
-        let v = s.vector();
+impl<const D: usize> SegmentRecord<D> {
+    /// The record of one identified segment (its id is its position in
+    /// the table, so the record does not store it).
+    pub fn new(s: &IdentifiedSegment<D>) -> Self {
+        let v = s.segment.vector();
         let norm_sq = v.norm_squared();
-        self.starts.push(s.start);
-        self.ends.push(s.end);
-        self.dirs.push(v);
-        // `‖v‖² = Σ(e−s)² = Σ(s−e)²` exactly, so this √ is bit-identical
-        // to `Segment::length()`.
-        self.norms_sq.push(norm_sq);
-        self.lengths.push(norm_sq.sqrt());
-        self.midpoints.push(s.midpoint());
-    }
-
-    /// Drops the segments at the ascending, duplicate-free indices
-    /// `removed`; the rest keep their order and close the gaps, so index
-    /// `i` becomes `i` less the number of removed indices below it.
-    pub fn remove_sorted(&mut self, removed: &[u32]) {
-        remove_sorted(&mut self.starts, removed);
-        remove_sorted(&mut self.ends, removed);
-        remove_sorted(&mut self.dirs, removed);
-        remove_sorted(&mut self.norms_sq, removed);
-        remove_sorted(&mut self.lengths, removed);
-        remove_sorted(&mut self.midpoints, removed);
-    }
-
-    /// Number of cached segments.
-    pub fn len(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
-    }
-
-    /// Cached length `‖Lᵢ‖` (bit-identical to `Segment::length()`).
-    pub fn length(&self, i: usize) -> f64 {
-        self.lengths[i]
-    }
-
-    /// Cached squared norm of the direction vector.
-    pub fn norm_squared(&self, i: usize) -> f64 {
-        self.norms_sq[i]
-    }
-
-    /// Cached start point.
-    pub fn start(&self, i: usize) -> Point<D> {
-        self.starts[i]
-    }
-
-    /// Cached end point.
-    pub fn end(&self, i: usize) -> Point<D> {
-        self.ends[i]
-    }
-
-    /// Cached raw direction vector `→se`.
-    pub fn direction(&self, i: usize) -> Vector<D> {
-        self.dirs[i]
-    }
-
-    /// Cached midpoint.
-    pub fn midpoint(&self, i: usize) -> Point<D> {
-        self.midpoints[i]
-    }
-
-    /// Reconstructs the segment at `i`.
-    pub fn segment(&self, i: usize) -> Segment<D> {
-        Segment::new(self.starts[i], self.ends[i])
-    }
-
-    /// All six arrays re-sliced to the common length, so the optimiser can
-    /// prove a clamped index is in bounds for *every* array (the parallel
-    /// `Vec`s have no shared-length invariant the compiler could see).
-    #[inline(always)]
-    fn view(&self) -> SoaView<'_, D> {
-        let n = self.starts.len();
-        SoaView {
-            starts: &self.starts[..n],
-            ends: &self.ends[..n],
-            dirs: &self.dirs[..n],
-            norms_sq: &self.norms_sq[..n],
-            lengths: &self.lengths[..n],
-            midpoints: &self.midpoints[..n],
+        Self {
+            start: s.segment.start,
+            end: s.segment.end,
+            dir: v,
+            norm_sq,
+            // `‖v‖² = Σ(e−s)² = Σ(s−e)²` exactly, so this √ is
+            // bit-identical to `Segment::length()`.
+            length: norm_sq.sqrt(),
+            midpoint: s.segment.midpoint(),
+            weight: s.weight,
+            trajectory: s.trajectory,
         }
     }
+
+    /// The segment's geometry.
+    pub fn segment(&self) -> Segment<D> {
+        Segment::new(self.start, self.end)
+    }
+
+    /// The tight box around the endpoints.
+    pub fn bounding_box(&self) -> Aabb<D> {
+        Aabb::from_segment(&self.segment())
+    }
+}
+
+/// The segment table: one [`SegmentRecord`] per segment in one `Vec`, so
+/// every kernel reads a segment's endpoints, derived geometry, weight and
+/// trajectory from one contiguous record. Segment `k` has id `k`; in
+/// `traclus-core` that is exactly the dense segment id.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SegmentTable<const D: usize> {
+    records: Vec<SegmentRecord<D>>,
+}
+
+impl<const D: usize> SegmentTable<D> {
+    /// Builds the table from identified segments in one allocation (for
+    /// an exact-size source such as a slice or a `Vec`).
+    ///
+    /// # Panics
+    ///
+    /// When the ids are not dense and sequential (`segments[k].id.0 ==
+    /// k`): labels and counts are indexed by id.
+    pub fn from_segments(segments: impl IntoIterator<Item = IdentifiedSegment<D>>) -> Self {
+        let records = segments
+            .into_iter()
+            .enumerate()
+            .map(|(k, s)| {
+                assert_dense(k, &s);
+                SegmentRecord::new(&s)
+            })
+            .collect();
+        Self { records }
+    }
+
+    /// Builds the table from bare geometry, numbering the segments by
+    /// position: segment `k` gets id `k`, trajectory id `k` and unit
+    /// weight.
+    pub fn from_geometry<'a>(segments: impl IntoIterator<Item = &'a Segment<D>>) -> Self {
+        Self::from_segments(
+            segments
+                .into_iter()
+                .zip(0..)
+                .map(|(s, k)| IdentifiedSegment::new(SegmentId(k), TrajectoryId(k), *s)),
+        )
+    }
+
+    /// Appends one segment, whose id must continue the dense sequence.
+    pub fn push(&mut self, s: &IdentifiedSegment<D>) {
+        assert_dense(self.records.len(), s);
+        self.records.push(SegmentRecord::new(s));
+    }
+
+    /// Drops the segments at the ascending, duplicate-free ids `removed`;
+    /// the rest keep their order and close the gaps, so id `i` becomes `i`
+    /// less the number of removed ids below it.
+    pub fn remove_sorted(&mut self, removed: &[u32]) {
+        remove_sorted(&mut self.records, removed);
+    }
+
+    /// Number of segments.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Every record, id-ordered.
+    pub fn records(&self) -> &[SegmentRecord<D>] {
+        &self.records
+    }
+
+    /// The record of segment `id`.
+    pub fn record(&self, id: u32) -> &SegmentRecord<D> {
+        &self.records[id as usize]
+    }
+
+    /// Segment `id` with its provenance.
+    pub fn segment(&self, id: u32) -> IdentifiedSegment<D> {
+        identified(id, self.record(id))
+    }
+
+    /// Every segment with its provenance, id-ordered.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = IdentifiedSegment<D>> + '_ {
+        self.records
+            .iter()
+            .enumerate()
+            .map(|(id, r)| identified(id as u32, r))
+    }
+}
+
+/// Rebuilds the identified segment of record `r` at id `id`.
+fn identified<const D: usize>(id: u32, r: &SegmentRecord<D>) -> IdentifiedSegment<D> {
+    IdentifiedSegment {
+        id: SegmentId(id),
+        trajectory: r.trajectory,
+        segment: r.segment(),
+        weight: r.weight,
+    }
+}
+
+fn assert_dense<const D: usize>(position: usize, s: &IdentifiedSegment<D>) {
+    assert_eq!(
+        s.id.0 as usize, position,
+        "segment ids must be dense: the segment at position {position} has id {}",
+        s.id.0
+    );
 }
 
 /// Drops the entries of `items` at the ascending, duplicate-free indices
 /// `removed`, keeping the rest in order — the compaction behind
-/// [`SegmentSoa::remove_sorted`], shared with every other per-segment array
-/// that must stay aligned with it. Each run of consecutive indices goes in
-/// one `drain` (one move of the tail), last run first; the usual removal,
-/// one trajectory's segments or the oldest arrivals, is a single run.
+/// [`SegmentTable::remove_sorted`], shared with every other per-segment
+/// array that must stay aligned with it. Each run of consecutive indices
+/// goes in one `drain` (one move of the tail), last run first; the usual
+/// removal, one trajectory's segments or the oldest arrivals, is a single
+/// run.
 pub fn remove_sorted<T>(items: &mut Vec<T>, removed: &[u32]) {
     debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
     let mut end = removed.len();
@@ -193,18 +230,6 @@ pub fn remove_sorted<T>(items: &mut Vec<T>, removed: &[u32]) {
         items.drain(removed[start] as usize..=removed[end - 1] as usize);
         end = start;
     }
-}
-
-/// Borrowed, equal-length slices of every [`SegmentSoa`] array — the form
-/// the hot kernels index so bounds checks vanish from their inner blocks.
-#[derive(Clone, Copy)]
-struct SoaView<'a, const D: usize> {
-    starts: &'a [Point<D>],
-    ends: &'a [Point<D>],
-    dirs: &'a [Vector<D>],
-    norms_sq: &'a [f64],
-    lengths: &'a [f64],
-    midpoints: &'a [Point<D>],
 }
 
 /// A segment prepared to play the base role `Lᵢ` (projection target) across
@@ -239,19 +264,19 @@ impl<const D: usize> From<&Segment<D>> for PreparedBase<D> {
 
 impl SegmentDistance {
     /// Batched weighted distances from `query` to each of `candidates`
-    /// (indices into `soa`), written into `out[k]` for `candidates[k]`.
+    /// (ids in `table`), written into `out[k]` for `candidates[k]`.
     ///
     /// Role ordering matches `SegmentDatabase::distance`: the longer cached
     /// length plays `Lᵢ`, exact ties resolved in favour of the smaller
-    /// index. Results are bit-identical to calling the scalar
+    /// id. Results are bit-identical to calling the scalar
     /// [`SegmentDistance::distance_ordered`] with that ordering.
     ///
     /// # Panics
     ///
-    /// When `out.len() != candidates.len()` or an index is out of bounds.
+    /// When `out.len() != candidates.len()` or an id is out of bounds.
     pub fn distance_many_into<const D: usize>(
         &self,
-        soa: &SegmentSoa<D>,
+        table: &SegmentTable<D>,
         query: u32,
         candidates: &[u32],
         out: &mut [f64],
@@ -261,25 +286,21 @@ impl SegmentDistance {
             out.len(),
             "distance_many_into needs one output slot per candidate"
         );
-        // `view` re-slices all six arrays to one shared length value, so a
-        // single bounds-checked `lengths` load per candidate (in `roles`)
-        // establishes `index < n` for *every* later array access — the
-        // kernel below then compiles to one branch-free basic block, which
-        // is what lets the SLP vectorizer pair its divisions and square
-        // roots into packed ops.
-        let view = soa.view();
-        let q = query as usize;
-        let q_len = view.lengths[q];
+        // One bounds-checked record load per candidate (in `roles`) covers
+        // every field the kernel reads, so the kernel below compiles to
+        // one branch-free basic block — which is what lets the SLP
+        // vectorizer pair its divisions and square roots into packed ops.
+        let records = table.records();
+        let q = &records[query as usize];
         // Lemma 2 ordering on cached lengths, id tie-break. (Deliberately
         // branchy: a predicted branch lets the role-dependent gathers
         // issue speculatively, where a conditional move would serialise
         // them behind the length compare — measured slower.)
-        let roles = |cand: u32| -> (usize, usize) {
-            let c = cand as usize;
-            let c_len = view.lengths[c];
-            if q_len > c_len {
+        let roles = |cand: u32| -> (&SegmentRecord<D>, &SegmentRecord<D>) {
+            let c = &records[cand as usize];
+            if q.length > c.length {
                 (q, c)
-            } else if c_len > q_len {
+            } else if c.length > q.length {
                 (c, q)
             } else if query <= cand {
                 (q, c)
@@ -301,7 +322,6 @@ impl SegmentDistance {
                 unreachable!("chunks_exact_mut(2) yields exactly two slots")
             };
             if !lane2_kernel(
-                &view,
                 li_a,
                 lj_a,
                 li_b,
@@ -313,15 +333,8 @@ impl SegmentDistance {
             ) {
                 // A rare lane (degenerate geometry, exact collinearity):
                 // redo both through the fully-guarded kernel.
-                let (da, db) = rare_pair_fallback(
-                    &view,
-                    li_a,
-                    lj_a,
-                    li_b,
-                    lj_b,
-                    self.angle_mode,
-                    &self.weights,
-                );
+                let (da, db) =
+                    rare_pair_fallback(li_a, lj_a, li_b, lj_b, self.angle_mode, &self.weights);
                 *s0 = da;
                 *s1 = db;
             }
@@ -329,7 +342,7 @@ impl SegmentDistance {
         // A possible leftover candidate: the guarded kernel, singly.
         for (&cand, slot) in chunks.remainder().iter().zip(slots.into_remainder()) {
             let (li, lj) = roles(cand);
-            *slot = batched_components(&view, li, lj, self.angle_mode).weighted(&self.weights);
+            *slot = batched_components(li, lj, self.angle_mode).weighted(&self.weights);
         }
     }
 
@@ -337,14 +350,14 @@ impl SegmentDistance {
     /// `candidates`.
     pub fn distance_many<const D: usize>(
         &self,
-        soa: &SegmentSoa<D>,
+        table: &SegmentTable<D>,
         query: u32,
         candidates: &[u32],
         out: &mut Vec<f64>,
     ) {
         out.clear();
         out.resize(candidates.len(), 0.0);
-        self.distance_many_into(soa, query, candidates, out);
+        self.distance_many_into(table, query, candidates, out);
     }
 
     /// The `(d⊥, dθ)` pair of [`Self::mdl_components`] with the base
@@ -451,38 +464,36 @@ fn angle_component<const D: usize>(
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn lane2_kernel<const D: usize>(
-    soa: &SoaView<'_, D>,
-    li_a: usize,
-    lj_a: usize,
-    li_b: usize,
-    lj_b: usize,
+    li_a: &SegmentRecord<D>,
+    lj_a: &SegmentRecord<D>,
+    li_b: &SegmentRecord<D>,
+    lj_b: &SegmentRecord<D>,
     mode: AngleMode,
     weights: &DistanceWeights,
     s0: &mut f64,
     s1: &mut f64,
 ) -> bool {
-    // Every gather up front: the indexed loads carry the (predicted
-    // never-taken) bounds-check branches, and grouping them here keeps the
-    // arithmetic below in one branch-free basic block — the shape the SLP
-    // vectorizer needs to pair the lanes' divisions and square roots.
-    let norm_a = soa.norms_sq[li_a];
-    let norm_b = soa.norms_sq[li_b];
-    let vi_a = soa.dirs[li_a];
-    let vi_b = soa.dirs[li_b];
-    let start_a = soa.starts[li_a];
-    let start_b = soa.starts[li_b];
-    let end_a = soa.ends[li_a];
-    let end_b = soa.ends[li_b];
-    let ts_a = soa.starts[lj_a];
-    let ts_b = soa.starts[lj_b];
-    let te_a = soa.ends[lj_a];
-    let te_b = soa.ends[lj_b];
-    let vj_a = soa.dirs[lj_a];
-    let vj_b = soa.dirs[lj_b];
-    let norm_lj_a = soa.norms_sq[lj_a];
-    let norm_lj_b = soa.norms_sq[lj_b];
-    let len_a = soa.lengths[lj_a];
-    let len_b = soa.lengths[lj_b];
+    // Every gather up front, so the arithmetic below stays one
+    // branch-free basic block — the shape the SLP vectorizer needs to
+    // pair the lanes' divisions and square roots.
+    let norm_a = li_a.norm_sq;
+    let norm_b = li_b.norm_sq;
+    let vi_a = li_a.dir;
+    let vi_b = li_b.dir;
+    let start_a = li_a.start;
+    let start_b = li_b.start;
+    let end_a = li_a.end;
+    let end_b = li_b.end;
+    let ts_a = lj_a.start;
+    let ts_b = lj_b.start;
+    let te_a = lj_a.end;
+    let te_b = lj_b.end;
+    let vj_a = lj_a.dir;
+    let vj_b = lj_b.dir;
+    let norm_lj_a = lj_a.norm_sq;
+    let norm_lj_b = lj_b.norm_sq;
+    let len_a = lj_a.length;
+    let len_b = lj_b.length;
     let directed = matches!(mode, AngleMode::Directed);
 
     // Projections of both endpoints, both lanes (Formula 4).
@@ -584,41 +595,39 @@ fn lane2_kernel<const D: usize>(
 #[cold]
 #[inline(never)]
 fn rare_pair_fallback<const D: usize>(
-    soa: &SoaView<'_, D>,
-    li_a: usize,
-    lj_a: usize,
-    li_b: usize,
-    lj_b: usize,
+    li_a: &SegmentRecord<D>,
+    lj_a: &SegmentRecord<D>,
+    li_b: &SegmentRecord<D>,
+    lj_b: &SegmentRecord<D>,
     mode: AngleMode,
     weights: &DistanceWeights,
 ) -> (f64, f64) {
     (
-        batched_components(soa, li_a, lj_a, mode).weighted(weights),
-        batched_components(soa, li_b, lj_b, mode).weighted(weights),
+        batched_components(li_a, lj_a, mode).weighted(weights),
+        batched_components(li_b, lj_b, mode).weighted(weights),
     )
 }
 
 /// `components_with_roles` over cached geometry: `li` is the base segment.
 #[inline(always)]
 fn batched_components<const D: usize>(
-    soa: &SoaView<'_, D>,
-    li: usize,
-    lj: usize,
+    li: &SegmentRecord<D>,
+    lj: &SegmentRecord<D>,
     mode: AngleMode,
 ) -> DistanceComponents {
-    let norm_sq = soa.norms_sq[li];
+    let norm_sq = li.norm_sq;
     if norm_sq <= 0.0 {
         return DistanceComponents {
-            perpendicular: soa.starts[li].distance(&soa.midpoints[lj]),
+            perpendicular: li.start.distance(&lj.midpoint),
             parallel: 0.0,
             angle: 0.0,
         };
     }
-    let li_start = soa.starts[li];
-    let li_end = soa.ends[li];
-    let vi = soa.dirs[li];
-    let lj_start = soa.starts[lj];
-    let lj_end = soa.ends[lj];
+    let li_start = li.start;
+    let li_end = li.end;
+    let vi = li.dir;
+    let lj_start = lj.start;
+    let lj_end = lj.end;
 
     // Both endpoint projections in lockstep `[f64; 2]` lanes: the divider
     // unit is the kernel's throughput bottleneck, and pairing the two
@@ -654,9 +663,9 @@ fn batched_components<const D: usize>(
     // degenerate `lj`) yields NaN/∞ that the selects below discard, so
     // every surviving lane is still bit-identical to the scalar path.
     let lehmer_den = perp[0] + perp[1];
-    let vj = soa.dirs[lj];
+    let vj = lj.dir;
     let vw = vi.dot(&vj);
-    let sin_den = norm_sq * soa.norms_sq[lj];
+    let sin_den = norm_sq * lj.norm_sq;
     let gram = (sin_den - vw * vw).max(0.0);
     let quot = [
         (perp[0] * perp[0] + perp[1] * perp[1]) / lehmer_den,
@@ -666,7 +675,7 @@ fn batched_components<const D: usize>(
 
     let perpendicular = if lehmer_den <= 0.0 { 0.0 } else { quot[0] };
     let parallel = root[0];
-    let lj_len = soa.lengths[lj];
+    let lj_len = lj.length;
     let angle = if lj_len <= 0.0 || sin_den <= 0.0 {
         // Scalar path: zero-length `lj` has no directional strength, and
         // `sin_angle` is undefined (None) for a zero vector.
@@ -730,7 +739,7 @@ mod tests {
     #[test]
     fn batched_distances_bit_identical_to_scalar() {
         let segs = sample_segments();
-        let soa = SegmentSoa::from_segments(segs.iter());
+        let table = SegmentTable::from_geometry(segs.iter());
         let candidates: Vec<u32> = (0..segs.len() as u32).collect();
         let weight_sets = [
             DistanceWeights::uniform(),
@@ -743,7 +752,7 @@ mod tests {
                 let dist = SegmentDistance::new(weights, mode);
                 let mut out = Vec::new();
                 for q in 0..segs.len() {
-                    dist.distance_many(&soa, q as u32, &candidates, &mut out);
+                    dist.distance_many(&table, q as u32, &candidates, &mut out);
                     for (c, &d) in out.iter().enumerate() {
                         let expected = scalar_reference(&dist, &segs, q, c);
                         assert_eq!(
@@ -760,11 +769,11 @@ mod tests {
     #[test]
     fn batched_self_distance_is_zero() {
         let segs = sample_segments();
-        let soa = SegmentSoa::from_segments(segs.iter());
+        let table = SegmentTable::from_geometry(segs.iter());
         let dist = SegmentDistance::default();
         let mut out = Vec::new();
         for q in 0..segs.len() as u32 {
-            dist.distance_many(&soa, q, &[q], &mut out);
+            dist.distance_many(&table, q, &[q], &mut out);
             assert_eq!(out[0], 0.0, "dist(L, L) must be exactly 0 for {q}");
         }
     }
@@ -772,13 +781,13 @@ mod tests {
     #[test]
     fn distance_many_into_slice_variant() {
         let segs = sample_segments();
-        let soa = SegmentSoa::from_segments(segs.iter());
+        let table = SegmentTable::from_geometry(segs.iter());
         let dist = SegmentDistance::default();
         let candidates = [1u32, 4, 2];
         let mut out = [0.0f64; 3];
-        dist.distance_many_into(&soa, 0, &candidates, &mut out);
+        dist.distance_many_into(&table, 0, &candidates, &mut out);
         let mut vec_out = Vec::new();
-        dist.distance_many(&soa, 0, &candidates, &mut vec_out);
+        dist.distance_many(&table, 0, &candidates, &mut vec_out);
         assert_eq!(out.as_slice(), vec_out.as_slice());
     }
 
@@ -786,9 +795,9 @@ mod tests {
     #[should_panic(expected = "one output slot")]
     fn mismatched_output_length_rejected() {
         let segs = sample_segments();
-        let soa = SegmentSoa::from_segments(segs.iter());
+        let table = SegmentTable::from_geometry(segs.iter());
         let mut out = [0.0f64; 1];
-        SegmentDistance::default().distance_many_into(&soa, 0, &[0, 1], &mut out);
+        SegmentDistance::default().distance_many_into(&table, 0, &[0, 1], &mut out);
     }
 
     #[test]
@@ -807,38 +816,79 @@ mod tests {
     }
 
     #[test]
-    fn soa_accessors_round_trip() {
+    fn table_records_round_trip() {
         let segs = sample_segments();
-        let soa = SegmentSoa::from_segments(segs.iter());
-        assert_eq!(soa.len(), segs.len());
-        assert!(!soa.is_empty());
-        for (i, s) in segs.iter().enumerate() {
-            assert_eq!(soa.segment(i), *s);
-            assert_eq!(soa.start(i), s.start);
-            assert_eq!(soa.end(i), s.end);
-            assert_eq!(soa.direction(i), s.vector());
-            assert_eq!(soa.length(i).to_bits(), s.length().to_bits());
-            assert_eq!(soa.norm_squared(i), s.vector().norm_squared());
-            assert_eq!(soa.midpoint(i), s.midpoint());
+        let identified: Vec<IdentifiedSegment<2>> = segs
+            .iter()
+            .enumerate()
+            .map(|(k, s)| IdentifiedSegment {
+                weight: 0.5 + k as f64,
+                ..IdentifiedSegment::new(SegmentId(k as u32), TrajectoryId(9 - k as u32), *s)
+            })
+            .collect();
+        let table = SegmentTable::from_segments(identified.iter().copied());
+        assert_eq!(table.len(), segs.len());
+        assert!(!table.is_empty());
+        for (i, s) in identified.iter().enumerate() {
+            let id = i as u32;
+            let r = table.record(id);
+            assert_eq!(r.segment(), s.segment);
+            assert_eq!(r.start, s.segment.start);
+            assert_eq!(r.end, s.segment.end);
+            assert_eq!(r.dir, s.segment.vector());
+            assert_eq!(r.length.to_bits(), s.segment.length().to_bits());
+            assert_eq!(r.norm_sq, s.segment.vector().norm_squared());
+            assert_eq!(r.midpoint, s.segment.midpoint());
+            assert_eq!((r.weight, r.trajectory), (s.weight, s.trajectory));
+            assert_eq!(r.bounding_box(), s.bounding_box());
+            assert_eq!(table.segment(id), *s);
         }
-        assert!(SegmentSoa::<2>::new().is_empty());
+        assert!(table.segments().eq(identified.iter().copied()));
+        assert_eq!(table.records().len(), table.segments().len());
+        // Pushing one segment at a time builds the same table.
+        let mut pushed = SegmentTable::default();
+        for s in &identified {
+            pushed.push(s);
+        }
+        assert_eq!(pushed, table);
+        // Bare geometry is numbered by position.
+        let geometry = SegmentTable::from_geometry(segs.iter());
+        assert_eq!(geometry.segment(4).trajectory, TrajectoryId(4));
+        assert_eq!(geometry.record(4).weight, 1.0);
+        assert!(SegmentTable::<2>::default().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "dense")]
+    fn pushing_an_out_of_sequence_id_panics() {
+        let mut table = SegmentTable::from_geometry(sample_segments().iter());
+        let s = Segment2::xy(0.0, 0.0, 1.0, 1.0);
+        table.push(&IdentifiedSegment::new(SegmentId(0), TrajectoryId(0), s));
     }
 
     #[test]
     fn remove_sorted_matches_a_fresh_cache_of_the_survivors() {
         let segs = sample_segments();
-        let mut soa = SegmentSoa::from_segments(segs.iter());
+        let mut table = SegmentTable::from_geometry(segs.iter());
         let removed = [0u32, 2, 3, segs.len() as u32 - 1];
-        soa.remove_sorted(&removed);
-        let survivors: Vec<Segment<2>> = (0..segs.len() as u32)
+        table.remove_sorted(&removed);
+        // The survivors keep their order, trajectory ids and geometry
+        // under dense ids.
+        let survivors: Vec<IdentifiedSegment<2>> = (0..segs.len() as u32)
             .filter(|i| !removed.contains(i))
-            .map(|i| segs[i as usize])
+            .zip(0..)
+            .map(|(old, new)| {
+                IdentifiedSegment::new(SegmentId(new), TrajectoryId(old), segs[old as usize])
+            })
             .collect();
-        assert_eq!(soa, SegmentSoa::from_segments(survivors.iter()));
-        soa.remove_sorted(&[]);
-        assert_eq!(soa.len(), survivors.len());
-        let everything: Vec<u32> = (0..soa.len() as u32).collect();
-        soa.remove_sorted(&everything);
-        assert!(soa.is_empty());
+        assert_eq!(
+            table,
+            SegmentTable::from_segments(survivors.iter().copied())
+        );
+        table.remove_sorted(&[]);
+        assert_eq!(table.len(), survivors.len());
+        let everything: Vec<u32> = (0..table.len() as u32).collect();
+        table.remove_sorted(&everything);
+        assert!(table.is_empty());
     }
 }

@@ -11,10 +11,11 @@
 //! * [`SegmentDistance`] — the composite perpendicular/parallel/angle
 //!   distance of Definitions 1–3, plus the naive
 //!   [`endpoint_sum_distance`] of Appendix A for comparison;
-//! * [`SegmentSoa`] / [`PreparedBase`] — the structure-of-arrays geometry
-//!   cache and batched `distance_many` / prepared-MDL kernels that hoist
-//!   the per-query projection setup out of candidate loops (bit-identical
-//!   to the scalar path; see [`batch`]);
+//! * [`SegmentTable`] / [`PreparedBase`] — the segment table (one record
+//!   per segment: endpoints, derived geometry, weight, trajectory id) and
+//!   the batched `distance_many` / prepared-MDL kernels that hoist the
+//!   per-query projection setup out of candidate loops (bit-identical to
+//!   the scalar path; see [`batch`]);
 //! * [`lower_bound`] — provably admissible lower bounds on the composite
 //!   distance (MBR, midpoint/length, and exact-angle tiers) backing the
 //!   filter-and-refine ε-neighborhood path in `traclus-core`;
@@ -43,7 +44,7 @@ pub mod point;
 pub mod segment;
 pub mod trajectory;
 
-pub use batch::{remove_sorted, PreparedBase, SegmentSoa};
+pub use batch::{remove_sorted, PreparedBase, SegmentRecord, SegmentTable};
 pub use bbox::{Aabb, Aabb2};
 pub use distance::{
     endpoint_sum_distance, lehmer_mean_2, order_by_length, AngleMode, DistanceComponents,

@@ -126,7 +126,7 @@
 //! re-scores every pruned candidate exactly and aborts on the first
 //! inadmissible discard.
 
-use crate::batch::SegmentSoa;
+use crate::batch::{SegmentRecord, SegmentTable};
 use crate::bbox::Aabb;
 use crate::distance::{AngleMode, SegmentDistance};
 use crate::point::{Point, Vector};
@@ -159,11 +159,10 @@ fn admissible_coefficients(dist: &SegmentDistance) -> Option<(f64, f64)> {
 /// Midpoint separation `M`, half-length sum `h`, and the magnitude-scaled
 /// slack shared by tiers 1 and 2.
 #[inline(always)]
-fn midpoint_context<const D: usize>(soa: &SegmentSoa<D>, i: usize, j: usize) -> (f64, f64, f64) {
-    let mi = soa.midpoint(i);
-    let mj = soa.midpoint(j);
+fn midpoint_context<const D: usize>(i: &SegmentRecord<D>, j: &SegmentRecord<D>) -> (f64, f64, f64) {
+    let (mi, mj) = (i.midpoint, j.midpoint);
     let m = mi.distance(&mj);
-    let h = 0.5 * (soa.length(i) + soa.length(j));
+    let h = 0.5 * (i.length + j.length);
     let mut mag = 0.0;
     for k in 0..D {
         mag += mi.coords[k].abs() + mj.coords[k].abs();
@@ -187,15 +186,19 @@ fn tier2_value(t1: f64, c2: f64, m: f64, h: f64, slack: f64) -> f64 {
 /// value sequence as the batched kernel (`batched_components`), so the
 /// result is bit-identical to the angle term inside the refined distance.
 #[inline(always)]
-fn exact_angle<const D: usize>(soa: &SegmentSoa<D>, li: usize, lj: usize, mode: AngleMode) -> f64 {
-    let norm_sq = soa.norm_squared(li);
+fn exact_angle<const D: usize>(
+    li: &SegmentRecord<D>,
+    lj: &SegmentRecord<D>,
+    mode: AngleMode,
+) -> f64 {
+    let norm_sq = li.norm_sq;
     if norm_sq <= 0.0 {
         // Degenerate base: no supporting line, the kernel reports dθ = 0.
         return 0.0;
     }
-    let vw = soa.direction(li).dot(&soa.direction(lj));
-    let sin_den = norm_sq * soa.norm_squared(lj);
-    let lj_len = soa.length(lj);
+    let vw = li.dir.dot(&lj.dir);
+    let sin_den = norm_sq * lj.norm_sq;
+    let lj_len = lj.length;
     if lj_len <= 0.0 || sin_den <= 0.0 {
         // Zero-length lj has no directional strength; sin_angle is
         // undefined for a zero (or underflowed) denominator.
@@ -220,47 +223,48 @@ fn exact_angle<const D: usize>(soa: &SegmentSoa<D>, li: usize, lj: usize, mode: 
 /// tier-3 angle is evaluated for exactly the `(Lᵢ, Lⱼ)` assignment the
 /// refine step would use.
 #[inline(always)]
-fn base_role<const D: usize>(soa: &SegmentSoa<D>, a: u32, b: u32) -> (usize, usize) {
-    let (ai, bi) = (a as usize, b as usize);
-    let la = soa.length(ai);
-    let lb = soa.length(bi);
-    if la > lb {
-        (ai, bi)
-    } else if lb > la {
-        (bi, ai)
+fn base_role<const D: usize>(
+    table: &SegmentTable<D>,
+    a: u32,
+    b: u32,
+) -> (&SegmentRecord<D>, &SegmentRecord<D>) {
+    let (ra, rb) = (table.record(a), table.record(b));
+    if ra.length > rb.length {
+        (ra, rb)
+    } else if rb.length > ra.length {
+        (rb, ra)
     } else if a <= b {
-        (ai, bi)
+        (ra, rb)
     } else {
-        (bi, ai)
+        (rb, ra)
     }
 }
 
 /// All three lower bounds on the composite distance between segments `a`
-/// and `b` of `soa`, weakest first: `tiers[0] ≤ tiers[1] ≤ tiers[2] ≤
-/// distance` (as computed floats). `bbox_a` / `bbox_b` are the segments'
-/// cached bounding boxes. Degenerate (negative or non-finite) weights
-/// return `[-∞; 3]`, which no ε can be below — nothing is prunable.
+/// and `b` of `table`, weakest first: `tiers[0] ≤ tiers[1] ≤ tiers[2] ≤
+/// distance` (as computed floats). The MBR tier boxes each segment's
+/// endpoints. Degenerate (negative or non-finite) weights return
+/// `[-∞; 3]`, which no ε can be below — nothing is prunable.
 ///
 /// This is the value-level reference surface for property tests and
 /// diagnostics; the hot path ([`PruneFilter`] behind [`prune_tier`])
 /// evaluates the same inequalities as square-root-free comparisons and
 /// may decide differently within the slack margin (see the module docs).
 pub fn tiers<const D: usize>(
-    soa: &SegmentSoa<D>,
+    table: &SegmentTable<D>,
     a: u32,
     b: u32,
-    bbox_a: &Aabb<D>,
-    bbox_b: &Aabb<D>,
     dist: &SegmentDistance,
 ) -> [f64; TIER_COUNT] {
     let Some((c1, c2)) = admissible_coefficients(dist) else {
         return [f64::NEG_INFINITY; TIER_COUNT];
     };
-    let (li, lj) = base_role(soa, a, b);
-    let (m, h, slack) = midpoint_context(soa, li, lj);
-    let t1 = tier1_value(c1, bbox_a.min_distance(bbox_b), slack);
+    let (li, lj) = base_role(table, a, b);
+    let (m, h, slack) = midpoint_context(li, lj);
+    let mbrd = li.bounding_box().min_distance(&lj.bounding_box());
+    let t1 = tier1_value(c1, mbrd, slack);
     let t2 = tier2_value(t1, c2, m, h, slack);
-    let t3 = t2 + dist.weights.angle * exact_angle(soa, li, lj, dist.angle_mode);
+    let t3 = t2 + dist.weights.angle * exact_angle(li, lj, dist.angle_mode);
     [t1, t2, t3]
 }
 
@@ -276,16 +280,14 @@ pub fn tiers<const D: usize>(
 /// satisfy a prune comparison, so corrupt geometry refines instead of
 /// pruning.
 pub fn prune_tier<const D: usize>(
-    soa: &SegmentSoa<D>,
+    table: &SegmentTable<D>,
     a: u32,
     b: u32,
-    bbox_a: &Aabb<D>,
-    bbox_b: &Aabb<D>,
     dist: &SegmentDistance,
     eps: f64,
 ) -> Option<usize> {
-    let filter = PruneFilter::new(soa, a, bbox_a, dist, eps)?;
-    filter.check(soa, b, bbox_b)
+    let filter = PruneFilter::new(table, a, dist, eps)?;
+    filter.check(table, b)
 }
 
 /// One ε-neighborhood query's hoisted filter state: the query segment's
@@ -317,20 +319,19 @@ pub struct PruneFilter<const D: usize> {
 }
 
 impl<const D: usize> PruneFilter<D> {
-    /// Hoists the query-side state for segment `query` of `soa` (with its
-    /// cached bounding box). Returns `None` when the weights admit no
-    /// sound bound (negative or non-finite) — the caller refines every
-    /// candidate, exactly as the `-∞` tiers would dictate.
+    /// Hoists the query-side state for segment `query` of `table`.
+    /// Returns `None` when the weights admit no sound bound (negative or
+    /// non-finite) — the caller refines every candidate, exactly as the
+    /// `-∞` tiers would dictate.
     pub fn new(
-        soa: &SegmentSoa<D>,
+        table: &SegmentTable<D>,
         query: u32,
-        bbox: &Aabb<D>,
         dist: &SegmentDistance,
         eps: f64,
     ) -> Option<Self> {
         let (c1, c2) = admissible_coefficients(dist)?;
-        let q = query as usize;
-        let mid = soa.midpoint(q);
+        let q = table.record(query);
+        let mid = q.midpoint;
         let mut mag = 0.0;
         for k in 0..D {
             mag += mid.coords[k].abs();
@@ -338,11 +339,11 @@ impl<const D: usize> PruneFilter<D> {
         let wa = dist.weights.angle;
         let eps_infl = eps * (1.0 + BOUND_SLACK);
         Some(Self {
-            bbox: *bbox,
+            bbox: q.bounding_box(),
             mid,
-            dir: soa.direction(q),
-            norm_sq: soa.norm_squared(q),
-            half_len: 0.5 * soa.length(q),
+            dir: q.dir,
+            norm_sq: q.norm_sq,
+            half_len: 0.5 * q.length,
             mag,
             c1,
             c1_sq: c1 * c1,
@@ -359,18 +360,18 @@ impl<const D: usize> PruneFilter<D> {
     /// comparison rules the pair out at ε, `None` to refine. The returned
     /// index names the bound that fired (0 = MBR, 1 = midpoint/length,
     /// 2 = angle); evaluation order is a cost decision — the midpoint test
-    /// runs first (one cached point against six flops) and the wider MBR
-    /// load only for its survivors — so a pair both tests exclude is
-    /// attributed to the midpoint tier.
+    /// runs first (one cached point against six flops) and the MBR test,
+    /// which boxes the candidate's endpoints, only for its survivors — so
+    /// a pair both tests exclude is attributed to the midpoint tier.
     #[inline(always)]
-    pub fn check(&self, soa: &SegmentSoa<D>, cand: u32, cand_bbox: &Aabb<D>) -> Option<usize> {
-        let c = cand as usize;
-        let mid_c = soa.midpoint(c);
+    pub fn check(&self, table: &SegmentTable<D>, cand: u32) -> Option<usize> {
+        let c = table.record(cand);
+        let mid_c = c.midpoint;
         let mut mag = self.mag;
         for k in 0..D {
             mag += mid_c.coords[k].abs();
         }
-        let h = self.half_len + 0.5 * soa.length(c);
+        let h = self.half_len + 0.5 * c.length;
         let slack = BOUND_SLACK * (h + mag);
         // Tier 2: c2·(M − h − slack) > ε, compared in squared space.
         let m_sq = self.mid.distance_squared(&mid_c);
@@ -379,7 +380,7 @@ impl<const D: usize> PruneFilter<D> {
             return Some(1);
         }
         // Tier 1: c1·(mbrd − slack) > ε, compared in squared space.
-        let mbrd_sq = self.bbox.min_distance_squared(cand_bbox);
+        let mbrd_sq = self.bbox.min_distance_squared(&c.bounding_box());
         let rhs1 = self.eps + self.c1 * slack;
         if self.c1_sq * mbrd_sq > rhs1 * rhs1 {
             return Some(0);
@@ -390,12 +391,12 @@ impl<const D: usize> PruneFilter<D> {
         // Both branches need wθ²·‖Lⱼ‖² to clear the inflated ε² (the sine
         // ratio never exceeds 1), so the direction dot product is only
         // evaluated when that necessary condition holds.
-        let norm_sq_c = soa.norm_squared(c);
+        let norm_sq_c = c.norm_sq;
         let lj_nsq = self.norm_sq.min(norm_sq_c);
         if self.wa_sq * lj_nsq > self.eps_infl_sq {
             let sin_den = self.norm_sq * norm_sq_c;
             if sin_den > 0.0 {
-                let vw = self.dir.dot(&soa.direction(c));
+                let vw = self.dir.dot(&c.dir);
                 if self.directed && vw <= 0.0 {
                     // Reversed directions: the kernel's dθ is exactly ‖Lⱼ‖.
                     return Some(2);
@@ -410,24 +411,16 @@ impl<const D: usize> PruneFilter<D> {
     }
 }
 
-/// [`tiers`] for a standalone segment pair: builds the two-slot geometry
-/// cache and tight boxes the database would hold, with `a` in the
-/// smaller-id role. Convenience for tests and one-off checks — the hot
-/// path goes through the cached [`tiers`] / [`prune_tier`].
+/// [`tiers`] for a standalone segment pair: builds the two-record table
+/// the database would hold, with `a` in the smaller-id role. Convenience
+/// for tests and one-off checks — the hot path goes through the cached
+/// [`tiers`] / [`prune_tier`].
 pub fn segment_tiers<const D: usize>(
     a: &Segment<D>,
     b: &Segment<D>,
     dist: &SegmentDistance,
 ) -> [f64; TIER_COUNT] {
-    let soa = SegmentSoa::from_segments([a, b]);
-    tiers(
-        &soa,
-        0,
-        1,
-        &Aabb::from_segment(a),
-        &Aabb::from_segment(b),
-        dist,
-    )
+    tiers(&SegmentTable::from_geometry([a, b]), 0, 1, dist)
 }
 
 #[cfg(test)]
@@ -437,9 +430,9 @@ mod tests {
     use crate::segment::Segment2;
 
     fn exact(a: &Segment2, b: &Segment2, dist: &SegmentDistance) -> f64 {
-        let soa = SegmentSoa::from_segments([a, b]);
+        let table = SegmentTable::from_geometry([a, b]);
         let mut out = [0.0];
-        dist.distance_many_into(&soa, 0, &[1], &mut out);
+        dist.distance_many_into(&table, 0, &[1], &mut out);
         out[0]
     }
 
@@ -452,14 +445,13 @@ mod tests {
         assert!(t[0] > 100.0, "MBR tier sees the gap: {t:?}");
         assert!(t[0] <= t[1] && t[1] <= t[2], "tiers are monotone: {t:?}");
         assert!(t[2] <= exact(&a, &b, &dist), "bound ≤ exact");
-        let soa = SegmentSoa::from_segments([&a, &b]);
-        let (ba, bb) = (Aabb::from_segment(&a), Aabb::from_segment(&b));
+        let table = SegmentTable::from_geometry([&a, &b]);
         assert_eq!(
-            prune_tier(&soa, 0, 1, &ba, &bb, &dist, 100.0),
+            prune_tier(&table, 0, 1, &dist, 100.0),
             Some(1),
             "the midpoint test runs first and already excludes the pair"
         );
-        assert_eq!(prune_tier(&soa, 0, 1, &ba, &bb, &dist, 1e9), None);
+        assert_eq!(prune_tier(&table, 0, 1, &dist, 1e9), None);
     }
 
     #[test]
@@ -468,9 +460,8 @@ mod tests {
         let dist = SegmentDistance::default();
         let t = segment_tiers(&a, &a, &dist);
         assert_eq!(t, [0.0; 3], "dist(L, L) = 0 admits no positive bound");
-        let soa = SegmentSoa::from_segments([&a, &a]);
-        let bb = Aabb::from_segment(&a);
-        assert_eq!(prune_tier(&soa, 0, 1, &bb, &bb, &dist, 0.0), None);
+        let table = SegmentTable::from_geometry([&a, &a]);
+        assert_eq!(prune_tier(&table, 0, 1, &dist, 0.0), None);
     }
 
     #[test]
@@ -486,9 +477,9 @@ mod tests {
         ] {
             for mode in [AngleMode::Directed, AngleMode::Undirected] {
                 let dist = SegmentDistance::new(weights, mode);
-                let soa = SegmentSoa::from_segments([&a, &b]);
+                let table = SegmentTable::from_geometry([&a, &b]);
                 // a is longer → base role regardless of ids.
-                let angle = exact_angle(&soa, 0, 1, mode);
+                let angle = exact_angle(table.record(0), table.record(1), mode);
                 let t = segment_tiers(&a, &b, &dist);
                 assert!(t[2] <= exact(&a, &b, &dist));
                 assert!(
@@ -517,9 +508,8 @@ mod tests {
         ] {
             let dist = SegmentDistance::new(weights, AngleMode::Directed);
             assert_eq!(segment_tiers(&a, &b, &dist), [f64::NEG_INFINITY; 3]);
-            let soa = SegmentSoa::from_segments([&a, &b]);
-            let (ba, bb) = (Aabb::from_segment(&a), Aabb::from_segment(&b));
-            assert_eq!(prune_tier(&soa, 0, 1, &ba, &bb, &dist, 0.0), None);
+            let table = SegmentTable::from_geometry([&a, &b]);
+            assert_eq!(prune_tier(&table, 0, 1, &dist, 0.0), None);
         }
     }
 

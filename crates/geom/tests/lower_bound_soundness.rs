@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use traclus_geom::{
-    lower_bound_tiers, prune_tier, segment_tiers, Aabb, AngleMode, DistanceWeights, Point2,
-    Segment2, SegmentDistance, SegmentSoa, TIER_COUNT,
+    lower_bound_tiers, prune_tier, segment_tiers, AngleMode, DistanceWeights, Point2, Segment2,
+    SegmentDistance, SegmentTable, TIER_COUNT,
 };
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -83,11 +83,11 @@ prop_compose! {
 }
 
 /// The composite distance exactly as the refine step computes it: the
-/// batched kernel over a two-slot SoA (role ordering included).
+/// batched kernel over a two-record table (role ordering included).
 fn exact(a: &Segment2, b: &Segment2, dist: &SegmentDistance) -> f64 {
-    let soa = SegmentSoa::from_segments([a, b]);
+    let table = SegmentTable::from_geometry([a, b]);
     let mut out = [0.0];
-    dist.distance_many_into(&soa, 0, &[1], &mut out);
+    dist.distance_many_into(&table, 0, &[1], &mut out);
     out[0]
 }
 
@@ -112,9 +112,7 @@ fn check_admissible(pair: &(Segment2, Segment2), dist: &SegmentDistance, eps: f6
         t[0] <= t[1] && t[1] <= t[2],
         "tiers must be monotone, got {t:?}"
     );
-    let soa = SegmentSoa::from_segments([a, b]);
-    let (ba, bb) = (Aabb::from_segment(a), Aabb::from_segment(b));
-    let decision = prune_tier(&soa, 0, 1, &ba, &bb, dist, eps);
+    let decision = prune_tier(&SegmentTable::from_geometry([a, b]), 0, 1, dist, eps);
     if let Some(k) = decision {
         assert!(k < TIER_COUNT, "deciding tier out of range: {k}");
         assert!(
@@ -133,10 +131,10 @@ fn check_admissible(pair: &(Segment2, Segment2), dist: &SegmentDistance, eps: f6
     }
     // The decision is symmetric: every comparison is built from
     // operand-order-independent quantities.
-    let swapped = SegmentSoa::from_segments([b, a]);
+    let swapped = SegmentTable::from_geometry([b, a]);
     assert_eq!(
         decision,
-        prune_tier(&swapped, 0, 1, &bb, &ba, dist, eps),
+        prune_tier(&swapped, 0, 1, dist, eps),
         "prune decision must not depend on operand order"
     );
 }
@@ -178,11 +176,10 @@ proptest! {
         dist in distance_config(),
     ) {
         // `segment_tiers` is the 2-slot convenience wrapper; the hot path
-        // calls `tiers` on the database SoA. Same bits required.
+        // calls `tiers` on the database's table. Same bits required.
         let (a, b) = &pair;
-        let soa = SegmentSoa::from_segments([a, b]);
-        let (ba_box, bb_box) = (Aabb::from_segment(a), Aabb::from_segment(b));
-        let cached = lower_bound_tiers(&soa, 0, 1, &ba_box, &bb_box, &dist);
+        let table = SegmentTable::from_geometry([a, b]);
+        let cached = lower_bound_tiers(&table, 0, 1, &dist);
         let standalone = segment_tiers(a, b, &dist);
         for k in 0..TIER_COUNT {
             prop_assert_eq!(cached[k].to_bits(), standalone[k].to_bits());
@@ -200,9 +197,8 @@ proptest! {
         for (k, &bound) in t.iter().enumerate() {
             prop_assert!(bound <= 0.0, "self-pair tier {} is {}", k, bound);
         }
-        let soa = SegmentSoa::from_segments([&s, &s]);
-        let bb = Aabb::from_segment(&s);
-        prop_assert_eq!(prune_tier(&soa, 0, 1, &bb, &bb, &dist, 0.0), None);
+        let table = SegmentTable::from_geometry([&s, &s]);
+        prop_assert_eq!(prune_tier(&table, 0, 1, &dist, 0.0), None);
     }
 }
 

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use traclus_geom::{
     Aabb, AngleMode, DistanceWeights, OrthonormalFrame, Point2, PreparedBase, Segment2,
-    SegmentDistance, SegmentSoa, Vector2,
+    SegmentDistance, SegmentTable, Vector2,
 };
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -155,11 +155,11 @@ proptest! {
         // ordering (cached length, index tie-break).
         let mode = if mode_sel == 0 { AngleMode::Directed } else { AngleMode::Undirected };
         let dist = SegmentDistance::new(DistanceWeights::new(wp, wl, wa), mode);
-        let soa = SegmentSoa::from_segments(segs.iter());
+        let table = SegmentTable::from_geometry(segs.iter());
         let candidates: Vec<u32> = (0..segs.len() as u32).collect();
         let mut out = Vec::new();
         for q in 0..segs.len() {
-            dist.distance_many(&soa, q as u32, &candidates, &mut out);
+            dist.distance_many(&table, q as u32, &candidates, &mut out);
             prop_assert_eq!(out.len(), segs.len());
             for (c, &got) in out.iter().enumerate() {
                 let (la, lb) = (segs[q].length(), segs[c].length());

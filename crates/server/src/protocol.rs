@@ -8,7 +8,7 @@
 //!
 //! | `op`              | fields                            | answer |
 //! |-------------------|-----------------------------------|--------|
-//! | `ingest`          | `points: [[x,y],…]`, `weight?`    | assigned trajectory id (queued, not yet applied) |
+//! | `ingest`          | `points: [[x,y],…]` (at most [`MAX_INGEST_POINTS`], each coordinate within ±[`MAX_COORDINATE`]), `weight?` | assigned trajectory id (queued, not yet applied) |
 //! | `remove`          | `trajectory: id`                  | retires that trajectory from the live window (synchronous: replies after the removal is applied and published) |
 //! | `expire`          | `keep: n`                         | expires oldest-first down to `n` live trajectories (synchronous, like `remove`) |
 //! | `membership`      | `trajectory: id`                  | clusters containing that trajectory |
@@ -31,6 +31,20 @@ use traclus_json::{JsonError, JsonValue};
 /// with [`ProtocolError::LineTooLong`] and its connection is closed, so no
 /// client can grow the server's memory by withholding the newline.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most points one `ingest` may carry. The Figure 8 partition scan is
+/// quadratic in the length of a straight run (one straight trajectory
+/// took 0.29 s at 5k points and 4.7 s at 20k in a release build on a
+/// 2-vCPU machine), so the cap keeps one ingest near 0.2 s. Longer
+/// ingests are refused with [`ProtocolError::TooManyPoints`].
+pub const MAX_INGEST_POINTS: usize = 4096;
+
+/// The largest coordinate magnitude an `ingest` may carry. The distance
+/// kernels multiply squared norms — fourth powers of coordinates — which
+/// overflow `f64` from about `1e77` on; the cap leaves them a wide margin.
+/// Larger coordinates are refused with
+/// [`ProtocolError::CoordinateTooLarge`].
+pub const MAX_COORDINATE: f64 = 1e50;
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,6 +127,16 @@ pub enum ProtocolError {
         /// The cap it exceeded, in bytes.
         limit: usize,
     },
+    /// An `ingest` carries more than [`MAX_INGEST_POINTS`] points.
+    TooManyPoints {
+        /// The cap it exceeded.
+        limit: usize,
+    },
+    /// An `ingest` coordinate's magnitude exceeds [`MAX_COORDINATE`].
+    CoordinateTooLarge {
+        /// The cap it exceeded.
+        limit: f64,
+    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -132,6 +156,12 @@ impl std::fmt::Display for ProtocolError {
             } => write!(f, "{op}: field \"{field}\" must be {expected}"),
             ProtocolError::LineTooLong { limit } => {
                 write!(f, "request line exceeds {limit} bytes")
+            }
+            ProtocolError::TooManyPoints { limit } => {
+                write!(f, "ingest: more than {limit} points")
+            }
+            ProtocolError::CoordinateTooLarge { limit } => {
+                write!(f, "ingest: a coordinate exceeds {limit:e} in magnitude")
             }
         }
     }
@@ -200,9 +230,22 @@ impl Request {
                     field: "points",
                     expected: "an array of [x, y] pairs",
                 })?;
+                if items.len() > MAX_INGEST_POINTS {
+                    return Err(ProtocolError::TooManyPoints {
+                        limit: MAX_INGEST_POINTS,
+                    });
+                }
                 let points = items
                     .iter()
-                    .map(|p| parse_point(p, "ingest", "points"))
+                    .map(|p| {
+                        let point = parse_point(p, "ingest", "points")?;
+                        if point.iter().any(|c| c.abs() > MAX_COORDINATE) {
+                            return Err(ProtocolError::CoordinateTooLarge {
+                                limit: MAX_COORDINATE,
+                            });
+                        }
+                        Ok(point)
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
                 let weight = match value.get("weight") {
                     None => None,
@@ -465,6 +508,53 @@ mod tests {
                 min: [1.0, 1.0],
                 max: [1.0, 1.0]
             })
+        );
+    }
+
+    #[test]
+    fn ingest_caps_hold_at_and_above_each_limit() {
+        let ingest = |points: Vec<[f64; 2]>| {
+            Request::parse_line(
+                &Request::Ingest {
+                    points,
+                    weight: None,
+                }
+                .to_line(),
+            )
+        };
+        let at_cap = vec![[1.0, 2.0]; MAX_INGEST_POINTS];
+        assert!(ingest(at_cap.clone()).is_ok());
+        let mut over = at_cap;
+        over.push([3.0, 4.0]);
+        assert_eq!(
+            ingest(over),
+            Err(ProtocolError::TooManyPoints {
+                limit: MAX_INGEST_POINTS
+            })
+        );
+
+        let above = f64::from_bits(MAX_COORDINATE.to_bits() + 1);
+        for c in [MAX_COORDINATE, -MAX_COORDINATE] {
+            assert!(ingest(vec![[c, 0.0], [0.0, c]]).is_ok(), "{c:e} is allowed");
+        }
+        for c in [above, -above, 1e300, -1e77] {
+            for point in [[c, 0.0], [0.0, c]] {
+                assert_eq!(
+                    ingest(vec![[0.0, 0.0], point]),
+                    Err(ProtocolError::CoordinateTooLarge {
+                        limit: MAX_COORDINATE
+                    }),
+                    "{point:?}"
+                );
+            }
+        }
+        // The error names the cap on the wire.
+        let error = ProtocolError::CoordinateTooLarge {
+            limit: MAX_COORDINATE,
+        };
+        assert_eq!(
+            error.to_string(),
+            "ingest: a coordinate exceeds 1e50 in magnitude"
         );
     }
 

@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 use rand::Rng;
+use traclus_server::protocol::{MAX_COORDINATE, MAX_INGEST_POINTS};
 use traclus_server::{ProtocolError, Request};
 
 fn arb_coord(rng: &mut TestRng) -> f64 {
@@ -70,6 +71,33 @@ impl Strategy for ArbCorners {
     type Value = ([f64; 2], [f64; 2]);
     fn generate(&self, rng: &mut TestRng) -> Self::Value {
         (arb_point(rng), arb_point(rng))
+    }
+}
+
+/// Ingest point lists at and around both caps: a point count within two
+/// of [`MAX_INGEST_POINTS`], or one coordinate within two ulps of
+/// ±[`MAX_COORDINATE`].
+struct ArbIngestNearCaps;
+
+impl Strategy for ArbIngestNearCaps {
+    type Value = Vec<[f64; 2]>;
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        if rng.gen_range(0..2u32) == 0 {
+            let n = MAX_INGEST_POINTS - 2 + rng.gen_range(0..5usize);
+            return (0..n).map(|_| arb_point(rng)).collect();
+        }
+        let mut points: Vec<[f64; 2]> = (0..rng.gen_range(1..5usize))
+            .map(|_| arb_point(rng))
+            .collect();
+        let bits = MAX_COORDINATE.to_bits() - 2 + rng.gen_range(0..5u64);
+        let sign = if rng.gen_range(0..2u32) == 0 {
+            1.0
+        } else {
+            -1.0
+        };
+        let k = rng.gen_range(0..points.len());
+        points[k][rng.gen_range(0..2usize)] = sign * f64::from_bits(bits);
+        points
     }
 }
 
@@ -154,6 +182,27 @@ proptest! {
                 "inverted region must parse to BadField: {}",
                 line
             );
+        }
+    }
+
+    #[test]
+    fn ingest_caps_are_enforced_at_parse(points in ArbIngestNearCaps) {
+        // Exactly the ingests within both caps parse; the rest get the
+        // typed error of the cap they break, never a queued trajectory.
+        let line = Request::Ingest { points: points.clone(), weight: None }.to_line();
+        let parsed = Request::parse_line(&line);
+        if points.len() > MAX_INGEST_POINTS {
+            prop_assert_eq!(
+                parsed,
+                Err(ProtocolError::TooManyPoints { limit: MAX_INGEST_POINTS })
+            );
+        } else if points.iter().flatten().any(|c| c.abs() > MAX_COORDINATE) {
+            prop_assert_eq!(
+                parsed,
+                Err(ProtocolError::CoordinateTooLarge { limit: MAX_COORDINATE })
+            );
+        } else {
+            prop_assert_eq!(parsed, Ok(Request::Ingest { points, weight: None }));
         }
     }
 

@@ -396,6 +396,70 @@ fn oversized_request_line_is_refused_and_closed() {
     server.join().expect("join").expect("clean shutdown");
 }
 
+/// Ingests past the point cap or with coordinates beyond the magnitude
+/// cap get typed errors at the wire, and the daemon keeps serving. The
+/// huge coordinates would overflow the distance kernels: a debug build's
+/// engine thread would panic on them, and a release build would compute
+/// NaN geometry.
+#[test]
+fn oversized_ingests_are_refused_and_the_daemon_keeps_serving() {
+    use traclus_server::protocol::{MAX_COORDINATE, MAX_INGEST_POINTS};
+
+    let (config, trajectories) = fixture();
+    let (addr, server) = start(config);
+    let mut client = Client::connect(addr).expect("connect");
+    let refused = |response: &JsonValue, error: String| {
+        assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)));
+        assert_eq!(
+            response.get("error").and_then(JsonValue::as_str),
+            Some(error.as_str())
+        );
+    };
+
+    let huge =
+        r#"{"op": "ingest", "points": [[1e300, 1e300], [1.5e300, 1e300], [1.5e300, 1.7e300]]}"#;
+    let response = client.send_raw(huge).expect("huge-coordinate ingest");
+    refused(
+        &response,
+        format!("ingest: a coordinate exceeds {MAX_COORDINATE:e} in magnitude"),
+    );
+    let long = Request::Ingest {
+        points: (0..=MAX_INGEST_POINTS)
+            .map(|k| [k as f64, (k % 7) as f64])
+            .collect(),
+        weight: None,
+    };
+    let response = client.request(&long).expect("over-long ingest");
+    refused(
+        &response,
+        format!("ingest: more than {MAX_INGEST_POINTS} points"),
+    );
+
+    // The same connection still ingests, applies and serves.
+    let prefix = &trajectories[..6];
+    for t in prefix {
+        assert_ok(&client.request(&ingest_request(t)).expect("ingest"));
+    }
+    assert_ok(&client.request(&Request::Flush).expect("flush"));
+    let response = client.request(&Request::Stats).expect("stats");
+    assert_ok(&response);
+    assert_eq!(
+        response.get("trajectories").and_then(JsonValue::as_i64),
+        Some(prefix.len() as i64),
+        "only the valid ingests were queued"
+    );
+    let response = client
+        .request(&Request::Representatives)
+        .expect("representatives");
+    assert_ok(&response);
+    assert_eq!(
+        wire_representatives(&response),
+        batch_representatives(config, prefix)
+    );
+    assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
+    server.join().expect("join").expect("clean shutdown");
+}
+
 #[test]
 fn queries_on_an_empty_daemon_are_well_formed() {
     let (config, _) = fixture();

@@ -201,7 +201,7 @@ pub fn render_segments(outcome: &TraclusOutcome<2>, width: f64, height: f64) -> 
         world
     };
     let mut canvas = SvgCanvas::new(world, width, height);
-    for (i, seg) in outcome.database.segments().iter().enumerate() {
+    for (i, seg) in outcome.database.segments().enumerate() {
         let (color, width_px, opacity) = match outcome.clustering.labels[i] {
             traclus_core::SegmentLabel::Cluster(id) => (Color::palette(id.0 as usize), 1.5, 0.9),
             _ => (Color::NOISE_GREY, 0.7, 0.5),

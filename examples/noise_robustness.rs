@@ -27,7 +27,7 @@ fn main() {
         // Score against ground truth using segment provenance.
         let mut corridor = (0usize, 0usize); // (clustered, total)
         let mut noise = (0usize, 0usize); // (rejected, total)
-        for (i, seg) in outcome.database.segments().iter().enumerate() {
+        for (i, seg) in outcome.database.segments().enumerate() {
             let clustered = matches!(outcome.clustering.labels[i], SegmentLabel::Cluster(_));
             match scene.truth[seg.trajectory.0 as usize] {
                 TruthLabel::Corridor(_) => {

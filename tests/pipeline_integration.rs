@@ -47,7 +47,7 @@ fn scene_pipeline_recovers_planted_corridors() {
     // Noise-truth segments are mostly rejected.
     let mut noise_total = 0usize;
     let mut noise_rejected = 0usize;
-    for (i, seg) in outcome.database.segments().iter().enumerate() {
+    for (i, seg) in outcome.database.segments().enumerate() {
         if matches!(scene.truth[seg.trajectory.0 as usize], TruthLabel::Noise) {
             noise_total += 1;
             if matches!(outcome.clustering.labels[i], SegmentLabel::Noise) {
@@ -197,8 +197,12 @@ fn rebuilding_database_from_segments_preserves_clustering() {
     };
     let first = Traclus::new(config).run(&scene.trajectories);
     // Round-trip the segments through a fresh database.
-    let segments = first.database.segments().to_vec();
+    let segments = first.database.segments().collect();
     let db2 = SegmentDatabase::from_segments(segments, config.distance);
+    assert_eq!(
+        db2, first.database,
+        "the round trip rebuilds the same table"
+    );
     let second = Traclus::new(config).run_on_database(db2);
     assert_eq!(first.clustering, second.clustering);
 }
