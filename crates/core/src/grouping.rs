@@ -42,17 +42,6 @@
 //!   component never changes a claim minimum. This keeps the carried lists
 //!   near the border and component count, not the edge count.
 //!
-//! The streaming engine rebuilds with the same pass and then repairs in
-//! place, so its claim lists may lack such a skipped core. Labels stay
-//! exact: the carried core stands in for the skipped one only while both
-//! are cores of one component, and that ends only when some core of the
-//! component is removed or demoted (insertions only merge). Every such
-//! removal or demotion — including the one that scrubs a claimer from a
-//! claim list — marks the whole component affected, and
-//! [`crate::IncrementalClustering`]'s removal repair then re-expands every
-//! surviving core of it, which re-lands every claim; otherwise the engine
-//! rebuilds.
-//!
 //! [`for_each_ordered`] is the parallel half, and the one engine behind
 //! every parallel phase: `threads` scoped workers claim blocks of
 //! [`BLOCK`] items from a shared atomic cursor and fill recycled flat
@@ -67,8 +56,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-use traclus_geom::remove_sorted;
 
 use crate::cluster::{finalize_raw, ClusterConfig, ClusterStats, Clustering};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
@@ -86,13 +73,10 @@ pub(crate) const INLINE_BELOW: usize = 2 * BLOCK;
 
 /// Variable-length outputs of consecutive items, flattened into one
 /// buffer: `flat[ends[k - 1]..ends[k]]` is the `k`-th output.
-pub(crate) struct FlatLists<U> {
+struct FlatLists<U> {
     flat: Vec<U>,
     ends: Vec<usize>,
 }
-
-/// ε-neighbourhoods of consecutive ids.
-pub(crate) type Neighborhoods = FlatLists<u32>;
 
 impl<U> Default for FlatLists<U> {
     fn default() -> Self {
@@ -105,13 +89,13 @@ impl<U> Default for FlatLists<U> {
 
 impl<U: Copy> FlatLists<U> {
     /// Appends one list.
-    pub(crate) fn push(&mut self, list: &[U]) {
+    fn push(&mut self, list: &[U]) {
         self.flat.extend_from_slice(list);
         self.ends.push(self.flat.len());
     }
 
     /// The lists in push order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[U]> {
+    fn iter(&self) -> impl Iterator<Item = &[U]> {
         let mut start = 0;
         self.ends.iter().map(move |&end| {
             let list = &self.flat[start..end];
@@ -319,10 +303,8 @@ impl<U: Copy> Drop for StopOnUnwind<'_, U> {
     }
 }
 
-/// Core flags, core components and border claims — the state one ordered
-/// pass builds, and the state [`crate::IncrementalClustering`] repairs in
-/// place between passes.
-#[derive(Clone)]
+/// Core flags, core components and border claims: the state one ordered
+/// pass builds.
 pub(crate) struct Classification {
     /// Definition 5 core flag per segment id.
     pub(crate) core: Vec<bool>,
@@ -330,9 +312,7 @@ pub(crate) struct Classification {
     /// its minimum core id.
     pub(crate) dsu: UnionFind,
     /// For each non-core segment: core ids within ε that claim it as a
-    /// border member. Lists may carry stale entries for cores that were
-    /// since demoted; [`Self::raw_labels`] filters on the current core
-    /// flags.
+    /// border member.
     pub(crate) claims: Vec<Vec<u32>>,
 }
 
@@ -349,35 +329,6 @@ impl Classification {
             dsu: UnionFind::new(n as u32),
             claims: vec![Vec::new(); n],
         }
-    }
-
-    /// Grows the id space by one non-core singleton.
-    pub(crate) fn push(&mut self) {
-        self.core.push(false);
-        self.dsu.push();
-        self.claims.push(Vec::new());
-    }
-
-    /// Follows [`SegmentDatabase::remove_segments`] into the compacted id
-    /// space: drops the rows of the ascending ids `removed`, drops claims
-    /// made by a removed core, and renumbers every other claim to its old
-    /// id less the removed ids below it. The union-find restarts as
-    /// singletons; the repair or rebuild that follows re-unions the
-    /// components.
-    pub(crate) fn compact(&mut self, removed: &[u32]) {
-        remove_sorted(&mut self.core, removed);
-        remove_sorted(&mut self.claims, removed);
-        for claims in &mut self.claims {
-            claims.retain_mut(|c| match removed.binary_search(c) {
-                Ok(_) => false,
-                // `below` removed ids sit under `c`: its compacted id.
-                Err(below) => {
-                    *c -= below as u32;
-                    true
-                }
-            });
-        }
-        self.dsu = UnionFind::new(self.core.len() as u32);
     }
 
     /// Visits `id` in the ascending pass: records its final core flag and
@@ -397,54 +348,44 @@ impl Classification {
             }
         }
     }
+}
 
-    /// One freshly core segment's expansion: union with every core
-    /// neighbour, claim every non-core neighbour, and drop any claims made
-    /// on the segment while it was still a border candidate.
-    pub(crate) fn expand_core(&mut self, c: u32, hood: &[u32]) {
-        self.claims[c as usize] = Vec::new();
-        for &m in hood {
-            if m == c {
-                continue;
+/// Raw cluster id of every segment, plus the raw cluster count: components
+/// numbered in ascending minimum-core-id order (the sequential seed order),
+/// and each non-core segment in the earliest component among the cores its
+/// list names. Non-core entries are skipped, so the list may be the
+/// ordered pass's claims or a whole ε-neighbourhood
+/// ([`crate::IncrementalClustering`]'s ε-graph): both name a core of every
+/// component within ε of the segment, so both give the same labels.
+pub(crate) fn raw_labels(
+    core: &[bool],
+    dsu: &UnionFind,
+    lists: &[Vec<u32>],
+) -> (Vec<Option<u32>>, u32) {
+    let n = core.len();
+    let mut comp_of_root = vec![u32::MAX; n];
+    let mut raw: Vec<Option<u32>> = vec![None; n];
+    let mut cluster_count = 0u32;
+    for id in 0..n {
+        if core[id] {
+            let root = dsu.find_readonly(id as u32) as usize;
+            if comp_of_root[root] == u32::MAX {
+                comp_of_root[root] = cluster_count;
+                cluster_count += 1;
             }
-            if self.core[m as usize] {
-                self.dsu.union(c, m);
-            } else {
-                push_claim(&mut self.claims[m as usize], c);
-            }
+            raw[id] = Some(comp_of_root[root]);
         }
     }
-
-    /// Raw cluster id of every segment, plus the raw cluster count:
-    /// components numbered in ascending minimum-core-id order (the
-    /// sequential seed order), border segments in their earliest claiming
-    /// component.
-    pub(crate) fn raw_labels(&self) -> (Vec<Option<u32>>, u32) {
-        let n = self.core.len();
-        let mut comp_of_root = vec![u32::MAX; n];
-        let mut raw: Vec<Option<u32>> = vec![None; n];
-        let mut cluster_count = 0u32;
-        for id in 0..n {
-            if self.core[id] {
-                let root = self.dsu.find_readonly(id as u32) as usize;
-                if comp_of_root[root] == u32::MAX {
-                    comp_of_root[root] = cluster_count;
-                    cluster_count += 1;
-                }
-                raw[id] = Some(comp_of_root[root]);
-            }
+    for id in 0..n {
+        if !core[id] {
+            raw[id] = lists[id]
+                .iter()
+                .filter(|&&c| core[c as usize])
+                .map(|&c| comp_of_root[dsu.find_readonly(c) as usize])
+                .min();
         }
-        for id in 0..n {
-            if !self.core[id] {
-                raw[id] = self.claims[id]
-                    .iter()
-                    .filter(|&&c| self.core[c as usize])
-                    .map(|&c| comp_of_root[self.dsu.find_readonly(c) as usize])
-                    .min();
-            }
-        }
-        (raw, cluster_count)
     }
+    (raw, cluster_count)
 }
 
 /// Appends a claiming core, compacting (sort + dedup) only when the list
@@ -453,7 +394,7 @@ impl Classification {
 /// `k` distinct claiming cores pays O(k log k) per *doubling*, not per
 /// push. Duplicates are harmless for correctness (the labels take a min);
 /// compaction only bounds memory.
-pub(crate) fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
+fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
     if claims.len() >= CLAIM_DEDUP_LEN && claims.len() == claims.capacity() {
         claims.sort_unstable();
         claims.dedup();
@@ -466,8 +407,7 @@ pub(crate) fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
 /// visits every id ascending and leaves `|Nε(id)|` in `counts[id]` and
 /// each id's core flag, components and claims in `classes`, exactly as
 /// [`Classification::classify`] over whole neighbourhoods would. `counts`
-/// is zeroed first; the union-find must start as singletons. Returns
-/// whether workers were spawned.
+/// is zeroed first; the union-find must start as singletons.
 pub(crate) fn classify_forward<const D: usize>(
     db: &SegmentDatabase<D>,
     index: &NeighborIndex<D>,
@@ -475,7 +415,7 @@ pub(crate) fn classify_forward<const D: usize>(
     threads: usize,
     counts: &mut [f64],
     classes: &mut Classification,
-) -> bool {
+) {
     counts.fill(0.0);
     let ids: Vec<u32> = (0..db.len() as u32).collect();
     // `carried[c]`: visited `b < c` with `c ∈ Nε(b)`, ascending, minus the
@@ -501,7 +441,7 @@ pub(crate) fn classify_forward<const D: usize>(
             }
             carry.push(id);
         }
-    })
+    });
 }
 
 /// The grouping phase on `threads` workers: one ordered pass over every
@@ -523,7 +463,7 @@ pub(crate) fn run_ordered<const D: usize>(
         crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
         crate::invariants::assert_counts_exact(db, config, &counts, &classes, "grouping");
     }
-    let (raw, cluster_count) = classes.raw_labels();
+    let (raw, cluster_count) = raw_labels(&classes.core, &classes.dsu, &classes.claims);
     let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
     let stats = ClusterStats {
         prune: index.prune_stats(),
@@ -533,8 +473,8 @@ pub(crate) fn run_ordered<const D: usize>(
 
 /// Union-find with path halving; the smaller root always wins a union, so
 /// a component's root is its minimum member id — deterministic regardless
-/// of union order. Component numbering in [`Classification::raw_labels`]
-/// relies on exactly this min-root property.
+/// of union order. Component numbering in [`raw_labels`] relies on exactly
+/// this min-root property.
 #[derive(Debug, Clone)]
 pub(crate) struct UnionFind {
     parent: Vec<u32>,
@@ -553,6 +493,9 @@ impl UnionFind {
         self.parent.push(self.parent.len() as u32);
     }
 
+    /// Inlined, like [`Self::union`], into the generic grouping and stream
+    /// code that calls it once per ε-edge in the callers' crates.
+    #[inline]
     pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grandparent = self.parent[self.parent[x as usize] as usize];
@@ -578,6 +521,7 @@ impl UnionFind {
         &self.parent
     }
 
+    #[inline]
     pub(crate) fn union(&mut self, a: u32, b: u32) {
         let ra = self.find(a);
         let rb = self.find(b);
@@ -665,7 +609,7 @@ mod tests {
         .iter()
         .map(|&len| all[..len].to_vec())
         .collect();
-        // Repair-style: ascending, gapped, not starting at zero.
+        // Ascending, gapped, not starting at zero.
         lists.push(
             all.iter()
                 .copied()
@@ -796,7 +740,8 @@ mod tests {
                 }
                 let core_count = want.core.iter().filter(|&&c| c).count();
                 assert!(core_count > 0 && core_count < db.len(), "cores and borders");
-                let want_labels = want.raw_labels();
+                let labels = |c: &Classification| raw_labels(&c.core, &c.dsu, &c.claims);
+                let want_labels = labels(&want);
                 for threads in [1, 2, 3, 8] {
                     let context = format!("weighted={is_weighted} {kind:?} t={threads}");
                     // The pass zeroes the counts itself.
@@ -807,7 +752,7 @@ mod tests {
                         assert_eq!(got.to_bits(), want.to_bits(), "{context}: count of {id}");
                     }
                     assert_eq!(classes.core, want.core, "{context}: core flags");
-                    assert_eq!(classes.raw_labels(), want_labels, "{context}: labels");
+                    assert_eq!(labels(&classes), want_labels, "{context}: labels");
                 }
             }
         }

@@ -24,6 +24,12 @@
 //! * an incrementally grown spatial index answers exactly like a full
 //!   scan (a stale or mis-inserted entry would corrupt ε-neighborhoods
 //!   long before any test compares clusterings);
+//! * the stream's cached ε-graph equals fresh ε-queries on the live index,
+//!   with every count the bit-exact fold over its list, on the dirty
+//!   region of every insert and removal and over the whole window at
+//!   power-of-two trajectory counts (a missed back-append or a departed id
+//!   left behind by a compaction would otherwise show only as a label
+//!   change once the stale entry decides a core flag or a border);
 //! * the stream's arrival log tiles the database in order: each arrival's
 //!   segments follow the previous arrival's and carry its trajectory id,
 //!   so a removal compacts exactly the departing rows and the database
@@ -204,6 +210,38 @@ pub(crate) fn assert_pruned_pair_outside_eps<const D: usize>(
     );
 }
 
+/// Asserts the stream's ε-graph — `(lists, counts, core flags)` per
+/// segment id — on `ids`: each cached list equals a fresh
+/// [`SegmentDatabase::neighborhood_into`] on the live index, each count is
+/// the fold over that list bit for bit, and each core flag follows from
+/// its count.
+pub(crate) fn assert_graph_exact<const D: usize>(
+    db: &SegmentDatabase<D>,
+    index: &NeighborIndex<D>,
+    config: &ClusterConfig,
+    (hoods, counts, core): (&[Vec<u32>], &[f64], &[bool]),
+    ids: &[u32],
+    context: &str,
+) {
+    let mut fresh = Vec::new();
+    for &id in ids {
+        db.neighborhood_into(index, id, config.eps, &mut fresh);
+        let cached = &hoods[id as usize];
+        assert!(
+            *cached == fresh,
+            "invariant-checks[{context}]: the cached ε-list of segment {id} \
+             is {cached:?}, but a fresh query gives {fresh:?}"
+        );
+        let full = db.neighborhood_cardinality(&fresh, config.weighted);
+        let (count, is_core) = (counts[id as usize], core[id as usize]);
+        assert!(
+            full.to_bits() == count.to_bits() && is_core == (full >= config.min_lns),
+            "invariant-checks[{context}]: segment {id} has count {count:?} \
+             (core {is_core}), but its fresh ε-query gives {full:?}"
+        );
+    }
+}
+
 /// Asserts the live index answers ε-neighborhood queries for `ids` exactly
 /// like a full scan of the current database — the correctness contract of
 /// [`NeighborIndex::insert`] after incremental growth and of
@@ -235,10 +273,10 @@ mod tests {
     use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
     /// Drives every checker through the streaming engine with each index
-    /// kind — including the power-of-two snapshot==batch samples at 1, 2,
-    /// 4, and 8 trajectories, and the per-removal snapshot==batch check of
-    /// the decremental sanitizer — so the sanitizer pass runs even if the
-    /// broader suites are filtered.
+    /// kind — including the power-of-two whole-graph and snapshot==batch
+    /// samples at 1, 2, 4, and 8 trajectories, and the per-removal checks
+    /// of the decremental sanitizer — so the sanitizer pass runs even if
+    /// the broader suites are filtered.
     #[test]
     fn checkers_pass_on_a_streamed_corridor() {
         for index in [IndexKind::Linear, IndexKind::RTree] {
@@ -259,8 +297,9 @@ mod tests {
             }
             assert!(!engine.snapshot().clusters.is_empty());
             // Decremental pass: every removal runs the post-removal
-            // sanitizer (arrival tiling, scoped union-find, compacted
-            // index vs full scan, snapshot == live-window batch).
+            // sanitizer (arrival tiling, union-find canonical form,
+            // compacted index vs full scan, the dirty set's ε-lists vs
+            // fresh queries, snapshot == live-window batch).
             for i in [4u32, 0, 8] {
                 let report = engine.remove_trajectory(TrajectoryId(i));
                 assert_eq!(report.removed_trajectories, 1, "{index:?} tr {i}");

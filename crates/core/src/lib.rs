@@ -100,16 +100,16 @@ pub struct TraclusConfig {
     pub smoothing: Option<f64>,
     /// Worker threads for [`Traclus::run`]'s partition phase, for the
     /// ε-queries of the grouping phase and for the streaming engine's
-    /// repairs. The default uses all available hardware threads;
+    /// queries of each arrival's new segments. The default uses all available hardware threads;
     /// [`Parallelism::Sequential`] runs both phases inline on the calling
     /// thread. The segment database and the clustering are identical either
     /// way (see [`partition_trajectories`], the sequential partition
     /// reference, and [`LineSegmentClustering::run_parallel`]).
     pub parallelism: Parallelism,
-    /// Maintenance knobs of the streaming engine ([`Traclus::stream`] /
-    /// [`IncrementalClustering`]): currently the dirty-region threshold
-    /// that trades local repair against a full re-cluster. Ignored by the
-    /// batch [`Traclus::run`] path.
+    /// The sliding-window policy of the streaming engine
+    /// ([`Traclus::stream`] / [`IncrementalClustering`]): a time window
+    /// and a capacity, both off by default. Ignored by the batch
+    /// [`Traclus::run`] path.
     pub stream: StreamConfig,
     /// Filter-and-refine pruning of ε-neighborhood candidates via the
     /// admissible lower bounds of [`traclus_geom::lower_bound`]. Purely a

@@ -238,6 +238,12 @@ const REFINE_CHUNK: usize = 64;
 /// left the database: its old id less the removed ids below it. The
 /// renumbering keeps id order, and with it every ascending-id fold, the
 /// min-root union-find and the Lemma 2 id tie-break.
+///
+/// Inlined into the callers' crates: the compactions that call it once per
+/// R-tree leaf and ε-list entry are generic over `D`, so they are compiled
+/// where the engine is used, and a cross-crate call per entry would cost
+/// more than the renumbering itself.
+#[inline]
 pub(crate) fn compacted_id(removed: &[u32], id: u32) -> u32 {
     match removed.last() {
         // Past every removed id, as most survivors of an expiry are.

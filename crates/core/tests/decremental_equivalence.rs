@@ -11,14 +11,8 @@
 //! window as a plain `Vec<Trajectory>`); a soak test streams ten windows'
 //! worth of arrivals through a capacity window; the deterministic
 //! regressions pin the structurally interesting repairs — a bridge removal
-//! that must *split* a component through the scoped local-repair path
-//! (verified by the repair-vs-rebuild counters), core demotion down to an
-//! empty clustering, and trajectory-id reuse after removal.
-//!
-//! Every scenario runs at three rebuild thresholds — 0.0 (every operation
-//! falls back to the full re-cluster), the 0.25 default (mixed), and 10.0
-//! (removals pinned to scoped local repair) — so both decremental paths
-//! face the same oracle.
+//! that must *split* a component, core demotion down to an empty
+//! clustering, and trajectory-id reuse after removal.
 
 use proptest::prelude::*;
 use traclus_core::{
@@ -26,9 +20,6 @@ use traclus_core::{
     TraclusConfig,
 };
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
-
-/// Thresholds a `threshold_sel in 0..3` parameter indexes into.
-const THRESHOLDS: [f64; 3] = [0.0, 0.25, 10.0];
 
 fn config_with(eps: f64, min_lns: usize, stream: StreamConfig) -> TraclusConfig {
     TraclusConfig {
@@ -86,12 +77,11 @@ proptest! {
 
     // Random insert / remove / expire-to-capacity interleavings: the
     // snapshot equals the batch run on the live window after every single
-    // operation, at every rebuild threshold, with and without weights.
+    // operation, with and without weights.
     #[test]
     fn interleaved_ops_match_batch(
         pool in pool(),
         ops in prop::collection::vec((0u8..8, 0usize..64), 4..24),
-        threshold_sel in 0usize..3,
         eps in 1.5..3.5f64,
         min_lns in 2usize..4,
         weighted in 0u8..2,
@@ -111,10 +101,7 @@ proptest! {
         };
         let config = TraclusConfig {
             weighted,
-            ..config_with(eps, min_lns, StreamConfig {
-                rebuild_threshold: THRESHOLDS[threshold_sel],
-                ..StreamConfig::default()
-            })
+            ..config_with(eps, min_lns, StreamConfig::default())
         };
         let mut engine = IncrementalClustering::<2>::new(config);
         let mut model: Vec<Trajectory<2>> = Vec::new();
@@ -159,16 +146,11 @@ proptest! {
             let oracle = batch(&config, &model);
             prop_assert_eq!(
                 snap, oracle,
-                "diverged after op {} ({}, {}) at threshold {} (weighted {})",
-                step, op, pick, THRESHOLDS[threshold_sel], weighted
+                "diverged after op {} ({}, {}) (weighted {})",
+                step, op, pick, weighted
             );
             let want = batch_database(&config, &model);
             prop_assert_eq!(engine.database(), &want, "database diverged after op {}", step);
-        }
-        // The engine exercised the path the threshold selects.
-        let stats = engine.stats();
-        if THRESHOLDS[threshold_sel] == 0.0 && stats.removals > 0 {
-            prop_assert_eq!(stats.decremental_repairs, 0, "threshold 0 always rebuilds");
         }
     }
 
@@ -178,10 +160,8 @@ proptest! {
     fn capacity_window_matches_batch_suffix(
         pool in pool(),
         cap in 1usize..5,
-        threshold_sel in 0usize..3,
     ) {
         let config = config_with(2.5, 2, StreamConfig {
-            rebuild_threshold: THRESHOLDS[threshold_sel],
             capacity: Some(cap),
             ..StreamConfig::default()
         });
@@ -210,10 +190,8 @@ proptest! {
         pool in pool(),
         deltas in prop::collection::vec(0u64..8, 3..16),
         window in 4u64..20,
-        threshold_sel in 0usize..3,
     ) {
         let config = config_with(2.5, 2, StreamConfig {
-            rebuild_threshold: THRESHOLDS[threshold_sel],
             time_window: Some(window),
             ..StreamConfig::default()
         });
@@ -249,9 +227,8 @@ fn segment_producing(config: &TraclusConfig, live: &[Trajectory<2>]) -> usize {
 }
 
 /// Soak: a capacity window streamed through twelve times its size, with a
-/// mid-window retraction every fifth arrival, unweighted and weighted, at
-/// the default rebuild threshold and one that pins removals to local
-/// repair. After every operation the engine's database is the batch
+/// mid-window retraction every fifth arrival, unweighted and weighted.
+/// After every operation the engine's database is the batch
 /// database of the live window — its length is the window's segment
 /// count, and the arrivals tile it in arrival order — and at checkpoints
 /// the snapshot equals the batch run.
@@ -279,76 +256,70 @@ fn long_capacity_window_stays_the_batch_database() {
         })
         .collect();
     for weighted in [false, true] {
-        for threshold in [0.25, 10.0] {
-            let pool: Vec<Trajectory<2>> = pool
-                .iter()
-                .map(|t| {
-                    let weight = if weighted {
-                        0.3 + 0.1 * f64::from(t.id.0 % 7)
-                    } else {
-                        1.0
-                    };
-                    Trajectory::with_weight(t.id, t.points.clone(), weight)
-                })
-                .collect();
-            let config = TraclusConfig {
-                weighted,
-                ..config_with(
-                    2.5,
-                    3,
-                    StreamConfig {
-                        rebuild_threshold: threshold,
-                        capacity: Some(WINDOW),
-                        ..StreamConfig::default()
-                    },
-                )
-            };
-            let context = format!("weighted {weighted}, threshold {threshold}");
-            let check = |engine: &IncrementalClustering<2>, live: &[Trajectory<2>], k: usize| {
-                let want = batch_database(&config, live);
-                assert_eq!(engine.database().len(), want.len(), "{context}, step {k}");
-                assert_eq!(engine.live_len(), want.len(), "{context}, step {k}");
-                assert_eq!(engine.database(), &want, "{context}, step {k}");
+        let pool: Vec<Trajectory<2>> = pool
+            .iter()
+            .map(|t| {
+                let weight = if weighted {
+                    0.3 + 0.1 * f64::from(t.id.0 % 7)
+                } else {
+                    1.0
+                };
+                Trajectory::with_weight(t.id, t.points.clone(), weight)
+            })
+            .collect();
+        let config = TraclusConfig {
+            weighted,
+            ..config_with(
+                2.5,
+                3,
+                StreamConfig {
+                    capacity: Some(WINDOW),
+                    ..StreamConfig::default()
+                },
+            )
+        };
+        let context = format!("weighted {weighted}");
+        let check = |engine: &IncrementalClustering<2>, live: &[Trajectory<2>], k: usize| {
+            let want = batch_database(&config, live);
+            assert_eq!(engine.database().len(), want.len(), "{context}, step {k}");
+            assert_eq!(engine.live_len(), want.len(), "{context}, step {k}");
+            assert_eq!(engine.database(), &want, "{context}, step {k}");
+            assert_eq!(
+                engine.live_trajectories(),
+                live.len(),
+                "{context}, step {k}"
+            );
+        };
+        let mut engine = IncrementalClustering::<2>::new(config);
+        let mut live: Vec<Trajectory<2>> = Vec::new();
+        for (k, t) in pool.iter().enumerate() {
+            assert!(
+                engine.insert(t).new_segments > 0,
+                "every arrival is tracked"
+            );
+            live.push(t.clone());
+            if live.len() > WINDOW {
+                live.remove(0);
+            }
+            check(&engine, &live, k);
+            if k % 5 == 4 {
+                let gone = live.remove(live.len() / 2).id;
+                assert_eq!(engine.remove_trajectory(gone).removed_trajectories, 1);
+                check(&engine, &live, k);
+            }
+            if k % WINDOW == WINDOW - 1 {
                 assert_eq!(
-                    engine.live_trajectories(),
-                    live.len(),
+                    engine.snapshot(),
+                    batch(&config, &live),
                     "{context}, step {k}"
                 );
-            };
-            let mut engine = IncrementalClustering::<2>::new(config);
-            let mut live: Vec<Trajectory<2>> = Vec::new();
-            for (k, t) in pool.iter().enumerate() {
-                assert!(
-                    engine.insert(t).new_segments > 0,
-                    "every arrival is tracked"
-                );
-                live.push(t.clone());
-                if live.len() > WINDOW {
-                    live.remove(0);
-                }
-                check(&engine, &live, k);
-                if k % 5 == 4 {
-                    let gone = live.remove(live.len() / 2).id;
-                    assert_eq!(engine.remove_trajectory(gone).removed_trajectories, 1);
-                    check(&engine, &live, k);
-                }
-                if k % WINDOW == WINDOW - 1 {
-                    assert_eq!(
-                        engine.snapshot(),
-                        batch(&config, &live),
-                        "{context}, step {k}"
-                    );
-                }
-            }
-            assert_eq!(engine.snapshot(), batch(&config, &live), "{context}");
-            let stats = engine.stats();
-            assert_eq!(stats.removals, pool.len() - live.len(), "{context}");
-            assert!(stats.expired > 5 * WINDOW, "{context}: the window slid");
-            assert!(stats.decremental_repairs > 0, "{context}");
-            if threshold > 1.0 {
-                assert_eq!(stats.decremental_rebuilds, 0, "{context}");
             }
         }
+        assert_eq!(engine.snapshot(), batch(&config, &live), "{context}");
+        let stats = engine.stats();
+        assert_eq!(stats.removals, pool.len() - live.len(), "{context}");
+        assert!(stats.expired > 5 * WINDOW, "{context}: the window slid");
+        assert!(stats.decremental_repairs > 0, "{context}");
     }
 }
 
@@ -361,10 +332,8 @@ fn corridor(id: u32, y: f64, points: usize) -> Trajectory<2> {
 }
 
 /// Regression: removing the single bridge trajectory between two corridor
-/// bands must split one component into two *through the scoped local
-/// repair* (rebuild threshold pinned high), verified by the
-/// repair-vs-rebuild counters. Two far-away padding bands prove the repair
-/// stayed scoped: their components transplant untouched.
+/// bands must split one component into two, while two far-away padding
+/// bands keep their clusters.
 #[test]
 fn bridge_removal_splits_component_via_local_repair() {
     let mut trajectories: Vec<Trajectory<2>> = Vec::new();
@@ -375,14 +344,7 @@ fn bridge_removal_splits_component_via_local_repair() {
         trajectories.push(corridor(30 + i, 80.0 + i as f64 * 0.3, 12)); // padding D
     }
     trajectories.push(corridor(99, 2.45, 12)); // the A–B bridge
-    let config = config_with(
-        2.0,
-        3,
-        StreamConfig {
-            rebuild_threshold: 10.0,
-            ..StreamConfig::default()
-        },
-    );
+    let config = config_with(2.0, 3, StreamConfig::default());
     let mut engine = IncrementalClustering::<2>::new(config);
     for t in &trajectories {
         engine.insert(t);
@@ -392,16 +354,10 @@ fn bridge_removal_splits_component_via_local_repair() {
         3,
         "A+bridge+B merged, C, D"
     );
-    let rebuilds_before = engine.stats().decremental_rebuilds;
 
     let report = engine.remove_trajectory(TrajectoryId(99));
     assert_eq!(report.removed_trajectories, 1);
-    assert!(
-        !report.rebuilt,
-        "threshold 10 must repair locally, not rebuild"
-    );
     assert_eq!(engine.stats().decremental_repairs, 1);
-    assert_eq!(engine.stats().decremental_rebuilds, rebuilds_before);
 
     trajectories.pop();
     let snap = engine.snapshot();
@@ -411,36 +367,24 @@ fn bridge_removal_splits_component_via_local_repair() {
 
 /// Regression: with exactly `MinLns` corridors every segment is core;
 /// removing one demotes the survivors below the threshold and the
-/// clustering empties — the demotion-handling path, at every threshold.
+/// clustering empties — the demotion-handling path.
 #[test]
 fn removal_demotes_cores_to_noise() {
-    for threshold in THRESHOLDS {
-        let trajectories: Vec<Trajectory<2>> =
-            (0..3).map(|i| corridor(i, i as f64 * 0.3, 12)).collect();
-        let config = config_with(
-            2.0,
-            3,
-            StreamConfig {
-                rebuild_threshold: threshold,
-                ..StreamConfig::default()
-            },
-        );
-        let mut engine = IncrementalClustering::<2>::new(config);
-        for t in &trajectories {
-            engine.insert(t);
-        }
-        assert!(!engine.snapshot().clusters.is_empty());
-
-        let report = engine.remove_trajectory(TrajectoryId(1));
-        assert!(
-            report.demoted_cores > 0,
-            "survivors fall below MinLns at threshold {threshold}"
-        );
-        let snap = engine.snapshot();
-        assert!(snap.clusters.is_empty(), "no cores survive");
-        let live = vec![trajectories[0].clone(), trajectories[2].clone()];
-        assert_eq!(snap, batch(&config, &live));
+    let trajectories: Vec<Trajectory<2>> =
+        (0..3).map(|i| corridor(i, i as f64 * 0.3, 12)).collect();
+    let config = config_with(2.0, 3, StreamConfig::default());
+    let mut engine = IncrementalClustering::<2>::new(config);
+    for t in &trajectories {
+        engine.insert(t);
     }
+    assert!(!engine.snapshot().clusters.is_empty());
+
+    let report = engine.remove_trajectory(TrajectoryId(1));
+    assert!(report.demoted_cores > 0, "survivors fall below MinLns");
+    let snap = engine.snapshot();
+    assert!(snap.clusters.is_empty(), "no cores survive");
+    let live = vec![trajectories[0].clone(), trajectories[2].clone()];
+    assert_eq!(snap, batch(&config, &live));
 }
 
 /// Regression: a removed trajectory id is immediately reusable; the

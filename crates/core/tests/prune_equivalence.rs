@@ -374,7 +374,7 @@ fn assert_stream_equivalent(
 }
 
 /// Jittered corridor trajectories with ids `0..n` — overlapping enough for
-/// clusters, borders, and repair-vs-rebuild decisions.
+/// clusters, borders, promotions and demotions.
 fn corridor_trajectories(n: usize) -> Vec<Trajectory<2>> {
     (0..n)
         .map(|i| {

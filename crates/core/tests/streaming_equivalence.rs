@@ -11,13 +11,9 @@
 //!   `Clustering` equality including cluster numbering — on hurricane-like,
 //!   grid, and random-walk trajectory fixtures;
 //! * mid-stream prefix snapshots against batch runs on the same prefix;
-//! * the dirty-region knob at 0.0 (always re-cluster), the default, and
-//!   1.0 (never re-cluster), which may only move work around;
 //! * weighted trajectories, every index kind, and degenerate inputs.
 
-use traclus_core::{
-    Clustering, IncrementalClustering, IndexKind, StreamConfig, Traclus, TraclusConfig,
-};
+use traclus_core::{Clustering, IncrementalClustering, IndexKind, Traclus, TraclusConfig};
 use traclus_data::{HurricaneConfig, HurricaneGenerator};
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
@@ -43,65 +39,56 @@ fn canonical_clusters(clustering: &Clustering) -> Vec<Vec<u32>> {
 /// equality, which the engine guarantees by construction.
 fn assert_stream_equivalent(config: TraclusConfig, trajectories: &[Trajectory<2>], fixture: &str) {
     let batch = Traclus::new(config).run(trajectories);
-    for threshold in [0.0, config.stream.rebuild_threshold, 1.0] {
-        let mut engine: IncrementalClustering<2> = Traclus::new(TraclusConfig {
-            stream: StreamConfig {
-                rebuild_threshold: threshold,
-                ..StreamConfig::default()
-            },
-            ..config
-        })
-        .stream();
-        for tr in trajectories {
-            engine.insert(tr);
-        }
-        let streamed = engine.finish();
-        // Canonical comparison: same clusters up to id renumbering...
+    let mut engine: IncrementalClustering<2> = Traclus::new(config).stream();
+    for tr in trajectories {
+        engine.insert(tr);
+    }
+    let streamed = engine.finish();
+    // Canonical comparison: same clusters up to id renumbering...
+    assert_eq!(
+        canonical_clusters(&batch.clustering),
+        canonical_clusters(&streamed.clustering),
+        "{fixture}: cluster sets diverge"
+    );
+    // ...exact noise sets and filter diagnostics...
+    assert_eq!(
+        batch.clustering.noise(),
+        streamed.clustering.noise(),
+        "{fixture}: noise sets diverge"
+    );
+    assert_eq!(
+        batch.clustering.filtered_out, streamed.clustering.filtered_out,
+        "{fixture}: filter diagnostics diverge"
+    );
+    // ...representatives within tolerance (they are in fact computed from
+    // identical clusters, so the tolerance is slack)...
+    assert_eq!(
+        batch.clusters.len(),
+        streamed.clusters.len(),
+        "{fixture}: representative count diverges"
+    );
+    for (b, s) in batch.clusters.iter().zip(&streamed.clusters) {
         assert_eq!(
-            canonical_clusters(&batch.clustering),
-            canonical_clusters(&streamed.clustering),
-            "{fixture}: cluster sets diverge at threshold={threshold}"
+            b.representative.points.len(),
+            s.representative.points.len(),
+            "{fixture}: representative length diverges"
         );
-        // ...exact noise sets and filter diagnostics...
-        assert_eq!(
-            batch.clustering.noise(),
-            streamed.clustering.noise(),
-            "{fixture}: noise sets diverge at threshold={threshold}"
-        );
-        assert_eq!(
-            batch.clustering.filtered_out, streamed.clustering.filtered_out,
-            "{fixture}: filter diagnostics diverge at threshold={threshold}"
-        );
-        // ...representatives within tolerance (they are in fact computed
-        // from identical clusters, so the tolerance is slack)...
-        assert_eq!(
-            batch.clusters.len(),
-            streamed.clusters.len(),
-            "{fixture}: representative count diverges at threshold={threshold}"
-        );
-        for (b, s) in batch.clusters.iter().zip(&streamed.clusters) {
-            assert_eq!(
-                b.representative.points.len(),
-                s.representative.points.len(),
-                "{fixture}: representative length diverges at threshold={threshold}"
-            );
-            for (bp, sp) in b.representative.points.iter().zip(&s.representative.points) {
-                for k in 0..2 {
-                    assert!(
-                        (bp.coords[k] - sp.coords[k]).abs() < 1e-9,
-                        "{fixture}: representative point diverges at threshold={threshold}"
-                    );
-                }
+        for (bp, sp) in b.representative.points.iter().zip(&s.representative.points) {
+            for k in 0..2 {
+                assert!(
+                    (bp.coords[k] - sp.coords[k]).abs() < 1e-9,
+                    "{fixture}: representative point diverges"
+                );
             }
         }
-        // ...and (stronger, by design) exact equality including cluster
-        // numbering: the snapshot renumbers components in the sequential
-        // seed order.
-        assert_eq!(
-            batch.clustering, streamed.clustering,
-            "{fixture}: exact equality broken at threshold={threshold}"
-        );
     }
+    // ...and (stronger, by design) exact equality including cluster
+    // numbering: the snapshot renumbers components in the sequential seed
+    // order.
+    assert_eq!(
+        batch.clustering, streamed.clustering,
+        "{fixture}: exact equality broken"
+    );
 }
 
 fn hurricane_tracks(tracks: usize, seed: u64) -> Vec<Trajectory<2>> {
@@ -257,7 +244,8 @@ fn every_prefix_of_the_stream_matches_a_batch_run() {
     }
     let stats = engine.stats();
     assert_eq!(stats.trajectories, tracks.len());
-    assert_eq!(stats.local_repairs + stats.full_rebuilds, tracks.len());
+    assert_eq!(stats.local_repairs, tracks.len());
+    assert_eq!(stats.full_rebuilds, 0);
 }
 
 #[test]

@@ -8,14 +8,14 @@
 //!
 //! | `op`              | fields                            | answer |
 //! |-------------------|-----------------------------------|--------|
-//! | `ingest`          | `points: [[x,y],…]` (at most [`MAX_INGEST_POINTS`], each coordinate within ±[`MAX_COORDINATE`]), `weight?` | assigned trajectory id (queued, not yet applied) |
+//! | `ingest`          | `points: [[x,y],…]` (at most [`MAX_INGEST_POINTS`], each coordinate within ±[`MAX_COORDINATE`]), `weight?` (positive, at most [`MAX_WEIGHT`]) | assigned trajectory id (queued, not yet applied) |
 //! | `remove`          | `trajectory: id`                  | retires that trajectory from the live window (synchronous: replies after the removal is applied and published) |
 //! | `expire`          | `keep: n`                         | expires oldest-first down to `n` live trajectories (synchronous, like `remove`) |
 //! | `membership`      | `trajectory: id`                  | clusters containing that trajectory |
 //! | `nearest`         | `point: [x,y]`                    | closest cluster + distance to its representative |
 //! | `representatives` | —                                 | every cluster's representative polyline |
 //! | `region`          | `min: [x,y]`, `max: [x,y]` with `min <= max` componentwise | clusters crossing the axis-aligned region |
-//! | `stats`           | —                                 | engine counters (incl. filter-and-refine prune tallies and parallel-repair batch/query counts) + snapshot epoch |
+//! | `stats`           | —                                 | engine counters (incl. filter-and-refine prune tallies) + snapshot epoch |
 //! | `flush`           | —                                 | blocks until every queued ingest is applied and published |
 //! | `shutdown`        | —                                 | acknowledges, then stops the daemon |
 //!
@@ -45,6 +45,15 @@ pub const MAX_INGEST_POINTS: usize = 4096;
 /// Larger coordinates are refused with
 /// [`ProtocolError::CoordinateTooLarge`].
 pub const MAX_COORDINATE: f64 = 1e50;
+
+/// The largest trajectory weight an `ingest` may carry. The weighted
+/// representative sweep sums weight × coordinate over a cluster's members:
+/// at weight `1e300`, six tracks near `1e9` already overflow it to
+/// non-finite representative points. At this cap the product stays below
+/// `1e100` for every coordinate within [`MAX_COORDINATE`], so sums over
+/// any window stay finite. Larger weights are refused with
+/// [`ProtocolError::WeightTooLarge`].
+pub const MAX_WEIGHT: f64 = 1e50;
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,6 +146,11 @@ pub enum ProtocolError {
         /// The cap it exceeded.
         limit: f64,
     },
+    /// An `ingest` weight exceeds [`MAX_WEIGHT`].
+    WeightTooLarge {
+        /// The cap it exceeded.
+        limit: f64,
+    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -162,6 +176,9 @@ impl std::fmt::Display for ProtocolError {
             }
             ProtocolError::CoordinateTooLarge { limit } => {
                 write!(f, "ingest: a coordinate exceeds {limit:e} in magnitude")
+            }
+            ProtocolError::WeightTooLarge { limit } => {
+                write!(f, "ingest: the weight exceeds {limit:e}")
             }
         }
     }
@@ -262,6 +279,9 @@ impl Request {
                                 field: "weight",
                                 expected: "a finite positive number",
                             });
+                        }
+                        if w > MAX_WEIGHT {
+                            return Err(ProtocolError::WeightTooLarge { limit: MAX_WEIGHT });
                         }
                         Some(w)
                     }
@@ -555,6 +575,30 @@ mod tests {
         assert_eq!(
             error.to_string(),
             "ingest: a coordinate exceeds 1e50 in magnitude"
+        );
+
+        let weighted = |weight: f64| {
+            Request::parse_line(
+                &Request::Ingest {
+                    points: vec![[0.0, 0.0], [1.0, 1.0]],
+                    weight: Some(weight),
+                }
+                .to_line(),
+            )
+        };
+        for w in [MAX_WEIGHT, f64::from_bits(MAX_WEIGHT.to_bits() - 1), 1.0] {
+            assert!(weighted(w).is_ok(), "{w:e} is allowed");
+        }
+        for w in [f64::from_bits(MAX_WEIGHT.to_bits() + 1), 1e51, 1e300] {
+            assert_eq!(
+                weighted(w),
+                Err(ProtocolError::WeightTooLarge { limit: MAX_WEIGHT }),
+                "{w:e}"
+            );
+        }
+        assert_eq!(
+            ProtocolError::WeightTooLarge { limit: MAX_WEIGHT }.to_string(),
+            "ingest: the weight exceeds 1e50"
         );
     }
 

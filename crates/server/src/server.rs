@@ -21,6 +21,12 @@ use traclus_json::JsonValue;
 use crate::engine::{expire, flush, remove, send_command, EngineCommand, EngineThread};
 use crate::protocol::{error_response, ProtocolError, Request, MAX_LINE_BYTES};
 
+/// How long one reply may wait for a client to read. A connection whose
+/// reply cannot be sent within it is dropped, so a client that pipelines
+/// requests and never reads the replies cannot hold its handler — or a
+/// `shutdown`, which joins every handler — for longer than this.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration of one serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
@@ -245,12 +251,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // handlers notice the flag within one poll interval even when their
     // client sends nothing.
     let _ = stream.set_read_timeout(Some(shared.poll_interval));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Each reply is one complete write; Nagle would only hold it back.
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
     let mut line: Vec<u8> = Vec::new();
     loop {
@@ -278,7 +284,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     let (response, shutdown) = dispatch(request, shared);
                     let response = with_timing(response, started);
                     if write_line(&mut writer, &response).is_err() {
-                        break;
+                        break; // a hung-up client, or WRITE_TIMEOUT passed
                     }
                     if shutdown {
                         wake_accept_loop(shared, reader.get_ref());
@@ -304,9 +310,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Writes one reply line with a single `write_all`: a reply larger than
-/// the `BufWriter` would otherwise leave in two sends (the JSON, then its
-/// newline), and the second one stalls behind the client's delayed ACK.
+/// Writes one reply line with a single `write_all`: the JSON and its
+/// newline written apart would leave in two sends, and the second one
+/// stalls behind the client's delayed ACK.
 fn write_line(writer: &mut impl Write, response: &JsonValue) -> std::io::Result<()> {
     let mut line = response.to_compact();
     line.push('\n');
@@ -375,7 +381,6 @@ fn dispatch(line: &str, shared: &Shared) -> (JsonValue, bool) {
                         ),
                         ("removed_segments", JsonValue::from(report.removed_segments)),
                         ("demoted_cores", JsonValue::from(report.demoted_cores)),
-                        ("rebuilt", JsonValue::from(report.rebuilt)),
                     ]),
                     false,
                 ),
@@ -487,24 +492,11 @@ fn dispatch(line: &str, shared: &Shared) -> (JsonValue, bool) {
                         ),
                         ("core_flips", JsonValue::from(stats.core_flips)),
                         ("local_repairs", JsonValue::from(stats.local_repairs)),
-                        ("full_rebuilds", JsonValue::from(stats.full_rebuilds)),
                         ("removals", JsonValue::from(stats.removals)),
                         ("expired", JsonValue::from(stats.expired)),
                         (
                             "decremental_repairs",
                             JsonValue::from(stats.decremental_repairs),
-                        ),
-                        (
-                            "decremental_rebuilds",
-                            JsonValue::from(stats.decremental_rebuilds),
-                        ),
-                        (
-                            "repair_parallel_batches",
-                            JsonValue::from(stats.repair_parallel_batches),
-                        ),
-                        (
-                            "repair_parallel_queries",
-                            u64_json(stats.repair_parallel_queries),
                         ),
                         ("prune_candidates", u64_json(stats.prune_candidates)),
                         ("pruned_mbr", u64_json(stats.pruned_mbr)),
@@ -592,12 +584,11 @@ mod tests {
             "payload".to_string(),
             JsonValue::String("x".repeat(20 * 1024)),
         )]);
-        let mut writer = std::io::BufWriter::new(CountingWriter::default());
+        let mut writer = CountingWriter::default();
         write_line(&mut writer, &reply).unwrap();
-        let inner = writer.get_ref();
-        assert_eq!(inner.writes, 1, "reply split across writes");
+        assert_eq!(writer.writes, 1, "reply split across writes");
         let mut expected = reply.to_compact().into_bytes();
         expected.push(b'\n');
-        assert_eq!(inner.bytes, expected);
+        assert_eq!(writer.bytes, expected);
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 use rand::Rng;
-use traclus_server::protocol::{MAX_COORDINATE, MAX_INGEST_POINTS};
+use traclus_server::protocol::{MAX_COORDINATE, MAX_INGEST_POINTS, MAX_WEIGHT};
 use traclus_server::{ProtocolError, Request};
 
 fn arb_coord(rng: &mut TestRng) -> f64 {
@@ -98,6 +98,21 @@ impl Strategy for ArbIngestNearCaps {
         let k = rng.gen_range(0..points.len());
         points[k][rng.gen_range(0..2usize)] = sign * f64::from_bits(bits);
         points
+    }
+}
+
+/// Ingest weights at and around [`MAX_WEIGHT`]: within two ulps of the
+/// cap, or anywhere from one to `1e308`.
+struct ArbWeightNearCap;
+
+impl Strategy for ArbWeightNearCap {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        if rng.gen_range(0..2u32) == 0 {
+            f64::from_bits(MAX_WEIGHT.to_bits() - 2 + rng.gen_range(0..5u64))
+        } else {
+            10f64.powf(rng.gen_range(0.0..308.0f64))
+        }
     }
 }
 
@@ -203,6 +218,19 @@ proptest! {
             );
         } else {
             prop_assert_eq!(parsed, Ok(Request::Ingest { points, weight: None }));
+        }
+    }
+
+    #[test]
+    fn weight_cap_is_enforced_at_parse(weight in ArbWeightNearCap) {
+        // Exactly the weights within the cap parse; the rest get the
+        // typed error, never a queued trajectory.
+        let ingest = Request::Ingest { points: vec![[0.0, 0.0], [3.0, 4.0]], weight: Some(weight) };
+        let parsed = Request::parse_line(&ingest.to_line());
+        if weight > MAX_WEIGHT {
+            prop_assert_eq!(parsed, Err(ProtocolError::WeightTooLarge { limit: MAX_WEIGHT }));
+        } else {
+            prop_assert_eq!(parsed, Ok(ingest));
         }
     }
 

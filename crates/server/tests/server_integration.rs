@@ -705,3 +705,134 @@ fn soak_mixed_workload_from_four_connections() {
     assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
     server.join().expect("join").expect("clean shutdown");
 }
+
+/// A weighted daemon refuses a weight past `MAX_WEIGHT` with a typed
+/// error, accepts one at the cap, and serves only finite representative
+/// coordinates. Six tracks near 1e9 at weight 1e300 used to reach the
+/// weighted sweep, which overflowed to `(NaN, inf)` representative points
+/// — JSON `null` on the wire.
+#[test]
+fn weights_above_the_cap_are_refused_and_representatives_stay_finite() {
+    use traclus_server::protocol::MAX_WEIGHT;
+
+    let config = TraclusConfig {
+        eps: 6.0,
+        min_lns: 4,
+        weighted: true,
+        ..TraclusConfig::default()
+    };
+    let (addr, server) = start(config);
+    let mut client = Client::connect(addr).expect("connect");
+    let track = |i: usize, weight: f64| Request::Ingest {
+        points: (0..12)
+            .map(|k| [1e9 + k as f64 * 5.0, 1e9 + i as f64 * 0.5])
+            .collect(),
+        weight: Some(weight),
+    };
+
+    let response = client.request(&track(0, 1e300)).expect("heavy ingest");
+    assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)));
+    assert_eq!(
+        response.get("error").and_then(JsonValue::as_str),
+        Some(format!("ingest: the weight exceeds {MAX_WEIGHT:e}").as_str())
+    );
+    for i in 0..6 {
+        assert_ok(&client.request(&track(i, MAX_WEIGHT)).expect("ingest"));
+    }
+    assert_ok(&client.request(&Request::Flush).expect("flush"));
+    let response = client.request(&Request::Stats).expect("stats");
+    assert_eq!(
+        response.get("trajectories").and_then(JsonValue::as_i64),
+        Some(6),
+        "only the ingests within the cap were queued"
+    );
+
+    let response = client
+        .request(&Request::Representatives)
+        .expect("representatives");
+    assert_ok(&response);
+    let representatives = wire_representatives(&response);
+    assert!(!representatives.is_empty(), "the tracks cluster");
+    for point in representatives.iter().flatten() {
+        assert!(
+            point.iter().all(|c| c.is_finite()),
+            "non-finite representative point {point:?}"
+        );
+    }
+    assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
+    server.join().expect("join").expect("clean shutdown");
+}
+
+/// A client that pipelines requests and never reads the replies fills
+/// both socket buffers and blocks its handler in a write. A `shutdown`
+/// from another client must still return from `run` once that write times
+/// out, instead of joining the handler forever.
+#[test]
+fn a_client_that_never_reads_cannot_hang_shutdown() {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+    use traclus_server::WRITE_TIMEOUT;
+
+    let (config, trajectories) = fixture();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            traclus: config,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    // Joined through a channel, so a hung `run` fails the test instead of
+    // hanging it.
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || done_tx.send(server.run()));
+    let mut client = Client::connect(addr).expect("connect");
+    for t in &trajectories {
+        assert_ok(&client.request(&ingest_request(t)).expect("ingest"));
+    }
+    assert_ok(&client.request(&Request::Flush).expect("flush"));
+
+    // The stalled client's own writes block once its handler stops
+    // reading, so a helper thread sends the requests; it stops when a
+    // write fails, i.e. once the daemon drops the connection.
+    let stalled = std::net::TcpStream::connect(addr).expect("connect");
+    let sent = Arc::new(AtomicUsize::new(0));
+    let sender = {
+        let mut stream = stalled.try_clone().expect("clone");
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            let line = format!("{}\n", Request::Representatives.to_line());
+            while stream.write_all(line.as_bytes()).is_ok() {
+                sent.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Both buffers are full once the count stops moving for half a
+    // second; give up after a minute.
+    let (mut last, mut still) = (0, 0);
+    for _ in 0..600 {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = sent.load(Ordering::SeqCst);
+        (last, still) = if now == last {
+            (now, still + 1)
+        } else {
+            (now, 0)
+        };
+        if still == 5 {
+            break;
+        }
+    }
+    assert!(still == 5 && last > 0, "the stalled client never blocked");
+
+    assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
+    let outcome = done_rx
+        .recv_timeout(WRITE_TIMEOUT + Duration::from_secs(5))
+        .expect("run() must return within WRITE_TIMEOUT of the shutdown");
+    outcome.expect("clean shutdown");
+    runner.join().expect("join").expect("result received");
+    sender.join().expect("the sender ends with the connection");
+    drop(stalled);
+}

@@ -4,7 +4,7 @@
 //! clusters the whole basin at once. This example feeds the same storms
 //! through `IncrementalClustering` in arrival order — the serving-style
 //! workload of the ROADMAP — printing how the clustering evolves and how
-//! often local repair suffices versus the dirty-region fallback, then
+//! many earlier segments each checkpoint's storm promoted to core, then
 //! checks the final state against a batch run of the full dataset.
 //!
 //! ```sh
@@ -27,12 +27,6 @@ fn main() {
     let config = TraclusConfig {
         eps: 1.2,
         min_lns: 5,
-        // Re-cluster from scratch only when one storm dirties more than a
-        // quarter of the database (the default; shown for visibility).
-        stream: StreamConfig {
-            rebuild_threshold: 0.25,
-            ..StreamConfig::default()
-        },
         ..TraclusConfig::default()
     };
 
@@ -42,30 +36,23 @@ fn main() {
     for (k, storm) in storms.iter().enumerate() {
         let report = engine.insert(storm);
         let arrived = k + 1;
-        if arrived % 30 == 0 || report.rebuilt {
+        if arrived % 30 == 0 {
             let snapshot = engine.snapshot();
             println!(
-                "after storm {arrived:>3}: {:>4} segments, {:>2} clusters, noise {:>4.1}%{}",
+                "after storm {arrived:>3}: {:>4} segments, {:>2} clusters, noise {:>4.1}%, \
+                 {} earlier segments promoted to core by this storm",
                 engine.live_len(),
                 snapshot.clusters.len(),
                 snapshot.noise_ratio() * 100.0,
-                if report.rebuilt {
-                    "  (dirty-region fallback re-clustered)"
-                } else {
-                    ""
-                }
+                report.flipped_cores
             );
         }
     }
 
     let stats = engine.stats();
     println!(
-        "\ningested {} storms -> {} segments; {} local repairs, {} full rebuilds, {} core flips",
-        stats.trajectories,
-        stats.segments,
-        stats.local_repairs,
-        stats.full_rebuilds,
-        stats.core_flips
+        "\ningested {} storms -> {} segments; {} core flips",
+        stats.trajectories, stats.segments, stats.core_flips
     );
 
     // The streaming engine's final state is the batch clustering of the
