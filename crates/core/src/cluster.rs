@@ -64,9 +64,10 @@ pub struct ClusterConfig {
     /// it instead.
     pub parallelism: Parallelism,
     /// Filter-and-refine pruning of ε-neighborhood candidates through the
-    /// admissible lower bounds of `traclus_geom::lower_bound` (default
-    /// on). The clustering is bit-identical either way — this is a
-    /// performance/diagnostics knob, not a semantics switch.
+    /// admissible midpoint/length lower bound of
+    /// `traclus_geom::lower_bound` (default on). The clustering is
+    /// bit-identical either way — this is a performance/diagnostics knob,
+    /// not a semantics switch.
     pub pruning: bool,
 }
 

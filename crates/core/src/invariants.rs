@@ -186,27 +186,26 @@ pub(crate) fn assert_arrivals_tile<const D: usize>(
     );
 }
 
-/// Asserts an admissible lower bound really was admissible for one pruned
+/// Asserts the lower bound really was admissible for one pruned
 /// candidate: re-scores the pair through the exact scalar distance and
 /// aborts if it was actually within ε. Called from the filter step of
 /// `SegmentDatabase::neighborhood_into` on **every** discard, so an
-/// inadmissible bound dies at its first occurrence — with the pair, the
-/// deciding tier, and both numbers — instead of surfacing later as an
-/// aggregate clustering mismatch.
+/// inadmissible bound dies at its first occurrence — with the pair and
+/// both numbers — instead of surfacing later as an aggregate clustering
+/// mismatch.
 pub(crate) fn assert_pruned_pair_outside_eps<const D: usize>(
     db: &SegmentDatabase<D>,
     query: u32,
     cand: u32,
     eps: f64,
-    tier: usize,
 ) {
     let exact = db.distance(query, cand);
     // A NaN distance is no neighbour, so it counts as outside ε.
     assert!(
         exact > eps || exact.is_nan(),
-        "invariant-checks[prune]: tier-{tier} bound discarded candidate \
+        "invariant-checks[prune]: the lower bound discarded candidate \
          {cand} of query {query}, but the exact distance {exact} ≤ ε = {eps} \
-         — the lower bound is not admissible for this pair"
+         — the bound is not admissible for this pair"
     );
 }
 

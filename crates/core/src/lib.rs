@@ -112,10 +112,10 @@ pub struct TraclusConfig {
     /// [`Traclus::run`] path.
     pub stream: StreamConfig,
     /// Filter-and-refine pruning of ε-neighborhood candidates via the
-    /// admissible lower bounds of [`traclus_geom::lower_bound`]. Purely a
-    /// performance/diagnostics knob: the bounds are exact lower bounds on
-    /// the computed distance, so the clustering is bit-identical with
-    /// pruning on or off. Default `true`.
+    /// admissible midpoint/length lower bound of
+    /// [`traclus_geom::lower_bound`]. Purely a performance/diagnostics
+    /// knob: the bound never exceeds the computed distance, so the
+    /// clustering is bit-identical with pruning on or off. Default `true`.
     pub pruning: bool,
 }
 

@@ -15,19 +15,18 @@
 //!
 //! Queries run **filter-and-refine**: the index hands over its candidates
 //! in whatever order it stores them, and before a candidate reaches the
-//! batched distance kernel it passes through the tiered admissible lower
-//! bounds of [`traclus_geom::lower_bound`] (MBR distance, midpoint/length,
-//! exact angle); candidates whose bound already exceeds ε are discarded.
-//! The bounds never exceed the computed distance, so pruned and unpruned
-//! neighborhoods are bit-identical; [`PruneStats`] counts what each tier
-//! saved. The kernel scores each candidate on its own, so candidate order
-//! never changes a distance: only the survivors are sorted, last, which is
-//! what makes every neighborhood ascending.
+//! batched distance kernel it passes the admissible midpoint/length lower
+//! bound of [`traclus_geom::lower_bound`]; candidates whose bound already
+//! exceeds ε are discarded. The bound never exceeds the computed distance,
+//! so pruned and unpruned neighborhoods are bit-identical; [`PruneStats`]
+//! counts what it saved. The kernel scores each candidate on its own, so
+//! candidate order never changes a distance: only the survivors are
+//! sorted, last, which is what makes every neighborhood ascending.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use traclus_geom::{
-    lower_bound, Aabb, IdentifiedSegment, Point, SegmentDistance, SegmentTable, Trajectory,
+    Aabb, IdentifiedSegment, Point, PruneFilter, SegmentDistance, SegmentTable, Trajectory,
     TrajectoryId,
 };
 use traclus_index::{filter_radius, RTree, RTreeParams, SpatialIndex};
@@ -48,9 +47,9 @@ pub enum IndexKind {
 /// Cumulative filter-and-refine counters of one [`NeighborIndex`] — a
 /// plain-value snapshot of its atomic tallies.
 ///
-/// The invariant `candidates == pruned_total() + refined` holds by
+/// The invariant `candidates == pruned_midpoint + refined` holds by
 /// construction: every candidate a query considers is either discarded by
-/// exactly one tier or scored exactly once by the batched kernel. All
+/// the lower bound or scored exactly once by the batched kernel. All
 /// counters stay zero while pruning is disabled.
 ///
 /// A query counts only the candidates it considers. The ordered grouping
@@ -61,21 +60,15 @@ pub enum IndexKind {
 pub struct PruneStats {
     /// Candidates the index (or full scan) produced for refinement.
     pub candidates: u64,
-    /// Candidates discarded by the tier-1 MBR-distance bound.
+    /// Always 0: the filter has no bounding-box bound. Kept for readers
+    /// of the earlier counter set.
     pub pruned_mbr: u64,
-    /// Candidates discarded by the tier-2 midpoint/length bound.
+    /// Candidates discarded by the midpoint/length lower bound.
     pub pruned_midpoint: u64,
-    /// Candidates discarded by the tier-3 exact-angle bound.
+    /// Always 0, like `pruned_mbr`: the filter has no angle bound.
     pub pruned_angle: u64,
-    /// Candidates that survived every tier and were scored exactly.
+    /// Candidates that survived the bound and were scored exactly.
     pub refined: u64,
-}
-
-impl PruneStats {
-    /// Candidates discarded across all tiers.
-    pub fn pruned_total(&self) -> u64 {
-        self.pruned_mbr + self.pruned_midpoint + self.pruned_angle
-    }
 }
 
 /// Shared atomic tallies behind [`PruneStats`]. Queries take `&self` and
@@ -85,23 +78,17 @@ impl PruneStats {
 #[derive(Debug, Default)]
 struct PruneCounters {
     candidates: AtomicU64,
-    pruned: [AtomicU64; lower_bound::TIER_COUNT],
+    pruned: AtomicU64,
     refined: AtomicU64,
 }
 
 impl PruneCounters {
     fn snapshot(&self) -> PruneStats {
-        let pruned: Vec<u64> = self
-            .pruned
-            .iter()
-            .map(|p| p.load(Ordering::Relaxed))
-            .collect();
         PruneStats {
             candidates: self.candidates.load(Ordering::Relaxed),
-            pruned_mbr: pruned[0],
-            pruned_midpoint: pruned[1],
-            pruned_angle: pruned[2],
+            pruned_midpoint: self.pruned.load(Ordering::Relaxed),
             refined: self.refined.load(Ordering::Relaxed),
+            ..PruneStats::default()
         }
     }
 
@@ -111,11 +98,7 @@ impl PruneCounters {
         }
         self.candidates
             .fetch_add(local.candidates, Ordering::Relaxed);
-        for (slot, &n) in self.pruned.iter().zip(&local.pruned) {
-            if n > 0 {
-                slot.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+        self.pruned.fetch_add(local.pruned, Ordering::Relaxed);
         self.refined.fetch_add(local.refined, Ordering::Relaxed);
     }
 }
@@ -125,7 +108,7 @@ impl PruneCounters {
 #[derive(Default)]
 struct LocalPruneCounts {
     candidates: u64,
-    pruned: [u64; lower_bound::TIER_COUNT],
+    pruned: u64,
     refined: u64,
 }
 
@@ -136,7 +119,7 @@ struct LocalPruneCounts {
 /// [`SegmentDatabase::remove_segments`] as they leave (the streaming path
 /// in `traclus-core::stream`).
 ///
-/// Queries prune candidates through the admissible lower bounds of
+/// Queries prune candidates through the admissible lower bound of
 /// [`traclus_geom::lower_bound`] by default — results are bit-identical
 /// either way, so [`Self::set_pruning`] is a performance/diagnostics knob,
 /// not a semantics switch. [`Self::prune_stats`] reports what the filter
@@ -164,11 +147,7 @@ impl<const D: usize> Clone for NeighborIndex<D> {
             prune: self.prune,
             counters: PruneCounters {
                 candidates: AtomicU64::new(stats.candidates),
-                pruned: [
-                    AtomicU64::new(stats.pruned_mbr),
-                    AtomicU64::new(stats.pruned_midpoint),
-                    AtomicU64::new(stats.pruned_angle),
-                ],
+                pruned: AtomicU64::new(stats.pruned_midpoint),
                 refined: AtomicU64::new(stats.refined),
             },
         }
@@ -426,9 +405,9 @@ impl<const D: usize> SegmentDatabase<D> {
     /// core-count convention.
     ///
     /// The index hands over its candidates unsorted. When the index has
-    /// pruning enabled (the default), they pass through the tiered lower
-    /// bounds of [`traclus_geom::lower_bound`] first and only the survivors
-    /// reach the batched kernel; because the bounds never exceed the
+    /// pruning enabled (the default), they pass the midpoint/length lower
+    /// bound of [`traclus_geom::lower_bound`] first and only the survivors
+    /// reach the batched kernel; because the bound never exceeds the
     /// computed distance, the output is bit-identical with pruning on or
     /// off. The kernel scores each candidate on its own, so the order the
     /// candidates arrive in never changes a distance. The neighbours that
@@ -462,12 +441,12 @@ impl<const D: usize> SegmentDatabase<D> {
         out: &mut Vec<u32>,
     ) {
         out.clear();
-        // The query-side filter state (weight coefficients, ε thresholds,
-        // cached geometry) is hoisted once; `None` for inadmissible
+        // The query-side filter state (weight coefficient, ε, cached
+        // midpoint geometry) is hoisted once; `None` for inadmissible
         // weights, in which case every candidate refines but is still
         // tallied so the counter invariants hold.
         let filter = if index.prune {
-            lower_bound::PruneFilter::new(&self.table, id, &self.distance, eps)
+            PruneFilter::new(&self.table, id, &self.distance, eps)
         } else {
             None
         };
@@ -515,35 +494,31 @@ impl<const D: usize> SegmentDatabase<D> {
     }
 
     /// The filter step of one candidate: returns `true` (and tallies the
-    /// deciding tier) when an admissible lower bound already exceeds `eps`,
-    /// so the exact kernel never sees the pair. Under `invariant-checks`
+    /// discard) when the admissible lower bound already exceeds `eps`, so
+    /// the exact kernel never sees the pair. Under `invariant-checks`
     /// every discard is immediately re-scored exactly and the process
-    /// aborts on the first candidate a bound wrongly excluded.
+    /// aborts on the first candidate the bound wrongly excluded.
     #[inline]
     fn prune_candidate(
         &self,
-        filter: Option<&lower_bound::PruneFilter<D>>,
+        filter: Option<&PruneFilter<D>>,
         query: u32,
         cand: u32,
         eps: f64,
         local: &mut LocalPruneCounts,
     ) -> bool {
         local.candidates += 1;
-        let tier = filter.and_then(|f| f.check(&self.table, cand));
+        let pruned = filter.is_some_and(|f| f.check(&self.table, cand));
         #[cfg(not(feature = "invariant-checks"))]
         let _ = (query, eps);
-        match tier {
-            Some(t) => {
-                #[cfg(feature = "invariant-checks")]
-                crate::invariants::assert_pruned_pair_outside_eps(self, query, cand, eps, t);
-                local.pruned[t] += 1;
-                true
-            }
-            None => {
-                local.refined += 1;
-                false
-            }
+        if pruned {
+            #[cfg(feature = "invariant-checks")]
+            crate::invariants::assert_pruned_pair_outside_eps(self, query, cand, eps);
+            local.pruned += 1;
+        } else {
+            local.refined += 1;
         }
+        pruned
     }
 
     /// The ε-neighborhood as a fresh vector.

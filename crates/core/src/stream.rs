@@ -174,13 +174,9 @@ pub struct StreamStats {
     /// ε-neighborhood candidates examined by the filter-and-refine path
     /// (pruned + refined; 0 while pruning is disabled).
     pub prune_candidates: u64,
-    /// Candidates discarded by the MBR min-distance lower bound (tier 1).
-    pub pruned_mbr: u64,
-    /// Candidates discarded by the midpoint/length lower bound (tier 2).
+    /// Candidates discarded by the midpoint/length lower bound.
     pub pruned_midpoint: u64,
-    /// Candidates discarded by the exact-angle lower bound (tier 3).
-    pub pruned_angle: u64,
-    /// Candidates that survived every lower bound and were scored exactly.
+    /// Candidates that survived the lower bound and were scored exactly.
     pub prune_refined: u64,
 }
 
@@ -328,9 +324,7 @@ impl<const D: usize> IncrementalClustering<D> {
         let prune = self.index.prune_stats();
         StreamStats {
             prune_candidates: prune.candidates,
-            pruned_mbr: prune.pruned_mbr,
             pruned_midpoint: prune.pruned_midpoint,
-            pruned_angle: prune.pruned_angle,
             prune_refined: prune.refined,
             ..self.stats
         }

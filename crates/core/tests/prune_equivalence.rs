@@ -1,7 +1,7 @@
 //! Bit-identity harness for the filter-and-refine pruning path.
 //!
 //! Pruning is a performance knob, never a semantics knob: the lower
-//! bounds of `traclus_geom::lower_bound` are admissible for the computed
+//! bound of `traclus_geom::lower_bound` is admissible for the computed
 //! distance, so every candidate they discard would have failed `d ≤ ε`
 //! anyway, and the surviving candidates are scored by the unchanged exact
 //! kernel. This suite locks the claim down empirically across every
@@ -17,7 +17,8 @@
 //! * streaming insert/remove interleavings — a pruning engine and a
 //!   non-pruning engine fed the same operations agree on `snapshot()`
 //!   after every single operation (proptest-generated scenes included);
-//! * counter sanity — `candidates = pruned + refined` on every run, and
+//! * counter sanity — `candidates = pruned_midpoint + refined` on every
+//!   run, the retired `pruned_mbr`/`pruned_angle` tallies stay zero, and
 //!   all prune counters stay zero when pruning is disabled;
 //! * pair halving — the ordered pass's forward-only queries refine at most
 //!   0.55× the candidates `run()` refines, equally at every thread count.
@@ -50,8 +51,13 @@ fn assert_counters_coherent(stats: &ClusterStats, pruning: bool, context: &str) 
     let p = &stats.prune;
     assert_eq!(
         p.candidates,
-        p.pruned_total() + p.refined,
+        p.pruned_midpoint + p.refined,
         "{context}: candidates must split into pruned + refined: {p:?}"
+    );
+    assert_eq!(
+        (p.pruned_mbr, p.pruned_angle),
+        (0, 0),
+        "{context}: the filter has only the midpoint bound: {p:?}"
     );
     if !pruning {
         assert_eq!(
@@ -142,7 +148,8 @@ fn hurricane_db(tracks: usize, seed: u64) -> SegmentDatabase<2> {
 }
 
 /// Grid fixture: bundles of parallel segments on a lattice plus scattered
-/// singletons — spatially spread, so the MBR tier has real work.
+/// singletons — spatially spread, so the lower bound has far candidates
+/// to discard.
 fn grid_db() -> SegmentDatabase<2> {
     let mut entries = Vec::new();
     for gx in 0..4 {
@@ -204,14 +211,14 @@ fn hurricane_fixture_is_prune_equivalent() {
 #[test]
 fn hurricane_fixture_actually_prunes() {
     // Guard against the suite silently passing because the filter never
-    // fires: on the spread-out hurricane fixture at a tight ε the MBR
-    // tier must discard a substantial share of candidates.
+    // fires: on the spread-out hurricane fixture at a tight ε the
+    // midpoint bound must discard a substantial share of candidates.
     let db = hurricane_db(40, 2007);
     let (_, stats) = LineSegmentClustering::new(&db, ClusterConfig::new(2.0, 3)).run_with_stats();
     let p = stats.prune;
     assert!(p.candidates > 0, "no candidates examined");
     assert!(
-        p.pruned_total() * 10 >= p.candidates,
+        p.pruned_midpoint * 10 >= p.candidates,
         "filter discarded under 10% of candidates — the harness is not \
          exercising the prune path: {p:?}"
     );
@@ -346,26 +353,22 @@ fn assert_stream_equivalent(
     let (s_on, s_off) = (on.stats(), off.stats());
     assert_eq!(
         s_on.prune_candidates,
-        s_on.pruned_mbr + s_on.pruned_midpoint + s_on.pruned_angle + s_on.prune_refined,
+        s_on.pruned_midpoint + s_on.prune_refined,
         "{context}: stream candidates must split into pruned + refined"
     );
     assert_eq!(
         (
             s_off.prune_candidates,
-            s_off.pruned_mbr,
             s_off.pruned_midpoint,
-            s_off.pruned_angle,
             s_off.prune_refined,
         ),
-        (0, 0, 0, 0, 0),
+        (0, 0, 0),
         "{context}: prune counters must stay zero with pruning off"
     );
     // The counters are the only permitted divergence between the engines.
     let mut s_on_zeroed = s_on;
     s_on_zeroed.prune_candidates = 0;
-    s_on_zeroed.pruned_mbr = 0;
     s_on_zeroed.pruned_midpoint = 0;
-    s_on_zeroed.pruned_angle = 0;
     s_on_zeroed.prune_refined = 0;
     assert_eq!(
         s_on_zeroed, s_off,

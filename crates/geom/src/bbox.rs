@@ -122,26 +122,6 @@ impl<const D: usize> Aabb<D> {
         b
     }
 
-    /// Minimum Euclidean distance between the two boxes (0 when they
-    /// overlap). Lower-bounds the distance between any contained geometry,
-    /// which is what makes the index filter conservative.
-    pub fn min_distance(&self, other: &Self) -> f64 {
-        self.min_distance_squared(other).sqrt()
-    }
-
-    /// Squared [`min_distance`](Self::min_distance) — the filter-and-refine
-    /// hot path compares against a squared threshold to skip the sqrt.
-    pub fn min_distance_squared(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for k in 0..D {
-            let gap = (other.min[k] - self.max[k])
-                .max(self.min[k] - other.max[k])
-                .max(0.0);
-            acc += gap * gap;
-        }
-        acc
-    }
-
     /// The centre of the box.
     pub fn center(&self) -> Point<D> {
         let mut coords = [0.0; D];
@@ -217,15 +197,6 @@ mod tests {
         let a = Aabb2::new([0.0, 0.0], [1.0, 1.0]);
         let b = Aabb2::new([1.0, 0.0], [2.0, 1.0]);
         assert!(a.intersects(&b), "closed-interval semantics");
-        assert_eq!(a.min_distance(&b), 0.0);
-    }
-
-    #[test]
-    fn min_distance_diagonal_gap() {
-        let a = Aabb2::new([0.0, 0.0], [1.0, 1.0]);
-        let b = Aabb2::new([4.0, 5.0], [6.0, 7.0]);
-        assert!((a.min_distance(&b) - 5.0).abs() < 1e-12);
-        assert!((b.min_distance(&a) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -244,14 +215,5 @@ mod tests {
         let b = Aabb2::new([2.0, 3.0], [4.0, 4.0]);
         // union = [0,0]-[4,4] → volume 16; enlargement = 10.
         assert!((a.enlargement(&b) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_distance_lower_bounds_segment_distance() {
-        let s1 = Segment2::xy(0.0, 0.0, 1.0, 1.0);
-        let s2 = Segment2::xy(5.0, 5.0, 6.0, 4.0);
-        let b1 = Aabb2::from_segment(&s1);
-        let b2 = Aabb2::from_segment(&s2);
-        assert!(b1.min_distance(&b2) <= s1.min_distance(&s2) + 1e-12);
     }
 }

@@ -16,9 +16,9 @@
 //!   the batched `distance_many` / prepared-MDL kernels that hoist the
 //!   per-query projection setup out of candidate loops (bit-identical to
 //!   the scalar path; see [`batch`]);
-//! * [`lower_bound`] — provably admissible lower bounds on the composite
-//!   distance (MBR, midpoint/length, and exact-angle tiers) backing the
-//!   filter-and-refine ε-neighborhood path in `traclus-core`;
+//! * [`lower_bound`] — a provably admissible midpoint/length lower bound
+//!   on the composite distance backing the filter-and-refine
+//!   ε-neighborhood path in `traclus-core`;
 //! * [`Trajectory`] / [`IdentifiedSegment`] — identified point sequences
 //!   and trajectory partitions (Definition 10 needs segment→trajectory
 //!   provenance);
@@ -51,9 +51,7 @@ pub use distance::{
     DistanceWeights, SegmentDistance,
 };
 pub use frame::OrthonormalFrame;
-pub use lower_bound::{
-    prune_tier, segment_tiers, tiers as lower_bound_tiers, PruneFilter, TIER_COUNT,
-};
+pub use lower_bound::PruneFilter;
 pub use point::{Point, Point2, Vector, Vector2};
 pub use segment::{Projection, Segment, Segment2};
 pub use trajectory::{

@@ -1,13 +1,13 @@
 //! Property-based soundness harness for the filter-and-refine lower
-//! bounds (`traclus_geom::lower_bound`).
+//! bound (`traclus_geom::lower_bound`).
 //!
-//! The filter's whole contract is one inequality — every tier
-//! lower-bounds the *computed* composite distance — plus two structural
-//! properties the pruning path leans on: tiers are monotone (tier k ≤
-//! tier k+1 ≤ exact), and the bounds are symmetric wherever the distance
-//! is. The strategies deliberately overweight the geometries where a
-//! bound proof usually dies: zero-length segments, collinear pairs,
-//! shared endpoints, and zero component weights.
+//! The filter's whole contract is one inequality — the midpoint/length
+//! bound lower-bounds the *computed* composite distance, so a pruned pair
+//! is always outside ε — plus the structural property the pruning path
+//! leans on: the decision is symmetric wherever the distance is. The
+//! strategies deliberately overweight the geometries where a bound proof
+//! usually dies: zero-length segments, collinear pairs, shared endpoints,
+//! and zero component weights.
 //!
 //! A dedicated second-seed entry (`admissibility_holds_under_env_seed`)
 //! re-runs the admissibility core on an RNG stream chosen by the
@@ -17,8 +17,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use traclus_geom::{
-    lower_bound_tiers, prune_tier, segment_tiers, AngleMode, DistanceWeights, Point2, Segment2,
-    SegmentDistance, SegmentTable, TIER_COUNT,
+    AngleMode, DistanceWeights, Point2, PruneFilter, Segment2, SegmentDistance, SegmentTable,
 };
 
 fn coord() -> impl Strategy<Value = f64> {
@@ -43,9 +42,9 @@ prop_compose! {
 prop_compose! {
     /// A segment pair biased toward the adversarial shapes: plain random
     /// (with degenerate members), exactly collinear, or sharing an
-    /// endpoint. Collinear pairs stress tier 2 (all separation lives in
-    /// d∥, where the midpoint chain is tight); shared endpoints put the
-    /// MBR gap at exactly zero.
+    /// endpoint. Collinear pairs put all separation in d∥, where the
+    /// midpoint chain is tight; shared endpoints put the pair at zero
+    /// Euclidean gap.
     fn segment_pair()(
         a in segment_maybe_degenerate(),
         b in segment_maybe_degenerate(),
@@ -64,9 +63,9 @@ prop_compose! {
 }
 
 prop_compose! {
-    /// A non-negative component weight, zero with probability 1/4 — the
-    /// degenerate weights collapse individual tiers to zero and must
-    /// never make a bound exceed the distance.
+    /// A non-negative component weight, zero with probability 1/4 — a
+    /// zero weight collapses the bound's coefficient or a distance term,
+    /// and must never make the bound exceed the distance.
     fn weight()(sel in 0u8..4, w in 0.01..5.0f64) -> f64 {
         if sel == 0 { 0.0 } else { w }
     }
@@ -91,57 +90,53 @@ fn exact(a: &Segment2, b: &Segment2, dist: &SegmentDistance) -> f64 {
     out[0]
 }
 
+/// Whether the filter of `a` discards `b` at `eps` (a two-record table,
+/// `a` first).
+fn prunes(a: &Segment2, b: &Segment2, dist: &SegmentDistance, eps: f64) -> bool {
+    let table = SegmentTable::from_geometry([a, b]);
+    PruneFilter::new(&table, 0, dist, eps).is_some_and(|f| f.check(&table, 1))
+}
+
 /// The admissibility core shared by the default-seed property and the
-/// env-seeded rerun: every tier ≤ the computed exact distance, tiers
-/// monotone, and every `prune_tier` decision sound (the fast squared-space
-/// comparisons may decide differently from the value-level `tiers` within
-/// their rounding margin — and the fast tier 3 is deliberately weaker —
-/// but a pruned pair must always be outside ε, with the deciding tier's
-/// value-level bound confirming the decision up to that margin).
+/// env-seeded rerun:
+/// * the bound never exceeds the computed exact distance `d`: at `ε = d`
+///   the pair is a neighbour and is never pruned (and pruning only gets
+///   rarer as ε grows, so no larger ε prunes it either);
+/// * every prune at the drawn ε is sound, and the decision does not depend
+///   on operand order;
+/// * the test is not vacuous: it prunes whenever the real-number bound
+///   `min(w⊥, w∥)·(M − h)` clears ε by a margin far above the slack.
 fn check_admissible(pair: &(Segment2, Segment2), dist: &SegmentDistance, eps: f64) {
     let (a, b) = pair;
-    let t = segment_tiers(a, b, dist);
     let d = exact(a, b, dist);
-    for (k, &bound) in t.iter().enumerate() {
-        assert!(
-            bound <= d,
-            "tier {k} bound {bound} exceeds exact distance {d} for {a:?} vs {b:?}"
-        );
-    }
     assert!(
-        t[0] <= t[1] && t[1] <= t[2],
-        "tiers must be monotone, got {t:?}"
+        !prunes(a, b, dist, d),
+        "the bound exceeds the exact distance {d} for {a:?} vs {b:?}"
     );
-    let decision = prune_tier(&SegmentTable::from_geometry([a, b]), 0, 1, dist, eps);
-    if let Some(k) = decision {
-        assert!(k < TIER_COUNT, "deciding tier out of range: {k}");
+    let decision = prunes(a, b, dist, eps);
+    if decision {
         assert!(
             d > eps,
-            "pruned pair (tier {k}) is actually within eps: d={d}, eps={eps}"
-        );
-        // The fast comparison only fires with a 1e-9-relative margin, so
-        // the corresponding value-level bound must at least reach ε up to
-        // that margin. Tier 3 drops tier 2's additive part, so its
-        // value-level bound is only larger.
-        assert!(
-            t[k] >= eps * (1.0 - 1e-6),
-            "fast tier {k} pruned at eps={eps} but the value-level bound is {}",
-            t[k]
+            "pruned pair is actually within eps: d={d}, eps={eps}"
         );
     }
-    // The decision is symmetric: every comparison is built from
-    // operand-order-independent quantities.
-    let swapped = SegmentTable::from_geometry([b, a]);
     assert_eq!(
         decision,
-        prune_tier(&swapped, 0, 1, dist, eps),
+        prunes(b, a, dist, eps),
         "prune decision must not depend on operand order"
     );
+    let (ma, mb) = (a.midpoint(), b.midpoint());
+    let h = 0.5 * (a.length() + b.length());
+    let scale = h + ma.x().abs() + ma.y().abs() + mb.x().abs() + mb.y().abs();
+    let c = dist.weights.perpendicular.min(dist.weights.parallel);
+    if c * (ma.distance(&mb) - h - 1e-6 * scale) > eps {
+        assert!(decision, "the bound clears eps={eps} but did not prune");
+    }
 }
 
 proptest! {
     #[test]
-    fn every_tier_lower_bounds_the_exact_distance(
+    fn the_bound_lower_bounds_the_exact_distance(
         pair in segment_pair(),
         dist in distance_config(),
         eps in 0.0..200.0f64,
@@ -150,39 +145,25 @@ proptest! {
     }
 
     #[test]
-    fn bounds_are_bitwise_symmetric(pair in segment_pair(), dist in distance_config()) {
-        // The composite distance is symmetric under the shared role
-        // ordering (longer segment is the base, ids break exact ties),
-        // and the bounds canonicalise roles the same way — so swapping
-        // the operands must reproduce the same three bounds bit for bit.
-        let (a, b) = &pair;
-        let ab = segment_tiers(a, b, &dist);
-        let ba = segment_tiers(b, a, &dist);
-        for k in 0..TIER_COUNT {
-            prop_assert_eq!(
-                ab[k].to_bits(), ba[k].to_bits(),
-                "tier {} not symmetric: {} vs {}", k, ab[k], ba[k]
-            );
-        }
-        prop_assert_eq!(
-            exact(a, b, &dist).to_bits(), exact(b, a, &dist).to_bits(),
-            "the exact kernel itself must be symmetric for this to matter"
-        );
-    }
-
-    #[test]
-    fn cached_entry_matches_the_standalone_entry(
+    fn bounds_are_bitwise_symmetric(
         pair in segment_pair(),
         dist in distance_config(),
+        eps in 0.0..200.0f64,
     ) {
-        // `segment_tiers` is the 2-slot convenience wrapper; the hot path
-        // calls `tiers` on the database's table. Same bits required.
+        // The composite distance is symmetric under the shared role
+        // ordering (longer segment is the base, ids break exact ties), and
+        // every quantity the bound compares (M², h, the slack) is built
+        // from operand-order-independent sums — so swapping the operands
+        // must reproduce the same decision at every ε, the exact distance
+        // included.
         let (a, b) = &pair;
-        let table = SegmentTable::from_geometry([a, b]);
-        let cached = lower_bound_tiers(&table, 0, 1, &dist);
-        let standalone = segment_tiers(a, b, &dist);
-        for k in 0..TIER_COUNT {
-            prop_assert_eq!(cached[k].to_bits(), standalone[k].to_bits());
+        let d = exact(a, b, &dist);
+        prop_assert_eq!(
+            d.to_bits(), exact(b, a, &dist).to_bits(),
+            "the exact kernel itself must be symmetric for this to matter"
+        );
+        for e in [eps, d, 0.5 * d, 0.0] {
+            prop_assert_eq!(prunes(a, b, &dist, e), prunes(b, a, &dist, e), "eps={}", e);
         }
     }
 
@@ -193,12 +174,7 @@ proptest! {
     ) {
         // dist(L, L) = 0, so any positive bound would be inadmissible —
         // and a self-pair must never be pruned at any ε ≥ 0.
-        let t = segment_tiers(&s, &s, &dist);
-        for (k, &bound) in t.iter().enumerate() {
-            prop_assert!(bound <= 0.0, "self-pair tier {} is {}", k, bound);
-        }
-        let table = SegmentTable::from_geometry([&s, &s]);
-        prop_assert_eq!(prune_tier(&table, 0, 1, &dist, 0.0), None);
+        prop_assert!(!prunes(&s, &s, &dist, 0.0));
     }
 }
 

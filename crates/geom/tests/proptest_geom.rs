@@ -82,13 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn mbr_distance_lower_bounds_segment_distance(a in segment(), b in segment()) {
-        let box_a = Aabb::from_segment(&a);
-        let box_b = Aabb::from_segment(&b);
-        prop_assert!(box_a.min_distance(&box_b) <= a.min_distance(&b) + 1e-9);
-    }
-
-    #[test]
     fn aabb_union_contains_both(a in segment(), b in segment()) {
         let box_a = Aabb::from_segment(&a);
         let box_b = Aabb::from_segment(&b);

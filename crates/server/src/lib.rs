@@ -43,4 +43,4 @@ mod server;
 
 pub use client::Client;
 pub use protocol::{ProtocolError, Request};
-pub use server::{Server, ServerConfig, WRITE_TIMEOUT};
+pub use server::{Server, ServerConfig, IDLE_POLLS, WRITE_TIMEOUT};

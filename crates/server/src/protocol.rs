@@ -8,7 +8,7 @@
 //!
 //! | `op`              | fields                            | answer |
 //! |-------------------|-----------------------------------|--------|
-//! | `ingest`          | `points: [[x,y],…]` (at most [`MAX_INGEST_POINTS`], each coordinate within ±[`MAX_COORDINATE`]), `weight?` (positive, at most [`MAX_WEIGHT`]) | assigned trajectory id (queued, not yet applied) |
+//! | `ingest`          | `points: [[x,y],…]` (at most [`MAX_INGEST_POINTS`]), `weight?` (positive, at most [`MAX_WEIGHT`]) | assigned trajectory id (queued, not yet applied) |
 //! | `remove`          | `trajectory: id`                  | retires that trajectory from the live window (synchronous: replies after the removal is applied and published) |
 //! | `expire`          | `keep: n`                         | expires oldest-first down to `n` live trajectories (synchronous, like `remove`) |
 //! | `membership`      | `trajectory: id`                  | clusters containing that trajectory |
@@ -18,6 +18,9 @@
 //! | `stats`           | —                                 | engine counters (incl. filter-and-refine prune tallies) + snapshot epoch |
 //! | `flush`           | —                                 | blocks until every queued ingest is applied and published |
 //! | `shutdown`        | —                                 | acknowledges, then stops the daemon |
+//!
+//! Every coordinate of a point (`ingest`'s `points`, `nearest`'s `point`,
+//! `region`'s corners) must be finite and within ±[`MAX_COORDINATE`].
 //!
 //! Responses carry `"ok": true` plus op-specific fields, or
 //! `"ok": false, "error": "…"` — malformed input yields a typed
@@ -39,11 +42,13 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// ingests are refused with [`ProtocolError::TooManyPoints`].
 pub const MAX_INGEST_POINTS: usize = 4096;
 
-/// The largest coordinate magnitude an `ingest` may carry. The distance
-/// kernels multiply squared norms — fourth powers of coordinates — which
-/// overflow `f64` from about `1e77` on; the cap leaves them a wide margin.
-/// Larger coordinates are refused with
-/// [`ProtocolError::CoordinateTooLarge`].
+/// The largest coordinate magnitude any request point may carry. The
+/// distance kernels multiply squared norms — fourth powers of coordinates
+/// — which overflow `f64` from about `1e77` on, and `nearest` squares its
+/// distances to the representatives, which overflow from about `1e154`
+/// (at `[1e200, 0]` every cluster was at distance `inf`, so the lowest
+/// cluster id won); the cap leaves both a wide margin. Larger coordinates
+/// are refused with [`ProtocolError::CoordinateTooLarge`].
 pub const MAX_COORDINATE: f64 = 1e50;
 
 /// The largest trajectory weight an `ingest` may carry. The weighted
@@ -141,8 +146,10 @@ pub enum ProtocolError {
         /// The cap it exceeded.
         limit: usize,
     },
-    /// An `ingest` coordinate's magnitude exceeds [`MAX_COORDINATE`].
+    /// A point coordinate's magnitude exceeds [`MAX_COORDINATE`].
     CoordinateTooLarge {
+        /// The operation being parsed.
+        op: &'static str,
         /// The cap it exceeded.
         limit: f64,
     },
@@ -174,8 +181,8 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::TooManyPoints { limit } => {
                 write!(f, "ingest: more than {limit} points")
             }
-            ProtocolError::CoordinateTooLarge { limit } => {
-                write!(f, "ingest: a coordinate exceeds {limit:e} in magnitude")
+            ProtocolError::CoordinateTooLarge { op, limit } => {
+                write!(f, "{op}: a coordinate exceeds {limit:e} in magnitude")
             }
             ProtocolError::WeightTooLarge { limit } => {
                 write!(f, "ingest: the weight exceeds {limit:e}")
@@ -214,6 +221,12 @@ fn parse_point(
     let y = items[1].as_f64().ok_or_else(bad)?;
     if !x.is_finite() || !y.is_finite() {
         return Err(bad());
+    }
+    if x.abs() > MAX_COORDINATE || y.abs() > MAX_COORDINATE {
+        return Err(ProtocolError::CoordinateTooLarge {
+            op,
+            limit: MAX_COORDINATE,
+        });
     }
     Ok([x, y])
 }
@@ -254,15 +267,7 @@ impl Request {
                 }
                 let points = items
                     .iter()
-                    .map(|p| {
-                        let point = parse_point(p, "ingest", "points")?;
-                        if point.iter().any(|c| c.abs() > MAX_COORDINATE) {
-                            return Err(ProtocolError::CoordinateTooLarge {
-                                limit: MAX_COORDINATE,
-                            });
-                        }
-                        Ok(point)
-                    })
+                    .map(|p| parse_point(p, "ingest", "points"))
                     .collect::<Result<Vec<_>, _>>()?;
                 let weight = match value.get("weight") {
                     None => None,
@@ -557,24 +562,58 @@ mod tests {
         for c in [MAX_COORDINATE, -MAX_COORDINATE] {
             assert!(ingest(vec![[c, 0.0], [0.0, c]]).is_ok(), "{c:e} is allowed");
         }
+        let too_large = |op| {
+            Err(ProtocolError::CoordinateTooLarge {
+                op,
+                limit: MAX_COORDINATE,
+            })
+        };
         for c in [above, -above, 1e300, -1e77] {
             for point in [[c, 0.0], [0.0, c]] {
                 assert_eq!(
                     ingest(vec![[0.0, 0.0], point]),
-                    Err(ProtocolError::CoordinateTooLarge {
-                        limit: MAX_COORDINATE
-                    }),
+                    too_large("ingest"),
                     "{point:?}"
                 );
             }
         }
-        // The error names the cap on the wire.
-        let error = ProtocolError::CoordinateTooLarge {
-            limit: MAX_COORDINATE,
-        };
+        // The error names the op and the cap on the wire.
         assert_eq!(
-            error.to_string(),
+            ProtocolError::CoordinateTooLarge {
+                op: "ingest",
+                limit: MAX_COORDINATE,
+            }
+            .to_string(),
             "ingest: a coordinate exceeds 1e50 in magnitude"
+        );
+
+        // `nearest` and `region` points share the cap: a `nearest` probe at
+        // 1e200 squared its distances to infinity, so the lowest cluster id
+        // won whatever was nearest.
+        let nearest = |point| Request::parse_line(&Request::Nearest { point }.to_line());
+        let region = |c: f64| {
+            let (lo, hi) = (c.min(0.0), c.max(0.0));
+            Request::parse_line(
+                &Request::Region {
+                    min: [lo, lo],
+                    max: [hi, 0.0],
+                }
+                .to_line(),
+            )
+        };
+        for c in [MAX_COORDINATE, -MAX_COORDINATE] {
+            assert!(nearest([c, 0.0]).is_ok(), "nearest {c:e} is allowed");
+            assert!(nearest([0.0, c]).is_ok(), "nearest {c:e} is allowed");
+            assert!(region(c).is_ok(), "region {c:e} is allowed");
+        }
+        for c in [above, -above, 1e200, -1e77] {
+            assert_eq!(nearest([c, 0.0]), too_large("nearest"), "{c:e}");
+            assert_eq!(nearest([0.0, c]), too_large("nearest"), "{c:e}");
+            assert_eq!(region(c), too_large("region"), "{c:e}");
+        }
+        assert_eq!(
+            nearest([1e200, 0.0]).map_err(|e| e.to_string()),
+            Err("nearest: a coordinate exceeds 1e50 in magnitude".to_string())
         );
 
         let weighted = |weight: f64| {

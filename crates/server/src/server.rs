@@ -27,6 +27,12 @@ use crate::protocol::{error_response, ProtocolError, Request, MAX_LINE_BYTES};
 /// `shutdown`, which joins every handler — for longer than this.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// How many poll intervals in a row a connection may send nothing. A
+/// connection silent for that long is dropped, so idle clients cannot
+/// hold every handler under the `max_connections` cap and lock the others
+/// out. At the default 100 ms poll interval that is one minute.
+pub const IDLE_POLLS: u32 = 600;
+
 /// Configuration of one serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
@@ -35,7 +41,9 @@ pub struct ServerConfig {
     /// Ingest-queue bound: how many trajectories may wait for the engine
     /// before `ingest` requests block (back-pressure).
     pub queue_depth: usize,
-    /// How often idle connection handlers wake to check for shutdown.
+    /// How often idle connection handlers wake to check for shutdown;
+    /// [`IDLE_POLLS`] of them without a byte from the client drop its
+    /// connection.
     pub poll_interval: Duration,
     /// Maximum concurrent connections (one handler thread each). At the
     /// cap the accept loop parks until a handler exits, so excess clients
@@ -259,10 +267,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(stream);
     let mut line: Vec<u8> = Vec::new();
+    let mut idle_polls = 0;
     loop {
         // Read at most one byte past the cap, so an oversized line shows
         // without any more of it being buffered.
         let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        let before = line.len();
         match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break, // client hung up (a stale partial line dies with it)
             Ok(_) if line.len() > MAX_LINE_BYTES => {
@@ -273,6 +283,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 break;
             }
             Ok(_) => {
+                idle_polls = 0;
                 // A complete line (or the final unterminated line before
                 // EOF) is in the buffer; clear it only after dispatch, so
                 // nothing accumulated survives into the next request.
@@ -294,11 +305,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 line.clear();
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // The read timeout is only a shutdown poll, but read_until
-                // may already have appended part of a request before
-                // timing out — keep the buffer intact so a client that
-                // pauses mid-line resumes exactly where it left off.
-                if shared.shutdown.load(Ordering::SeqCst) {
+                // The read timeout is a shutdown and idleness poll, but
+                // read_until may already have appended part of a request
+                // before timing out — keep the buffer intact so a client
+                // that pauses mid-line resumes exactly where it left off.
+                idle_polls = if line.len() > before {
+                    0
+                } else {
+                    idle_polls + 1
+                };
+                if shared.shutdown.load(Ordering::SeqCst) || idle_polls >= IDLE_POLLS {
                     break;
                 }
             }
@@ -499,9 +515,7 @@ fn dispatch(line: &str, shared: &Shared) -> (JsonValue, bool) {
                             JsonValue::from(stats.decremental_repairs),
                         ),
                         ("prune_candidates", u64_json(stats.prune_candidates)),
-                        ("pruned_mbr", u64_json(stats.pruned_mbr)),
                         ("pruned_midpoint", u64_json(stats.pruned_midpoint)),
-                        ("pruned_angle", u64_json(stats.pruned_angle)),
                         ("prune_refined", u64_json(stats.prune_refined)),
                     ],
                 ),

@@ -214,7 +214,7 @@ proptest! {
         } else if points.iter().flatten().any(|c| c.abs() > MAX_COORDINATE) {
             prop_assert_eq!(
                 parsed,
-                Err(ProtocolError::CoordinateTooLarge { limit: MAX_COORDINATE })
+                Err(ProtocolError::CoordinateTooLarge { op: "ingest", limit: MAX_COORDINATE })
             );
         } else {
             prop_assert_eq!(parsed, Ok(Request::Ingest { points, weight: None }));

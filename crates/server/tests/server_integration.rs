@@ -423,6 +423,15 @@ fn oversized_ingests_are_refused_and_the_daemon_keeps_serving() {
         &response,
         format!("ingest: a coordinate exceeds {MAX_COORDINATE:e} in magnitude"),
     );
+    // A `nearest` probe this far out squared its distances to infinity;
+    // it is refused under the same cap.
+    let response = client
+        .send_raw(r#"{"op": "nearest", "point": [1e200, 0]}"#)
+        .expect("huge-coordinate nearest");
+    refused(
+        &response,
+        format!("nearest: a coordinate exceeds {MAX_COORDINATE:e} in magnitude"),
+    );
     let long = Request::Ingest {
         points: (0..=MAX_INGEST_POINTS)
             .map(|k| [k as f64, (k % 7) as f64])
@@ -835,4 +844,62 @@ fn a_client_that_never_reads_cannot_hang_shutdown() {
     runner.join().expect("join").expect("result received");
     sender.join().expect("the sender ends with the connection");
     drop(stalled);
+}
+
+/// Idle clients cannot lock the daemon out. With one handler slot, a
+/// client that connects and sends nothing holds it only until
+/// `IDLE_POLLS` poll intervals pass; then its connection is closed and a
+/// second client, queued behind it, is answered. Every wait is bounded,
+/// so a daemon that keeps the idle client fails the test instead of
+/// hanging it.
+#[test]
+fn idle_clients_are_dropped_and_cannot_lock_the_daemon() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+    use traclus_server::IDLE_POLLS;
+
+    let (config, _) = fixture();
+    let poll = Duration::from_millis(2);
+    let (addr, server) = start_with(ServerConfig {
+        traclus: config,
+        poll_interval: poll,
+        max_connections: 1,
+        ..ServerConfig::default()
+    });
+    let idle_limit = poll * IDLE_POLLS;
+    let bound = idle_limit + Duration::from_secs(10);
+
+    let mut idle = TcpStream::connect(addr).expect("connect the idle client");
+    idle.set_read_timeout(Some(bound)).expect("read timeout");
+    // The second client's request waits in its socket until the idle
+    // client's handler frees the only slot.
+    let mut queued = TcpStream::connect(addr).expect("connect the queued client");
+    queued.set_read_timeout(Some(bound)).expect("read timeout");
+    let mut replies = BufReader::new(queued.try_clone().expect("clone"));
+    queued
+        .write_all(format!("{}\n", Request::Stats.to_line()).as_bytes())
+        .expect("send stats");
+
+    // The daemon closes the idle connection: EOF, not a read timeout.
+    let mut byte = [0u8; 1];
+    let read = idle.read(&mut byte);
+    assert!(
+        matches!(read, Ok(0)),
+        "the idle connection must be closed within {bound:?}, got {read:?}"
+    );
+
+    let mut reply = String::new();
+    replies
+        .read_line(&mut reply)
+        .expect("the queued client is answered once the idle one is dropped");
+    assert_ok(&JsonValue::parse(reply.trim_end()).expect("stats reply is JSON"));
+
+    queued
+        .write_all(format!("{}\n", Request::Shutdown.to_line()).as_bytes())
+        .expect("send shutdown");
+    reply.clear();
+    replies.read_line(&mut reply).expect("shutdown reply");
+    assert_ok(&JsonValue::parse(reply.trim_end()).expect("shutdown reply is JSON"));
+    server.join().expect("join").expect("clean shutdown");
 }
