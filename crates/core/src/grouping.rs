@@ -303,11 +303,10 @@ impl<U: Copy> Drop for StopOnUnwind<'_, U> {
     }
 }
 
-/// Core flags, core components and border claims: the state one ordered
-/// pass builds.
+/// Core components and border claims: the state one ordered pass builds
+/// beside the counts. Core-ness is not stored: a segment is core
+/// (Definition 5) iff its count reaches `MinLns`.
 pub(crate) struct Classification {
-    /// Definition 5 core flag per segment id.
-    pub(crate) core: Vec<bool>,
     /// Union-find over core segments; min-root, so a component's root is
     /// its minimum core id.
     pub(crate) dsu: UnionFind,
@@ -322,25 +321,24 @@ pub(crate) struct Classification {
 const CLAIM_DEDUP_LEN: usize = 16;
 
 impl Classification {
-    /// `n` unclassified, non-core singletons.
+    /// `n` unclassified singletons.
     pub(crate) fn new(n: usize) -> Self {
         Self {
-            core: vec![false; n],
             dsu: UnionFind::new(n as u32),
             claims: vec![Vec::new(); n],
         }
     }
 
-    /// Visits `id` in the ascending pass: records its final core flag and
-    /// classifies its backward edges (`b < id`, whose flags are final
-    /// too). `hood` is ascending — a whole ε-neighbourhood, or just the
-    /// backward neighbours [`classify_forward`] carried — and only its
-    /// entries below `id` are read.
-    pub(crate) fn classify(&mut self, id: u32, id_core: bool, hood: &[u32]) {
-        self.core[id as usize] = id_core;
+    /// Visits `id` in the ascending pass and classifies its backward edges
+    /// (`b < id`) by core-ness, read from `counts`: the counts of `id` and
+    /// of every `b` must be final. `hood` is ascending — a whole
+    /// ε-neighbourhood, or just the backward neighbours [`classify_forward`]
+    /// carried — and only its entries below `id` are read.
+    pub(crate) fn classify(&mut self, id: u32, hood: &[u32], counts: &[f64], min_lns: f64) {
+        let id_core = counts[id as usize] >= min_lns;
         self.claims[id as usize] = Vec::new();
         for &b in hood.iter().take_while(|&&b| b < id) {
-            match (id_core, self.core[b as usize]) {
+            match (id_core, counts[b as usize] >= min_lns) {
                 (true, true) => self.dsu.union(id, b),
                 (true, false) => push_claim(&mut self.claims[b as usize], id),
                 (false, true) => push_claim(&mut self.claims[id as usize], b),
@@ -353,22 +351,25 @@ impl Classification {
 /// Raw cluster id of every segment, plus the raw cluster count: components
 /// numbered in ascending minimum-core-id order (the sequential seed order),
 /// and each non-core segment in the earliest component among the cores its
-/// list names. Non-core entries are skipped, so the list may be the
-/// ordered pass's claims or a whole ε-neighbourhood
-/// ([`crate::IncrementalClustering`]'s ε-graph): both name a core of every
-/// component within ε of the segment, so both give the same labels.
+/// list names. A segment is core iff its count reaches `min_lns`. Non-core
+/// entries are skipped, so the list may be the ordered pass's claims or a
+/// whole ε-neighbourhood ([`crate::IncrementalClustering`]'s ε-graph): both
+/// name a core of every component within ε of the segment, so both give
+/// the same labels.
 pub(crate) fn raw_labels(
-    core: &[bool],
-    dsu: &UnionFind,
+    counts: &[f64],
+    min_lns: f64,
+    dsu: &mut UnionFind,
     lists: &[Vec<u32>],
 ) -> (Vec<Option<u32>>, u32) {
-    let n = core.len();
+    let n = counts.len();
+    let core = |id: usize| counts[id] >= min_lns;
     let mut comp_of_root = vec![u32::MAX; n];
     let mut raw: Vec<Option<u32>> = vec![None; n];
     let mut cluster_count = 0u32;
     for id in 0..n {
-        if core[id] {
-            let root = dsu.find_readonly(id as u32) as usize;
+        if core(id) {
+            let root = dsu.find(id as u32) as usize;
             if comp_of_root[root] == u32::MAX {
                 comp_of_root[root] = cluster_count;
                 cluster_count += 1;
@@ -377,11 +378,11 @@ pub(crate) fn raw_labels(
         }
     }
     for id in 0..n {
-        if !core[id] {
+        if !core(id) {
             raw[id] = lists[id]
                 .iter()
-                .filter(|&&c| core[c as usize])
-                .map(|&c| comp_of_root[dsu.find_readonly(c) as usize])
+                .filter(|&&c| core(c as usize))
+                .map(|&c| comp_of_root[dsu.find(c) as usize])
                 .min();
         }
     }
@@ -404,8 +405,8 @@ fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
 }
 
 /// The ordered pass over forward-only ε-queries (see the module docs):
-/// visits every id ascending and leaves `|Nε(id)|` in `counts[id]` and
-/// each id's core flag, components and claims in `classes`, exactly as
+/// visits every id ascending and leaves `|Nε(id)|` in `counts[id]` and the
+/// components and claims in `classes`, exactly as
 /// [`Classification::classify`] over whole neighbourhoods would. `counts`
 /// is zeroed first; the union-find must start as singletons.
 pub(crate) fn classify_forward<const D: usize>(
@@ -427,9 +428,9 @@ pub(crate) fn classify_forward<const D: usize>(
     for_each_ordered(&ids, threads, query, |&id, forward| {
         let count = db.add_cardinality(counts[id as usize], forward, config.weighted);
         counts[id as usize] = count;
-        let is_core = count >= config.min_lns;
-        classes.classify(id, is_core, &std::mem::take(&mut carried[id as usize]));
-        let root = is_core.then(|| classes.dsu.find(id));
+        let backward = std::mem::take(&mut carried[id as usize]);
+        classes.classify(id, &backward, counts, config.min_lns);
+        let root = (count >= config.min_lns).then(|| classes.dsu.find(id));
         let gain = db.cardinality_weight(id, config.weighted);
         for &c in forward.iter().filter(|&&c| c != id) {
             counts[c as usize] += gain;
@@ -461,9 +462,10 @@ pub(crate) fn run_ordered<const D: usize>(
     #[cfg(feature = "invariant-checks")]
     {
         crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
-        crate::invariants::assert_counts_exact(db, config, &counts, &classes, "grouping");
+        crate::invariants::assert_counts_exact(db, config, &counts, "grouping");
     }
-    let (raw, cluster_count) = raw_labels(&classes.core, &classes.dsu, &classes.claims);
+    let (raw, cluster_count) =
+        raw_labels(&counts, config.min_lns, &mut classes.dsu, &classes.claims);
     let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
     let stats = ClusterStats {
         prune: index.prune_stats(),
@@ -487,12 +489,6 @@ impl UnionFind {
         }
     }
 
-    /// Appends one fresh singleton element (the incremental engine grows
-    /// the universe as segments stream in).
-    pub(crate) fn push(&mut self) {
-        self.parent.push(self.parent.len() as u32);
-    }
-
     /// Inlined, like [`Self::union`], into the generic grouping and stream
     /// code that calls it once per ε-edge in the callers' crates.
     #[inline]
@@ -501,15 +497,6 @@ impl UnionFind {
             let grandparent = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grandparent;
             x = grandparent;
-        }
-        x
-    }
-
-    /// [`Self::find`] without path compression, for shared-reference
-    /// callers (e.g. taking a snapshot of the incremental engine).
-    pub(crate) fn find_readonly(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
         }
         x
     }
@@ -552,13 +539,6 @@ mod tests {
         assert_eq!(dsu.find(9), 3);
         assert_eq!(dsu.find(5), 3);
         assert_eq!(dsu.find(0), 0, "untouched elements stay singletons");
-        // The read-only finder agrees without mutating parents.
-        assert_eq!(dsu.find_readonly(9), 3);
-        // Growth appends singletons that union like any other element.
-        dsu.push();
-        assert_eq!(dsu.find(10), 10);
-        dsu.union(10, 9);
-        assert_eq!(dsu.find_readonly(10), 3);
     }
 
     /// Deterministic uniform draws from `[0, 1)` (xorshift64).
@@ -736,12 +716,14 @@ mod tests {
                     db.neighborhood_into(&index, id, config.eps, &mut hood);
                     let count = db.neighborhood_cardinality(&hood, is_weighted);
                     want_counts[id as usize] = count;
-                    want.classify(id, count >= min_lns, &hood);
+                    want.classify(id, &hood, &want_counts, min_lns);
                 }
-                let core_count = want.core.iter().filter(|&&c| c).count();
+                let core_count = want_counts.iter().filter(|&&c| c >= min_lns).count();
                 assert!(core_count > 0 && core_count < db.len(), "cores and borders");
-                let labels = |c: &Classification| raw_labels(&c.core, &c.dsu, &c.claims);
-                let want_labels = labels(&want);
+                let labels = |counts: &[f64], c: &mut Classification| {
+                    raw_labels(counts, min_lns, &mut c.dsu, &c.claims)
+                };
+                let want_labels = labels(&want_counts, &mut want);
                 for threads in [1, 2, 3, 8] {
                     let context = format!("weighted={is_weighted} {kind:?} t={threads}");
                     // The pass zeroes the counts itself.
@@ -751,8 +733,11 @@ mod tests {
                     for (id, (got, want)) in counts.iter().zip(&want_counts).enumerate() {
                         assert_eq!(got.to_bits(), want.to_bits(), "{context}: count of {id}");
                     }
-                    assert_eq!(classes.core, want.core, "{context}: core flags");
-                    assert_eq!(labels(&classes), want_labels, "{context}: labels");
+                    assert_eq!(
+                        labels(&counts, &mut classes),
+                        want_labels,
+                        "{context}: labels"
+                    );
                 }
             }
         }

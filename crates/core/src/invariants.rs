@@ -4,10 +4,10 @@
 //! Each checker asserts a structural invariant the algorithms rely on but
 //! ordinary tests only observe indirectly through final outputs:
 //!
-//! * the union-find stays acyclic and in min-root canonical form (the
-//!   sequential-equivalence arguments of the ordered grouping pass and of
-//!   [`crate::stream`] number components by minimum core id — a
-//!   non-canonical root would silently renumber clusters);
+//! * the ordered grouping pass's union-find stays acyclic and in min-root
+//!   canonical form (its sequential-equivalence argument numbers
+//!   components by minimum core id — a non-canonical root would silently
+//!   renumber clusters);
 //! * the ordered pass's counts, built from forward-only ε-queries plus the
 //!   weights carried from earlier ids, equal full-query counts bit for bit
 //!   (a carry bug would shift core flags only near the `MinLns`
@@ -27,9 +27,11 @@
 //! * the stream's cached ε-graph equals fresh ε-queries on the live index,
 //!   with every count the bit-exact fold over its list, on the dirty
 //!   region of every insert and removal and over the whole window at
-//!   power-of-two trajectory counts (a missed back-append or a departed id
-//!   left behind by a compaction would otherwise show only as a label
-//!   change once the stale entry decides a core flag or a border);
+//!   power-of-two trajectory counts. Core flags are read from those counts
+//!   and components from those lists, so this checks both (a missed
+//!   back-append or a departed id left behind by a compaction would
+//!   otherwise show only as a label change once the stale entry decides a
+//!   core flag or a border);
 //! * the stream's arrival log tiles the database in order: each arrival's
 //!   segments follow the previous arrival's and carry its trajectory id,
 //!   so a removal compacts exactly the departing rows and the database
@@ -45,7 +47,7 @@
 use traclus_geom::{IdentifiedSegment, SegmentTable, Trajectory, TrajectoryId};
 
 use crate::cluster::ClusterConfig;
-use crate::grouping::{Classification, UnionFind};
+use crate::grouping::UnionFind;
 use crate::partition::{partition_trajectories, PartitionConfig};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
 use crate::IndexKind;
@@ -68,15 +70,14 @@ pub(crate) fn assert_union_find_canonical(dsu: &UnionFind, context: &str) {
     }
 }
 
-/// Asserts the ordered pass's counts and core flags at the power-of-two
-/// ids against full ε-queries (a fresh full scan): the forward folds plus
-/// the carried backward weights must add up to the whole-neighbourhood
-/// count bit for bit, and the core flags must follow.
+/// Asserts the ordered pass's counts at the power-of-two ids against full
+/// ε-queries (a fresh full scan): the forward folds plus the carried
+/// backward weights must add up to the whole-neighbourhood count bit for
+/// bit, so the core flags read from them are the batch loop's.
 pub(crate) fn assert_counts_exact<const D: usize>(
     db: &SegmentDatabase<D>,
     config: &ClusterConfig,
     counts: &[f64],
-    classes: &Classification,
     context: &str,
 ) {
     let linear = db.build_index(IndexKind::Linear, config.eps);
@@ -84,12 +85,11 @@ pub(crate) fn assert_counts_exact<const D: usize>(
     for id in (0..db.len() as u32).filter(|id| id.is_power_of_two()) {
         db.neighborhood_into(&linear, id, config.eps, &mut hood);
         let full = db.neighborhood_cardinality(&hood, config.weighted);
-        let (count, core) = (counts[id as usize], classes.core[id as usize]);
+        let count = counts[id as usize];
         assert!(
-            full.to_bits() == count.to_bits() && core == (full >= config.min_lns),
+            full.to_bits() == count.to_bits(),
             "invariant-checks[{context}]: segment {id} has count {count:?} \
-             (core {core}) after the ordered pass, but its full ε-query \
-             gives {full:?}"
+             after the ordered pass, but its full ε-query gives {full:?}"
         );
     }
 }
@@ -209,16 +209,15 @@ pub(crate) fn assert_pruned_pair_outside_eps<const D: usize>(
     );
 }
 
-/// Asserts the stream's ε-graph — `(lists, counts, core flags)` per
-/// segment id — on `ids`: each cached list equals a fresh
-/// [`SegmentDatabase::neighborhood_into`] on the live index, each count is
-/// the fold over that list bit for bit, and each core flag follows from
-/// its count.
+/// Asserts the stream's ε-graph — `(lists, counts)` per segment id — on
+/// `ids`: each cached list equals a fresh
+/// [`SegmentDatabase::neighborhood_into`] on the live index, and each count
+/// is the fold over that list bit for bit.
 pub(crate) fn assert_graph_exact<const D: usize>(
     db: &SegmentDatabase<D>,
     index: &NeighborIndex<D>,
     config: &ClusterConfig,
-    (hoods, counts, core): (&[Vec<u32>], &[f64], &[bool]),
+    (hoods, counts): (&[Vec<u32>], &[f64]),
     ids: &[u32],
     context: &str,
 ) {
@@ -232,11 +231,11 @@ pub(crate) fn assert_graph_exact<const D: usize>(
              is {cached:?}, but a fresh query gives {fresh:?}"
         );
         let full = db.neighborhood_cardinality(&fresh, config.weighted);
-        let (count, is_core) = (counts[id as usize], core[id as usize]);
+        let count = counts[id as usize];
         assert!(
-            full.to_bits() == count.to_bits() && is_core == (full >= config.min_lns),
-            "invariant-checks[{context}]: segment {id} has count {count:?} \
-             (core {is_core}), but its fresh ε-query gives {full:?}"
+            full.to_bits() == count.to_bits(),
+            "invariant-checks[{context}]: segment {id} has count {count:?}, \
+             but its fresh ε-query gives {full:?}"
         );
     }
 }
@@ -296,9 +295,9 @@ mod tests {
             }
             assert!(!engine.snapshot().clusters.is_empty());
             // Decremental pass: every removal runs the post-removal
-            // sanitizer (arrival tiling, union-find canonical form,
-            // compacted index vs full scan, the dirty set's ε-lists vs
-            // fresh queries, snapshot == live-window batch).
+            // sanitizer (arrival tiling, compacted index vs full scan, the
+            // dirty set's ε-lists vs fresh queries, snapshot == live-window
+            // batch).
             for i in [4u32, 0, 8] {
                 let report = engine.remove_trajectory(TrajectoryId(i));
                 assert_eq!(report.removed_trajectories, 1, "{index:?} tr {i}");

@@ -201,7 +201,7 @@ impl<const D: usize> NeighborIndex<D> {
 /// Segment `k` always has id `k`: its position in the table.
 /// [`Self::append_segments`] continues the sequence and
 /// [`Self::remove_segments`] closes the gaps it leaves, so labels, counts
-/// and the union-find in `traclus-core::stream` index the same id space as
+/// and the ε-lists in `traclus-core::stream` index the same id space as
 /// the batch pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentDatabase<const D: usize> {

@@ -19,14 +19,15 @@
 //! # The ε-graph
 //!
 //! The engine keeps each live segment's whole `Nε(L)`, self included, as
-//! an ascending list of ids, next to its neighbourhood cardinality, its
-//! core flag (Definition 5) and a min-root union-find over the core–core
-//! edges — the state the batch grouping pass builds. Every repair reads
-//! the lists instead of re-querying, so the ε-queries of an arrival's new
-//! segments are the only ones the engine ever runs. The graph costs
-//! O(|E|) memory over the live window, one `u32` per directed edge: about
-//! 45k entries (0.18 MB) for a 10k-segment window of sparse traffic, and
-//! 180k (0.72 MB) for a 2k-segment window of a dense hurricane basin.
+//! an ascending list of ids, next to its neighbourhood cardinality, and
+//! nothing else: a segment is core (Definition 5) iff its count reaches
+//! `MinLns`, and [`IncrementalClustering::snapshot`] unions the cached
+//! core–core edges into components. Every repair reads the lists instead
+//! of re-querying, so the ε-queries of an arrival's new segments are the
+//! only ones the engine ever runs. The graph costs O(|E|) memory over the
+//! live window, one `u32` per directed edge: about 45k entries (0.18 MB)
+//! for a 10k-segment window of sparse traffic, and 180k (0.72 MB) for a
+//! 2k-segment window of a dense hurricane basin.
 //!
 //! # Exactness
 //!
@@ -49,10 +50,9 @@
 //! in the window, so each new id is appended to the lists of its older
 //! neighbours, which stay ascending, and adds its weight to their counts,
 //! which extends the ascending-id fold the batch pass sums, bit for bit.
-//! Every weight is positive, so insertion only adds edges and promotes
-//! segments to core. Each segment that became core — a new core or a
-//! promoted one — is unioned with the cores on its own list, which covers
-//! every new core–core edge.
+//! Every weight is positive, so insertion only adds edges and raises
+//! counts: an older segment is promoted to core when its count crosses
+//! `MinLns`, which happens at most once.
 //!
 //! # Removal and the sliding window
 //!
@@ -63,13 +63,13 @@
 //! departed segments' lists name every survivor whose neighbourhood
 //! shrinks. Those lists drop the departed ids and their counts are re-folded
 //! from what is left: the fold a fresh query does, so the sums stay
-//! bit-identical where repeated subtraction would drift. Demoted cores lose
-//! their flag. Then the database, the index, the per-id arrays and every
-//! list entry compact once: the departed rows leave and each survivor is
-//! renumbered in order, so the engine's database is always the one the
-//! batch pipeline builds over the live window, ids included. A removal may
-//! split a component, so the union-find restarts and one ascending pass
-//! re-unions the cached core–core edges.
+//! bit-identical where repeated subtraction would drift. A survivor whose
+//! count falls below `MinLns` is demoted. Then the database, the index, the
+//! per-id arrays and every list entry compact once: the departed rows leave
+//! and each survivor is renumbered in order, so the engine's database is
+//! always the one the batch pipeline builds over the live window, ids
+//! included. Nothing else needs repair: a component the removal split is
+//! split in the lists, and the next snapshot unions them afresh.
 //!
 //! # Parallelism
 //!
@@ -231,12 +231,11 @@ pub struct IncrementalClustering<const D: usize> {
     hoods: Vec<Vec<u32>>,
     /// `|Nε(L)|` per segment (weighted when configured): the ascending-id
     /// fold over its list, the order the batch pass sums in, so the values
-    /// are bit-identical.
+    /// are bit-identical. A segment is core iff its count reaches `MinLns`.
     counts: Vec<f64>,
-    /// Definition 5 core flag per segment.
-    core: Vec<bool>,
-    /// Min-root union-find over the core–core edges of the graph.
-    dsu: UnionFind,
+    /// Workers for an arrival's ε-queries: the configured parallelism,
+    /// resolved once.
+    threads: usize,
     stats: StreamStats,
     /// Logical clock: ticks by one per [`Self::insert`], or jumps to the
     /// caller-supplied (monotone) timestamp in [`Self::insert_at`]. Drives
@@ -276,8 +275,7 @@ impl<const D: usize> IncrementalClustering<D> {
             index,
             hoods: Vec::new(),
             counts: Vec::new(),
-            core: Vec::new(),
-            dsu: UnionFind::new(0),
+            threads: cluster.parallelism.thread_count(),
             stats: StreamStats::default(),
             clock: 0,
             arrivals: Vec::new(),
@@ -401,69 +399,36 @@ impl<const D: usize> IncrementalClustering<D> {
         // order. Each new id joins its older neighbours' lists and adds its
         // weight to their counts: it is larger than every id there, so the
         // lists stay ascending and the counts extend their ascending-id
-        // folds, bit for bit the batch pass's sums.
+        // folds, bit for bit the batch pass's sums. Weights are positive,
+        // so a count only rises and crosses `MinLns` at most once: each
+        // crossing is one promotion.
         let new_ids: Vec<u32> = (first..n).collect();
-        let mut touched: Vec<u32> = Vec::new();
+        let mut flipped_cores = 0;
         let (db, cluster) = (&self.db, &self.cluster);
-        let threads = cluster.parallelism.thread_count();
         let (hoods, counts) = (&mut self.hoods, &mut self.counts);
         for_each_neighborhood(
             db,
             &self.index,
             &new_ids,
             cluster.eps,
-            threads,
+            self.threads,
             |id, hood| {
                 counts.push(db.neighborhood_cardinality(hood, cluster.weighted));
                 let gain = db.cardinality_weight(id, cluster.weighted);
                 for &b in hood.iter().take_while(|&&b| b < first) {
-                    counts[b as usize] += gain;
+                    let count = &mut counts[b as usize];
+                    let was_core = *count >= cluster.min_lns;
+                    *count += gain;
+                    flipped_cores += usize::from(!was_core && *count >= cluster.min_lns);
                     hoods[b as usize].push(id);
-                    touched.push(b);
                 }
                 hoods.push(hood.to_vec());
             },
         );
-        touched.sort_unstable();
-        touched.dedup();
-
-        // Segments that became core: promoted older ones, then new cores.
-        let mut fresh: Vec<u32> = Vec::new();
-        for &b in &touched {
-            let is_core_now = self.counts[b as usize] >= self.cluster.min_lns;
-            debug_assert!(
-                is_core_now || !self.core[b as usize],
-                "insertion demoted core {b}: with positive weights and monotone \
-                 rounding, adding a term to an ascending-id sum never lowers it"
-            );
-            if is_core_now && !self.core[b as usize] {
-                fresh.push(b);
-            }
-        }
-        let flipped_cores = fresh.len();
-        for id in first..n {
-            self.core.push(false);
-            self.dsu.push();
-            if self.counts[id as usize] >= self.cluster.min_lns {
-                fresh.push(id);
-            }
-        }
-        for &c in &fresh {
-            self.core[c as usize] = true;
-        }
-        // Every new core–core edge has a fresh end, and both ends' lists
-        // hold it.
-        for &c in &fresh {
-            for &m in &self.hoods[c as usize] {
-                if self.core[m as usize] {
-                    self.dsu.union(c, m);
-                }
-            }
-        }
         self.stats.local_repairs += 1;
         self.stats.core_flips += flipped_cores;
         #[cfg(feature = "invariant-checks")]
-        self.debug_check_insert(first, &fresh[..flipped_cores]);
+        self.debug_check_insert(first);
         let expired = self.enforce_window();
         InsertReport {
             new_segments: new_count,
@@ -473,30 +438,26 @@ impl<const D: usize> IncrementalClustering<D> {
     }
 
     /// Post-insertion sanitizer pass (`invariant-checks` feature only):
-    /// union-find canonical form, segment-table coherence, arrival tiling,
-    /// the incrementally grown index vs a full scan on the new and promoted
-    /// segments, and the cached ε-graph vs fresh queries on the dirty
-    /// region (the new segments and their neighbours). At power-of-two
-    /// trajectory counts, so the extra work stays O(log n) full passes over
-    /// a stream, it also checks the whole graph and that the snapshot
-    /// equals the batch run.
+    /// segment-table coherence, arrival tiling, and on the dirty region
+    /// (the new segments and their neighbours, promoted ones included) the
+    /// incrementally grown index vs a full scan and the cached ε-graph vs
+    /// fresh queries. At power-of-two trajectory counts, so the extra work
+    /// stays O(log n) full passes over a stream, it also checks the whole
+    /// graph and that the snapshot equals the batch run.
     #[cfg(feature = "invariant-checks")]
-    fn debug_check_insert(&self, first: u32, flips: &[u32]) {
-        crate::invariants::assert_union_find_canonical(&self.dsu, "stream-insert");
+    fn debug_check_insert(&self, first: u32) {
         crate::invariants::assert_table_coherent(&self.db, "stream-insert");
         crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-insert");
-        let mut queried: Vec<u32> = (first..self.db.len() as u32).collect();
-        queried.extend_from_slice(flips);
+        let mut dirty: Vec<u32> = self.hoods[first as usize..].concat();
+        dirty.sort_unstable();
+        dirty.dedup();
         crate::invariants::assert_index_consistent(
             &self.db,
             &self.index,
             self.cluster.eps,
-            &queried,
+            &dirty,
             "stream-insert",
         );
-        let mut dirty: Vec<u32> = self.hoods[first as usize..].concat();
-        dirty.sort_unstable();
-        dirty.dedup();
         self.check_graph(&dirty, "stream-insert");
         if self.stats.trajectories.is_power_of_two() {
             let all: Vec<u32> = (0..self.db.len() as u32).collect();
@@ -513,15 +474,14 @@ impl<const D: usize> IncrementalClustering<D> {
     }
 
     /// Post-removal sanitizer pass (`invariant-checks` feature only): the
-    /// decremental siblings of [`Self::debug_check_insert`] — union-find
-    /// canonical form, segment-table coherence and arrival tiling after the
-    /// compaction, the compacted index vs a full scan and the cached
-    /// ε-graph vs fresh queries on the dirty set (dense ids), and the
-    /// headline decremental guarantee itself: after **every** removal,
-    /// `snapshot()` equals a batch run over the engine's own database.
+    /// decremental siblings of [`Self::debug_check_insert`] — segment-table
+    /// coherence and arrival tiling after the compaction, the compacted
+    /// index vs a full scan and the cached ε-graph vs fresh queries on the
+    /// dirty set (dense ids), and the headline decremental guarantee
+    /// itself: after **every** removal, `snapshot()` equals a batch run
+    /// over the engine's own database.
     #[cfg(feature = "invariant-checks")]
     fn debug_check_remove(&self, dirty: &[u32]) {
-        crate::invariants::assert_union_find_canonical(&self.dsu, "stream-remove");
         crate::invariants::assert_table_coherent(&self.db, "stream-remove");
         crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-remove");
         crate::invariants::assert_index_consistent(
@@ -549,7 +509,7 @@ impl<const D: usize> IncrementalClustering<D> {
             &self.db,
             &self.index,
             &self.cluster,
-            (&self.hoods, &self.counts, &self.core),
+            (&self.hoods, &self.counts),
             ids,
             context,
         );
@@ -576,14 +536,13 @@ impl<const D: usize> IncrementalClustering<D> {
     }
 
     /// Retires every live arrival of trajectory `id` from the window and
-    /// repairs the clustering in place: the departed segments leave the
-    /// database and the spatial index, the neighbourhood cardinalities of
-    /// their surviving ε-neighbours are re-folded from the ε-graph, demoted
-    /// cores turn back into border candidates, and the components are
-    /// re-unioned from the cached core–core edges — splitting one when the
-    /// removed segments were its bridge. Exactness is preserved: the
-    /// post-removal [`Self::snapshot`] equals a batch run over the
-    /// surviving window, label for label.
+    /// repairs the ε-graph in place: the departed segments leave the
+    /// database, the spatial index and the lists, and the neighbourhood
+    /// cardinalities of their surviving ε-neighbours are re-folded, which
+    /// demotes the cores that fall below `MinLns`. The next
+    /// [`Self::snapshot`] unions the components from the repaired lists —
+    /// split where the removed segments were a bridge — and equals a batch
+    /// run over the surviving window, label for label.
     ///
     /// Removing an id with no live arrivals is a no-op (default report).
     /// The same trajectory id may be re-inserted later; its segments join
@@ -686,9 +645,8 @@ impl<const D: usize> IncrementalClustering<D> {
 
     /// The decremental workhorse, on the ascending ids `removed`: it
     /// re-folds the counts of the surviving ε-neighbours from the ε-graph,
-    /// drops demoted core flags, compacts the database, the index, the
-    /// per-id arrays and the graph once, and re-unions the components from
-    /// the cached core–core edges.
+    /// counting the demotions, and compacts the database, the index, the
+    /// per-id arrays and the graph once.
     fn apply_removal(&mut self, removed_trajectories: usize, removed: Vec<u32>) -> RemoveReport {
         self.stats.removals += removed_trajectories;
         self.stats.removed_segments += removed.len();
@@ -708,8 +666,9 @@ impl<const D: usize> IncrementalClustering<D> {
 
         // 2. Each dirty list drops the departed ids, and its count is
         //    re-folded from what is left — the ascending fold a fresh query
-        //    does, so the sums stay bit-identical. Demoted cores drop their
-        //    flag.
+        //    does, so the sums stay bit-identical. Dropping a positive term
+        //    never raises a count, so a core either stays one or is demoted.
+        let min_lns = self.cluster.min_lns;
         let mut demoted_cores = 0;
         for &d in &dirty {
             let hood = &mut self.hoods[d as usize];
@@ -717,43 +676,21 @@ impl<const D: usize> IncrementalClustering<D> {
             let count = self
                 .db
                 .neighborhood_cardinality(hood, self.cluster.weighted);
+            let was_core = self.counts[d as usize] >= min_lns;
             self.counts[d as usize] = count;
-            let is_core = count >= self.cluster.min_lns;
-            debug_assert!(
-                self.core[d as usize] || !is_core,
-                "removal promoted segment {d}: with positive weights and monotone \
-                 rounding, dropping a term from an ascending-id sum never raises it"
-            );
-            if self.core[d as usize] && !is_core {
-                self.core[d as usize] = false;
-                demoted_cores += 1;
-            }
+            demoted_cores += usize::from(was_core && count < min_lns);
         }
 
         // 3. Compact: the departed rows leave the database, the index, the
         //    per-id arrays and the graph, and every survivor is renumbered
-        //    in order (the list entries in step 4).
+        //    in order.
         self.db.remove_segments(&removed, &mut self.index);
         remove_sorted(&mut self.counts, &removed);
-        remove_sorted(&mut self.core, &removed);
         remove_sorted(&mut self.hoods, &removed);
 
-        // 4. A removal may split components: the union-find restarts and
-        //    one ascending pass re-unions the cached core–core edges, each
-        //    list as soon as it is renumbered.
-        let n = self.db.len() as u32;
-        self.dsu = UnionFind::new(n);
-        for (c, hood) in (0..n).zip(&mut self.hoods) {
-            for m in hood.iter_mut() {
-                *m = compacted_id(&removed, *m);
-            }
-            if self.core[c as usize] {
-                for &m in hood.iter().take_while(|&&m| m < c) {
-                    if self.core[m as usize] {
-                        self.dsu.union(c, m);
-                    }
-                }
-            }
+        // 4. The list entries take the survivors' new ids.
+        for m in self.hoods.iter_mut().flatten() {
+            *m = compacted_id(&removed, *m);
         }
         self.stats.decremental_repairs += 1;
         self.stats.core_demotions += demoted_cores;
@@ -770,13 +707,26 @@ impl<const D: usize> IncrementalClustering<D> {
     }
 
     /// The current clustering, identical to what the batch
-    /// [`crate::LineSegmentClustering::run`] produces on the live window:
-    /// components are numbered in ascending minimum-core-id order (the
-    /// sequential seed order), a border segment joins the earliest
-    /// component among the cores on its ε-list, and the Definition 10
-    /// trajectory-cardinality filter runs last.
+    /// [`crate::LineSegmentClustering::run`] produces on the live window.
+    /// One ascending pass over the ε-graph unions every core with the cores
+    /// on its list below it; components are numbered in ascending
+    /// minimum-core-id order (the sequential seed order), a border segment
+    /// joins the earliest component among the cores on its ε-list, and the
+    /// Definition 10 trajectory-cardinality filter runs last.
     pub fn snapshot(&self) -> Clustering {
-        let (raw, cluster_count) = raw_labels(&self.core, &self.dsu, &self.hoods);
+        let min_lns = self.cluster.min_lns;
+        let core = |id: u32| self.counts[id as usize] >= min_lns;
+        let mut dsu = UnionFind::new(self.db.len() as u32);
+        for (c, hood) in (0..).zip(&self.hoods) {
+            if core(c) {
+                for &m in hood.iter().take_while(|&&m| m < c) {
+                    if core(m) {
+                        dsu.union(c, m);
+                    }
+                }
+            }
+        }
+        let (raw, cluster_count) = raw_labels(&self.counts, min_lns, &mut dsu, &self.hoods);
         finalize_raw(
             &self.db,
             &raw,
@@ -815,6 +765,16 @@ mod tests {
             min_lns,
             ..TraclusConfig::default()
         }
+    }
+
+    /// The Definition 5 core flag of every live segment, read from its count.
+    fn core_flags(engine: &IncrementalClustering<2>) -> Vec<bool> {
+        let min_lns = engine.cluster.min_lns;
+        engine
+            .counts
+            .iter()
+            .map(|&count| count >= min_lns)
+            .collect()
     }
 
     fn batch_clustering(config: &TraclusConfig, trajectories: &[Trajectory<2>]) -> Clustering {
@@ -977,7 +937,7 @@ mod tests {
         let cfg = config(2.0, 4);
         let mut engine = IncrementalClustering::<2>::new(cfg);
         engine.extend(&trajectories);
-        assert_eq!(engine.core, [true, true, true, true, false]);
+        assert_eq!(core_flags(&engine), [true, true, true, true, false]);
 
         engine.remove_trajectory(TrajectoryId(2));
         let live: Vec<Trajectory<2>> = trajectories
@@ -1013,7 +973,7 @@ mod tests {
         engine.extend(&trajectories);
         let snap = engine.snapshot();
         assert_eq!(snap.clusters.len(), 1, "the bridge holds A and B together");
-        assert!(engine.core.iter().all(|&c| c));
+        assert!(core_flags(&engine).iter().all(|&c| c));
 
         let report = engine.remove_trajectory(TrajectoryId(9));
         assert_eq!(report.demoted_cores, 1, "the border loses its core flag");
@@ -1026,7 +986,7 @@ mod tests {
         assert_eq!(snap, batch_clustering(&cfg, &live));
         assert_eq!(snap.clusters.len(), 2, "the removal splits the component");
         // Ids after the compaction: B 0–3, A 4–8, the border 9.
-        assert!(!engine.core[9]);
+        assert!(!core_flags(&engine)[9]);
         assert_eq!(
             engine.hoods[9],
             [0, 8, 9],
@@ -1048,12 +1008,12 @@ mod tests {
         let cfg = config(2.0, 4);
         let mut engine = IncrementalClustering::<2>::new(cfg);
         engine.extend(&trajectories);
-        assert_eq!(engine.core, [true, true, true, true, false]);
+        assert_eq!(core_flags(&engine), [true, true, true, true, false]);
 
         let report = engine.remove_trajectory(TrajectoryId(0));
         assert_eq!(report.demoted_cores, 2);
         // Ids after the compaction: y = 0.5, 1, 1.5, 3.4.
-        assert_eq!(engine.core, [false, false, true, false]);
+        assert_eq!(core_flags(&engine), [false, false, true, false]);
         let snap = engine.snapshot();
         assert_eq!(snap, batch_clustering(&cfg, &trajectories[1..]));
         for demoted in [0, 1] {

@@ -12,12 +12,14 @@
 //! worth of arrivals through a capacity window; the deterministic
 //! regressions pin the structurally interesting repairs — a bridge removal
 //! that must *split* a component, core demotion down to an empty
-//! clustering, and trajectory-id reuse after removal.
+//! clustering, and trajectory-id reuse after removal. A further property
+//! test pins the promotion and demotion counts of every report to the core
+//! flags full-scan ε-queries give before and after the operation.
 
 use proptest::prelude::*;
 use traclus_core::{
-    Clustering, IncrementalClustering, RemoveReport, SegmentDatabase, StreamConfig, Traclus,
-    TraclusConfig,
+    Clustering, IncrementalClustering, IndexKind, RemoveReport, SegmentDatabase, StreamConfig,
+    Traclus, TraclusConfig,
 };
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
@@ -40,6 +42,32 @@ fn batch(config: &TraclusConfig, live: &[Trajectory<2>]) -> Clustering {
 /// what the engine's database claims to equal, ids included.
 fn batch_database(config: &TraclusConfig, live: &[Trajectory<2>]) -> SegmentDatabase<2> {
     SegmentDatabase::from_trajectories(live, &config.partition, config.distance)
+}
+
+/// The Definition 5 core flag of every segment of `db`, from full-scan
+/// ε-queries: independent of the engine's cached ε-graph and counts.
+fn core_flags(config: &TraclusConfig, db: &SegmentDatabase<2>) -> Vec<bool> {
+    let scan = db.build_index(IndexKind::Linear, config.eps);
+    (0..db.len() as u32)
+        .map(|id| {
+            let hood = db.neighborhood(&scan, id, config.eps);
+            db.neighborhood_cardinality(&hood, config.weighted) >= config.min_lns as f64
+        })
+        .collect()
+}
+
+/// The pool with non-dyadic weights when `weighted`: a cardinality summed
+/// in any order other than ascending id shows in the bits.
+fn weigh(pool: Vec<Trajectory<2>>, weighted: bool) -> Vec<Trajectory<2>> {
+    if !weighted {
+        return pool;
+    }
+    pool.into_iter()
+        .map(|t| {
+            let weight = 0.3 + 0.1 * (t.id.0 % 7) as f64;
+            Trajectory::with_weight(t.id, t.points, weight)
+        })
+        .collect()
 }
 
 prop_compose! {
@@ -87,18 +115,7 @@ proptest! {
         weighted in 0u8..2,
     ) {
         let weighted = weighted == 1;
-        // Non-dyadic weights: a cardinality summed in any order other than
-        // ascending id shows in the bits.
-        let pool: Vec<Trajectory<2>> = if weighted {
-            pool.into_iter()
-                .map(|t| {
-                    let weight = 0.3 + 0.1 * (t.id.0 % 7) as f64;
-                    Trajectory::with_weight(t.id, t.points, weight)
-                })
-                .collect()
-        } else {
-            pool
-        };
+        let pool = weigh(pool, weighted);
         let config = TraclusConfig {
             weighted,
             ..config_with(eps, min_lns, StreamConfig::default())
@@ -151,6 +168,81 @@ proptest! {
             );
             let want = batch_database(&config, &model);
             prop_assert_eq!(engine.database(), &want, "database diverged after op {}", step);
+        }
+    }
+
+    // Random insert / remove / expire-to-capacity interleavings without a
+    // window: each insert's `flipped_cores` is the number of older segments
+    // that turned core, each removal's `demoted_cores` the number of
+    // survivors that stopped being core, and the stats keep the running
+    // sums. Survivors keep their order, so the flags before and after an
+    // operation pair up in order once the departed ids are dropped.
+    #[test]
+    fn promotion_and_demotion_counts_are_exact(
+        pool in pool(),
+        ops in prop::collection::vec((0u8..8, 0usize..64), 4..24),
+        eps in 1.5..3.5f64,
+        min_lns in 2usize..4,
+        weighted in 0u8..2,
+    ) {
+        let weighted = weighted == 1;
+        let pool = weigh(pool, weighted);
+        let config = TraclusConfig {
+            weighted,
+            ..config_with(eps, min_lns, StreamConfig::default())
+        };
+        let mut engine = IncrementalClustering::<2>::new(config);
+        let (mut flips, mut demotions) = (0, 0);
+        for (step, &(op, pick)) in ops.iter().enumerate() {
+            let before = core_flags(&config, engine.database());
+            // Which old ids survive the operation, and the count its report
+            // gives.
+            let (kept, reported): (Vec<bool>, usize) = match op {
+                0..=5 => {
+                    let report = engine.insert(&pool[pick % pool.len()]);
+                    (vec![true; before.len()], report.flipped_cores)
+                }
+                6 => {
+                    let db = engine.database();
+                    if db.is_empty() {
+                        continue;
+                    }
+                    let tid = db.trajectory_of((pick % db.len()) as u32);
+                    let kept = (0..db.len() as u32).map(|id| db.trajectory_of(id) != tid).collect();
+                    (kept, engine.remove_trajectory(tid).demoted_cores)
+                }
+                _ => {
+                    let keep = pick % (engine.live_trajectories() + 1);
+                    let report = engine.expire_to_capacity(keep);
+                    // The oldest arrivals hold the lowest ids.
+                    let gone = before.len() - engine.live_len();
+                    ((0..before.len()).map(|id| id >= gone).collect(), report.demoted_cores)
+                }
+            };
+            let after = core_flags(&config, engine.database());
+            let survivors: Vec<bool> = before
+                .iter()
+                .zip(&kept)
+                .filter(|&(_, &k)| k)
+                .map(|(&c, _)| c)
+                .collect();
+            prop_assert!(survivors.len() <= after.len(), "step {}", step);
+            let pairs = || survivors.iter().zip(&after);
+            let promoted = pairs().filter(|&(&was, &is)| !was && is).count();
+            let demoted = pairs().filter(|&(&was, &is)| was && !is).count();
+            if op <= 5 {
+                prop_assert_eq!(demoted, 0, "an insert demoted a core at step {}", step);
+                prop_assert_eq!(reported, promoted, "flipped_cores at step {}", step);
+                flips += promoted;
+            } else {
+                prop_assert_eq!(survivors.len(), after.len(), "step {}", step);
+                prop_assert_eq!(promoted, 0, "a removal promoted a core at step {}", step);
+                prop_assert_eq!(reported, demoted, "demoted_cores at step {}", step);
+                demotions += demoted;
+            }
+            let stats = engine.stats();
+            prop_assert_eq!(stats.core_flips, flips, "core_flips at step {}", step);
+            prop_assert_eq!(stats.core_demotions, demotions, "core_demotions at step {}", step);
         }
     }
 

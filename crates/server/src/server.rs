@@ -43,7 +43,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// How often idle connection handlers wake to check for shutdown;
     /// [`IDLE_POLLS`] of them without a byte from the client drop its
-    /// connection.
+    /// connection. Floored at 1 ms: the socket read timeout it sets cannot
+    /// be zero.
     pub poll_interval: Duration,
     /// Maximum concurrent connections (one handler thread each). At the
     /// cap the accept loop parks until a handler exits, so excess clients
@@ -119,7 +120,7 @@ impl Server {
                 commands: tx,
                 next_id: AtomicU32::new(0),
                 shutdown: AtomicBool::new(false),
-                poll_interval: config.poll_interval,
+                poll_interval: config.poll_interval.max(Duration::from_millis(1)),
             }),
             engine,
             max_connections: config.max_connections.max(1),
@@ -257,9 +258,13 @@ fn wake_accept_loop(shared: &Shared, stream: &TcpStream) {
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     // A read timeout turns the blocking reader into a shutdown poll:
     // handlers notice the flag within one poll interval even when their
-    // client sends nothing.
-    let _ = stream.set_read_timeout(Some(shared.poll_interval));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    // client sends nothing. Without both timeouts an idle or stalled client
+    // could hold the handler, and with it `shutdown`, forever.
+    if stream.set_read_timeout(Some(shared.poll_interval)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
+        return;
+    }
     // Each reply is one complete write; Nagle would only hold it back.
     let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else {

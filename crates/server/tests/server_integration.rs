@@ -903,3 +903,40 @@ fn idle_clients_are_dropped_and_cannot_lock_the_daemon() {
     assert_ok(&JsonValue::parse(reply.trim_end()).expect("shutdown reply is JSON"));
     server.join().expect("join").expect("clean shutdown");
 }
+
+/// A zero poll interval is floored, not handed to the socket: a zero read
+/// timeout is refused, and a handler whose read has no timeout never sees
+/// the shutdown flag while its client stays idle. With one idle client
+/// connected, `run` must still return soon after another client's
+/// `shutdown`.
+#[test]
+fn a_zero_poll_interval_cannot_hang_shutdown() {
+    use std::net::TcpStream;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (config, _) = fixture();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            traclus: config,
+            poll_interval: Duration::ZERO,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    // Joined through a channel, so a hung `run` fails the test instead of
+    // hanging it.
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || done_tx.send(server.run()));
+    let idle = TcpStream::connect(addr).expect("connect the idle client");
+    let mut client = Client::connect(addr).expect("connect");
+    assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run() must return within 5 s of the shutdown");
+    outcome.expect("clean shutdown");
+    runner.join().expect("join").expect("result received");
+    drop(idle);
+}

@@ -1,186 +1,15 @@
-//! Perf-snapshot capture: parse the bench harness output into JSON.
+//! The end-to-end perf ledger.
 //!
-//! The vendored criterion stand-in prints one line per benchmark:
-//!
-//! ```text
-//! bench: cluster/rtree/n1000           median      1.234ms/iter
-//! ```
-//!
-//! `bench-snapshot` runs `cargo bench -p traclus-bench --bench
-//! bench_cluster`, parses those lines, and writes `BENCH_cluster.json` — a
-//! checked-in snapshot so perf changes show up in review diffs next to the
-//! code that caused them. Medians move with hardware and load; the
-//! snapshot is a reviewed reference point, not a CI gate.
-//!
-//! `bench-snapshot --perfbench` keeps the end-to-end ledger instead: it
-//! runs the repository's benchmark (`perfbench/`) once per workload that
-//! `BENCHMARK.json` declares, untraced and then traced, each in its own
-//! process as the benchmark runs it, and writes `BENCH_perfbench.json`
-//! with perfbench's `machine:` stamp and each run's final JSON result
-//! line, both copied verbatim ([`parse_perfbench_output`],
-//! [`render_perfbench_json`]).
+//! `bench-snapshot` runs the repository's benchmark (`perfbench/`) once per
+//! workload that `BENCHMARK.json` declares, untraced and then traced, each
+//! in its own process as the benchmark runs it, and writes
+//! `BENCH_perfbench.json` with perfbench's `machine:` stamp and each run's
+//! final JSON result line, both copied verbatim
+//! ([`parse_perfbench_output`], [`render_perfbench_json`]). The stamp names
+//! the machine, commit and compiler, so every number in the ledger can be
+//! traced to what measured it.
 
 use traclus_json::JsonValue;
-
-/// One parsed benchmark result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
-    /// Benchmark label, e.g. `cluster/rtree/n1000`.
-    pub label: String,
-    /// Median per-iteration time in nanoseconds.
-    pub median_ns: f64,
-}
-
-/// Extracts every `bench: <label> median <duration>/iter` line.
-pub fn parse_bench_output(output: &str) -> Vec<BenchResult> {
-    let mut results = Vec::new();
-    for line in output.lines() {
-        let Some(rest) = line.trim().strip_prefix("bench:") else {
-            continue;
-        };
-        let Some(median_at) = rest.rfind(" median ") else {
-            continue;
-        };
-        let label = rest[..median_at].trim().to_string();
-        let duration = rest[median_at + " median ".len()..]
-            .trim()
-            .trim_end_matches("/iter")
-            .trim();
-        if let Some(median_ns) = parse_duration_ns(duration) {
-            results.push(BenchResult { label, median_ns });
-        }
-    }
-    results
-}
-
-/// Parses `Duration`'s `Debug` rendering (`123ns`, `4.567µs`, `1.2ms`,
-/// `3.4s`) into nanoseconds.
-pub fn parse_duration_ns(s: &str) -> Option<f64> {
-    // Longest suffixes first so `ns` is not taken as `s`.
-    for (suffix, scale) in [
-        ("ns", 1.0),
-        ("µs", 1e3),
-        ("us", 1e3),
-        ("ms", 1e6),
-        ("s", 1e9),
-    ] {
-        if let Some(num) = s.strip_suffix(suffix) {
-            return num.trim().parse::<f64>().ok().map(|v| v * scale);
-        }
-    }
-    None
-}
-
-/// Renders the snapshot as pretty-printed JSON (no serde in this tree;
-/// labels are plain ASCII bench ids, escaped defensively anyway).
-pub fn render_json(results: &[BenchResult], captured_unix_secs: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"suite\": \"bench_cluster\",\n");
-    out.push_str(&format!(
-        "  \"captured_unix_secs\": {captured_unix_secs},\n"
-    ));
-    out.push_str("  \"unit\": \"ns_per_iter_median\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"label\": \"{}\", \"median_ns\": {:.1} }}{comma}\n",
-            escape_json(&r.label),
-            r.median_ns
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parses a previously rendered snapshot back into its results — the
-/// inverse of [`render_json`] over the subset of JSON that renderer
-/// emits (one `{ "label": …, "median_ns": … }` object per line). Lines
-/// that do not look like result entries are skipped, so a hand-edited or
-/// truncated file degrades to "fewer preserved entries", never an error.
-pub fn parse_snapshot_results(json: &str) -> Vec<BenchResult> {
-    let mut results = Vec::new();
-    for line in json.lines() {
-        let Some(label_at) = line.find("\"label\": \"") else {
-            continue;
-        };
-        let rest = &line[label_at + "\"label\": \"".len()..];
-        let Some((label, rest)) = take_json_string(rest) else {
-            continue;
-        };
-        let Some(median_at) = rest.find("\"median_ns\": ") else {
-            continue;
-        };
-        let tail = &rest[median_at + "\"median_ns\": ".len()..];
-        let number: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        if let Ok(median_ns) = number.parse::<f64>() {
-            results.push(BenchResult { label, median_ns });
-        }
-    }
-    results
-}
-
-/// Reads a JSON string body up to its closing quote, undoing
-/// [`escape_json`]; returns the decoded string and the remainder after
-/// the quote.
-fn take_json_string(s: &str) -> Option<(String, &str)> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                'u' => {
-                    let (j, _) = chars.nth(3)?;
-                    let code = u32::from_str_radix(s.get(j - 3..=j)?, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                escaped => out.push(escaped),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Merges freshly measured results over an existing snapshot: a label
-/// present in both takes the fresh number (in its existing position);
-/// labels only in `existing` are preserved — so re-running a subset of
-/// bench groups updates those entries without clobbering the rest — and
-/// brand-new labels append in measurement order.
-pub fn merge_results(existing: &[BenchResult], fresh: &[BenchResult]) -> Vec<BenchResult> {
-    let mut merged: Vec<BenchResult> = existing
-        .iter()
-        .map(|e| {
-            fresh
-                .iter()
-                .find(|f| f.label == e.label)
-                .unwrap_or(e)
-                .clone()
-        })
-        .collect();
-    for f in fresh {
-        if !existing.iter().any(|e| e.label == f.label) {
-            merged.push(f.clone());
-        }
-    }
-    merged
-}
-
-/// [`merge_results`] with stale-row pruning (`--prune`): rows whose label
-/// the fresh run did not measure are dropped instead of preserved, so a
-/// renamed or deleted bench group does not haunt the snapshot forever.
-/// Surviving rows keep their existing order; brand-new labels append in
-/// measurement order, exactly as in the preserving merge.
-pub fn merge_results_pruned(existing: &[BenchResult], fresh: &[BenchResult]) -> Vec<BenchResult> {
-    merge_results(existing, fresh)
-        .into_iter()
-        .filter(|r| fresh.iter().any(|f| f.label == r.label))
-        .collect()
-}
 
 /// One perfbench workload run: the workload block's header and the JSON
 /// result line that closes the block.
@@ -322,84 +151,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_every_duration_unit() {
-        assert_eq!(parse_duration_ns("123ns"), Some(123.0));
-        assert_eq!(parse_duration_ns("4.5µs"), Some(4500.0));
-        assert_eq!(parse_duration_ns("4.5us"), Some(4500.0));
-        assert_eq!(parse_duration_ns("1.2ms"), Some(1.2e6));
-        assert_eq!(parse_duration_ns("3s"), Some(3e9));
-        assert_eq!(parse_duration_ns("garbage"), None);
-    }
-
-    #[test]
-    fn parses_bench_lines_and_skips_noise() {
-        let output = "\
-Compiling traclus-bench v0.1.0
-bench: cluster/linear/n500                       median      1.234ms/iter
-bench: cluster/parallel_hurricane32/t4           median    456.700µs/iter
-some unrelated line with median in it
-bench: malformed line without the keyword
-";
-        let results = parse_bench_output(output);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].label, "cluster/linear/n500");
-        assert_eq!(results[0].median_ns, 1.234e6);
-        assert_eq!(results[1].label, "cluster/parallel_hurricane32/t4");
-        assert_eq!(results[1].median_ns, 456700.0);
-    }
-
-    #[test]
-    fn snapshot_json_round_trips_through_the_parser() {
-        let results = vec![
-            BenchResult {
-                label: "cluster/grid/1000".to_string(),
-                median_ns: 4157000.0,
-            },
-            BenchResult {
-                label: "odd\"label\\with escapes".to_string(),
-                median_ns: 1.5,
-            },
-        ];
-        let parsed = parse_snapshot_results(&render_json(&results, 7));
-        assert_eq!(parsed, results);
-    }
-
-    #[test]
-    fn merge_preserves_unmeasured_entries_and_updates_the_rest() {
-        let old = |label: &str, ns: f64| BenchResult {
-            label: label.to_string(),
-            median_ns: ns,
-        };
-        let existing = vec![old("a", 1.0), old("b", 2.0), old("c", 3.0)];
-        let fresh = vec![old("b", 20.0), old("d", 40.0)];
-        let merged = merge_results(&existing, &fresh);
-        assert_eq!(
-            merged,
-            vec![old("a", 1.0), old("b", 20.0), old("c", 3.0), old("d", 40.0)],
-            "re-measured labels update in place, new labels append, the rest survive"
-        );
-    }
-
-    #[test]
-    fn pruned_merge_drops_stale_rows_but_keeps_order() {
-        let old = |label: &str, ns: f64| BenchResult {
-            label: label.to_string(),
-            median_ns: ns,
-        };
-        let existing = vec![old("a", 1.0), old("b", 2.0), old("c", 3.0)];
-        let fresh = vec![old("b", 20.0), old("d", 40.0)];
-        let merged = merge_results_pruned(&existing, &fresh);
-        assert_eq!(
-            merged,
-            vec![old("b", 20.0), old("d", 40.0)],
-            "unmeasured rows a and c are pruned; b updates in place, d appends"
-        );
-        // A full re-measure prunes nothing.
-        let full = vec![old("a", 10.0), old("b", 20.0), old("c", 30.0)];
-        assert_eq!(merge_results_pruned(&existing, &full), full);
-    }
-
-    #[test]
     fn perfbench_output_pairs_headers_with_result_lines() {
         let stdout = "\
 machine: {\"cores\": 2, \"commit\": \"abc\"}
@@ -464,13 +215,16 @@ machine: {\"cores\": 2, \"commit\": \"abc\"}
 
     #[test]
     fn json_is_well_formed_and_escaped() {
-        let results = vec![BenchResult {
-            label: "a\"b".to_string(),
-            median_ns: 1.5,
+        let runs = [PerfbenchRun {
+            workload: "a\"b\\c\n".to_string(),
+            seed: 3,
+            traced: false,
+            result: "{}".to_string(),
         }];
-        let json = render_json(&results, 42);
-        assert!(json.contains("\"a\\\"b\""));
+        let json = render_perfbench_json("{}", 1.5, &runs, 42);
+        assert!(json.contains("\"workload\": \"a\\\"b\\\\c\\u000a\""));
         assert!(json.contains("\"captured_unix_secs\": 42"));
         assert!(json.ends_with("}\n"));
+        JsonValue::parse(&json).expect("the ledger parses as JSON");
     }
 }

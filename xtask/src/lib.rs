@@ -6,10 +6,9 @@
 //!   workspace's own sources enforcing the determinism, robustness, and
 //!   header invariants ([`rules`]); violations grandfathered at rule
 //!   introduction are pinned by a ratcheting baseline ([`baseline`]).
-//! * `cargo xtask bench-snapshot` — runs the `bench_cluster` benchmark
-//!   suite and captures the medians as a checked-in JSON perf snapshot
-//!   ([`bench_snapshot`]); with `--perfbench` it records the repository
-//!   benchmark's untraced and traced runs as the end-to-end perf ledger.
+//! * `cargo xtask bench-snapshot` — records the repository benchmark's
+//!   untraced and traced runs as the checked-in end-to-end perf ledger
+//!   ([`bench_snapshot`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,14 +19,7 @@ subcommands:
       --baseline         ratchet baseline file (default: <root>/xtask/lint-baseline.txt)
       --update-baseline  rewrite the baseline to the current violation counts
 
-  bench-snapshot [--out <file>] [--prune]
-      Run the bench_cluster suite and write the perf snapshot JSON.
-      --out              output path (default: <root>/BENCH_cluster.json)
-      --prune            drop snapshot rows the run did not re-measure
-                         (default: preserve them, so partial runs never
-                         clobber the rest of the snapshot)
-
-  bench-snapshot --perfbench [--out <file>]
+  bench-snapshot [--out <file>]
       Run perfbench once per workload <root>/BENCHMARK.json declares,
       untraced and traced, for its run_seconds, and write the machine
       stamp and result lines as the perf ledger.
@@ -156,83 +149,16 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// `bench-snapshot`: one perfbench process per declared workload at
+/// `--trace 0`, then at `--trace 1`, each run as long as the benchmark
+/// declares, recorded verbatim in the ledger.
 fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
     for a in args {
-        if a.starts_with("--") && !["--out", "--prune", "--perfbench"].contains(&a.as_str()) {
+        if a.starts_with("--") && a != "--out" {
             return Err(format!("unknown flag {a:?}\n\n{USAGE}"));
         }
     }
     let root = workspace_root();
-    let prune = args.iter().any(|a| a == "--prune");
-    let perfbench = args.iter().any(|a| a == "--perfbench");
-    if perfbench && prune {
-        return Err("--prune applies to the bench_cluster snapshot only".to_string());
-    }
-    if perfbench {
-        return perfbench_snapshot(&root, args);
-    }
-    let out_path = flag_value(args, "--out")?.unwrap_or_else(|| root.join("BENCH_cluster.json"));
-
-    println!("bench-snapshot: running `cargo bench -p traclus-bench --bench bench_cluster`…");
-    let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
-        .args(["bench", "-p", "traclus-bench", "--bench", "bench_cluster"])
-        .current_dir(&root)
-        .output()
-        .map_err(|e| format!("failed to spawn cargo bench: {e}"))?;
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    if !output.status.success() {
-        return Err(format!(
-            "cargo bench failed ({}):\n{}\n{}",
-            output.status,
-            stdout,
-            String::from_utf8_lossy(&output.stderr)
-        ));
-    }
-
-    let fresh = bench_snapshot::parse_bench_output(&stdout);
-    if fresh.is_empty() {
-        return Err("cargo bench produced no `bench:` lines to snapshot".to_string());
-    }
-    // Merge over whatever the checked-in snapshot already holds: a run
-    // that measured only some groups (filtered, or a bench file that grew
-    // new groups since the last capture) must not clobber the rest.
-    let existing = std::fs::read_to_string(&out_path)
-        .map(|json| bench_snapshot::parse_snapshot_results(&json))
-        .unwrap_or_default();
-    let stale = existing
-        .iter()
-        .filter(|e| !fresh.iter().any(|f| f.label == e.label))
-        .count();
-    let results = if prune {
-        bench_snapshot::merge_results_pruned(&existing, &fresh)
-    } else {
-        bench_snapshot::merge_results(&existing, &fresh)
-    };
-    if stale > 0 {
-        if prune {
-            println!("bench-snapshot: pruning {stale} stale entr(ies) the run did not re-measure");
-        } else {
-            println!("bench-snapshot: preserving {stale} existing entr(ies) not re-measured");
-        }
-    }
-
-    std::fs::write(
-        &out_path,
-        bench_snapshot::render_json(&results, unix_now()?),
-    )
-    .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-    println!(
-        "bench-snapshot: {} results written to {}",
-        results.len(),
-        out_path.display()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `bench-snapshot --perfbench`: one perfbench process per declared
-/// workload at `--trace 0`, then at `--trace 1`, each run as long as the
-/// benchmark declares, recorded verbatim in the ledger.
-fn perfbench_snapshot(root: &Path, args: &[String]) -> Result<ExitCode, String> {
     let out_path = flag_value(args, "--out")?.unwrap_or_else(|| root.join("BENCH_perfbench.json"));
     let declared = root.join("BENCHMARK.json");
     let (seconds, workloads) = std::fs::read_to_string(&declared)
@@ -250,7 +176,7 @@ fn perfbench_snapshot(root: &Path, args: &[String]) -> Result<ExitCode, String> 
                 .args(["--manifest-path", "perfbench/Cargo.toml", "--"])
                 .args(["--workload", workload, "--trace", trace])
                 .args(["--seconds", &seconds.to_string()])
-                .current_dir(root)
+                .current_dir(&root)
                 .output()
                 .map_err(|e| format!("failed to spawn perfbench: {e}"))?;
             let stdout = String::from_utf8_lossy(&output.stdout);
