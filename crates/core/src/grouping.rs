@@ -14,13 +14,14 @@
 //!    ids fall out of the seed scan in ascending-id order, i.e. components
 //!    are numbered by their minimum core id.
 //! 3. *Borders go to the earliest cluster.* A non-core segment within ε of
-//!    cores from several components is claimed by the component that seeds
-//!    first — the smallest raw id (the "stolen border" semantics). A `min`
-//!    over all claiming components reproduces this in any order.
+//!    cores from several components joins the component that seeds first —
+//!    the smallest raw id (the "stolen border" semantics). [`raw_labels`]
+//!    takes that `min` over the cores on the border's ε-list once every
+//!    core flag is final, so the visit order never matters.
 //!
 //! Visiting ids in ascending order, every backward edge `(b, id)` with
-//! `b < id` therefore sees two final core flags and is classified on the
-//! spot: core–core edges are unioned, core–border edges become claims.
+//! `b < id` therefore sees two final core flags, and core–core edges are
+//! unioned on the spot. A non-core `id` keeps its list for [`raw_labels`].
 //!
 //! [`classify_forward`] queries each id for its forward neighbours `c ≥ id`
 //! only, so each unordered pair is refined once. That is exact because
@@ -34,13 +35,14 @@
 //!   ascending `b` order, and visiting `c` folds its forward list on top:
 //!   the same fold, in the same order, as over the whole ascending
 //!   `Nε(c)`, so counts are bit-identical to a full query's.
-//! * *Carried edges.* `b` is also pushed onto `c`'s carried list, which
-//!   `c`'s visit hands to [`Classification::classify`] as its backward
-//!   neighbours. A core `b` is skipped when its union-find root equals that
-//!   of the list's last entry. Components only merge during the pass, so
-//!   the skipped edge would union nothing new, and a claim on the same
-//!   component never changes a claim minimum. This keeps the carried lists
-//!   near the border and component count, not the edge count.
+//! * *Carried cores.* A core `b` is also pushed onto `c`'s carried list,
+//!   which `c`'s visit reads as its backward core neighbours: a core `c`
+//!   unions with each, and a non-core `c` keeps them, followed by its
+//!   forward list, as its ε-list. `b` is skipped when its union-find root
+//!   equals that of the list's last entry. Components only merge during
+//!   the pass, so the skipped edge would union nothing new and would add
+//!   no component to a border's list. This keeps the carried lists near
+//!   the component count, not the edge count.
 //!
 //! [`for_each_ordered`] is the parallel half, and the one engine behind
 //! every parallel phase: `threads` scoped workers claim blocks of
@@ -69,7 +71,7 @@ const LOOKAHEAD: usize = 8;
 /// Item lists shorter than this run inline on the calling thread: two
 /// blocks are the least that lets a worker overlap the consumer, and below
 /// that the spawn costs more than the work.
-pub(crate) const INLINE_BELOW: usize = 2 * BLOCK;
+const INLINE_BELOW: usize = 2 * BLOCK;
 
 /// Variable-length outputs of consecutive items, flattened into one
 /// buffer: `flat[ends[k - 1]..ends[k]]` is the `k`-th output.
@@ -108,26 +110,6 @@ impl<U: Copy> FlatLists<U> {
         self.flat.clear();
         self.ends.clear();
     }
-}
-
-/// Calls `visit(id, Nε(id))` for every id of `ids`, in `ids` order, with
-/// exactly the neighbourhood [`SegmentDatabase::neighborhood_into`]
-/// returns: [`for_each_ordered`] with the ε-query as its `fill`. Returns
-/// whether workers were spawned.
-pub(crate) fn for_each_neighborhood<const D: usize>(
-    db: &SegmentDatabase<D>,
-    index: &NeighborIndex<D>,
-    ids: &[u32],
-    eps: f64,
-    threads: usize,
-    mut visit: impl FnMut(u32, &[u32]),
-) -> bool {
-    for_each_ordered(
-        ids,
-        threads,
-        |&id, hood| db.neighborhood_into(index, id, eps, hood),
-        |&id, hood| visit(id, hood),
-    )
 }
 
 /// The ordered parallel map: calls `visit(item, out)` for every item of
@@ -303,59 +285,15 @@ impl<U: Copy> Drop for StopOnUnwind<'_, U> {
     }
 }
 
-/// Core components and border claims: the state one ordered pass builds
-/// beside the counts. Core-ness is not stored: a segment is core
-/// (Definition 5) iff its count reaches `MinLns`.
-pub(crate) struct Classification {
-    /// Union-find over core segments; min-root, so a component's root is
-    /// its minimum core id.
-    pub(crate) dsu: UnionFind,
-    /// For each non-core segment: core ids within ε that claim it as a
-    /// border member.
-    pub(crate) claims: Vec<Vec<u32>>,
-}
-
-/// Claim lists are deduplicated once they outgrow this many entries
-/// (weighted databases can have non-core segments with arbitrarily many
-/// core neighbours; unweighted ones are bounded by `MinLns` anyway).
-const CLAIM_DEDUP_LEN: usize = 16;
-
-impl Classification {
-    /// `n` unclassified singletons.
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            dsu: UnionFind::new(n as u32),
-            claims: vec![Vec::new(); n],
-        }
-    }
-
-    /// Visits `id` in the ascending pass and classifies its backward edges
-    /// (`b < id`) by core-ness, read from `counts`: the counts of `id` and
-    /// of every `b` must be final. `hood` is ascending — a whole
-    /// ε-neighbourhood, or just the backward neighbours [`classify_forward`]
-    /// carried — and only its entries below `id` are read.
-    pub(crate) fn classify(&mut self, id: u32, hood: &[u32], counts: &[f64], min_lns: f64) {
-        let id_core = counts[id as usize] >= min_lns;
-        self.claims[id as usize] = Vec::new();
-        for &b in hood.iter().take_while(|&&b| b < id) {
-            match (id_core, counts[b as usize] >= min_lns) {
-                (true, true) => self.dsu.union(id, b),
-                (true, false) => push_claim(&mut self.claims[b as usize], id),
-                (false, true) => push_claim(&mut self.claims[id as usize], b),
-                (false, false) => {}
-            }
-        }
-    }
-}
-
 /// Raw cluster id of every segment, plus the raw cluster count: components
 /// numbered in ascending minimum-core-id order (the sequential seed order),
 /// and each non-core segment in the earliest component among the cores its
 /// list names. A segment is core iff its count reaches `min_lns`. Non-core
-/// entries are skipped, so the list may be the ordered pass's claims or a
-/// whole ε-neighbourhood ([`crate::IncrementalClustering`]'s ε-graph): both
-/// name a core of every component within ε of the segment, so both give
-/// the same labels.
+/// entries are skipped, so the list may be the one [`classify_forward`]
+/// keeps for a border (its carried cores, then its forward neighbours) or
+/// a whole ε-neighbourhood ([`crate::IncrementalClustering`]'s ε-graph):
+/// both name a core of every component within ε of the segment, so both
+/// give the same labels. Core segments' lists are not read.
 pub(crate) fn raw_labels(
     counts: &[f64],
     min_lns: f64,
@@ -389,38 +327,27 @@ pub(crate) fn raw_labels(
     (raw, cluster_count)
 }
 
-/// Appends a claiming core, compacting (sort + dedup) only when the list
-/// is both past [`CLAIM_DEDUP_LEN`] and out of capacity, then reserving
-/// headroom proportional to the distinct count — so a border segment with
-/// `k` distinct claiming cores pays O(k log k) per *doubling*, not per
-/// push. Duplicates are harmless for correctness (the labels take a min);
-/// compaction only bounds memory.
-fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
-    if claims.len() >= CLAIM_DEDUP_LEN && claims.len() == claims.capacity() {
-        claims.sort_unstable();
-        claims.dedup();
-        claims.reserve(claims.len().max(CLAIM_DEDUP_LEN));
-    }
-    claims.push(core_id);
-}
-
 /// The ordered pass over forward-only ε-queries (see the module docs):
-/// visits every id ascending and leaves `|Nε(id)|` in `counts[id]` and the
-/// components and claims in `classes`, exactly as
-/// [`Classification::classify`] over whole neighbourhoods would. `counts`
-/// is zeroed first; the union-find must start as singletons.
+/// visits every id ascending and leaves `|Nε(id)|` in `counts[id]`, the
+/// core components in `dsu`, and in `borders[id]` of every non-core id its
+/// carried cores followed by its forward neighbours, the list
+/// [`raw_labels`] reads. Core ids' entries stay empty. `counts` is zeroed
+/// first; the union-find must start as singletons and `borders` empty. In
+/// an unweighted database a border's list is shorter than `MinLns`, since
+/// its count is the length of its ε-neighbourhood.
 pub(crate) fn classify_forward<const D: usize>(
     db: &SegmentDatabase<D>,
     index: &NeighborIndex<D>,
     config: &ClusterConfig,
     threads: usize,
     counts: &mut [f64],
-    classes: &mut Classification,
+    dsu: &mut UnionFind,
+    borders: &mut [Vec<u32>],
 ) {
     counts.fill(0.0);
     let ids: Vec<u32> = (0..db.len() as u32).collect();
-    // `carried[c]`: visited `b < c` with `c ∈ Nε(b)`, ascending, minus the
-    // cores whose component the list already reaches.
+    // `carried[c]`: visited cores `b < c` with `c ∈ Nε(b)`, ascending, minus
+    // those whose component the list already reaches.
     let mut carried: Vec<Vec<u32>> = vec![Vec::new(); db.len()];
     let query = |&id: &u32, forward: &mut Vec<u32>| {
         db.neighborhood_from(index, id, config.eps, id, forward);
@@ -428,19 +355,25 @@ pub(crate) fn classify_forward<const D: usize>(
     for_each_ordered(&ids, threads, query, |&id, forward| {
         let count = db.add_cardinality(counts[id as usize], forward, config.weighted);
         counts[id as usize] = count;
-        let backward = std::mem::take(&mut carried[id as usize]);
-        classes.classify(id, &backward, counts, config.min_lns);
-        let root = (count >= config.min_lns).then(|| classes.dsu.find(id));
+        let mut backward = std::mem::take(&mut carried[id as usize]);
+        let core = count >= config.min_lns;
+        if core {
+            for &b in &backward {
+                dsu.union(id, b);
+            }
+        }
+        let root = dsu.find(id);
         let gain = db.cardinality_weight(id, config.weighted);
         for &c in forward.iter().filter(|&&c| c != id) {
             counts[c as usize] += gain;
             let carry = &mut carried[c as usize];
-            if let (Some(root), Some(&last)) = (root, carry.last()) {
-                if classes.dsu.find(last) == root {
-                    continue;
-                }
+            if core && carry.last().is_none_or(|&last| dsu.find(last) != root) {
+                carry.push(id);
             }
-            carry.push(id);
+        }
+        if !core {
+            backward.extend_from_slice(forward);
+            borders[id as usize] = backward;
         }
     });
 }
@@ -457,15 +390,25 @@ pub(crate) fn run_ordered<const D: usize>(
     let mut index = db.build_index(config.index, config.eps);
     index.set_pruning(config.pruning);
     let mut counts = vec![0.0; n];
-    let mut classes = Classification::new(n);
-    classify_forward(db, &index, config, threads, &mut counts, &mut classes);
+    let mut dsu = UnionFind::new(n as u32);
+    let mut borders = vec![Vec::new(); n];
+    classify_forward(
+        db,
+        &index,
+        config,
+        threads,
+        &mut counts,
+        &mut dsu,
+        &mut borders,
+    );
     #[cfg(feature = "invariant-checks")]
     {
-        crate::invariants::assert_union_find_canonical(&classes.dsu, "grouping");
-        crate::invariants::assert_counts_exact(db, config, &counts, "grouping");
+        crate::invariants::assert_union_find_canonical(&dsu, "grouping");
+        crate::invariants::assert_pass_exact(db, config, &counts, &mut dsu, &borders);
     }
-    let (raw, cluster_count) =
-        raw_labels(&counts, config.min_lns, &mut classes.dsu, &classes.claims);
+    let (raw, cluster_count) = raw_labels(&counts, config.min_lns, &mut dsu, &borders);
+    // The border lists are spent: free them before the clustering is built.
+    drop(borders);
     let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
     let stats = ClusterStats {
         prune: index.prune_stats(),
@@ -525,7 +468,7 @@ mod tests {
     use crate::partition::{
         partition_trajectories, partition_trajectories_on, MdlCost, PartitionConfig,
     };
-    use crate::IndexKind;
+    use crate::{IndexKind, LineSegmentClustering, SegmentLabel};
     use traclus_geom::{
         IdentifiedSegment, Point2, Segment2, SegmentDistance, SegmentId, Trajectory, TrajectoryId,
     };
@@ -601,9 +544,12 @@ mod tests {
         for ids in &lists {
             for threads in [1, 2, 3, 8] {
                 let mut seen: Vec<(u32, Vec<u32>)> = Vec::new();
-                let spawned = for_each_neighborhood(&db, &index, ids, 6.0, threads, |id, hood| {
-                    seen.push((id, hood.to_vec()))
-                });
+                let spawned = for_each_ordered(
+                    ids,
+                    threads,
+                    |&id, hood| db.neighborhood_into(&index, id, 6.0, hood),
+                    |&id, hood| seen.push((id, hood.to_vec())),
+                );
                 assert_eq!(spawned, threads > 1 && ids.len() >= INLINE_BELOW);
                 assert_eq!(seen.len(), ids.len(), "t={threads}: each id once");
                 for (&id, (visited, hood)) in ids.iter().zip(&seen) {
@@ -689,6 +635,57 @@ mod tests {
         }
     }
 
+    /// Two bundles of nine light bars, within ε = 6 above and below a light
+    /// border bar, each held core by one heavy bar beyond the border's
+    /// reach: the border stays non-core with 18 core neighbours from two
+    /// components. In id order: the lower bundle's heavy bar, the upper
+    /// bundle, the border, the lower bundle, the upper bundle's heavy bar.
+    /// So the border meets the upper bundle first, but the lower one has
+    /// the smaller minimum core id. All lie far left of `walk_db`'s walks.
+    fn border_bundles(first: u32) -> Vec<IdentifiedSegment<2>> {
+        let mut bars = vec![(-9.0, 3.0)];
+        bars.extend((0..9).map(|k| (3.5 + 0.25 * k as f64, 0.05)));
+        bars.push((0.0, 0.05));
+        bars.extend((0..9).map(|k| (-3.5 - 0.25 * k as f64, 0.05)));
+        bars.push((9.0, 3.0));
+        (first..)
+            .zip(bars)
+            .map(|(id, (y, weight))| IdentifiedSegment {
+                weight,
+                ..IdentifiedSegment::new(
+                    SegmentId(id),
+                    TrajectoryId(id),
+                    Segment2::xy(-1000.0, y, -990.0, y),
+                )
+            })
+            .collect()
+    }
+
+    /// The reference the ordered pass must match: every whole
+    /// ε-neighbourhood, its count, and every core unioned with the cores on
+    /// its list.
+    fn full_queries(
+        db: &SegmentDatabase<2>,
+        index: &NeighborIndex<2>,
+        config: &ClusterConfig,
+    ) -> (Vec<Vec<u32>>, Vec<f64>, UnionFind) {
+        let hoods: Vec<Vec<u32>> = (0..db.len() as u32)
+            .map(|id| db.neighborhood(index, id, config.eps))
+            .collect();
+        let counts: Vec<f64> = hoods
+            .iter()
+            .map(|hood| db.neighborhood_cardinality(hood, config.weighted))
+            .collect();
+        let core = |id: u32| counts[id as usize] >= config.min_lns;
+        let mut dsu = UnionFind::new(db.len() as u32);
+        for (id, hood) in (0..).zip(&hoods) {
+            for &m in hood.iter().filter(|&&m| core(id) && core(m)) {
+                dsu.union(id, m);
+            }
+        }
+        (hoods, counts, dsu)
+    }
+
     #[test]
     fn forward_pass_matches_full_queries() {
         let plain = walk_db(700);
@@ -698,48 +695,94 @@ mod tests {
         for (k, s) in segments.iter_mut().enumerate() {
             s.weight = 0.3 + 0.1 * (k % 7) as f64;
         }
-        let weighted = SegmentDatabase::from_segments(segments, SegmentDistance::default());
-        for (db, is_weighted, min_lns) in [(plain, false, 6.0), (weighted, true, 3.3)] {
+        let weighted = SegmentDatabase::from_segments(segments.clone(), SegmentDistance::default());
+        segments.extend(border_bundles(700));
+        let bundled = SegmentDatabase::from_segments(segments, SegmentDistance::default());
+        let inputs = [
+            (plain, false, 6.0),
+            (weighted, true, 3.3),
+            (bundled, true, 3.3),
+        ];
+        for (db, weighted, min_lns) in &inputs {
             for kind in [IndexKind::Linear, IndexKind::RTree] {
                 let config = ClusterConfig {
-                    weighted: is_weighted,
-                    min_lns,
+                    weighted: *weighted,
+                    min_lns: *min_lns,
                     index: kind,
                     ..ClusterConfig::new(6.0, 1)
                 };
                 let index = db.build_index(kind, config.eps);
-                // Reference: whole neighbourhoods, classified ascending.
-                let mut want_counts = vec![0.0; db.len()];
-                let mut want = Classification::new(db.len());
-                let mut hood = Vec::new();
-                for id in 0..db.len() as u32 {
-                    db.neighborhood_into(&index, id, config.eps, &mut hood);
-                    let count = db.neighborhood_cardinality(&hood, is_weighted);
-                    want_counts[id as usize] = count;
-                    want.classify(id, &hood, &want_counts, min_lns);
-                }
-                let core_count = want_counts.iter().filter(|&&c| c >= min_lns).count();
+                let (hoods, want_counts, mut want_dsu) = full_queries(db, &index, &config);
+                let core_count = want_counts.iter().filter(|&&c| c >= *min_lns).count();
                 assert!(core_count > 0 && core_count < db.len(), "cores and borders");
-                let labels = |counts: &[f64], c: &mut Classification| {
-                    raw_labels(counts, min_lns, &mut c.dsu, &c.claims)
-                };
-                let want_labels = labels(&want_counts, &mut want);
+                let want_labels = raw_labels(&want_counts, *min_lns, &mut want_dsu, &hoods);
                 for threads in [1, 2, 3, 8] {
-                    let context = format!("weighted={is_weighted} {kind:?} t={threads}");
+                    let context = format!(
+                        "{} segments, weighted={weighted} {kind:?} t={threads}",
+                        db.len()
+                    );
                     // The pass zeroes the counts itself.
                     let mut counts = vec![f64::NAN; db.len()];
-                    let mut classes = Classification::new(db.len());
-                    classify_forward(&db, &index, &config, threads, &mut counts, &mut classes);
+                    let mut dsu = UnionFind::new(db.len() as u32);
+                    let mut borders = vec![Vec::new(); db.len()];
+                    classify_forward(
+                        db,
+                        &index,
+                        &config,
+                        threads,
+                        &mut counts,
+                        &mut dsu,
+                        &mut borders,
+                    );
                     for (id, (got, want)) in counts.iter().zip(&want_counts).enumerate() {
                         assert_eq!(got.to_bits(), want.to_bits(), "{context}: count of {id}");
                     }
                     assert_eq!(
-                        labels(&counts, &mut classes),
+                        raw_labels(&counts, *min_lns, &mut dsu, &borders),
                         want_labels,
                         "{context}: labels"
                     );
                 }
             }
+        }
+
+        // The bundled input holds a weighted border with more than 16 core
+        // neighbours, from two components.
+        let (db, ..) = &inputs[2];
+        let config = ClusterConfig {
+            weighted: true,
+            min_lns: 3.3,
+            ..ClusterConfig::new(6.0, 1)
+        };
+        let (border, lower, upper) = (710, 700, 701);
+        let index = db.build_index(config.index, config.eps);
+        let (hoods, counts, mut dsu) = full_queries(db, &index, &config);
+        let cores: Vec<u32> = hoods[border]
+            .iter()
+            .copied()
+            .filter(|&c| counts[c as usize] >= config.min_lns)
+            .collect();
+        assert!(
+            counts[border] < config.min_lns && cores.len() > 16,
+            "{cores:?}"
+        );
+        let mut roots: Vec<u32> = cores.iter().map(|&c| dsu.find(c)).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        assert_eq!(roots, [lower, upper], "two components meet at the border");
+        let clustering = LineSegmentClustering::new(db, config);
+        let labels = clustering.run().labels;
+        assert!(matches!(labels[border], SegmentLabel::Cluster(_)));
+        assert_ne!(labels[lower as usize], labels[upper as usize]);
+        assert_eq!(
+            labels[border], labels[lower as usize],
+            "the border joins the component with the smaller minimum core id"
+        );
+        for threads in [1, 2, 3, 8] {
+            assert!(
+                clustering.run_parallel(threads) == clustering.run(),
+                "t={threads}"
+            );
         }
     }
 
@@ -751,7 +794,9 @@ mod tests {
         let mut ids: Vec<u32> = (0..db.len() as u32).collect();
         ids[5 * BLOCK] = db.len() as u32 + 7;
         let outcome = std::panic::catch_unwind(|| {
-            for_each_neighborhood(&db, &index, &ids, 6.0, 2, |_, _| {})
+            let query =
+                |&id: &u32, hood: &mut Vec<u32>| db.neighborhood_into(&index, id, 6.0, hood);
+            for_each_ordered(&ids, 2, query, |_, _| {})
         });
         assert!(outcome.is_err());
         // A fill that panics on its own, then a visit that panics.

@@ -11,7 +11,9 @@
 //! * the ordered pass's counts, built from forward-only ε-queries plus the
 //!   weights carried from earlier ids, equal full-query counts bit for bit
 //!   (a carry bug would shift core flags only near the `MinLns`
-//!   threshold, where few fixtures look);
+//!   threshold, where few fixtures look), and each border's list reaches
+//!   the components its full ε-neighbourhood reaches (a core missing from
+//!   it would move the border only where two components meet);
 //! * the segments the partition phase produces on worker threads equal
 //!   the sequential reference [`crate::partition::partition_trajectories`]
 //!   bit for bit (a numbering or ordering slip in the ordered map would
@@ -70,27 +72,50 @@ pub(crate) fn assert_union_find_canonical(dsu: &UnionFind, context: &str) {
     }
 }
 
-/// Asserts the ordered pass's counts at the power-of-two ids against full
-/// ε-queries (a fresh full scan): the forward folds plus the carried
-/// backward weights must add up to the whole-neighbourhood count bit for
-/// bit, so the core flags read from them are the batch loop's.
-pub(crate) fn assert_counts_exact<const D: usize>(
+/// Asserts the ordered pass at the power-of-two ids against full ε-queries
+/// (a fresh full scan): the forward folds plus the carried backward weights
+/// must add up to the whole-neighbourhood count bit for bit, so the core
+/// flags read from them are the batch loop's; and a non-core id's border
+/// list must name exactly the components of the cores in its whole
+/// ε-neighbourhood, so [`crate::grouping::raw_labels`] gives it the batch
+/// loop's label.
+pub(crate) fn assert_pass_exact<const D: usize>(
     db: &SegmentDatabase<D>,
     config: &ClusterConfig,
     counts: &[f64],
-    context: &str,
+    dsu: &mut UnionFind,
+    borders: &[Vec<u32>],
 ) {
     let linear = db.build_index(IndexKind::Linear, config.eps);
     let mut hood = Vec::new();
+    let mut components = |list: &[u32]| {
+        let mut roots: Vec<u32> = list
+            .iter()
+            .filter(|&&c| counts[c as usize] >= config.min_lns)
+            .map(|&c| dsu.find(c))
+            .collect();
+        roots.sort_unstable();
+        roots.dedup();
+        roots
+    };
     for id in (0..db.len() as u32).filter(|id| id.is_power_of_two()) {
         db.neighborhood_into(&linear, id, config.eps, &mut hood);
         let full = db.neighborhood_cardinality(&hood, config.weighted);
         let count = counts[id as usize];
         assert!(
             full.to_bits() == count.to_bits(),
-            "invariant-checks[{context}]: segment {id} has count {count:?} \
+            "invariant-checks[grouping]: segment {id} has count {count:?} \
              after the ordered pass, but its full ε-query gives {full:?}"
         );
+        if count < config.min_lns {
+            let (kept, whole) = (components(&borders[id as usize]), components(&hood));
+            assert!(
+                kept == whole,
+                "invariant-checks[grouping]: border {id} lists the components \
+                 {kept:?} after the ordered pass, but its full ε-query reaches \
+                 {whole:?}"
+            );
+        }
     }
 }
 

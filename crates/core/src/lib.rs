@@ -47,7 +47,6 @@ pub mod partition;
 pub mod quality;
 pub mod representative;
 pub mod segment_db;
-pub mod simplify;
 pub mod snapshot;
 pub mod stream;
 
@@ -71,7 +70,6 @@ pub use representative::{
     average_direction_vector, representative_trajectory, RepresentativeConfig,
 };
 pub use segment_db::{IndexKind, NeighborIndex, PruneStats, SegmentDatabase};
-pub use simplify::{douglas_peucker, douglas_peucker_matching_count};
 pub use snapshot::{ClusterSnapshot, RegionSummary, SnapshotCell};
 pub use stream::{IncrementalClustering, InsertReport, RemoveReport, StreamConfig, StreamStats};
 
@@ -98,13 +96,14 @@ pub struct TraclusConfig {
     /// pragmatic default keeping representatives readable (the paper leaves
     /// γ as a free input to Figure 15).
     pub smoothing: Option<f64>,
-    /// Worker threads for [`Traclus::run`]'s partition phase, for the
-    /// ε-queries of the grouping phase and for the streaming engine's
-    /// queries of each arrival's new segments. The default uses all available hardware threads;
-    /// [`Parallelism::Sequential`] runs both phases inline on the calling
-    /// thread. The segment database and the clustering are identical either
-    /// way (see [`partition_trajectories`], the sequential partition
-    /// reference, and [`LineSegmentClustering::run_parallel`]).
+    /// Worker threads for [`Traclus::run`]'s partition phase and for the
+    /// ε-queries of its grouping phase. The default uses all available
+    /// hardware threads; [`Parallelism::Sequential`] runs both phases
+    /// inline on the calling thread. The segment database and the
+    /// clustering are identical either way (see [`partition_trajectories`],
+    /// the sequential partition reference, and
+    /// [`LineSegmentClustering::run_parallel`]). The streaming engine
+    /// queries each arrival's new segments inline and ignores this field.
     pub parallelism: Parallelism,
     /// The sliding-window policy of the streaming engine
     /// ([`Traclus::stream`] / [`IncrementalClustering`]): a time window

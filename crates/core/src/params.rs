@@ -25,12 +25,12 @@ use crate::segment_db::{IndexKind, NeighborIndex, SegmentDatabase};
 ///
 /// The resolved count is the number of workers that partition the
 /// trajectories of [`crate::Traclus::run`] and run the ε-queries of the
-/// ordered grouping pass (and of each streaming arrival's new segments). The
-/// calling thread numbers the segments in trajectory order and classifies
-/// the neighbourhoods in ascending id order. `Sequential` (and any
-/// resolved count of 1) runs both phases inline. Every count produces the
-/// identical segment database and [`crate::Clustering`]. The default uses
-/// every available hardware thread.
+/// ordered grouping pass. The calling thread numbers the segments in
+/// trajectory order and classifies the neighbourhoods in ascending id
+/// order. `Sequential` (and any resolved count of 1) runs both phases
+/// inline. Every count produces the identical segment database and
+/// [`crate::Clustering`]. The default uses every available hardware
+/// thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// One thread: both phases inline on the calling thread.

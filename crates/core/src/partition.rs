@@ -436,15 +436,6 @@ fn identified<'a, const D: usize>(
         })
 }
 
-/// Convenience: partitions a single raw point sequence (no ids) — handy in
-/// examples and tests.
-pub fn partition_points<const D: usize>(
-    config: &PartitionConfig,
-    points: &[Point<D>],
-) -> Vec<Segment<D>> {
-    approximate_partition(config, points).segments(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,20 +70,11 @@
 //! always the one the batch pipeline builds over the live window, ids
 //! included. Nothing else needs repair: a component the removal split is
 //! split in the lists, and the next snapshot unions them afresh.
-//!
-//! # Parallelism
-//!
-//! An arrival's ε-queries are pure reads of the database and index. When
-//! [`crate::TraclusConfig::parallelism`] allows more than one thread and an
-//! arrival brings enough segments, they run on the ordered engine of the
-//! batch grouping pass: scoped workers compute the neighbourhoods while the
-//! engine applies them on the calling thread in id order, so the graph and
-//! the counts are bit-identical to the sequential engine's.
 
 use traclus_geom::{remove_sorted, Trajectory, TrajectoryId};
 
 use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
-use crate::grouping::{for_each_neighborhood, raw_labels, UnionFind};
+use crate::grouping::{raw_labels, UnionFind};
 use crate::partition::partition_trajectory_from;
 use crate::segment_db::{compacted_id, NeighborIndex, SegmentDatabase};
 use crate::{TraclusConfig, TraclusOutcome};
@@ -233,9 +224,6 @@ pub struct IncrementalClustering<const D: usize> {
     /// fold over its list, the order the batch pass sums in, so the values
     /// are bit-identical. A segment is core iff its count reaches `MinLns`.
     counts: Vec<f64>,
-    /// Workers for an arrival's ε-queries: the configured parallelism,
-    /// resolved once.
-    threads: usize,
     stats: StreamStats,
     /// Logical clock: ticks by one per [`Self::insert`], or jumps to the
     /// caller-supplied (monotone) timestamp in [`Self::insert_at`]. Drives
@@ -275,7 +263,6 @@ impl<const D: usize> IncrementalClustering<D> {
             index,
             hoods: Vec::new(),
             counts: Vec::new(),
-            threads: cluster.parallelism.thread_count(),
             stats: StreamStats::default(),
             clock: 0,
             arrivals: Vec::new(),
@@ -394,37 +381,32 @@ impl<const D: usize> IncrementalClustering<D> {
             self.index.insert(id, &self.db.bbox_of(id));
         }
 
-        // The new segments' lists, queried against the whole window (new
-        // segments included — they are already indexed) and visited in id
-        // order. Each new id joins its older neighbours' lists and adds its
-        // weight to their counts: it is larger than every id there, so the
-        // lists stay ascending and the counts extend their ascending-id
-        // folds, bit for bit the batch pass's sums. Weights are positive,
-        // so a count only rises and crosses `MinLns` at most once: each
-        // crossing is one promotion.
-        let new_ids: Vec<u32> = (first..n).collect();
+        // The new segments' lists, queried in id order against the whole
+        // window (new segments included — they are already indexed). Each
+        // new id joins its older neighbours' lists and adds its weight to
+        // their counts: it is larger than every id there, so the lists stay
+        // ascending and the counts extend their ascending-id folds, bit for
+        // bit the batch pass's sums. Weights are positive, so a count only
+        // rises and crosses `MinLns` at most once: each crossing is one
+        // promotion.
+        let (min_lns, weighted) = (self.cluster.min_lns, self.cluster.weighted);
         let mut flipped_cores = 0;
-        let (db, cluster) = (&self.db, &self.cluster);
-        let (hoods, counts) = (&mut self.hoods, &mut self.counts);
-        for_each_neighborhood(
-            db,
-            &self.index,
-            &new_ids,
-            cluster.eps,
-            self.threads,
-            |id, hood| {
-                counts.push(db.neighborhood_cardinality(hood, cluster.weighted));
-                let gain = db.cardinality_weight(id, cluster.weighted);
-                for &b in hood.iter().take_while(|&&b| b < first) {
-                    let count = &mut counts[b as usize];
-                    let was_core = *count >= cluster.min_lns;
-                    *count += gain;
-                    flipped_cores += usize::from(!was_core && *count >= cluster.min_lns);
-                    hoods[b as usize].push(id);
-                }
-                hoods.push(hood.to_vec());
-            },
-        );
+        let mut hood = Vec::new();
+        for id in first..n {
+            self.db
+                .neighborhood_into(&self.index, id, self.cluster.eps, &mut hood);
+            self.counts
+                .push(self.db.neighborhood_cardinality(&hood, weighted));
+            let gain = self.db.cardinality_weight(id, weighted);
+            for &b in hood.iter().take_while(|&&b| b < first) {
+                let count = &mut self.counts[b as usize];
+                let was_core = *count >= min_lns;
+                *count += gain;
+                flipped_cores += usize::from(!was_core && *count >= min_lns);
+                self.hoods[b as usize].push(id);
+            }
+            self.hoods.push(hood.clone());
+        }
         self.stats.local_repairs += 1;
         self.stats.core_flips += flipped_cores;
         #[cfg(feature = "invariant-checks")]
@@ -1141,54 +1123,6 @@ mod tests {
             batch_clustering(&cfg, &trajectories[5..])
         );
         assert_eq!(engine.stats().expired, 5);
-    }
-
-    #[test]
-    fn parallel_repair_is_identical_to_sequential() {
-        use crate::grouping::INLINE_BELOW;
-        use crate::Parallelism;
-        // Zigzags cut at every fix: each arrival brings at least
-        // INLINE_BELOW segments, so its ε-query sweep engages the workers.
-        let zigzag = |id: u32, y: f64| {
-            Trajectory::new(
-                TrajectoryId(id),
-                (0..70)
-                    .map(|k| Point2::xy(k as f64 * 5.0, y + 8.0 * (k % 2) as f64))
-                    .collect(),
-            )
-        };
-        let trajectories: Vec<Trajectory<2>> = (0..6).map(|i| zigzag(i, i as f64 * 0.5)).collect();
-        let with = |parallelism| TraclusConfig {
-            parallelism,
-            ..config(3.0, 3)
-        };
-        let mut sequential = IncrementalClustering::<2>::new(with(Parallelism::Sequential));
-        let mut reference = Vec::new();
-        for t in &trajectories {
-            let report = sequential.insert(t);
-            assert!(report.new_segments >= INLINE_BELOW, "{report:?}");
-            reference.push(sequential.snapshot());
-        }
-        assert!(!reference.last().unwrap().clusters.is_empty());
-        sequential.remove_trajectory(TrajectoryId(2));
-        let after_removal = sequential.snapshot();
-        for threads in [2usize, 4, 8] {
-            let mut engine = IncrementalClustering::<2>::new(with(Parallelism::Threads(threads)));
-            for (k, t) in trajectories.iter().enumerate() {
-                engine.insert(t);
-                assert_eq!(
-                    engine.snapshot(),
-                    reference[k],
-                    "t={threads} diverged after trajectory {k}"
-                );
-            }
-            engine.remove_trajectory(TrajectoryId(2));
-            assert_eq!(
-                engine.snapshot(),
-                after_removal,
-                "t={threads} diverged after removal"
-            );
-        }
     }
 
     #[test]

@@ -19,6 +19,11 @@ use std::thread::JoinHandle;
 use traclus_core::{IncrementalClustering, RemoveReport, SnapshotCell, TraclusConfig};
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
+/// Where a synchronous command's reply goes: the removal report (the
+/// default report for a flush) and the epoch of the first snapshot that
+/// reflects the command.
+pub(crate) type Reply = SyncSender<(RemoveReport, u64)>;
+
 /// Work for the engine thread.
 #[derive(Debug)]
 pub enum EngineCommand {
@@ -43,7 +48,7 @@ pub enum EngineCommand {
         /// The trajectory to retire (all its live arrivals).
         id: TrajectoryId,
         /// Where to send the applied report + publication epoch.
-        reply: SyncSender<(RemoveReport, u64)>,
+        reply: Reply,
     },
     /// Expire oldest-first down to a live-trajectory capacity.
     /// Synchronous like [`Self::Remove`]: the reply carries the combined
@@ -52,11 +57,11 @@ pub enum EngineCommand {
         /// The capacity to shrink the live window to.
         keep: usize,
         /// Where to send the expiry report + publication epoch.
-        reply: SyncSender<(RemoveReport, u64)>,
+        reply: Reply,
     },
-    /// Publish everything applied so far, then reply with the epoch —
-    /// the read-your-writes barrier behind the `flush` op.
-    Flush(SyncSender<u64>),
+    /// Publish everything applied so far, then reply with a default report
+    /// and the epoch — the read-your-writes barrier behind the `flush` op.
+    Flush(Reply),
     /// Drain nothing further and exit the engine thread.
     Stop,
 }
@@ -82,11 +87,8 @@ impl EngineThread {
     ) -> Self {
         let handle = std::thread::spawn(move || {
             let mut engine = IncrementalClustering::<2>::new(config);
-            let mut pending_flushes: Vec<SyncSender<u64>> = Vec::new();
-            let mut pending_removes: Vec<(SyncSender<(RemoveReport, u64)>, RemoveReport)> =
-                Vec::new();
-            let mut pending_expires: Vec<(SyncSender<(RemoveReport, u64)>, RemoveReport)> =
-                Vec::new();
+            // Synchronous replies, answered once the batch is published.
+            let mut pending: Vec<(Reply, RemoveReport)> = Vec::new();
             'outer: loop {
                 // Block for the first command, then opportunistically
                 // drain whatever else arrived — one publication per batch.
@@ -103,16 +105,16 @@ impl EngineThread {
                             applied += 1;
                         }
                         EngineCommand::Remove { id, reply } => {
-                            let report = engine.remove_trajectory(id);
-                            pending_removes.push((reply, report));
+                            pending.push((reply, engine.remove_trajectory(id)));
                             applied += 1;
                         }
                         EngineCommand::Expire { keep, reply } => {
-                            let expired = engine.expire_to_capacity(keep);
-                            pending_expires.push((reply, expired));
+                            pending.push((reply, engine.expire_to_capacity(keep)));
                             applied += 1;
                         }
-                        EngineCommand::Flush(reply) => pending_flushes.push(reply),
+                        EngineCommand::Flush(reply) => {
+                            pending.push((reply, RemoveReport::default()));
+                        }
                         EngineCommand::Stop => {
                             stop = true;
                             break;
@@ -123,14 +125,8 @@ impl EngineThread {
                     }
                 }
                 let snapshot = cell.publish_from(&engine);
-                for reply in pending_flushes.drain(..) {
-                    // A flush client that hung up just forfeits its reply.
-                    let _ = reply.try_send(snapshot.epoch());
-                }
-                for (reply, report) in pending_removes.drain(..) {
-                    let _ = reply.try_send((report, snapshot.epoch()));
-                }
-                for (reply, report) in pending_expires.drain(..) {
+                for (reply, report) in pending.drain(..) {
+                    // A client that hung up just forfeits its reply.
                     let _ = reply.try_send((report, snapshot.epoch()));
                 }
                 if stop {
@@ -180,44 +176,14 @@ pub(crate) fn send_command(
     }
 }
 
-/// A flush round-trip: enqueue the barrier, wait for the publication
-/// epoch it produced.
-pub(crate) fn flush(tx: &SyncSender<EngineCommand>) -> Result<u64, &'static str> {
-    let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-    send_command(tx, EngineCommand::Flush(reply_tx))?;
-    reply_rx.recv().map_err(|_| "engine stopped")
-}
-
-/// A removal round-trip: enqueue, wait for the applied report and the
-/// epoch of the snapshot that first reflects it.
-pub(crate) fn remove(
+/// A synchronous round-trip: enqueue the command `command` builds around
+/// a fresh reply channel, then wait for the report and the epoch of the
+/// snapshot that first reflects it.
+pub(crate) fn round_trip(
     tx: &SyncSender<EngineCommand>,
-    id: TrajectoryId,
+    command: impl FnOnce(Reply) -> EngineCommand,
 ) -> Result<(RemoveReport, u64), &'static str> {
     let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-    send_command(
-        tx,
-        EngineCommand::Remove {
-            id,
-            reply: reply_tx,
-        },
-    )?;
-    reply_rx.recv().map_err(|_| "engine stopped")
-}
-
-/// An expiry round-trip: enqueue, wait for the combined removal report
-/// and the epoch of the snapshot that first reflects it.
-pub(crate) fn expire(
-    tx: &SyncSender<EngineCommand>,
-    keep: usize,
-) -> Result<(RemoveReport, u64), &'static str> {
-    let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-    send_command(
-        tx,
-        EngineCommand::Expire {
-            keep,
-            reply: reply_tx,
-        },
-    )?;
+    send_command(tx, command(reply_tx))?;
     reply_rx.recv().map_err(|_| "engine stopped")
 }

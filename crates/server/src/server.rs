@@ -18,13 +18,14 @@ use traclus_core::{ClusterSnapshot, SnapshotCell, TraclusConfig};
 use traclus_geom::{Aabb, Point2, TrajectoryId};
 use traclus_json::JsonValue;
 
-use crate::engine::{expire, flush, remove, send_command, EngineCommand, EngineThread};
+use crate::engine::{round_trip, send_command, EngineCommand, EngineThread};
 use crate::protocol::{error_response, ProtocolError, Request, MAX_LINE_BYTES};
 
 /// How long one reply may wait for a client to read. A connection whose
 /// reply cannot be sent within it is dropped, so a client that pipelines
-/// requests and never reads the replies cannot hold its handler — or a
-/// `shutdown`, which joins every handler — for longer than this.
+/// requests and never reads the replies, or reads them a little at a time,
+/// cannot hold its handler — or a `shutdown`, which joins every handler —
+/// for longer than this.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How many poll intervals in a row a connection may send nothing. A
@@ -258,17 +259,20 @@ fn wake_accept_loop(shared: &Shared, stream: &TcpStream) {
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     // A read timeout turns the blocking reader into a shutdown poll:
     // handlers notice the flag within one poll interval even when their
-    // client sends nothing. Without both timeouts an idle or stalled client
-    // could hold the handler, and with it `shutdown`, forever.
-    if stream.set_read_timeout(Some(shared.poll_interval)).is_err()
-        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
-    {
+    // client sends nothing. Without it and the replies' write deadline an
+    // idle or stalled client could hold the handler, and with it
+    // `shutdown`, forever.
+    if stream.set_read_timeout(Some(shared.poll_interval)).is_err() {
         return;
     }
     // Each reply is one complete write; Nagle would only hold it back.
     let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
+    let Ok(stream_out) = stream.try_clone() else {
         return;
+    };
+    let mut writer = ReplyWriter {
+        stream: stream_out,
+        deadline: Instant::now(),
     };
     let mut reader = BufReader::new(stream);
     let mut line: Vec<u8> = Vec::new();
@@ -284,7 +288,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 let error = ProtocolError::LineTooLong {
                     limit: MAX_LINE_BYTES,
                 };
-                let _ = write_line(&mut writer, &error_response(&error));
+                let _ = writer.reply(&error_response(&error));
                 break;
             }
             Ok(_) => {
@@ -299,7 +303,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     let started = Instant::now();
                     let (response, shutdown) = dispatch(request, shared);
                     let response = with_timing(response, started);
-                    if write_line(&mut writer, &response).is_err() {
+                    if writer.reply(&response).is_err() {
                         break; // a hung-up client, or WRITE_TIMEOUT passed
                     }
                     if shutdown {
@@ -328,6 +332,42 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+    }
+}
+
+/// A connection's write half. Each reply gets `WRITE_TIMEOUT` in all: a
+/// socket write timeout bounds one `send`, and a client that reads a little
+/// at a time lets every `send` make some progress, so under a plain timeout
+/// one `write_all` could block for many timeouts in a row.
+struct ReplyWriter {
+    stream: TcpStream,
+    /// When the reply being written runs out of time.
+    deadline: Instant,
+}
+
+// Instant::now sets and checks the reply deadline: it bounds how long a
+// handler may block on a client and never influences clustering.
+#[allow(clippy::disallowed_methods)]
+impl ReplyWriter {
+    fn reply(&mut self, response: &JsonValue) -> std::io::Result<()> {
+        self.deadline = Instant::now() + WRITE_TIMEOUT;
+        write_line(self, response)
+    }
+}
+
+#[allow(clippy::disallowed_methods)]
+impl Write for ReplyWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -388,41 +428,46 @@ fn dispatch(line: &str, shared: &Shared) -> (JsonValue, bool) {
             }
         }
         Ok(Request::Remove { trajectory }) => {
-            match remove(&shared.commands, TrajectoryId(trajectory)) {
+            let id = TrajectoryId(trajectory);
+            match round_trip(&shared.commands, |reply| EngineCommand::Remove {
+                id,
+                reply,
+            }) {
                 Ok((report, epoch)) => (
-                    JsonValue::object([
-                        ("ok", JsonValue::from(true)),
-                        (
-                            "epoch",
-                            JsonValue::Int(i64::try_from(epoch).unwrap_or(i64::MAX)),
-                        ),
-                        (
-                            "removed_trajectories",
-                            JsonValue::from(report.removed_trajectories),
-                        ),
-                        ("removed_segments", JsonValue::from(report.removed_segments)),
-                        ("demoted_cores", JsonValue::from(report.demoted_cores)),
-                    ]),
+                    ok_at(
+                        epoch,
+                        [
+                            (
+                                "removed_trajectories",
+                                JsonValue::from(report.removed_trajectories),
+                            ),
+                            ("removed_segments", JsonValue::from(report.removed_segments)),
+                            ("demoted_cores", JsonValue::from(report.demoted_cores)),
+                        ],
+                    ),
                     false,
                 ),
                 Err(msg) => (error_reply(msg), false),
             }
         }
-        Ok(Request::Expire { keep }) => match expire(&shared.commands, keep) {
-            Ok((report, epoch)) => (
-                JsonValue::object([
-                    ("ok", JsonValue::from(true)),
-                    (
-                        "epoch",
-                        JsonValue::Int(i64::try_from(epoch).unwrap_or(i64::MAX)),
+        Ok(Request::Expire { keep }) => {
+            match round_trip(&shared.commands, |reply| EngineCommand::Expire {
+                keep,
+                reply,
+            }) {
+                Ok((report, epoch)) => (
+                    ok_at(
+                        epoch,
+                        [
+                            ("expired", JsonValue::from(report.removed_trajectories)),
+                            ("removed_segments", JsonValue::from(report.removed_segments)),
+                        ],
                     ),
-                    ("expired", JsonValue::from(report.removed_trajectories)),
-                    ("removed_segments", JsonValue::from(report.removed_segments)),
-                ]),
-                false,
-            ),
-            Err(msg) => (error_reply(msg), false),
-        },
+                    false,
+                ),
+                Err(msg) => (error_reply(msg), false),
+            }
+        }
         Ok(Request::Membership { trajectory }) => {
             let snap = shared.cell.load();
             let clusters = snap.membership(TrajectoryId(trajectory));
@@ -527,25 +572,16 @@ fn dispatch(line: &str, shared: &Shared) -> (JsonValue, bool) {
                 false,
             )
         }
-        Ok(Request::Flush) => match flush(&shared.commands) {
-            Ok(epoch) => (
-                JsonValue::object([
-                    ("ok", JsonValue::from(true)),
-                    (
-                        "epoch",
-                        JsonValue::Int(i64::try_from(epoch).unwrap_or(i64::MAX)),
-                    ),
-                ]),
-                false,
-            ),
+        Ok(Request::Flush) => match round_trip(&shared.commands, EngineCommand::Flush) {
+            Ok((_, epoch)) => (ok_at(epoch, []), false),
             Err(msg) => (error_reply(msg), false),
         },
         Ok(Request::Shutdown) => (JsonValue::object([("ok", JsonValue::from(true))]), true),
     }
 }
 
-/// `u64` counters (the stream's prune tallies) saturate into the JSON
-/// integer space, like epochs in the `flush` reply.
+/// `u64` counters (epochs and the stream's prune tallies) saturate into
+/// the JSON integer space.
 fn u64_json(v: u64) -> JsonValue {
     JsonValue::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
@@ -561,12 +597,14 @@ fn ok_with_epoch<const N: usize>(
     snap: &ClusterSnapshot<2>,
     fields: [(&'static str, JsonValue); N],
 ) -> JsonValue {
+    ok_at(snap.epoch(), fields)
+}
+
+/// A success reply: `ok`, then `epoch`, then `fields` in order.
+fn ok_at<const N: usize>(epoch: u64, fields: [(&'static str, JsonValue); N]) -> JsonValue {
     let mut pairs = vec![
         ("ok".to_string(), JsonValue::from(true)),
-        (
-            "epoch".to_string(),
-            JsonValue::Int(i64::try_from(snap.epoch()).unwrap_or(i64::MAX)),
-        ),
+        ("epoch".to_string(), u64_json(epoch)),
     ];
     for (k, v) in fields {
         pairs.push((k.to_string(), v));
@@ -595,6 +633,39 @@ mod tests {
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
+    }
+
+    /// A client that keeps reading a little cannot stretch one reply past
+    /// its deadline: each partial `send` would restart a plain socket
+    /// timeout, so without the deadline the write runs until the client
+    /// hangs up, two seconds in.
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the test times the write
+    fn a_trickling_reader_cannot_stretch_a_reply_past_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (served, _) = listener.accept().expect("accept");
+        let trickle = std::thread::spawn(move || {
+            let mut client = client;
+            let mut chunk = vec![0u8; 64 << 10];
+            for _ in 0..200 {
+                let _ = client.read(&mut chunk);
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let mut writer = ReplyWriter {
+            stream: served,
+            deadline: Instant::now() + Duration::from_millis(300),
+        };
+        let started = Instant::now();
+        let outcome = writer.write_all(&vec![b'x'; 32 << 20]);
+        let elapsed = started.elapsed();
+        // Hang up, so the reader sees the end of the stream once it has
+        // drained what was sent.
+        drop(writer);
+        trickle.join().expect("trickling reader");
+        assert!(outcome.is_err(), "32 MiB drained before the client hung up");
+        assert!(elapsed < Duration::from_millis(1500), "{elapsed:?}");
     }
 
     #[test]
