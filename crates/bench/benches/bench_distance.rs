@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the segment distance function (Definitions 1–3) —
 //! the innermost kernel of both TRACLUS phases — against the naive
 //! endpoint-sum distance of Appendix A, plus the batched table kernel
-//! (`distance_many`) against the scalar path on the identical workload.
+//! (`SegmentDistance::distance_many_into`, two candidates per step, rare
+//! lanes and the odd last candidate on the scalar path) against the
+//! scalar path on the identical workload.
 //!
 //! The ROADMAP target for the batched path is ≥2× on
 //! `composite_pairwise_32x32` vs. the scalar arm.

@@ -162,11 +162,6 @@ impl<const D: usize> NeighborIndex<D> {
         self.prune = on;
     }
 
-    /// Whether lower-bound pruning is enabled.
-    pub fn pruning(&self) -> bool {
-        self.prune
-    }
-
     /// A snapshot of the cumulative filter-and-refine counters.
     pub fn prune_stats(&self) -> PruneStats {
         self.counters.snapshot()
@@ -193,10 +188,11 @@ impl<const D: usize> NeighborIndex<D> {
 /// Each segment is stored once, as one record of a [`SegmentTable`]: its
 /// endpoints, the geometry derived from them at insertion (direction
 /// vector, squared norm, length, midpoint), its weight and its trajectory
-/// id. ε-neighborhood refinement runs the batched `distance_many` kernel
-/// on those records instead of re-deriving projection setup from raw
-/// endpoints on every pair, and bounding boxes are computed from the
-/// endpoints where a query or the R-tree needs one.
+/// id. ε-neighborhood refinement runs the batched
+/// [`SegmentDistance::distance_many_into`] kernel on those records instead
+/// of re-deriving projection setup from raw endpoints on every pair, and
+/// bounding boxes are computed from the endpoints where a query or the
+/// R-tree needs one.
 ///
 /// Segment `k` always has id `k`: its position in the table.
 /// [`Self::append_segments`] continues the sequence and
@@ -324,11 +320,6 @@ impl<const D: usize> SegmentDatabase<D> {
         self.table.segment(id)
     }
 
-    /// Cached length of a segment.
-    pub fn length(&self, id: u32) -> f64 {
-        self.table.record(id).length
-    }
-
     /// Cached midpoint of a segment.
     pub fn midpoint(&self, id: u32) -> Point<D> {
         self.table.record(id).midpoint
@@ -352,33 +343,11 @@ impl<const D: usize> SegmentDatabase<D> {
 
     /// Distance between two stored segments, with the Lemma 2 ordering done
     /// on cached lengths and the id tie-break (the paper's "internal
-    /// identifier").
+    /// identifier") by [`SegmentTable::roles`], the rule the batched
+    /// kernel uses too.
     pub fn distance(&self, a: u32, b: u32) -> f64 {
-        let (i, j) = self.ordered_pair(a, b);
-        let segment = |id| self.table.record(id).segment();
-        self.distance.distance_ordered(&segment(i), &segment(j))
-    }
-
-    /// Batched distances from `query` to each candidate (same ordering and
-    /// bit-exact results as [`Self::distance`], one hoisted projection
-    /// setup instead of per-pair recomputation). `out[k]` receives the
-    /// distance to `candidates[k]`.
-    pub fn distances_into(&self, query: u32, candidates: &[u32], out: &mut Vec<f64>) {
-        self.distance
-            .distance_many(&self.table, query, candidates, out);
-    }
-
-    fn ordered_pair(&self, a: u32, b: u32) -> (u32, u32) {
-        let (la, lb) = (self.length(a), self.length(b));
-        if la > lb {
-            (a, b)
-        } else if lb > la {
-            (b, a)
-        } else if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
+        let (li, lj) = self.table.roles(a, b);
+        self.distance.distance_ordered(&li.segment(), &lj.segment())
     }
 
     /// Builds a neighborhood index of the requested kind over the
@@ -672,10 +641,10 @@ mod tests {
     fn batched_distances_match_scalar_bitwise() {
         let db = sample_db();
         let candidates: Vec<u32> = (0..db.len() as u32).collect();
-        let mut out = Vec::new();
+        let mut out = vec![0.0; candidates.len()];
         for q in 0..db.len() as u32 {
-            db.distances_into(q, &candidates, &mut out);
-            assert_eq!(out.len(), candidates.len());
+            db.distance_fn()
+                .distance_many_into(db.table(), q, &candidates, &mut out);
             for (&c, &d) in candidates.iter().zip(&out) {
                 assert_eq!(
                     d.to_bits(),

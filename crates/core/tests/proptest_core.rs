@@ -173,12 +173,13 @@ proptest! {
         let linear = db.build_index(IndexKind::Linear, eps);
         let rtree = db.build_index(IndexKind::RTree, eps);
         let candidates: Vec<u32> = (0..db.len() as u32).collect();
-        let mut dists = Vec::new();
+        let mut dists = vec![0.0; candidates.len()];
         for id in 0..db.len() as u32 {
             let a = db.neighborhood(&linear, id, eps);
             let c = db.neighborhood(&rtree, id, eps);
             prop_assert_eq!(&a, &c, "rtree vs linear at id {}", id);
-            db.distances_into(id, &candidates, &mut dists);
+            db.distance_fn()
+                .distance_many_into(db.table(), id, &candidates, &mut dists);
             for (&cand, &d) in candidates.iter().zip(&dists) {
                 prop_assert_eq!(d.to_bits(), db.distance(id, cand).to_bits(),
                     "batched != scalar for ({}, {})", id, cand);

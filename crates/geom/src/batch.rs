@@ -12,8 +12,9 @@
 //!
 //! Two entry points:
 //!
-//! * [`SegmentTable`] + [`SegmentDistance::distance_many`] — the symmetric
-//!   clustering-phase distance against cached candidate geometry;
+//! * [`SegmentTable`] + [`SegmentDistance::distance_many_into`] — the
+//!   symmetric clustering-phase distance against cached candidate
+//!   geometry, two candidates per step;
 //! * [`PreparedBase`] + [`SegmentDistance::mdl_components_prepared`] — the
 //!   role-explicit perpendicular + angle pair used by Formula 7, skipping
 //!   the parallel component entirely.
@@ -30,16 +31,19 @@
 //! bit-for-bit on non-negative inputs). Cached values (direction vectors,
 //! squared norms, lengths, midpoints) are produced by the same expressions
 //! the scalar path evaluates inline, so reusing them changes nothing.
-//! Property tests in `tests/proptest_geom.rs` compare raw bits.
+//! The paired ε-kernel skips the scalar path's degeneracy branches; a pair
+//! of candidates where one would have fired, and the odd last candidate,
+//! are scored by the scalar path itself. Property tests in
+//! `tests/proptest_geom.rs` compare raw bits.
 //!
 //! # Role ordering
 //!
-//! [`SegmentDistance::distance_many`] assigns the *longer* segment the base
-//! role `Lᵢ` (Lemma 2), comparing the **cached** lengths; exact-length ties
-//! are broken by the smaller id — the paper's "internal identifier"
-//! tie-break, matching `SegmentDatabase::distance` in `traclus-core` (whose
-//! ids are table positions) rather than the coordinate-lexicographic
-//! fallback of the id-free scalar [`SegmentDistance::distance`].
+//! [`SegmentTable::roles`] assigns the *longer* segment the base role `Lᵢ`
+//! (Lemma 2), comparing the **cached** lengths; exact-length ties are
+//! broken by the smaller id — the paper's "internal identifier" tie-break.
+//! It is the one role rule of the ε-kernel and of `SegmentDatabase::distance`
+//! in `traclus-core` (whose ids are table positions); only the id-free
+//! scalar [`SegmentDistance::distance`] falls back to coordinate order.
 
 use crate::bbox::Aabb;
 use crate::distance::{
@@ -192,6 +196,26 @@ impl<const D: usize> SegmentTable<D> {
             .enumerate()
             .map(|(id, r)| identified(id as u32, r))
     }
+
+    /// The records of segments `a` and `b` in their Lemma 2 roles
+    /// `(Lᵢ, Lⱼ)`: the longer cached length plays `Lᵢ`, and an exact tie
+    /// goes to the smaller id.
+    #[inline(always)]
+    pub fn roles(&self, a: u32, b: u32) -> (&SegmentRecord<D>, &SegmentRecord<D>) {
+        let (ra, rb) = (self.record(a), self.record(b));
+        // Deliberately branchy: a predicted branch lets the role-dependent
+        // gathers issue speculatively, where a conditional move would
+        // serialise them behind the length compare — measured slower.
+        if ra.length > rb.length {
+            (ra, rb)
+        } else if rb.length > ra.length {
+            (rb, ra)
+        } else if a <= b {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        }
+    }
 }
 
 /// Rebuilds the identified segment of record `r` at id `id`.
@@ -256,19 +280,13 @@ impl<const D: usize> PreparedBase<D> {
     }
 }
 
-impl<const D: usize> From<&Segment<D>> for PreparedBase<D> {
-    fn from(s: &Segment<D>) -> Self {
-        Self::new(s)
-    }
-}
-
 impl SegmentDistance {
     /// Batched weighted distances from `query` to each of `candidates`
     /// (ids in `table`), written into `out[k]` for `candidates[k]`.
     ///
-    /// Role ordering matches `SegmentDatabase::distance`: the longer cached
-    /// length plays `Lᵢ`, exact ties resolved in favour of the smaller
-    /// id. Results are bit-identical to calling the scalar
+    /// Each pair takes its roles from [`SegmentTable::roles`], the one
+    /// Lemma 2 rule `SegmentDatabase::distance` uses too. Results are
+    /// bit-identical to calling the scalar
     /// [`SegmentDistance::distance_ordered`] with that ordering.
     ///
     /// # Panics
@@ -286,28 +304,13 @@ impl SegmentDistance {
             out.len(),
             "distance_many_into needs one output slot per candidate"
         );
-        // One bounds-checked record load per candidate (in `roles`) covers
-        // every field the kernel reads, so the kernel below compiles to
-        // one branch-free basic block — which is what lets the SLP
-        // vectorizer pair its divisions and square roots into packed ops.
-        let records = table.records();
-        let q = &records[query as usize];
-        // Lemma 2 ordering on cached lengths, id tie-break. (Deliberately
-        // branchy: a predicted branch lets the role-dependent gathers
-        // issue speculatively, where a conditional move would serialise
-        // them behind the length compare — measured slower.)
-        let roles = |cand: u32| -> (&SegmentRecord<D>, &SegmentRecord<D>) {
-            let c = &records[cand as usize];
-            if q.length > c.length {
-                (q, c)
-            } else if c.length > q.length {
-                (c, q)
-            } else if query <= cand {
-                (q, c)
-            } else {
-                (c, q)
-            }
-        };
+        // The query's bounds check runs once, here, which makes the one in
+        // `roles` provably redundant. That leaves one bounds-checked record
+        // load per candidate, covering every field the kernel reads, so
+        // the kernel below compiles to one branch-free basic block — which
+        // is what lets the SLP vectorizer pair its divisions and square
+        // roots into packed ops.
+        table.record(query);
         // Two candidates per step: the kernel is bound by divider-unit
         // throughput (4 divisions + 4 square roots per pair survive the
         // exact rewrites), and two interleaved lanes of isomorphic scalar
@@ -316,8 +319,8 @@ impl SegmentDistance {
         let mut chunks = candidates.chunks_exact(2);
         let mut slots = out.chunks_exact_mut(2);
         for (pair, slot) in (&mut chunks).zip(&mut slots) {
-            let (li_a, lj_a) = roles(pair[0]);
-            let (li_b, lj_b) = roles(pair[1]);
+            let (li_a, lj_a) = table.roles(query, pair[0]);
+            let (li_b, lj_b) = table.roles(query, pair[1]);
             let [s0, s1] = slot else {
                 unreachable!("chunks_exact_mut(2) yields exactly two slots")
             };
@@ -332,32 +335,25 @@ impl SegmentDistance {
                 s1,
             ) {
                 // A rare lane (degenerate geometry, exact collinearity):
-                // redo both through the fully-guarded kernel.
-                let (da, db) =
-                    rare_pair_fallback(li_a, lj_a, li_b, lj_b, self.angle_mode, &self.weights);
-                *s0 = da;
-                *s1 = db;
+                // redo both through the scalar reference.
+                *s0 = self.scalar_fallback(li_a, lj_a);
+                *s1 = self.scalar_fallback(li_b, lj_b);
             }
         }
-        // A possible leftover candidate: the guarded kernel, singly.
+        // A possible leftover candidate: the scalar reference too.
         for (&cand, slot) in chunks.remainder().iter().zip(slots.into_remainder()) {
-            let (li, lj) = roles(cand);
-            *slot = batched_components(li, lj, self.angle_mode).weighted(&self.weights);
+            let (li, lj) = table.roles(query, cand);
+            *slot = self.scalar_fallback(li, lj);
         }
     }
 
-    /// [`Self::distance_many_into`] with `out` cleared and resized to match
-    /// `candidates`.
-    pub fn distance_many<const D: usize>(
-        &self,
-        table: &SegmentTable<D>,
-        query: u32,
-        candidates: &[u32],
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(candidates.len(), 0.0);
-        self.distance_many_into(table, query, candidates, out);
+    /// The cold path of [`Self::distance_many_into`]: one pair through the
+    /// scalar reference, which guards every branch the paired kernel skips.
+    /// Kept out of line so the hot loop stays one tight block.
+    #[cold]
+    #[inline(never)]
+    fn scalar_fallback<const D: usize>(&self, li: &SegmentRecord<D>, lj: &SegmentRecord<D>) -> f64 {
+        self.distance_ordered(&li.segment(), &lj.segment())
     }
 
     /// The `(d⊥, dθ)` pair of [`Self::mdl_components`] with the base
@@ -445,8 +441,8 @@ fn angle_component<const D: usize>(
 /// Two independent (base, other) lane pairs evaluated in lockstep — every
 /// statement exists once per lane, adjacent and structurally identical, so
 /// the SLP vectorizer can fuse each division and square-root pair into one
-/// packed instruction. Lanes never mix: each lane's value sequence is the
-/// scalar sequence of [`batched_components`], so results stay bit-identical.
+/// packed instruction. Lanes never mix: each lane's value sequence is that
+/// of [`SegmentDistance::distance_ordered`], so results stay bit-identical.
 /// Speculatively stores the two weighted distances through `s0`/`s1` —
 /// adjacent output slots, so the SLP vectorizer can seed its tree from the
 /// store pair — and returns `true` when the stored values are valid.
@@ -457,10 +453,10 @@ fn angle_component<const D: usize>(
 /// Instead, one trailing check detects the rare lanes whose scalar
 /// version would have branched — degenerate base (no supporting line),
 /// zero Lehmer denominator (`lj` exactly on the base line, e.g. the query
-/// itself), degenerate `lj` — and returns `false`; the caller then redoes
-/// *both* lanes through the fully-guarded single-candidate kernel,
-/// overwriting the speculative NaN/∞ garbage. Valid lanes are
-/// bit-identical to the scalar path.
+/// itself), degenerate `lj`, a `sin θ` denominator that underflows to
+/// zero — and returns `false`; the caller then redoes *both* lanes through
+/// the scalar reference, overwriting the speculative NaN/∞ garbage. Valid
+/// lanes are bit-identical to the scalar path.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn lane2_kernel<const D: usize>(
@@ -589,118 +585,6 @@ fn lane2_kernel<const D: usize>(
     !rare
 }
 
-/// Cold path for a lane pair whose speculative results were invalid
-/// (degenerate geometry or exact collinearity): defer to the
-/// single-candidate kernel, which guards every branch the scalar path has.
-#[cold]
-#[inline(never)]
-fn rare_pair_fallback<const D: usize>(
-    li_a: &SegmentRecord<D>,
-    lj_a: &SegmentRecord<D>,
-    li_b: &SegmentRecord<D>,
-    lj_b: &SegmentRecord<D>,
-    mode: AngleMode,
-    weights: &DistanceWeights,
-) -> (f64, f64) {
-    (
-        batched_components(li_a, lj_a, mode).weighted(weights),
-        batched_components(li_b, lj_b, mode).weighted(weights),
-    )
-}
-
-/// `components_with_roles` over cached geometry: `li` is the base segment.
-#[inline(always)]
-fn batched_components<const D: usize>(
-    li: &SegmentRecord<D>,
-    lj: &SegmentRecord<D>,
-    mode: AngleMode,
-) -> DistanceComponents {
-    let norm_sq = li.norm_sq;
-    if norm_sq <= 0.0 {
-        return DistanceComponents {
-            perpendicular: li.start.distance(&lj.midpoint),
-            parallel: 0.0,
-            angle: 0.0,
-        };
-    }
-    let li_start = li.start;
-    let li_end = li.end;
-    let vi = li.dir;
-    let lj_start = lj.start;
-    let lj_end = lj.end;
-
-    // Both endpoint projections in lockstep `[f64; 2]` lanes: the divider
-    // unit is the kernel's throughput bottleneck, and pairing the two
-    // independent divisions (and the two perpendicular square roots below)
-    // lets LLVM's SLP vectorizer emit one packed `divpd`/`sqrtpd` with the
-    // same port cost as a single scalar op. Lanes never interact, so every
-    // lane result is bit-identical to the scalar sequence.
-    let u = [
-        li_start.vector_to(&lj_start).dot(&vi) / norm_sq,
-        li_start.vector_to(&lj_end).dot(&vi) / norm_sq,
-    ];
-    let ps = li_start.translate(&vi.scale(u[0]));
-    let pe = li_start.translate(&vi.scale(u[1]));
-
-    let perp_sq = [lj_start.distance_squared(&ps), lj_end.distance_squared(&pe)];
-    let perp = [perp_sq[0].sqrt(), perp_sq[1].sqrt()];
-
-    // Definition 2 as one √ instead of four: min over squared gaps first
-    // (exact — √ is monotone and correctly rounded on non-negatives).
-    let gap1 = ps
-        .distance_squared(&li_start)
-        .min(ps.distance_squared(&li_end));
-    let gap2 = pe
-        .distance_squared(&li_start)
-        .min(pe.distance_squared(&li_end));
-    let gap_min = gap1.min(gap2);
-
-    // Remaining divider work packed two-by-two as well: the Lehmer-mean
-    // division (Definition 1) pairs with the Gram-determinant division of
-    // `sin θ` (Definition 3), and the parallel-gap root pairs with the
-    // `sin θ` root. The divisions run speculatively — a lane whose scalar
-    // branch would have short-circuited (zero Lehmer denominator,
-    // degenerate `lj`) yields NaN/∞ that the selects below discard, so
-    // every surviving lane is still bit-identical to the scalar path.
-    let lehmer_den = perp[0] + perp[1];
-    let vj = lj.dir;
-    let vw = vi.dot(&vj);
-    let sin_den = norm_sq * lj.norm_sq;
-    let gram = (sin_den - vw * vw).max(0.0);
-    let quot = [
-        (perp[0] * perp[0] + perp[1] * perp[1]) / lehmer_den,
-        gram / sin_den,
-    ];
-    let root = [gap_min.sqrt(), quot[1].sqrt()];
-
-    let perpendicular = if lehmer_den <= 0.0 { 0.0 } else { quot[0] };
-    let parallel = root[0];
-    let lj_len = lj.length;
-    let angle = if lj_len <= 0.0 || sin_den <= 0.0 {
-        // Scalar path: zero-length `lj` has no directional strength, and
-        // `sin_angle` is undefined (None) for a zero vector.
-        0.0
-    } else {
-        let sin_theta = root[1].clamp(0.0, 1.0);
-        match mode {
-            AngleMode::Directed => {
-                if vw > 0.0 {
-                    lj_len * sin_theta
-                } else {
-                    lj_len
-                }
-            }
-            AngleMode::Undirected => lj_len * sin_theta,
-        }
-    };
-
-    DistanceComponents {
-        perpendicular,
-        parallel,
-        angle,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,9 +634,9 @@ mod tests {
         for weights in weight_sets {
             for mode in [AngleMode::Directed, AngleMode::Undirected] {
                 let dist = SegmentDistance::new(weights, mode);
-                let mut out = Vec::new();
+                let mut out = vec![0.0; candidates.len()];
                 for q in 0..segs.len() {
-                    dist.distance_many(&table, q as u32, &candidates, &mut out);
+                    dist.distance_many_into(&table, q as u32, &candidates, &mut out);
                     for (c, &d) in out.iter().enumerate() {
                         let expected = scalar_reference(&dist, &segs, q, c);
                         assert_eq!(
@@ -771,24 +655,57 @@ mod tests {
         let segs = sample_segments();
         let table = SegmentTable::from_geometry(segs.iter());
         let dist = SegmentDistance::default();
-        let mut out = Vec::new();
+        let mut out = [0.0];
         for q in 0..segs.len() as u32 {
-            dist.distance_many(&table, q, &[q], &mut out);
+            dist.distance_many_into(&table, q, &[q], &mut out);
             assert_eq!(out[0], 0.0, "dist(L, L) must be exactly 0 for {q}");
         }
     }
 
+    /// Pairs on which the paired kernel's speculative lanes go wrong
+    /// unless its guards and clamps hold, placed in lane a, in lane b and
+    /// as the odd last candidate. The lists leave the query out: its self
+    /// pair would send both lanes of its step to the scalar path and hide
+    /// the other lane's result.
     #[test]
-    fn distance_many_into_slice_variant() {
-        let segs = sample_segments();
+    fn underflowing_and_nearly_parallel_pairs_bit_identical_in_every_lane() {
+        let segs = [
+            // Proper segments about 1e-150 long: each squared norm is about
+            // 1e-299, but their product underflows to 0, so the scalar
+            // `sin_angle` is undefined and the lane must defer.
+            Segment2::xy(0.0, 0.0, 3e-150, 0.0),
+            Segment2::xy(0.0, 1e-150, 2e-150, 2e-150),
+            // Nearly parallel from the origin (so the direction vectors are
+            // exact): the Gram term ‖vᵢ‖²‖vⱼ‖² − (vᵢ·vⱼ)² rounds to −1.1e-13
+            // and must be clamped before its square root.
+            Segment2::xy(0.0, 0.0, 3.031859454455258, 5.7744670227102635),
+            Segment2::xy(0.0, 0.0, 1.697574415653892, 3.2331932363768825),
+            // Ordinary partners in general position.
+            Segment2::xy(1.0, 2.0, 4.0, 7.0),
+            Segment2::xy(-3.0, 5.0, 2.0, -1.0),
+        ];
         let table = SegmentTable::from_geometry(segs.iter());
-        let dist = SegmentDistance::default();
-        let candidates = [1u32, 4, 2];
-        let mut out = [0.0f64; 3];
-        dist.distance_many_into(&table, 0, &candidates, &mut out);
-        let mut vec_out = Vec::new();
-        dist.distance_many(&table, 0, &candidates, &mut vec_out);
-        assert_eq!(out.as_slice(), vec_out.as_slice());
+        let (f, g) = (4u32, 5u32);
+        for mode in [AngleMode::Directed, AngleMode::Undirected] {
+            let dist = SegmentDistance::new(DistanceWeights::uniform(), mode);
+            for q in 0..4u32 {
+                for c in (0..4u32).filter(|&c| c != q) {
+                    for list in [[c, f].as_slice(), &[f, c], &[f, g, c]] {
+                        let mut out = vec![0.0; list.len()];
+                        dist.distance_many_into(&table, q, list, &mut out);
+                        for (&cand, &d) in list.iter().zip(&out) {
+                            let expected =
+                                scalar_reference(&dist, &segs, q as usize, cand as usize);
+                            assert_eq!(
+                                d.to_bits(),
+                                expected.to_bits(),
+                                "({q},{cand}) in {list:?}, {mode:?}: {d} vs {expected}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

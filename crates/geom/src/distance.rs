@@ -179,8 +179,10 @@ impl SegmentDistance {
 
     /// Distance when the caller already knows which segment is longer
     /// (`li` must have `length ≥ lj.length`); used by the clustering code,
-    /// which orders by cached length + segment id and so never relies on the
-    /// coordinate tie-break.
+    /// which orders by cached length + segment id
+    /// ([`crate::SegmentTable::roles`]) and so never relies on the
+    /// coordinate tie-break. It is also the guarded path of the batched
+    /// ε-kernel, which hands it every pair its paired lanes cannot score.
     pub fn distance_ordered<const D: usize>(&self, li: &Segment<D>, lj: &Segment<D>) -> f64 {
         debug_assert!(
             li.length_squared() >= lj.length_squared()
@@ -190,25 +192,12 @@ impl SegmentDistance {
         components_with_roles(li, lj, self.angle_mode).weighted(&self.weights)
     }
 
-    /// Components with **explicit roles**: `li` plays the base segment that
-    /// `lj`'s endpoints are projected onto, regardless of which is longer.
-    ///
-    /// The MDL cost (Formula 7) needs this: it measures
-    /// `d⊥(p_{c_j}p_{c_{j+1}}, p_k p_{k+1})` with the trajectory partition
-    /// always playing `Lᵢ`, even when an individual zig-zag edge is longer
-    /// than the partition that summarises it. Not symmetric in general.
-    pub fn components_with_roles<const D: usize>(
-        &self,
-        li: &Segment<D>,
-        lj: &Segment<D>,
-    ) -> DistanceComponents {
-        components_with_roles(li, lj, self.angle_mode)
-    }
-
     /// The perpendicular + angle part used by the MDL cost `L(D|H)`
     /// (Formula 7 ignores the parallel distance because "a trajectory
     /// encloses its trajectory partitions"). `enclosing` is the candidate
-    /// trajectory partition, `enclosed` one of the original edges under it.
+    /// trajectory partition, `enclosed` one of the original edges under it;
+    /// the partition always plays `Lᵢ`, even when a zig-zag edge is longer
+    /// than the partition that summarises it, so this is not symmetric.
     pub fn mdl_components<const D: usize>(
         &self,
         enclosing: &Segment<D>,
@@ -222,7 +211,7 @@ impl SegmentDistance {
 /// Orders two segments so the first is the longer (Lemma 2); exact-length
 /// ties fall back to coordinate-lexicographic order so that
 /// `order(a, b) == order(b, a)` always holds.
-pub fn order_by_length<'s, const D: usize>(
+fn order_by_length<'s, const D: usize>(
     a: &'s Segment<D>,
     b: &'s Segment<D>,
 ) -> (&'s Segment<D>, &'s Segment<D>) {

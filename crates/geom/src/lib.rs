@@ -12,10 +12,14 @@
 //!   distance of Definitions 1–3, plus the naive
 //!   [`endpoint_sum_distance`] of Appendix A for comparison;
 //! * [`SegmentTable`] / [`PreparedBase`] — the segment table (one record
-//!   per segment: endpoints, derived geometry, weight, trajectory id) and
-//!   the batched `distance_many` / prepared-MDL kernels that hoist the
-//!   per-query projection setup out of candidate loops (bit-identical to
-//!   the scalar path; see [`batch`]);
+//!   per segment: endpoints, derived geometry, weight, trajectory id), its
+//!   one Lemma 2 role rule [`SegmentTable::roles`] (longer cached length
+//!   first, ties to the smaller id), and the batched kernels that hoist
+//!   the per-query projection setup out of candidate loops:
+//!   [`SegmentDistance::distance_many_into`] for ε-queries, which hands
+//!   its rare lanes and odd last candidate to the scalar reference, and
+//!   [`SegmentDistance::mdl_components_prepared`] for the MDL cost. Both
+//!   are bit-identical to the scalar path; see [`batch`];
 //! * [`lower_bound`] — a provably admissible midpoint/length lower bound
 //!   on the composite distance backing the filter-and-refine
 //!   ε-neighborhood path in `traclus-core`;
@@ -47,8 +51,8 @@ pub mod trajectory;
 pub use batch::{remove_sorted, PreparedBase, SegmentRecord, SegmentTable};
 pub use bbox::{Aabb, Aabb2};
 pub use distance::{
-    endpoint_sum_distance, lehmer_mean_2, order_by_length, AngleMode, DistanceComponents,
-    DistanceWeights, SegmentDistance,
+    endpoint_sum_distance, lehmer_mean_2, AngleMode, DistanceComponents, DistanceWeights,
+    SegmentDistance,
 };
 pub use frame::OrthonormalFrame;
 pub use lower_bound::PruneFilter;

@@ -611,6 +611,140 @@ fn server_side_window_self_prunes() {
     server.join().expect("join").expect("clean shutdown");
 }
 
+/// Random interleavings of ingests (some weighted), removals, expiries,
+/// malformed lines and flushes on one connection: after every flush the
+/// served `stats`, representatives and memberships equal the batch run on
+/// the live window, which a model tracks from the requests alone. Ids are
+/// dense in request order on one connection, a removal drops its id, and
+/// an expiry keeps the newest `keep` live trajectories.
+#[test]
+fn random_wire_interleavings_equal_batch_after_every_flush() {
+    const MALFORMED: [&str; 5] = [
+        "this is not json",
+        r#"{"op": "teleport"}"#,
+        r#"{"op": "remove"}"#,
+        r#"{"op": "ingest", "points": [[0, 0], [1e51, 0]]}"#,
+        "[1, 2, 3]",
+    ];
+    let (config, pool) = fixture();
+    let mut most_clusters = 0;
+    for seed in [1u64, 2, 3] {
+        let (addr, server) = start(config);
+        let mut client = Client::connect(addr).expect("connect");
+        // The soak test's split-mix step, seeded per run.
+        let mut rng = 0x9E37_79B9_7F4A_7C15 ^ seed;
+        let mut draw = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        let mut live: Vec<Trajectory<2>> = Vec::new();
+        let mut assigned = 0u32;
+        for step in 0..80 {
+            let op = draw(20);
+            if op <= 9 || (op <= 12 && assigned == 0) {
+                let t = &pool[draw(pool.len() as u64) as usize];
+                let weight = (draw(3) == 0).then(|| 0.5 + 0.75 * draw(1001) as f64 / 1000.0);
+                let request = Request::Ingest {
+                    points: t
+                        .points
+                        .iter()
+                        .map(|p| [p.coords[0], p.coords[1]])
+                        .collect(),
+                    weight,
+                };
+                let resp = client.request(&request).expect("ingest");
+                assert_ok(&resp);
+                let id = traclus_geom::TrajectoryId(assigned);
+                assert_eq!(
+                    resp.get("trajectory").and_then(JsonValue::as_i64),
+                    Some(i64::from(assigned))
+                );
+                live.push(match weight {
+                    Some(w) => Trajectory::with_weight(id, t.points.clone(), w),
+                    None => Trajectory::new(id, t.points.clone()),
+                });
+                assigned += 1;
+            } else if op <= 12 {
+                let id = draw(u64::from(assigned)) as u32;
+                let resp = client
+                    .request(&Request::Remove { trajectory: id })
+                    .expect("remove");
+                assert_ok(&resp);
+                let before = live.len();
+                live.retain(|t| t.id.0 != id);
+                assert_eq!(
+                    resp.get("removed_trajectories").and_then(JsonValue::as_i64),
+                    Some((before - live.len()) as i64),
+                    "seed {seed} step {step}: remove {id}"
+                );
+            } else if op <= 14 {
+                let keep = draw(12) as usize;
+                let resp = client.request(&Request::Expire { keep }).expect("expire");
+                assert_ok(&resp);
+                let expired = live.len().saturating_sub(keep);
+                live.drain(..expired);
+                assert_eq!(
+                    resp.get("expired").and_then(JsonValue::as_i64),
+                    Some(expired as i64),
+                    "seed {seed} step {step}: expire to {keep}"
+                );
+            } else if op <= 16 {
+                let line = MALFORMED[draw(MALFORMED.len() as u64) as usize];
+                let resp = client.send_raw(line).expect("malformed line");
+                assert_eq!(
+                    resp.get("ok"),
+                    Some(&JsonValue::Bool(false)),
+                    "seed {seed} step {step}: {line}"
+                );
+            } else {
+                assert_ok(&client.request(&Request::Flush).expect("flush"));
+                let batch = Traclus::new(config).run(&live);
+                let context = format!("seed {seed} step {step}, {} live", live.len());
+                let resp = client.request(&Request::Stats).expect("stats");
+                assert_ok(&resp);
+                assert_eq!(
+                    resp.get("segments").and_then(JsonValue::as_i64),
+                    Some(batch.database.len() as i64),
+                    "{context}"
+                );
+                let resp = client.request(&Request::Representatives).expect("reps");
+                assert_ok(&resp);
+                assert_eq!(
+                    wire_representatives(&resp),
+                    batch_representatives(config, &live),
+                    "{context}"
+                );
+                for t in &live {
+                    let resp = client
+                        .request(&Request::Membership { trajectory: t.id.0 })
+                        .expect("membership");
+                    assert_ok(&resp);
+                    let served: Vec<i64> = resp
+                        .get("clusters")
+                        .and_then(JsonValue::as_array)
+                        .expect("clusters")
+                        .iter()
+                        .map(|c| c.as_i64().expect("cluster id"))
+                        .collect();
+                    let expected: Vec<i64> = batch
+                        .clusters
+                        .iter()
+                        .filter(|c| c.cluster.trajectories.contains(&t.id))
+                        .map(|c| i64::from(c.cluster.id.0))
+                        .collect();
+                    assert_eq!(served, expected, "{context}: membership of {}", t.id);
+                }
+                most_clusters = most_clusters.max(batch.clusters.len());
+            }
+        }
+        assert_ok(&client.request(&Request::Shutdown).expect("shutdown"));
+        server.join().expect("join").expect("clean shutdown");
+    }
+    assert!(most_clusters > 0, "some flushed window must hold a cluster");
+}
+
 /// Soak: four connections drive a mixed ingest + removal + expiry + query
 /// workload — 2000 requests total — against a windowed daemon. Every
 /// response is `ok`, every connection's observed epochs are monotone
