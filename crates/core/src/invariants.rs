@@ -40,7 +40,12 @@
 //!   stays the one the batch pipeline builds over the live window;
 //! * at sampled points of a stream — and after **every** removal —
 //!   `snapshot()` still equals the batch run over the live window (a cheap
-//!   in-process spot check of the headline guarantee).
+//!   in-process spot check of the headline guarantee);
+//! * every representative the snapshot publisher copies from the previous
+//!   epoch equals a fresh Figure 15 sweep of its cluster bit for bit (a
+//!   cache key that misses a change of geometry, weight or member order
+//!   would otherwise serve a stale polyline that only a batch comparison
+//!   over the wire notices).
 //!
 //! The checkers are plain `assert!`s: with the feature off they do not
 //! exist and the hot paths carry zero overhead; with it on, the regular
@@ -48,9 +53,10 @@
 
 use traclus_geom::{IdentifiedSegment, SegmentTable, Trajectory, TrajectoryId};
 
-use crate::cluster::ClusterConfig;
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::grouping::UnionFind;
 use crate::partition::{partition_trajectories, PartitionConfig};
+use crate::representative::{representative_trajectory, RepresentativeConfig};
 use crate::segment_db::{NeighborIndex, SegmentDatabase};
 use crate::IndexKind;
 
@@ -290,9 +296,34 @@ pub(crate) fn assert_index_consistent<const D: usize>(
     }
 }
 
+/// Asserts that a representative the snapshot publisher copied from the
+/// previous epoch equals a fresh Figure 15 sweep of `cluster` on `db`: the
+/// same id and the same coordinates as bit patterns.
+pub(crate) fn assert_reused_representative<const D: usize>(
+    db: &SegmentDatabase<D>,
+    cluster: &Cluster,
+    config: &RepresentativeConfig,
+    reused: &Trajectory<D>,
+    epoch: u64,
+) {
+    let fresh = representative_trajectory(db, cluster, config);
+    let bits = |t: &Trajectory<D>| -> Vec<[u64; D]> {
+        t.points
+            .iter()
+            .map(|p| p.coords.map(f64::to_bits))
+            .collect()
+    };
+    assert!(
+        reused.id == fresh.id && bits(reused) == bits(&fresh),
+        "invariant-checks[snapshot-reuse]: cluster {} at epoch {epoch} reused \
+         a representative that differs from a fresh sweep",
+        cluster.id.0
+    );
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{IncrementalClustering, IndexKind, TraclusConfig};
+    use crate::{IncrementalClustering, IndexKind, SnapshotCell, TraclusConfig};
     use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
     /// Drives every checker through the streaming engine with each index
@@ -319,6 +350,11 @@ mod tests {
                 ));
             }
             assert!(!engine.snapshot().clusters.is_empty());
+            // Publishing an unchanged state copies every representative,
+            // and the reuse checker sweeps each one again.
+            let cell = SnapshotCell::<2>::new(config);
+            cell.publish_from(&engine);
+            assert_eq!(cell.publish_from(&engine).swept(), 0, "{index:?}");
             // Decremental pass: every removal runs the post-removal
             // sanitizer (arrival tiling, compacted index vs full scan, the
             // dirty set's ε-lists vs fresh queries, snapshot == live-window

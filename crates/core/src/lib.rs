@@ -263,11 +263,7 @@ pub fn representatives_for<const D: usize>(
     database: &SegmentDatabase<D>,
     clustering: &Clustering,
 ) -> Vec<TraclusCluster<D>> {
-    let mut rep_config = RepresentativeConfig::new(
-        config.min_lns,
-        config.smoothing.unwrap_or(config.eps * 0.25),
-    );
-    rep_config.weighted = config.weighted;
+    let rep_config = representative_config(config);
     clustering
         .clusters
         .iter()
@@ -276,6 +272,17 @@ pub fn representatives_for<const D: usize>(
             representative: representative_trajectory(database, c, &rep_config),
         })
         .collect()
+}
+
+/// The Figure 15 parameters of a pipeline configuration: its `MinLns`, γ
+/// (`smoothing`, else ε/4) and the weighted switch.
+pub(crate) fn representative_config(config: &TraclusConfig) -> RepresentativeConfig {
+    let mut rep_config = RepresentativeConfig::new(
+        config.min_lns,
+        config.smoothing.unwrap_or(config.eps * 0.25),
+    );
+    rep_config.weighted = config.weighted;
+    rep_config
 }
 
 #[cfg(test)]

@@ -16,14 +16,30 @@
 //!   atomic operations); queries then run entirely on their pinned
 //!   snapshot while the writer races ahead.
 //!
+//! **Publishing what changed.** A representative trajectory (Figure 15)
+//! is a function of its cluster's member segments — their geometry,
+//! weights and order — and the configuration alone. Each snapshot keeps
+//! its clusters' member *stamps*: the names the engine gives its segments
+//! for good, never reused and unchanged by the renumbering a removal does
+//! (see [`crate::stream`]). [`SnapshotCell::publish_from`] hands the
+//! previously published snapshot to the capture, which copies the
+//! representative of every cluster whose stamp list and configuration are
+//! unchanged and runs the sweep only for the rest; a sliding serving
+//! window changes a few of its clusters per publish. The previous snapshot
+//! is the whole cache, and [`ClusterSnapshot::swept`] counts the clusters
+//! a capture swept afresh.
+//!
 //! **Equivalence guarantee.** A snapshot captured after the engine has
 //! ingested trajectories `t₀ … tₖ` is exactly the batch pipeline's output
 //! on that prefix: [`ClusterSnapshot::clustering`] equals
 //! [`Traclus::run`]'s clustering label for label (the streaming engine's
-//! invariant), and the representatives are produced by the same
-//! [`representatives_for`] tail the batch path uses. Readers never see a
-//! half-applied insert — they see *some* prefix, bit-identical to what a
-//! batch run over that prefix would produce.
+//! invariant), and the representatives are produced by the same Figure 15
+//! sweep and parameters as the batch tail [`representatives_for`].
+//! Readers never see a half-applied insert — they see *some* prefix,
+//! bit-identical to what a batch run over that prefix would produce. A
+//! copied representative is the sweep's own earlier output on the same
+//! segments under the same configuration, so reuse keeps this bit for
+//! bit.
 //!
 //! ```
 //! use traclus_core::{ClusterSnapshot, IncrementalClustering, SnapshotCell, TraclusConfig};
@@ -45,16 +61,18 @@
 //! assert_eq!(snap.clusters().len(), 1, "one shared corridor");
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use traclus_geom::{Aabb, Point, Trajectory, TrajectoryId};
 
 use crate::cluster::{ClusterId, Clustering};
+use crate::representative::representative_trajectory;
 use crate::stream::{IncrementalClustering, StreamStats};
-use crate::{representatives_for, TraclusCluster, TraclusConfig};
+use crate::{representative_config, TraclusCluster, TraclusConfig};
 
 #[cfg(doc)]
-use crate::Traclus;
+use crate::{representatives_for, Traclus};
 
 /// An immutable view of one streaming-engine state: clustering,
 /// representatives, and counters, frozen at a publication epoch.
@@ -64,15 +82,36 @@ use crate::Traclus;
 /// cluster structure and the representative trajectories — the snapshot
 /// deliberately does **not** clone the segment database, so it stays
 /// small no matter how much has been ingested.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ClusterSnapshot<const D: usize> {
     epoch: u64,
     trajectories: usize,
     segments: usize,
     clustering: Clustering,
     clusters: Vec<TraclusCluster<D>>,
+    /// Each cluster's member stamps, in member order: the segments its
+    /// representative was swept from.
+    stamps: Vec<Vec<u64>>,
+    /// Clusters whose representative this capture swept afresh.
+    swept: usize,
     stats: StreamStats,
     config: TraclusConfig,
+}
+
+/// Equal snapshots hold equal state. The member stamps and
+/// [`ClusterSnapshot::swept`] record how a snapshot was built, not what it
+/// holds, so they are left out: two engines that reach one window along
+/// different histories publish equal snapshots.
+impl<const D: usize> PartialEq for ClusterSnapshot<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.epoch == other.epoch
+            && self.trajectories == other.trajectories
+            && self.segments == other.segments
+            && self.clustering == other.clustering
+            && self.clusters == other.clusters
+            && self.stats == other.stats
+            && self.config == other.config
+    }
 }
 
 impl<const D: usize> ClusterSnapshot<D> {
@@ -89,27 +128,94 @@ impl<const D: usize> ClusterSnapshot<D> {
             },
             clusters: Vec::new(),
             stats: StreamStats::default(),
+            stamps: Vec::new(),
+            swept: 0,
             config,
         }
     }
 
-    /// Captures the engine's current state under the given epoch.
+    /// Captures the engine's current state under the given epoch, running
+    /// the representative sweep for every cluster: the fresh reference
+    /// that the reusing [`SnapshotCell::publish_from`] must equal.
     ///
     /// This is the expensive step (it labels the clustering and runs the
     /// representative sweep over the engine's own database, without
-    /// copying it); do it **outside** any lock shared with readers —
-    /// [`SnapshotCell::publish_from`] does.
+    /// copying it); do it **outside** any lock shared with readers.
     pub fn capture(engine: &IncrementalClustering<D>, epoch: u64) -> Self {
+        Self::capture_after(&Self::empty(*engine.config()), engine, epoch)
+    }
+
+    /// [`Self::capture`], copying from `previous` the representative of
+    /// every cluster whose member stamps and configuration equal one of
+    /// its clusters', and sweeping only the rest.
+    fn capture_after(previous: &Self, engine: &IncrementalClustering<D>, epoch: u64) -> Self {
+        let config = *engine.config();
         let clustering = engine.snapshot();
-        let clusters = representatives_for(engine.config(), engine.database(), &clustering);
+        let live: Vec<u64> = engine.stamps().collect();
+        let stamps: Vec<Vec<u64>> = clustering
+            .clusters
+            .iter()
+            .map(|c| c.members.iter().map(|&m| live[m as usize]).collect())
+            .collect();
+        // Clusters are disjoint, so a first member stamp names at most one
+        // previous cluster. Any configuration change can move every
+        // polyline.
+        let by_first: BTreeMap<u64, usize> = if previous.config == config {
+            previous
+                .stamps
+                .iter()
+                .enumerate()
+                .filter_map(|(k, own)| Some((*own.first()?, k)))
+                .collect()
+        } else {
+            BTreeMap::new()
+        };
+        let rep_config = representative_config(&config);
+        let mut swept = 0;
+        let clusters = clustering
+            .clusters
+            .iter()
+            .zip(&stamps)
+            .map(|(cluster, own)| {
+                let cached = own
+                    .first()
+                    .and_then(|first| by_first.get(first))
+                    .filter(|&&k| previous.stamps[k] == *own);
+                let representative = match cached {
+                    Some(&k) => {
+                        let mut representative = previous.clusters[k].representative.clone();
+                        representative.id = TrajectoryId(cluster.id.0);
+                        #[cfg(feature = "invariant-checks")]
+                        crate::invariants::assert_reused_representative(
+                            engine.database(),
+                            cluster,
+                            &rep_config,
+                            &representative,
+                            epoch,
+                        );
+                        representative
+                    }
+                    None => {
+                        swept += 1;
+                        representative_trajectory(engine.database(), cluster, &rep_config)
+                    }
+                };
+                TraclusCluster {
+                    cluster: cluster.clone(),
+                    representative,
+                }
+            })
+            .collect();
         Self {
             epoch,
             trajectories: engine.stats().trajectories,
             segments: engine.live_len(),
             clustering,
             clusters,
+            stamps,
+            swept,
             stats: engine.stats(),
-            config: *engine.config(),
+            config,
         }
     }
 
@@ -149,6 +255,15 @@ impl<const D: usize> ClusterSnapshot<D> {
     /// The configuration the engine runs under.
     pub fn config(&self) -> &TraclusConfig {
         &self.config
+    }
+
+    /// How many clusters this capture ran the representative sweep for.
+    /// [`Self::capture`] sweeps every cluster; [`SnapshotCell::publish_from`]
+    /// copies the representative of each cluster whose member segments
+    /// and configuration are unchanged since the previous epoch, so there
+    /// it counts only the clusters that changed.
+    pub fn swept(&self) -> usize {
+        self.swept
     }
 
     /// The representative trajectories alone, in cluster order.
@@ -274,9 +389,19 @@ impl<const D: usize> SnapshotCell<D> {
 
     /// Captures the engine's state as the next epoch and publishes it,
     /// returning the new snapshot. Capture runs outside the lock.
+    ///
+    /// The previously published snapshot is the representative cache: a
+    /// cluster whose member stamps and configuration equal one of its
+    /// clusters' gets that cluster's polyline, renumbered to the current
+    /// cluster id, and only the others run the sweep. The result equals
+    /// [`ClusterSnapshot::capture`] of the same engine state.
     pub fn publish_from(&self, engine: &IncrementalClustering<D>) -> Arc<ClusterSnapshot<D>> {
-        let epoch = self.load().epoch + 1;
-        let snapshot = Arc::new(ClusterSnapshot::capture(engine, epoch));
+        let previous = self.load();
+        let snapshot = Arc::new(ClusterSnapshot::capture_after(
+            &previous,
+            engine,
+            previous.epoch + 1,
+        ));
         *lock_unpoisoned(&self.current) = Arc::clone(&snapshot);
         snapshot
     }
@@ -295,16 +420,25 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Traclus;
+    use crate::{representatives_for, Traclus};
     use traclus_geom::Point2;
 
-    fn corridor(i: u32, n: usize) -> Trajectory<2> {
+    /// A straight west–east track of `n` fixes at height `y`.
+    fn track(i: u32, y: f64, n: usize) -> Trajectory<2> {
         Trajectory::new(
             TrajectoryId(i),
-            (0..n)
-                .map(|k| Point2::xy(k as f64 * 4.0, i as f64 * 0.3))
-                .collect(),
+            (0..n).map(|k| Point2::xy(k as f64 * 4.0, y)).collect(),
         )
+    }
+
+    fn corridor(i: u32, n: usize) -> Trajectory<2> {
+        track(i, i as f64 * 0.3, n)
+    }
+
+    /// Every cluster of the engine's current state swept afresh over its
+    /// own database: what a published snapshot's clusters must equal.
+    fn fresh(engine: &IncrementalClustering<2>) -> Vec<TraclusCluster<2>> {
+        representatives_for(engine.config(), engine.database(), &engine.snapshot())
     }
 
     fn config() -> TraclusConfig {
@@ -388,5 +522,92 @@ mod tests {
         assert_eq!(snap.membership(TrajectoryId(0)), Vec::new());
         let summary = snap.region_summary(&Aabb::new([0.0, 0.0], [1.0, 1.0]));
         assert_eq!(summary.distinct_trajectories, 0);
+    }
+
+    /// A removal renumbers every later segment. The bundle it leaves alone
+    /// keeps its member stamps, so the next publish copies its polyline
+    /// (a cache keyed on ids would sweep it again) and sweeps only the
+    /// bundle that lost a member. Once the first bundle is gone, the
+    /// copied polyline takes the surviving cluster's new id.
+    #[test]
+    fn renumbered_cluster_reuses_its_representative() {
+        let config = config();
+        let cell = SnapshotCell::<2>::new(config);
+        let mut engine = IncrementalClustering::<2>::new(config);
+        for i in 0..5 {
+            engine.insert(&track(i, f64::from(i) * 0.3, 25));
+        }
+        for i in 10..15 {
+            engine.insert(&track(i, 100.0 + f64::from(i) * 0.3, 25));
+        }
+        let before = cell.publish_from(&engine);
+        assert_eq!(before.clusters().len(), 2, "two separated bundles");
+        assert_eq!(before.swept(), 2);
+
+        engine.remove_trajectory(TrajectoryId(1));
+        let after = cell.publish_from(&engine);
+        assert_eq!(after.swept(), 1, "only the bundle that lost a member");
+        assert_eq!(after.clusters(), &fresh(&engine)[..]);
+        assert_eq!(
+            after.clusters()[1].representative,
+            before.clusters()[1].representative
+        );
+
+        for i in [0, 2, 3, 4] {
+            engine.remove_trajectory(TrajectoryId(i));
+        }
+        let last = cell.publish_from(&engine);
+        assert_eq!(last.swept(), 0, "the surviving bundle is unchanged");
+        assert_eq!(last.clusters().len(), 1);
+        assert_eq!(last.clusters()[0].representative.id, TrajectoryId(0));
+        assert_eq!(last.clusters(), &fresh(&engine)[..]);
+    }
+
+    /// A trajectory id that leaves and returns with new geometry between
+    /// two publishes keeps the cluster's trajectory ids and segment
+    /// ordinals, but its segments take new stamps: the publish misses the
+    /// cache and serves the new representative.
+    #[test]
+    fn reinserted_trajectory_id_misses_the_cache() {
+        let config = config();
+        let cell = SnapshotCell::<2>::new(config);
+        let mut engine = IncrementalClustering::<2>::new(config);
+        for i in 0..5 {
+            engine.insert(&corridor(i, 25));
+        }
+        let before = cell.publish_from(&engine);
+        assert_eq!(before.clusters().len(), 1);
+
+        engine.remove_trajectory(TrajectoryId(4));
+        engine.insert(&track(4, 3.0, 25));
+        let after = cell.publish_from(&engine);
+        assert_eq!(after.clusters(), &fresh(&engine)[..]);
+        assert_eq!(after.swept(), 1);
+        assert_ne!(
+            after.clusters()[0].representative,
+            before.clusters()[0].representative,
+            "the new geometry moves the representative"
+        );
+    }
+
+    /// Two clones of one engine that each take an arrival of equal length
+    /// must stamp it apart: one cell fed by both then serves each clone
+    /// its own representative, not the other's.
+    #[test]
+    fn diverged_clones_publishing_into_one_cell_stay_exact() {
+        let config = config();
+        let mut left = IncrementalClustering::<2>::new(config);
+        for i in 0..5 {
+            left.insert(&corridor(i, 25));
+        }
+        let mut right = left.clone();
+        left.insert(&track(5, 2.0, 25));
+        right.insert(&track(5, -2.0, 25));
+
+        let cell = SnapshotCell::<2>::new(config);
+        assert_eq!(cell.publish_from(&left).clusters(), &fresh(&left)[..]);
+        let published = cell.publish_from(&right);
+        assert_eq!(published.clusters(), &fresh(&right)[..]);
+        assert_eq!(published.swept(), 1);
     }
 }

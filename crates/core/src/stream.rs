@@ -70,6 +70,19 @@
 //! always the one the batch pipeline builds over the live window, ids
 //! included. Nothing else needs repair: a component the removal split is
 //! split in the lists, and the next snapshot unions them afresh.
+//!
+//! # Segment stamps
+//!
+//! Ids are renumbered by every removal, and a trajectory id may return
+//! with new geometry, so neither names a segment across operations. A
+//! stamp does: every arrival takes as many stamps as it has segments from
+//! one process-wide counter, and its k-th segment keeps its first stamp
+//! plus k for as long as it lives. Stamps are never reused and ascend with
+//! the ids, and only each arrival's first one is stored. The snapshot
+//! publisher uses them to tell which clusters kept their exact member
+//! segments between two epochs ([`crate::SnapshotCell::publish_from`]).
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use traclus_geom::{remove_sorted, Trajectory, TrajectoryId};
 
@@ -236,7 +249,9 @@ pub struct IncrementalClustering<const D: usize> {
     arrivals: Vec<Arrival>,
 }
 
-/// One live segment-producing insertion in the arrival log.
+/// One live segment-producing insertion in the arrival log. Its segments'
+/// stamps are `stamp`, `stamp + 1`, … in id order (see "Segment stamps"
+/// in the module docs).
 #[derive(Debug, Clone, Copy)]
 struct Arrival {
     trajectory: TrajectoryId,
@@ -244,7 +259,18 @@ struct Arrival {
     count: u32,
     /// Logical-clock timestamp at ingest.
     timestamp: u64,
+    /// The stamp of the arrival's first segment, from the process-wide
+    /// [`NEXT_STAMP`].
+    stamp: u64,
 }
+
+/// The next unused segment stamp. Process-wide, not per engine: an
+/// [`IncrementalClustering`] is `Clone`, and two clones stamping from a
+/// per-engine counter would give their next arrivals the same stamps for
+/// different geometry, so one [`crate::SnapshotCell`] fed by both could
+/// serve one clone's representative for the other's cluster. Stamps only
+/// need to be unique, so the counter publishes nothing else (`Relaxed`).
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
 
 impl<const D: usize> IncrementalClustering<D> {
     /// An empty engine bound to a pipeline configuration (the `stream`
@@ -291,6 +317,14 @@ impl<const D: usize> IncrementalClustering<D> {
     /// insertions not yet removed or expired).
     pub fn live_trajectories(&self) -> usize {
         self.arrivals.len()
+    }
+
+    /// The stamp of every live segment, in id order. Arrivals take their
+    /// stamps from one ascending counter, so the stamps ascend with the ids.
+    pub(crate) fn stamps(&self) -> impl Iterator<Item = u64> + '_ {
+        self.arrivals
+            .iter()
+            .flat_map(|a| a.stamp..a.stamp + u64::from(a.count))
     }
 
     /// The engine's logical clock: the timestamp of the latest insertion.
@@ -374,6 +408,7 @@ impl<const D: usize> IncrementalClustering<D> {
             trajectory: trajectory.id,
             count: new_count as u32,
             timestamp,
+            stamp: NEXT_STAMP.fetch_add(new_count as u64, Ordering::Relaxed),
         });
         self.db.append_segments(segments);
         let n = self.db.len() as u32;

@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use traclus_core::{
-    Clustering, IncrementalClustering, IndexKind, RemoveReport, SegmentDatabase, StreamConfig,
-    Traclus, TraclusConfig,
+    representatives_for, Clustering, IncrementalClustering, IndexKind, RemoveReport,
+    SegmentDatabase, SnapshotCell, StreamConfig, Traclus, TraclusConfig,
 };
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
@@ -323,7 +323,10 @@ fn segment_producing(config: &TraclusConfig, live: &[Trajectory<2>]) -> usize {
 /// After every operation the engine's database is the batch
 /// database of the live window — its length is the window's segment
 /// count, and the arrivals tile it in arrival order — and at checkpoints
-/// the snapshot equals the batch run.
+/// the snapshot equals the batch run. Every operation also publishes
+/// through one [`SnapshotCell`], whose clusters, with the representatives
+/// it copied from the previous epoch, must equal the batch tail on the
+/// live window; the cell must have copied some.
 #[test]
 fn long_capacity_window_stays_the_batch_database() {
     const WINDOW: usize = 8;
@@ -351,8 +354,10 @@ fn long_capacity_window_stays_the_batch_database() {
         let pool: Vec<Trajectory<2>> = pool
             .iter()
             .map(|t| {
+                // Non-dyadic weights of at least 0.9, so the weighted
+                // window's counts still reach MinLns and clusters form.
                 let weight = if weighted {
-                    0.3 + 0.1 * f64::from(t.id.0 % 7)
+                    0.9 + 0.1 * f64::from(t.id.0 % 7)
                 } else {
                     1.0
                 };
@@ -371,7 +376,9 @@ fn long_capacity_window_stays_the_batch_database() {
             )
         };
         let context = format!("weighted {weighted}");
-        let check = |engine: &IncrementalClustering<2>, live: &[Trajectory<2>], k: usize| {
+        let cell = SnapshotCell::<2>::new(config);
+        let (mut swept, mut clusters) = (0, 0);
+        let mut check = |engine: &IncrementalClustering<2>, live: &[Trajectory<2>], k: usize| {
             let want = batch_database(&config, live);
             assert_eq!(engine.database().len(), want.len(), "{context}, step {k}");
             assert_eq!(engine.live_len(), want.len(), "{context}, step {k}");
@@ -381,6 +388,14 @@ fn long_capacity_window_stays_the_batch_database() {
                 live.len(),
                 "{context}, step {k}"
             );
+            let snap = cell.publish_from(engine);
+            assert_eq!(
+                snap.clusters(),
+                &representatives_for(&config, &want, &batch(&config, live))[..],
+                "{context}, step {k}"
+            );
+            swept += snap.swept();
+            clusters += snap.clusters().len();
         };
         let mut engine = IncrementalClustering::<2>::new(config);
         let mut live: Vec<Trajectory<2>> = Vec::new();
@@ -412,6 +427,10 @@ fn long_capacity_window_stays_the_batch_database() {
         assert_eq!(stats.removals, pool.len() - live.len(), "{context}");
         assert!(stats.expired > 5 * WINDOW, "{context}: the window slid");
         assert!(stats.decremental_repairs > 0, "{context}");
+        assert!(
+            swept < clusters,
+            "{context}: {swept} of {clusters} published clusters swept"
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //! integration tests, the CI smoke check, and the load generator; also a
 //! reference implementation for external clients.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use traclus_json::JsonValue;
@@ -11,19 +11,24 @@ use crate::protocol::Request;
 
 /// One connection speaking the line protocol synchronously: every
 /// [`Self::request`] writes one line and blocks for the one-line answer.
+///
+/// Each request leaves in one write of the line with its newline, on a
+/// socket with Nagle's algorithm off. Sent apart, the newline would wait
+/// for the daemon's delayed ACK (≈40 ms) before the daemon could answer.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl Client {
     /// Connects to a running daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
         })
     }
 
@@ -35,9 +40,7 @@ impl Client {
     /// Sends one raw line verbatim (useful for probing the server's
     /// malformed-input handling) and returns the parsed response.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<JsonValue> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_request(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -52,5 +55,29 @@ impl Client {
                 format!("unparseable response {response:?}: {e}"),
             )
         })
+    }
+}
+
+/// Writes one request line and its newline with a single `write_all`.
+fn write_request(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    writer.write_all(&bytes)?;
+    writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::CountingWriter;
+
+    #[test]
+    fn large_request_reaches_the_socket_in_one_write() {
+        let line = format!(r#"{{"op": "stats", "pad": "{}"}}"#, "x".repeat(10 * 1024));
+        let mut writer = CountingWriter::default();
+        write_request(&mut writer, &line).unwrap();
+        assert_eq!(writer.writes, 1, "request split across writes");
+        assert_eq!(writer.bytes, format!("{line}\n").into_bytes());
     }
 }

@@ -44,3 +44,26 @@ mod server;
 pub use client::Client;
 pub use protocol::{ProtocolError, Request};
 pub use server::{Server, ServerConfig, IDLE_POLLS, WRITE_TIMEOUT};
+
+/// Support shared by the unit tests of the client and the daemon.
+#[cfg(test)]
+mod testing {
+    /// Counts the `write` calls that reach it.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+}

@@ -615,25 +615,7 @@ fn ok_at<const N: usize>(epoch: u64, fields: [(&'static str, JsonValue); N]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Counts the `write` calls that reach it.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: usize,
-        bytes: Vec<u8>,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::testing::CountingWriter;
 
     /// A client that keeps reading a little cannot stretch one reply past
     /// its deadline: each partial `send` would restart a plain socket
