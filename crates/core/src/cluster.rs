@@ -31,8 +31,6 @@ impl std::fmt::Display for ClusterId {
 /// Per-segment classification after clustering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentLabel {
-    /// Not yet visited (only observable mid-algorithm).
-    Unclassified,
     /// Classified as noise (Figure 12 line 12), or member of a cluster that
     /// the trajectory-cardinality filter later removed.
     Noise,

@@ -273,7 +273,7 @@ pub(crate) fn assert_graph_exact<const D: usize>(
 
 /// Asserts the live index answers ε-neighborhood queries for `ids` exactly
 /// like a full scan of the current database — the correctness contract of
-/// [`NeighborIndex::insert`] after incremental growth and of
+/// [`SegmentDatabase::append_segments`] after incremental growth and of
 /// [`SegmentDatabase::remove_segments`] after a compaction.
 pub(crate) fn assert_index_consistent<const D: usize>(
     db: &SegmentDatabase<D>,
@@ -357,7 +357,7 @@ mod tests {
             assert_eq!(cell.publish_from(&engine).swept(), 0, "{index:?}");
             // Decremental pass: every removal runs the post-removal
             // sanitizer (arrival tiling, compacted index vs full scan, the
-            // dirty set's ε-lists vs fresh queries, snapshot == live-window
+            // shrunken ε-lists vs fresh queries, snapshot == live-window
             // batch).
             for i in [4u32, 0, 8] {
                 let report = engine.remove_trajectory(TrajectoryId(i));

@@ -115,9 +115,8 @@ struct LocalPruneCounts {
 /// A built neighborhood index bound to a database snapshot.
 ///
 /// The index answers queries for whatever database state it was built
-/// against; [`Self::insert`] keeps it in sync as segments are appended and
-/// [`SegmentDatabase::remove_segments`] as they leave (the streaming path
-/// in `traclus-core::stream`).
+/// against; [`SegmentDatabase::append_segments`] and
+/// [`SegmentDatabase::remove_segments`] keep it in step with the database.
 ///
 /// Queries prune candidates through the admissible lower bound of
 /// [`traclus_geom::lower_bound`] by default — results are bit-identical
@@ -166,20 +165,6 @@ impl<const D: usize> NeighborIndex<D> {
     pub fn prune_stats(&self) -> PruneStats {
         self.counters.snapshot()
     }
-
-    /// Registers one freshly appended segment so subsequent queries see it.
-    ///
-    /// Linear scans need no structure (the database itself is the index);
-    /// the R-tree takes the Guttman insertion path (choose-leaf by least
-    /// enlargement, quadratic split on overflow). Must be called once per
-    /// segment appended via [`SegmentDatabase::append_segments`], in id
-    /// order. Removal goes through [`SegmentDatabase::remove_segments`],
-    /// which updates the index itself.
-    pub fn insert(&mut self, id: u32, bbox: &Aabb<D>) {
-        if let Some(tree) = &mut self.tree {
-            tree.insert(id, *bbox);
-        }
-    }
 }
 
 /// The segment database: the segment table plus the distance function
@@ -209,22 +194,24 @@ pub struct SegmentDatabase<const D: usize> {
 /// chunks of this many distances (no per-query heap traffic).
 const REFINE_CHUNK: usize = 64;
 
-/// The id a surviving segment takes once the ascending ids `removed` have
-/// left the database: its old id less the removed ids below it. The
-/// renumbering keeps id order, and with it every ascending-id fold, the
-/// min-root union-find and the Lemma 2 id tie-break.
+/// The one compaction rule: the id segment `id` keeps once the ascending
+/// ids `removed` leave — `None` for one of them, else its old id less the
+/// removed ids below it. The renumbering keeps id order, and with it every
+/// ascending-id fold, the min-root union-find and the Lemma 2 tie-break.
 ///
 /// Inlined into the callers' crates: the compactions that call it once per
 /// R-tree leaf and ε-list entry are generic over `D`, so they are compiled
 /// where the engine is used, and a cross-crate call per entry would cost
 /// more than the renumbering itself.
 #[inline]
-pub(crate) fn compacted_id(removed: &[u32], id: u32) -> u32 {
-    match removed.last() {
+pub(crate) fn surviving_id(removed: &[u32], id: u32) -> Option<u32> {
+    let below = match removed.last() {
         // Past every removed id, as most survivors of an expiry are.
-        Some(&last) if id > last => id - removed.len() as u32,
-        _ => id - removed.partition_point(|&r| r < id) as u32,
-    }
+        Some(&last) if id > last => removed.len(),
+        // A survivor's insertion point counts the removed ids below it.
+        _ => removed.binary_search(&id).err()?,
+    };
+    Some(id - below as u32)
 }
 
 impl<const D: usize> SegmentDatabase<D> {
@@ -242,25 +229,31 @@ impl<const D: usize> SegmentDatabase<D> {
         }
     }
 
-    /// Appends already-identified segments to the table — the streaming
-    /// counterpart of [`Self::from_segments`].
+    /// Appends already-identified segments to the table and inserts their
+    /// boxes into `index`, in id order — the streaming counterpart of
+    /// [`Self::from_segments`] and [`Self::build_index`].
     ///
     /// Ids must continue the dense sequence (`segments[k].id.0 == len + k`),
     /// exactly what [`crate::partition::partition_trajectory_from`] emits
-    /// when handed the current length as the first id. Any
-    /// [`NeighborIndex`] built earlier must be told about the new entries
-    /// via [`NeighborIndex::insert`] (or be rebuilt) before its next query.
-    pub fn append_segments(&mut self, segments: impl IntoIterator<Item = IdentifiedSegment<D>>) {
+    /// when handed the current length as the first id.
+    pub fn append_segments(
+        &mut self,
+        segments: impl IntoIterator<Item = IdentifiedSegment<D>>,
+        index: &mut NeighborIndex<D>,
+    ) {
         for s in segments {
             self.table.push(&s);
+            if let Some(tree) = &mut index.tree {
+                tree.insert(s.id.0, self.bbox_of(s.id.0));
+            }
         }
     }
 
     /// Removes the segments with the ascending, duplicate-free ids
     /// `removed` from the database and from `index`. The table closes up
     /// in place, so every survivor's id, its position, drops by the
-    /// number of removed ids below it; the R-tree deletes each removed
-    /// entry (Guttman) and rewrites the ids in its leaves to match.
+    /// number of removed ids below it; one R-tree walk drops the removed
+    /// entries and renumbers the rest by that same rule.
     ///
     /// Per-trajectory partitioning is independent, so the result equals
     /// the database the batch pipeline builds over the surviving
@@ -271,11 +264,13 @@ impl<const D: usize> SegmentDatabase<D> {
             return;
         }
         if let Some(tree) = &mut index.tree {
-            for &r in removed {
-                let found = tree.remove(r, &self.bbox_of(r));
-                debug_assert!(found, "segment {r} was not indexed");
-            }
-            tree.remap_ids(|id| compacted_id(removed, id));
+            let before = tree.len();
+            tree.retain_map(|id| surviving_id(removed, id));
+            debug_assert_eq!(
+                tree.len() + removed.len(),
+                before,
+                "a removed segment was not indexed"
+            );
         }
         self.table.remove_sorted(removed);
     }
@@ -704,8 +699,10 @@ mod tests {
         // The R-tree leaves were renumbered too: the far outlier answers
         // under its new id.
         assert_eq!(db.neighborhood(&idx, 1, 1.5), vec![1]);
-        assert_eq!(compacted_id(&[0, 2], 1), 0);
-        assert_eq!(compacted_id(&[0, 2], 3), 1);
+        assert_eq!(surviving_id(&[0, 2], 1), Some(0));
+        assert_eq!(surviving_id(&[0, 2], 2), None);
+        assert_eq!(surviving_id(&[0, 2], 3), Some(1));
+        assert_eq!(surviving_id(&[], 3), Some(3));
     }
 
     #[test]

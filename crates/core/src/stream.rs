@@ -10,8 +10,8 @@
 //! 1. runs MDL partitioning (Section 3) on each arriving trajectory
 //!    immediately ([`crate::partition::partition_trajectory_from`]),
 //! 2. appends the resulting segments to the shared [`SegmentDatabase`] and
-//!    inserts them into the live spatial index (the R-tree's Guttman
-//!    insertion path — [`NeighborIndex::insert`]),
+//!    its live spatial index in one call (the R-tree's Guttman insertion
+//!    path — [`SegmentDatabase::append_segments`]),
 //! 3. repairs cluster state from the window's **ε-graph**: the cached
 //!    ε-neighbourhoods (Definition 4) of every live segment, so only the
 //!    arriving segments are ever queried.
@@ -59,17 +59,17 @@
 //! Serving deployments also need trajectories to *leave*: an explicit
 //! retraction ([`IncrementalClustering::remove_trajectory`]) or a sliding
 //! window that ages old data out ([`StreamConfig::time_window`],
-//! [`StreamConfig::capacity`]). The ε-relation is symmetric, so the
-//! departed segments' lists name every survivor whose neighbourhood
-//! shrinks. Those lists drop the departed ids and their counts are re-folded
-//! from what is left: the fold a fresh query does, so the sums stay
-//! bit-identical where repeated subtraction would drift. A survivor whose
-//! count falls below `MinLns` is demoted. Then the database, the index, the
-//! per-id arrays and every list entry compact once: the departed rows leave
-//! and each survivor is renumbered in order, so the engine's database is
-//! always the one the batch pipeline builds over the live window, ids
-//! included. Nothing else needs repair: a component the removal split is
-//! split in the lists, and the next snapshot unions them afresh.
+//! [`StreamConfig::capacity`]). One rule compacts every structure: a
+//! departed id leaves, and a survivor's id drops by the number of departed
+//! ids below it, so the engine's database is always the one the batch
+//! pipeline builds over the live window, ids included. The table, the
+//! R-tree and the per-id arrays compact first, then one walk over the lists
+//! drops and renumbers their entries. The ε-relation is symmetric, so the
+//! lists that shrink are exactly the departed segments' surviving
+//! neighbours. Each re-folds its count from what is left, the fold a fresh
+//! query does, so the sums stay bit-identical where repeated subtraction
+//! would drift; a survivor whose count falls below `MinLns` is demoted. The
+//! next snapshot unions the lists afresh, so a split component splits.
 //!
 //! # Segment stamps
 //!
@@ -89,7 +89,7 @@ use traclus_geom::{remove_sorted, Trajectory, TrajectoryId};
 use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
 use crate::grouping::{raw_labels, UnionFind};
 use crate::partition::partition_trajectory_from;
-use crate::segment_db::{compacted_id, NeighborIndex, SegmentDatabase};
+use crate::segment_db::{surviving_id, NeighborIndex, SegmentDatabase};
 use crate::{TraclusConfig, TraclusOutcome};
 
 /// The sliding-window policy of the incremental engine — the run-time
@@ -410,11 +410,8 @@ impl<const D: usize> IncrementalClustering<D> {
             timestamp,
             stamp: NEXT_STAMP.fetch_add(new_count as u64, Ordering::Relaxed),
         });
-        self.db.append_segments(segments);
+        self.db.append_segments(segments, &mut self.index);
         let n = self.db.len() as u32;
-        for id in first..n {
-            self.index.insert(id, &self.db.bbox_of(id));
-        }
 
         // The new segments' lists, queried in id order against the whole
         // window (new segments included — they are already indexed). Each
@@ -494,21 +491,21 @@ impl<const D: usize> IncrementalClustering<D> {
     /// decremental siblings of [`Self::debug_check_insert`] — segment-table
     /// coherence and arrival tiling after the compaction, the compacted
     /// index vs a full scan and the cached ε-graph vs fresh queries on the
-    /// dirty set (dense ids), and the headline decremental guarantee
-    /// itself: after **every** removal, `snapshot()` equals a batch run
-    /// over the engine's own database.
+    /// lists the removal shrank (new ids), and the headline decremental
+    /// guarantee itself: after **every** removal, `snapshot()` equals a
+    /// batch run over the engine's own database.
     #[cfg(feature = "invariant-checks")]
-    fn debug_check_remove(&self, dirty: &[u32]) {
+    fn debug_check_remove(&self, shrank: &[u32]) {
         crate::invariants::assert_table_coherent(&self.db, "stream-remove");
         crate::invariants::assert_arrivals_tile(&self.db, self.arrival_counts(), "stream-remove");
         crate::invariants::assert_index_consistent(
             &self.db,
             &self.index,
             self.cluster.eps,
-            dirty,
+            shrank,
             "stream-remove",
         );
-        self.check_graph(dirty, "stream-remove");
+        self.check_graph(shrank, "stream-remove");
         let batch = crate::cluster::LineSegmentClustering::new(&self.db, self.cluster).run();
         assert!(
             self.snapshot() == batch,
@@ -651,71 +648,54 @@ impl<const D: usize> IncrementalClustering<D> {
             first += a.count;
             !dead
         });
-        let killed = before - self.arrivals.len();
-        if killed == 0 {
+        let removed_trajectories = before - self.arrivals.len();
+        if removed_trajectories == 0 {
             return RemoveReport::default();
         }
-        // The arrivals tile the id space in log order, so `removed` is
-        // ascending and duplicate-free.
-        self.apply_removal(killed, removed)
-    }
-
-    /// The decremental workhorse, on the ascending ids `removed`: it
-    /// re-folds the counts of the surviving ε-neighbours from the ε-graph,
-    /// counting the demotions, and compacts the database, the index, the
-    /// per-id arrays and the graph once.
-    fn apply_removal(&mut self, removed_trajectories: usize, removed: Vec<u32>) -> RemoveReport {
         self.stats.removals += removed_trajectories;
         self.stats.removed_segments += removed.len();
-        let departed = |id: &u32| removed.binary_search(id).is_ok();
 
-        // 1. The dirty set: the survivors on the departed segments' lists.
-        //    The ε-relation is symmetric, so these are exactly the lists
-        //    that hold a departed id.
-        let mut dirty: Vec<u32> = removed
-            .iter()
-            .flat_map(|&r| &self.hoods[r as usize])
-            .copied()
-            .filter(|m| !departed(m))
-            .collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-
-        // 2. Each dirty list drops the departed ids, and its count is
-        //    re-folded from what is left — the ascending fold a fresh query
-        //    does, so the sums stay bit-identical. Dropping a positive term
-        //    never raises a count, so a core either stays one or is demoted.
-        let min_lns = self.cluster.min_lns;
-        let mut demoted_cores = 0;
-        for &d in &dirty {
-            let hood = &mut self.hoods[d as usize];
-            hood.retain(|m| !departed(m));
-            let count = self
-                .db
-                .neighborhood_cardinality(hood, self.cluster.weighted);
-            let was_core = self.counts[d as usize] >= min_lns;
-            self.counts[d as usize] = count;
-            demoted_cores += usize::from(was_core && count < min_lns);
-        }
-
-        // 3. Compact: the departed rows leave the database, the index, the
-        //    per-id arrays and the graph, and every survivor is renumbered
-        //    in order.
+        // 1. Compact: the departed rows leave the database, the index and
+        //    the per-id arrays, and every survivor is renumbered in order.
+        //    The arrivals tile the id space in log order, so `removed` is
+        //    ascending and duplicate-free.
         self.db.remove_segments(&removed, &mut self.index);
         remove_sorted(&mut self.counts, &removed);
         remove_sorted(&mut self.hoods, &removed);
 
-        // 4. The list entries take the survivors' new ids.
-        for m in self.hoods.iter_mut().flatten() {
-            *m = compacted_id(&removed, *m);
+        // 2. One walk over the lists drops the departed ids and renumbers
+        //    the rest. The lists that shrink (the departed segments'
+        //    surviving neighbours) re-fold their counts over the compacted
+        //    table: the ascending fold a fresh query does, bit for bit.
+        //    Dropping a positive term never raises a count, so a core
+        //    either stays one or is demoted.
+        let (min_lns, weighted) = (self.cluster.min_lns, self.cluster.weighted);
+        let mut demoted_cores = 0;
+        #[cfg(feature = "invariant-checks")]
+        let mut shrank = Vec::new();
+        for (id, hood) in self.hoods.iter_mut().enumerate() {
+            let len = hood.len();
+            hood.retain_mut(|m| match surviving_id(&removed, *m) {
+                Some(new) => {
+                    *m = new;
+                    true
+                }
+                None => false,
+            });
+            if hood.len() == len {
+                continue;
+            }
+            let count = &mut self.counts[id];
+            let was_core = *count >= min_lns;
+            *count = self.db.neighborhood_cardinality(hood, weighted);
+            demoted_cores += usize::from(was_core && *count < min_lns);
+            #[cfg(feature = "invariant-checks")]
+            shrank.push(id as u32);
         }
         self.stats.decremental_repairs += 1;
         self.stats.core_demotions += demoted_cores;
         #[cfg(feature = "invariant-checks")]
-        {
-            let dirty: Vec<u32> = dirty.iter().map(|&d| compacted_id(&removed, d)).collect();
-            self.debug_check_remove(&dirty);
-        }
+        self.debug_check_remove(&shrank);
         RemoveReport {
             removed_trajectories,
             removed_segments: removed.len(),
@@ -1206,6 +1186,38 @@ mod tests {
         assert!(engine.is_empty());
         assert_eq!(engine.live_trajectories(), 0);
         assert!(engine.snapshot().clusters.is_empty());
+    }
+
+    #[test]
+    fn expiring_a_multi_level_window_in_one_removal_leaves_a_working_engine() {
+        // Zigzag tracks partition into many segments each, so the window
+        // holds more than one R-tree node's worth (16), and one expiry
+        // empties the multi-level tree in a single walk.
+        let zigzag = |id: u32, y: f64| {
+            Trajectory::new(
+                TrajectoryId(id),
+                (0..12)
+                    .map(|k| Point2::xy(k as f64 * 5.0, y + 4.0 * (k % 2) as f64))
+                    .collect(),
+            )
+        };
+        let cfg = config(3.0, 3);
+        let mut engine = IncrementalClustering::<2>::new(cfg);
+        engine.extend(
+            &(0..4)
+                .map(|i| zigzag(i, i as f64 * 0.4))
+                .collect::<Vec<_>>(),
+        );
+        assert!(engine.live_len() > 16, "{} segments", engine.live_len());
+        let report = engine.expire_to_capacity(0);
+        assert_eq!(report.removed_trajectories, 4);
+        assert!(engine.is_empty());
+        assert_eq!(engine.snapshot(), batch_clustering(&cfg, &[]));
+        // The emptied engine keeps ingesting, exactly.
+        let fresh: Vec<Trajectory<2>> = (10..14).map(|i| zigzag(i, i as f64 * 0.4)).collect();
+        engine.extend(&fresh);
+        assert_eq!(engine.snapshot(), batch_clustering(&cfg, &fresh));
+        assert!(!engine.snapshot().clusters.is_empty());
     }
 
     #[test]

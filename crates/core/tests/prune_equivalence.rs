@@ -23,28 +23,15 @@
 //! * pair halving — the ordered pass's forward-only queries refine at most
 //!   0.55× the candidates `run()` refines, equally at every thread count.
 
+mod common;
+
+use common::{grid_db, hurricane_db, identified, random_walk_db, thread_counts};
 use proptest::prelude::*;
 use traclus_core::{
     representatives_for, ClusterConfig, ClusterStats, IncrementalClustering, IndexKind,
-    LineSegmentClustering, PartitionConfig, PruneStats, SegmentDatabase, TraclusConfig,
+    LineSegmentClustering, PruneStats, SegmentDatabase, TraclusConfig,
 };
-use traclus_data::{HurricaneConfig, HurricaneGenerator};
-use traclus_geom::{
-    IdentifiedSegment, Point2, Segment2, SegmentDistance, SegmentId, Trajectory, TrajectoryId,
-};
-
-/// Thread counts every fixture is checked under.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// `RUST_TEST_THREADS`, reused as an extra thread count so CI sweeps
-/// thread counts the hard-coded list misses (same idiom as the parallel
-/// equivalence suite).
-fn env_thread_count() -> Option<usize> {
-    std::env::var("RUST_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0 && t <= 64)
-}
+use traclus_geom::{Point2, Segment2, Trajectory, TrajectoryId};
 
 /// Every counter invariant one run's stats must satisfy.
 fn assert_counters_coherent(stats: &ClusterStats, pruning: bool, context: &str) {
@@ -105,11 +92,7 @@ fn assert_prune_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixtu
         "{fixture}: representatives diverge"
     );
 
-    let mut counts: Vec<usize> = THREAD_COUNTS.to_vec();
-    if let Some(extra) = env_thread_count() {
-        counts.push(extra);
-    }
-    for t in counts {
+    for t in thread_counts() {
         let (p_on, ps_on) = on.run_parallel_with_stats(t);
         let (p_off, ps_off) = off.run_parallel_with_stats(t);
         assert_eq!(
@@ -120,85 +103,6 @@ fn assert_prune_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixtu
         assert_counters_coherent(&ps_on, true, &format!("{fixture} t={t}"));
         assert_counters_coherent(&ps_off, false, &format!("{fixture} t={t}"));
     }
-}
-
-fn identified(segments: Vec<(Segment2, u32)>) -> SegmentDatabase<2> {
-    let segs = segments
-        .into_iter()
-        .enumerate()
-        .map(|(k, (s, tr))| IdentifiedSegment::new(SegmentId(k as u32), TrajectoryId(tr), s))
-        .collect();
-    SegmentDatabase::from_segments(segs, SegmentDistance::default())
-}
-
-/// Hurricane-like fixture: the synthetic Best-Track stand-in, partitioned
-/// by the real MDL phase.
-fn hurricane_db(tracks: usize, seed: u64) -> SegmentDatabase<2> {
-    let trajectories = HurricaneGenerator::new(HurricaneConfig {
-        tracks,
-        seed,
-        ..HurricaneConfig::default()
-    })
-    .generate();
-    SegmentDatabase::from_trajectories(
-        &trajectories,
-        &PartitionConfig::default(),
-        SegmentDistance::default(),
-    )
-}
-
-/// Grid fixture: bundles of parallel segments on a lattice plus scattered
-/// singletons — spatially spread, so the lower bound has far candidates
-/// to discard.
-fn grid_db() -> SegmentDatabase<2> {
-    let mut entries = Vec::new();
-    for gx in 0..4 {
-        for gy in 0..3 {
-            let (x0, y0) = (gx as f64 * 40.0, gy as f64 * 30.0);
-            let bundle_size = 3 + ((gx + gy) % 3);
-            for i in 0..bundle_size {
-                entries.push((
-                    Segment2::xy(x0, y0 + 0.5 * i as f64, x0 + 12.0, y0 + 0.5 * i as f64),
-                    (gx * 10 + gy * 3 + i) as u32,
-                ));
-            }
-        }
-    }
-    for k in 0..6 {
-        let x = 17.0 + 23.0 * k as f64;
-        entries.push((
-            Segment2::xy(x, 15.0 + k as f64, x + 4.0, 15.5 + k as f64),
-            (100 + k) as u32,
-        ));
-    }
-    identified(entries)
-}
-
-/// Random-walk fixture: deterministic pseudo-random segment soup
-/// (xorshift64*), varied density, many trajectories.
-fn random_walk_db(seed: u64, n: usize) -> SegmentDatabase<2> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 40) as f64) / (1u64 << 24) as f64
-    };
-    let mut entries = Vec::new();
-    let (mut x, mut y) = (0.0f64, 0.0f64);
-    for k in 0..n {
-        let dx = 4.0 + 6.0 * next();
-        let dy = 8.0 * next() - 4.0;
-        let (nx, ny) = (x + dx, y + dy);
-        entries.push((Segment2::xy(x, y, nx, ny), (k % 17) as u32));
-        x = nx;
-        y = ny;
-        if next() < 0.15 {
-            x = 200.0 * next();
-            y = 150.0 * next();
-        }
-    }
-    identified(entries)
 }
 
 #[test]
@@ -241,9 +145,7 @@ fn ordered_pass_refines_each_pair_once() {
             inline.prune.refined,
             full.prune.refined
         );
-        let mut counts: Vec<usize> = THREAD_COUNTS.to_vec();
-        counts.extend(env_thread_count());
-        for t in counts {
+        for t in thread_counts() {
             let (_, pass) = algo.run_parallel_with_stats(t);
             assert_eq!(pass.prune, inline.prune, "eps={} t={t}", config.eps);
         }

@@ -72,7 +72,7 @@ impl<const D: usize> ClusteringResult<D> {
             .iter()
             .map(|l| match l {
                 SegmentLabel::Cluster(id) => Some(id.0),
-                SegmentLabel::Noise | SegmentLabel::Unclassified => None,
+                SegmentLabel::Noise => None,
             })
             .collect();
         Self::new(algorithm, labels)

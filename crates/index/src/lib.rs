@@ -109,15 +109,6 @@ impl<const D: usize> LinearScanIndex<D> {
     pub fn insert(&mut self, id: u32, bbox: Aabb<D>) {
         self.entries.push((id, bbox));
     }
-
-    /// Removes every entry with the given id, returning whether any was
-    /// present. O(n) — this is the reference implementation, so removal is
-    /// as plain as the queries.
-    pub fn remove(&mut self, id: u32) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|&(e, _)| e != id);
-        self.entries.len() != before
-    }
 }
 
 impl<const D: usize> SpatialIndex<D> for LinearScanIndex<D> {

@@ -69,13 +69,6 @@ impl<const D: usize> Node<D> {
         b
     }
 
-    fn is_node_empty(&self) -> bool {
-        match self {
-            Node::Leaf { entries } => entries.is_empty(),
-            Node::Internal { children } => children.is_empty(),
-        }
-    }
-
     fn count(&self) -> usize {
         match self {
             Node::Leaf { entries } => entries.len(),
@@ -209,55 +202,32 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Removes the entry `(id, bbox)` — `bbox` must be the box the id was
-    /// inserted with, which is what guides the descent (only subtrees whose
-    /// box contains it can hold the entry). Returns whether it was found.
+    /// Keeps the entries that `f` maps to `Some`, under the id it returns,
+    /// and drops the rest, in one walk: how an owner that compacts its id
+    /// space drops the departed ids and renumbers the survivors. `f` runs
+    /// once per entry and must be injective on the entries it keeps.
     ///
-    /// Removal is deliberately simpler than Guttman's condense-tree: the
-    /// entry is deleted in place, ancestor boxes are tightened, emptied
-    /// nodes are pruned, and a root left with a single child collapses so
-    /// the tree shrinks a level. Nodes may drop below `min_entries` — that
-    /// costs query selectivity, never correctness, and the sliding-window
-    /// engine periodically STR-rebuilds anyway (the same rebuild that heals
-    /// insertion-degraded trees).
-    pub fn remove(&mut self, id: u32, bbox: &Aabb<D>) -> bool {
-        if !remove_rec(&mut self.root, id, bbox) {
-            return false;
-        }
-        self.len -= 1;
-        // Collapse single-child roots so leaf depth shrinks uniformly.
-        loop {
-            let collapsed = match &mut self.root {
-                Node::Internal { children } if children.len() == 1 => {
-                    let (_, child) = children.pop().expect("exactly one child");
-                    *child
-                }
-                _ => break,
+    /// Deliberately simpler than Guttman's condense-tree: survivors keep
+    /// their leaves and order, emptied nodes are pruned, the boxes above
+    /// every leaf that lost an entry are re-tightened, and single-child
+    /// roots collapse. Nodes may drop below `min_entries`, which costs query
+    /// selectivity, never correctness. Dropping every entry leaves one
+    /// empty leaf, the tree [`Self::new`] starts from.
+    pub fn retain_map(&mut self, mut f: impl FnMut(u32) -> Option<u32>) {
+        (self.len, _) = retain_rec(&mut self.root, &mut f);
+        if self.len == 0 {
+            self.root = Node::Leaf {
+                entries: Vec::new(),
             };
-            self.root = collapsed;
         }
-        true
-    }
-
-    /// Rewrites every stored id through `f`, leaving boxes and structure
-    /// untouched — how an owner renumbers its ids after compacting them.
-    /// `f` must be injective on the stored ids.
-    pub fn remap_ids(&mut self, mut f: impl FnMut(u32) -> u32) {
-        fn walk<const D: usize>(node: &mut Node<D>, f: &mut impl FnMut(u32) -> u32) {
-            match node {
-                Node::Leaf { entries } => {
-                    for (id, _) in entries {
-                        *id = f(*id);
-                    }
-                }
-                Node::Internal { children } => {
-                    for (_, child) in children {
-                        walk(child, f);
-                    }
-                }
+        // Collapse single-child roots so leaf depth shrinks uniformly.
+        while let Node::Internal { children } = &mut self.root {
+            if children.len() != 1 {
+                break;
             }
+            let (_, child) = children.pop().expect("exactly one child");
+            self.root = *child;
         }
-        walk(&mut self.root, &mut f);
     }
 
     /// Tree height (1 for a single leaf).
@@ -266,7 +236,8 @@ impl<const D: usize> RTree<D> {
     }
 
     /// Verifies structural invariants (used by tests): entry counts, bbox
-    /// containment, and uniform leaf depth.
+    /// tightness (every parent entry is exactly its child's box, so it
+    /// contains the child), and uniform leaf depth.
     pub fn check_invariants(&self) {
         fn walk<const D: usize>(node: &Node<D>, depth: usize, leaf_depth: &mut Option<usize>) {
             match node {
@@ -278,10 +249,7 @@ impl<const D: usize> RTree<D> {
                     assert!(!children.is_empty(), "empty internal node");
                     for (b, child) in children {
                         let actual = child.bbox();
-                        assert!(
-                            b.contains(&actual),
-                            "child bbox {actual:?} escapes parent entry {b:?}"
-                        );
+                        assert_eq!(*b, actual, "parent entry is not its child's tight box");
                         walk(child, depth + 1, leaf_depth);
                     }
                 }
@@ -336,34 +304,37 @@ fn str_sort<T, const D: usize>(
     }
 }
 
-/// Recursive removal: descend only into children whose box contains the
-/// entry's box (the containment invariant guarantees the entry cannot live
-/// anywhere else), delete the first id match at a leaf, then prune emptied
-/// children and tighten boxes on the unwind. Returns whether it removed.
-fn remove_rec<const D: usize>(node: &mut Node<D>, id: u32, bbox: &Aabb<D>) -> bool {
+/// Recursive [`RTree::retain_map`]: returns the entries left below `node`
+/// and whether any was dropped, having pruned the children it emptied and
+/// re-tightened the box of every child that lost an entry.
+fn retain_rec<const D: usize>(
+    node: &mut Node<D>,
+    f: &mut impl FnMut(u32) -> Option<u32>,
+) -> (usize, bool) {
     match node {
-        Node::Leaf { entries } => match entries.iter().position(|(e, _)| *e == id) {
-            Some(k) => {
-                entries.remove(k);
-                true
-            }
-            None => false,
-        },
+        Node::Leaf { entries } => {
+            let before = entries.len();
+            entries.retain_mut(|(id, _)| match f(*id) {
+                Some(new) => {
+                    *id = new;
+                    true
+                }
+                None => false,
+            });
+            (entries.len(), entries.len() < before)
+        }
         Node::Internal { children } => {
-            for k in 0..children.len() {
-                if !children[k].0.contains(bbox) {
-                    continue;
+            let (mut left, mut dropped) = (0, false);
+            children.retain_mut(|(bbox, child)| {
+                let (kept, shrank) = retain_rec(child, f);
+                if shrank && kept > 0 {
+                    *bbox = child.bbox();
                 }
-                if remove_rec(&mut children[k].1, id, bbox) {
-                    if children[k].1.is_node_empty() {
-                        children.remove(k);
-                    } else {
-                        children[k].0 = children[k].1.bbox();
-                    }
-                    return true;
-                }
-            }
-            false
+                left += kept;
+                dropped |= shrank;
+                kept > 0
+            });
+            (left, dropped)
         }
     }
 }
@@ -606,31 +577,36 @@ mod tests {
         });
     }
 
+    /// Asserts that `tree` answers three probe windows like a linear scan
+    /// over `expected`.
+    fn assert_same_answers(tree: &RTree<2>, expected: &[(u32, Aabb<2>)], context: &str) {
+        let linear = LinearScanIndex::build(expected.iter().copied());
+        for &(x, y, s) in &[(0.0, 0.0, 100.0), (3.0, 3.0, 4.0), (20.0, 12.0, 6.0)] {
+            let w = aabb2(x, y, x + s, y + s);
+            let mut a = tree.query(&w);
+            let mut b = linear.query(&w);
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "{context}, window {w:?}");
+        }
+    }
+
     #[test]
     fn remove_matches_linear_scan_after_each_deletion() {
         let entries = lattice(200);
         let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        let mut linear = LinearScanIndex::build(entries.clone());
+        let mut live = entries;
         // Delete in an order that empties whole leaves (consecutive STR
         // chunks are spatial runs) interleaved with scattered ids.
         let order: Vec<u32> = (0..200u32)
             .map(|k| if k % 2 == 0 { k / 2 } else { 199 - k / 2 })
             .collect();
-        for (step, &id) in order.iter().enumerate() {
-            let bbox = entries[id as usize].1;
-            assert!(tree.remove(id, &bbox), "id {id} present");
-            assert!(!tree.remove(id, &bbox), "id {id} already gone");
-            assert!(linear.remove(id));
+        for (step, &gone) in order.iter().enumerate() {
+            tree.retain_map(|id| (id != gone).then_some(id));
+            live.retain(|&(id, _)| id != gone);
             tree.check_invariants();
             assert_eq!(tree.len(), 199 - step);
-            for &(x, y, s) in &[(0.0, 0.0, 100.0), (3.0, 3.0, 4.0), (20.0, 12.0, 6.0)] {
-                let w = aabb2(x, y, x + s, y + s);
-                let mut a = tree.query(&w);
-                let mut b = linear.query(&w);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "step {step}, window {w:?}");
-            }
+            assert_same_answers(&tree, &live, &format!("step {step}"));
         }
         assert!(tree.is_empty());
         assert_eq!(tree.depth(), 1, "emptied tree collapses to a single leaf");
@@ -641,10 +617,24 @@ mod tests {
     }
 
     #[test]
+    fn emptying_a_multi_level_tree_in_one_walk_leaves_one_empty_leaf() {
+        let mut tree = RTree::bulk_load(RTreeParams::default(), lattice(200));
+        assert!(tree.depth() >= 2, "200 entries cannot fit one leaf");
+        tree.retain_map(|_| None);
+        assert!(tree.is_empty());
+        assert_eq!(tree.depth(), 1);
+        tree.check_invariants();
+        tree.insert(7, aabb2(0.0, 0.0, 1.0, 1.0));
+        tree.check_invariants();
+        assert_eq!(tree.query(&aabb2(0.5, 0.5, 0.6, 0.6)), vec![7]);
+    }
+
+    #[test]
     fn remove_of_absent_id_is_a_noop() {
-        let entries = lattice(32);
-        let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        assert!(!tree.remove(999, &aabb2(0.0, 0.0, 1.0, 1.0)));
+        let mut tree = RTree::bulk_load(RTreeParams::default(), lattice(32));
+        let before = format!("{tree:?}");
+        tree.retain_map(|id| (id != 999).then_some(id));
+        assert_eq!(format!("{tree:?}"), before);
         assert_eq!(tree.len(), 32);
         tree.check_invariants();
     }
@@ -652,10 +642,11 @@ mod tests {
     #[test]
     fn remove_interleaved_with_insert_keeps_invariants() {
         let entries = lattice(128);
-        let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        let mut tree = RTree::bulk_load(RTreeParams::default(), entries);
         // Churn: remove the first half while inserting replacements.
         for i in 0..64u32 {
-            assert!(tree.remove(i, &entries[i as usize].1));
+            tree.retain_map(|id| (id != i).then_some(id));
+            assert_eq!(tree.len(), 127);
             let x = 200.0 + i as f64;
             tree.insert(1000 + i, aabb2(x, 0.0, x + 0.5, 0.5));
             tree.check_invariants();
@@ -666,21 +657,14 @@ mod tests {
     }
 
     #[test]
-    fn remap_ids_renumbers_every_entry_in_place() {
+    fn retain_map_renumbers_every_entry_in_place() {
         let entries = lattice(200);
         let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
-        tree.remap_ids(|id| 3 * id + 1);
+        tree.retain_map(|id| Some(3 * id + 1));
         tree.check_invariants();
-        let remapped = entries.iter().map(|&(id, b)| (3 * id + 1, b));
-        let linear = LinearScanIndex::build(remapped);
-        for &(x, y, s) in &[(0.0, 0.0, 100.0), (3.0, 3.0, 4.0), (20.0, 12.0, 6.0)] {
-            let w = aabb2(x, y, x + s, y + s);
-            let mut a = tree.query(&w);
-            let mut b = linear.query(&w);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "window {w:?}");
-        }
+        assert_eq!(tree.len(), 200);
+        let remapped: Vec<_> = entries.iter().map(|&(id, b)| (3 * id + 1, b)).collect();
+        assert_same_answers(&tree, &remapped, "renumbered");
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! integration tests, the CI smoke check, and the load generator; also a
 //! reference implementation for external clients.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use traclus_json::JsonValue;
 
 use crate::protocol::Request;
+use crate::write_line;
 
 /// One connection speaking the line protocol synchronously: every
 /// [`Self::request`] writes one line and blocks for the one-line answer.
@@ -40,7 +41,7 @@ impl Client {
     /// Sends one raw line verbatim (useful for probing the server's
     /// malformed-input handling) and returns the parsed response.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<JsonValue> {
-        write_request(&mut self.writer, line)?;
+        write_line(&mut self.writer, line.to_owned())?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -58,15 +59,6 @@ impl Client {
     }
 }
 
-/// Writes one request line and its newline with a single `write_all`.
-fn write_request(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
-    writer.write_all(&bytes)?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +68,7 @@ mod tests {
     fn large_request_reaches_the_socket_in_one_write() {
         let line = format!(r#"{{"op": "stats", "pad": "{}"}}"#, "x".repeat(10 * 1024));
         let mut writer = CountingWriter::default();
-        write_request(&mut writer, &line).unwrap();
+        write_line(&mut writer, line.clone()).unwrap();
         assert_eq!(writer.writes, 1, "request split across writes");
         assert_eq!(writer.bytes, format!("{line}\n").into_bytes());
     }

@@ -36,6 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io::Write;
+
 pub mod client;
 mod engine;
 pub mod protocol;
@@ -44,6 +46,18 @@ mod server;
 pub use client::Client;
 pub use protocol::{ProtocolError, Request};
 pub use server::{Server, ServerConfig, IDLE_POLLS, WRITE_TIMEOUT};
+
+/// Writes one line and its newline with a single `write_all`, then
+/// flushes: the client's requests and the daemon's replies both leave this
+/// way. Written apart, the newline would leave in a second send that
+/// stalls behind the peer's delayed ACK (≈40 ms). The line is taken by
+/// value so that the newline is pushed onto it rather than onto a copy of
+/// a reply that can run to tens of kilobytes.
+pub(crate) fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
 
 /// Support shared by the unit tests of the client and the daemon.
 #[cfg(test)]

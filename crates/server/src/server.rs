@@ -20,6 +20,7 @@ use traclus_json::JsonValue;
 
 use crate::engine::{round_trip, send_command, EngineCommand, EngineThread};
 use crate::protocol::{error_response, ProtocolError, Request, MAX_LINE_BYTES};
+use crate::write_line;
 
 /// How long one reply may wait for a client to read. A connection whose
 /// reply cannot be sent within it is dropped, so a client that pipelines
@@ -351,7 +352,7 @@ struct ReplyWriter {
 impl ReplyWriter {
     fn reply(&mut self, response: &JsonValue) -> std::io::Result<()> {
         self.deadline = Instant::now() + WRITE_TIMEOUT;
-        write_line(self, response)
+        write_line(self, response.to_compact())
     }
 }
 
@@ -369,16 +370,6 @@ impl Write for ReplyWriter {
     fn flush(&mut self) -> std::io::Result<()> {
         self.stream.flush()
     }
-}
-
-/// Writes one reply line with a single `write_all`: the JSON and its
-/// newline written apart would leave in two sends, and the second one
-/// stalls behind the client's delayed ACK.
-fn write_line(writer: &mut impl Write, response: &JsonValue) -> std::io::Result<()> {
-    let mut line = response.to_compact();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
-    writer.flush()
 }
 
 /// Appends the per-request service time. Timing is observability only —
@@ -657,7 +648,7 @@ mod tests {
             JsonValue::String("x".repeat(20 * 1024)),
         )]);
         let mut writer = CountingWriter::default();
-        write_line(&mut writer, &reply).unwrap();
+        write_line(&mut writer, reply.to_compact()).unwrap();
         assert_eq!(writer.writes, 1, "reply split across writes");
         let mut expected = reply.to_compact().into_bytes();
         expected.push(b'\n');
