@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use traclus_geom::Aabb;
-use traclus_index::{LinearScanIndex, RTree, RTreeParams, SpatialIndex};
+use traclus_index::{LinearScanIndex, RTree};
 
 fn random_boxes(n: usize, seed: u64) -> Vec<(u32, Aabb<2>)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -25,7 +25,7 @@ fn bench_rtree(c: &mut Criterion) {
     for n in [1_000usize, 10_000] {
         let boxes = random_boxes(n, 3);
         group.bench_with_input(BenchmarkId::from_parameter(n), &boxes, |b, boxes| {
-            b.iter(|| RTree::bulk_load(RTreeParams::default(), boxes.iter().copied()))
+            b.iter(|| RTree::bulk_load(boxes.iter().copied()))
         });
     }
     group.finish();
@@ -35,7 +35,7 @@ fn bench_rtree(c: &mut Criterion) {
     let boxes = random_boxes(10_000, 3);
     group.bench_function("10k_sequential", |b| {
         b.iter(|| {
-            let mut tree = RTree::new(RTreeParams::default());
+            let mut tree = RTree::new();
             for (id, bb) in &boxes {
                 tree.insert(*id, *bb);
             }
@@ -45,7 +45,7 @@ fn bench_rtree(c: &mut Criterion) {
     group.finish();
 
     let boxes = random_boxes(20_000, 9);
-    let rtree = RTree::bulk_load(RTreeParams::default(), boxes.iter().copied());
+    let rtree = RTree::bulk_load(boxes.iter().copied());
     let linear = LinearScanIndex::build(boxes.iter().copied());
     let windows: Vec<Aabb<2>> = random_boxes(100, 11)
         .into_iter()

@@ -88,12 +88,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// The default partitioning + distance setup shared by the experiments
-/// (uniform weights, directed angle, no suppression).
-pub fn default_pipeline() -> (PartitionConfig, SegmentDistance) {
-    (PartitionConfig::default(), SegmentDistance::default())
-}
-
 /// Entropy curve with the ε samples spread over one worker thread per CPU
 /// by [`parallel_map`] (each sample is independent), all reading one
 /// shared R-tree. Equal to [`EntropyCurve::scan`] with [`IndexKind::RTree`],

@@ -168,20 +168,6 @@ impl Clustering {
     }
 }
 
-/// Observability counters of one clustering run — everything the run did
-/// that a [`Clustering`] (which is compared for equivalence and must stay
-/// independent of the execution strategy) cannot carry.
-///
-/// The counters do depend on the strategy: [`LineSegmentClustering::run`]
-/// queries whole neighbourhoods, while the ordered pass of
-/// [`LineSegmentClustering::run_parallel`] queries forward candidates only
-/// and so counts about half as many.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterStats {
-    /// Filter-and-refine tallies of the ε-neighborhood queries.
-    pub prune: PruneStats,
-}
-
 /// The Figure 12 algorithm, generic over dimension.
 pub struct LineSegmentClustering<'db, const D: usize> {
     db: &'db SegmentDatabase<D>,
@@ -229,10 +215,10 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         self.run_with_stats().0
     }
 
-    /// [`Self::run`] plus the run's [`ClusterStats`] (filter-and-refine
-    /// prune counters). The stats ride outside the [`Clustering`] so
+    /// [`Self::run`] plus the filter-and-refine counters of its
+    /// ε-queries. The counters ride outside the [`Clustering`] so
     /// equivalence comparisons between execution strategies stay exact.
-    pub fn run_with_stats(&self) -> (Clustering, ClusterStats) {
+    pub fn run_with_stats(&self) -> (Clustering, PruneStats) {
         let n = self.db.len();
         let mut index = self.db.build_index(self.config.index, self.config.eps);
         index.set_pruning(self.config.pruning);
@@ -304,10 +290,7 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
             cluster_id,
             self.config.trajectory_threshold(),
         );
-        let stats = ClusterStats {
-            prune: index.prune_stats(),
-        };
-        (clustering, stats)
+        (clustering, index.prune_stats())
     }
 
     /// Runs the grouping phase with its ε-queries on `threads` worker
@@ -352,13 +335,13 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         self.run_parallel_with_stats(threads).0
     }
 
-    /// [`Self::run_parallel`] plus the run's [`ClusterStats`]. Every
-    /// worker queries the same shared index, so the prune counters are the
-    /// same at every thread count. The ordered pass queries only each
-    /// segment's forward candidates (ids `≥` its own), so they total about
-    /// half of [`Self::run_with_stats`]'s, which scores each pair from both
-    /// ends; `candidates = pruned + refined` holds either way.
-    pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, ClusterStats) {
+    /// [`Self::run_parallel`] plus the filter-and-refine counters of its
+    /// ε-queries. Every worker queries the same shared index, so the
+    /// counters are the same at every thread count. The ordered pass
+    /// queries only each segment's forward candidates (ids `≥` its own),
+    /// so they total about half of [`Self::run_with_stats`]'s, which scores
+    /// each pair from both ends.
+    pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, PruneStats) {
         crate::grouping::run_ordered(self.db, &self.config, threads.max(1))
     }
 

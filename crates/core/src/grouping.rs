@@ -59,8 +59,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::cluster::{finalize_raw, ClusterConfig, ClusterStats, Clustering};
-use crate::segment_db::{NeighborIndex, SegmentDatabase};
+use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
+use crate::segment_db::{NeighborIndex, PruneStats, SegmentDatabase};
 
 /// Items a worker claims from the cursor at a time.
 const BLOCK: usize = 32;
@@ -385,7 +385,7 @@ pub(crate) fn run_ordered<const D: usize>(
     db: &SegmentDatabase<D>,
     config: &ClusterConfig,
     threads: usize,
-) -> (Clustering, ClusterStats) {
+) -> (Clustering, PruneStats) {
     let n = db.len();
     let mut index = db.build_index(config.index, config.eps);
     index.set_pruning(config.pruning);
@@ -410,10 +410,7 @@ pub(crate) fn run_ordered<const D: usize>(
     // The border lists are spent: free them before the clustering is built.
     drop(borders);
     let clustering = finalize_raw(db, &raw, cluster_count, config.trajectory_threshold());
-    let stats = ClusterStats {
-        prune: index.prune_stats(),
-    };
-    (clustering, stats)
+    (clustering, index.prune_stats())
 }
 
 /// Union-find with path halving; the smaller root always wins a union, so

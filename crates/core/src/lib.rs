@@ -54,8 +54,7 @@ use traclus_geom::{SegmentDistance, Trajectory};
 
 pub use anneal::{minimize_1d, AnnealConfig, AnnealOutcome};
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterId, ClusterStats, Clustering, LineSegmentClustering,
-    SegmentLabel,
+    Cluster, ClusterConfig, ClusterId, Clustering, LineSegmentClustering, SegmentLabel,
 };
 pub use params::{
     select_eps_annealing, select_min_lns, EntropyCurve, EntropyPoint, EpsSelection,

@@ -80,10 +80,8 @@ impl MdlCost {
 }
 
 /// Configuration of the partitioning phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PartitionConfig {
-    /// Distance function used inside `L(D|H)` (perpendicular + angle only).
-    pub distance: SegmentDistance,
     /// Cost encoding.
     pub cost: MdlCost,
     /// Bits added to `cost_nopar` before the Figure 8 comparison,
@@ -93,20 +91,13 @@ pub struct PartitionConfig {
     pub suppression: f64,
 }
 
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        Self {
-            distance: SegmentDistance::default(),
-            cost: MdlCost::default(),
-            suppression: 0.0,
-        }
-    }
-}
-
 impl PartitionConfig {
     /// `MDL_par(p_i, p_j)`: cost when `p_i, p_j` are the only characteristic
     /// points of the stretch — `L(H) = log₂ len(p_i p_j)` plus
-    /// `L(D|H) = Σ_k log₂ d⊥ + log₂ dθ` against every original edge.
+    /// `L(D|H) = Σ_k log₂ d⊥ + log₂ dθ` against every original edge, with
+    /// the directed angle distance of Section 3 (an edge turned by 90° or
+    /// more costs its whole length). The clustering's weights and angle
+    /// mode play no part here.
     ///
     /// The hypothesis segment always plays the base role, so its projection
     /// setup is prepared once ([`PreparedBase`]) and the batched MDL kernel
@@ -117,10 +108,11 @@ impl PartitionConfig {
         debug_assert!(i < j && j < points.len());
         let hypothesis = Segment::new(points[i], points[j]);
         let base = PreparedBase::new(&hypothesis);
+        let directed = SegmentDistance::default();
         let mut cost = self.cost.bits(hypothesis.length());
         for k in i..j {
             let edge = Segment::new(points[k], points[k + 1]);
-            let (perp, angle) = self.distance.mdl_components_prepared(&base, &edge);
+            let (perp, angle) = directed.mdl_components_prepared(&base, &edge);
             cost += self.cost.bits(perp) + self.cost.bits(angle);
         }
         cost
@@ -688,7 +680,6 @@ mod tests {
             let config = PartitionConfig {
                 cost: MdlCost::with_precision(precision),
                 suppression,
-                ..PartitionConfig::default()
             };
             prop_assert_eq!(
                 approximate_partition(&config, &points).characteristic_points,

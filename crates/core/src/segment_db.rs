@@ -29,7 +29,7 @@ use traclus_geom::{
     Aabb, IdentifiedSegment, Point, PruneFilter, SegmentDistance, SegmentTable, Trajectory,
     TrajectoryId,
 };
-use traclus_index::{filter_radius, RTree, RTreeParams, SpatialIndex};
+use traclus_index::{filter_radius, RTree};
 
 use crate::params::Parallelism;
 use crate::partition::{partition_trajectories_on, PartitionConfig};
@@ -45,12 +45,13 @@ pub enum IndexKind {
 }
 
 /// Cumulative filter-and-refine counters of one [`NeighborIndex`] — a
-/// plain-value snapshot of its atomic tallies.
+/// plain-value snapshot of its atomic tallies, or of one clustering run's
+/// ([`crate::LineSegmentClustering::run_with_stats`]).
 ///
-/// The invariant `candidates == pruned_midpoint + refined` holds by
-/// construction: every candidate a query considers is either discarded by
-/// the lower bound or scored exactly once by the batched kernel. All
-/// counters stay zero while pruning is disabled.
+/// Every candidate a query considers is either discarded by the lower
+/// bound or scored exactly once by the batched kernel, so the index
+/// tallies those two and `candidates` is their sum. All counters stay zero
+/// while pruning is disabled.
 ///
 /// A query counts only the candidates it considers. The ordered grouping
 /// pass asks each segment for its forward neighbours (ids `≥` its own)
@@ -72,44 +73,24 @@ pub struct PruneStats {
 }
 
 /// Shared atomic tallies behind [`PruneStats`]. Queries take `&self` and
-/// run concurrently from the grouping workers, so the counters are atomics;
-/// each query accumulates locally and flushes once (relaxed — the numbers
-/// are observability, not synchronisation).
+/// run concurrently from the grouping workers, so the counters are atomics,
+/// each added to once per query (relaxed — the numbers are observability,
+/// not synchronisation).
 #[derive(Debug, Default)]
 struct PruneCounters {
-    candidates: AtomicU64,
     pruned: AtomicU64,
     refined: AtomicU64,
 }
 
-impl PruneCounters {
-    fn snapshot(&self) -> PruneStats {
-        PruneStats {
-            candidates: self.candidates.load(Ordering::Relaxed),
-            pruned_midpoint: self.pruned.load(Ordering::Relaxed),
-            refined: self.refined.load(Ordering::Relaxed),
-            ..PruneStats::default()
+impl Clone for PruneCounters {
+    /// A point-in-time copy: atomics have no derived `Clone`.
+    fn clone(&self) -> Self {
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        Self {
+            pruned: copy(&self.pruned),
+            refined: copy(&self.refined),
         }
     }
-
-    fn flush(&self, local: &LocalPruneCounts) {
-        if local.candidates == 0 {
-            return;
-        }
-        self.candidates
-            .fetch_add(local.candidates, Ordering::Relaxed);
-        self.pruned.fetch_add(local.pruned, Ordering::Relaxed);
-        self.refined.fetch_add(local.refined, Ordering::Relaxed);
-    }
-}
-
-/// Per-query counter accumulation, flushed to the shared atomics once per
-/// query instead of per candidate.
-#[derive(Default)]
-struct LocalPruneCounts {
-    candidates: u64,
-    pruned: u64,
-    refined: u64,
 }
 
 /// A built neighborhood index bound to a database snapshot.
@@ -122,7 +103,8 @@ struct LocalPruneCounts {
 /// [`traclus_geom::lower_bound`] by default — results are bit-identical
 /// either way, so [`Self::set_pruning`] is a performance/diagnostics knob,
 /// not a semantics switch. [`Self::prune_stats`] reports what the filter
-/// did.
+/// did; a clone carries a point-in-time copy of those counters.
+#[derive(Clone)]
 pub struct NeighborIndex<const D: usize> {
     /// The R-tree; `None` for the full scan, which needs no structure (the
     /// database iterates all segments).
@@ -135,24 +117,6 @@ pub struct NeighborIndex<const D: usize> {
     counters: PruneCounters,
 }
 
-impl<const D: usize> Clone for NeighborIndex<D> {
-    /// Clones the index structure and a point-in-time snapshot of the
-    /// prune counters (atomics have no derived `Clone`).
-    fn clone(&self) -> Self {
-        let stats = self.prune_stats();
-        Self {
-            tree: self.tree.clone(),
-            radius_per_eps: self.radius_per_eps,
-            prune: self.prune,
-            counters: PruneCounters {
-                candidates: AtomicU64::new(stats.candidates),
-                pruned: AtomicU64::new(stats.pruned_midpoint),
-                refined: AtomicU64::new(stats.refined),
-            },
-        }
-    }
-}
-
 impl<const D: usize> NeighborIndex<D> {
     /// Enables or disables the filter-and-refine lower-bound pruning.
     /// Neighborhoods are bit-identical either way; disabling is useful for
@@ -163,7 +127,14 @@ impl<const D: usize> NeighborIndex<D> {
 
     /// A snapshot of the cumulative filter-and-refine counters.
     pub fn prune_stats(&self) -> PruneStats {
-        self.counters.snapshot()
+        let pruned = self.counters.pruned.load(Ordering::Relaxed);
+        let refined = self.counters.refined.load(Ordering::Relaxed);
+        PruneStats {
+            candidates: pruned + refined,
+            pruned_midpoint: pruned,
+            refined,
+            ..PruneStats::default()
+        }
     }
 }
 
@@ -353,7 +324,7 @@ impl<const D: usize> SegmentDatabase<D> {
     pub fn build_index(&self, kind: IndexKind, _typical_eps: f64) -> NeighborIndex<D> {
         let tree = (kind == IndexKind::RTree).then(|| {
             let boxes = self.table.records().iter().map(|r| r.bounding_box());
-            RTree::bulk_load(RTreeParams::default(), (0..).zip(boxes))
+            RTree::bulk_load((0..).zip(boxes))
         });
         NeighborIndex {
             tree,
@@ -406,16 +377,14 @@ impl<const D: usize> SegmentDatabase<D> {
     ) {
         out.clear();
         // The query-side filter state (weight coefficient, ε, cached
-        // midpoint geometry) is hoisted once; `None` for inadmissible
-        // weights, in which case every candidate refines but is still
-        // tallied so the counter invariants hold.
+        // midpoint geometry) is hoisted once; `None` with pruning off or
+        // for inadmissible weights, in which case every candidate refines.
         let filter = if index.prune {
             PruneFilter::new(&self.table, id, &self.distance, eps)
         } else {
             None
         };
-        let prune = index.prune;
-        let mut local = LocalPruneCounts::default();
+        let mut pruned = 0;
         match (&index.tree, index.radius_per_eps) {
             (Some(tree), Some(r)) => {
                 let window = self.bbox_of(id).expanded(eps * r);
@@ -427,9 +396,24 @@ impl<const D: usize> SegmentDatabase<D> {
             _ => out.extend(from..self.len() as u32),
         }
         out.retain(|&cand| {
-            cand >= from
-                && !(prune && self.prune_candidate(filter.as_ref(), id, cand, eps, &mut local))
+            if cand < from {
+                return false;
+            }
+            let discard = filter
+                .as_ref()
+                .is_some_and(|f| self.prune_candidate(f, id, cand, eps));
+            pruned += u64::from(discard);
+            !discard
         });
+        // Every survivor is refined; count them before the loop drops the
+        // ones beyond ε.
+        if index.prune {
+            let counters = &index.counters;
+            counters.pruned.fetch_add(pruned, Ordering::Relaxed);
+            counters
+                .refined
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
+        }
         // Refine in place: each chunk's distances are computed before any
         // of its entries is overwritten, and the write cursor never passes
         // the read position.
@@ -454,33 +438,21 @@ impl<const D: usize> SegmentDatabase<D> {
         }
         out.truncate(kept);
         out.sort_unstable();
-        index.counters.flush(&local);
     }
 
-    /// The filter step of one candidate: returns `true` (and tallies the
-    /// discard) when the admissible lower bound already exceeds `eps`, so
-    /// the exact kernel never sees the pair. Under `invariant-checks`
-    /// every discard is immediately re-scored exactly and the process
-    /// aborts on the first candidate the bound wrongly excluded.
+    /// The filter step of one candidate: `true` when the admissible lower
+    /// bound already exceeds `eps`, so the exact kernel never sees the
+    /// pair. Under `invariant-checks` every discard is immediately
+    /// re-scored exactly and the process aborts on the first candidate the
+    /// bound wrongly excluded.
     #[inline]
-    fn prune_candidate(
-        &self,
-        filter: Option<&PruneFilter<D>>,
-        query: u32,
-        cand: u32,
-        eps: f64,
-        local: &mut LocalPruneCounts,
-    ) -> bool {
-        local.candidates += 1;
-        let pruned = filter.is_some_and(|f| f.check(&self.table, cand));
+    fn prune_candidate(&self, filter: &PruneFilter<D>, query: u32, cand: u32, eps: f64) -> bool {
+        let pruned = filter.check(&self.table, cand);
         #[cfg(not(feature = "invariant-checks"))]
         let _ = (query, eps);
+        #[cfg(feature = "invariant-checks")]
         if pruned {
-            #[cfg(feature = "invariant-checks")]
             crate::invariants::assert_pruned_pair_outside_eps(self, query, cand, eps);
-            local.pruned += 1;
-        } else {
-            local.refined += 1;
         }
         pruned
     }

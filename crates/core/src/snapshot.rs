@@ -85,8 +85,6 @@ use crate::{representatives_for, Traclus};
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot<const D: usize> {
     epoch: u64,
-    trajectories: usize,
-    segments: usize,
     clustering: Clustering,
     clusters: Vec<TraclusCluster<D>>,
     /// Each cluster's member stamps, in member order: the segments its
@@ -105,8 +103,6 @@ pub struct ClusterSnapshot<const D: usize> {
 impl<const D: usize> PartialEq for ClusterSnapshot<D> {
     fn eq(&self, other: &Self) -> bool {
         self.epoch == other.epoch
-            && self.trajectories == other.trajectories
-            && self.segments == other.segments
             && self.clustering == other.clustering
             && self.clusters == other.clusters
             && self.stats == other.stats
@@ -119,8 +115,6 @@ impl<const D: usize> ClusterSnapshot<D> {
     pub fn empty(config: TraclusConfig) -> Self {
         Self {
             epoch: 0,
-            trajectories: 0,
-            segments: 0,
             clustering: Clustering {
                 labels: Vec::new(),
                 clusters: Vec::new(),
@@ -208,8 +202,6 @@ impl<const D: usize> ClusterSnapshot<D> {
             .collect();
         Self {
             epoch,
-            trajectories: engine.stats().trajectories,
-            segments: engine.live_len(),
             clustering,
             clusters,
             stamps,
@@ -228,12 +220,12 @@ impl<const D: usize> ClusterSnapshot<D> {
     /// Trajectories ingested when this snapshot was captured — the prefix
     /// length the equivalence guarantee refers to.
     pub fn trajectories(&self) -> usize {
-        self.trajectories
+        self.stats.trajectories
     }
 
     /// Live segments in the engine's database at capture time.
     pub fn segments(&self) -> usize {
-        self.segments
+        self.clustering.labels.len()
     }
 
     /// The raw clustering (labels, clusters, filter diagnostics) — equal
@@ -302,17 +294,21 @@ impl<const D: usize> ClusterSnapshot<D> {
     }
 
     /// Clusters whose representative trajectory intersects the axis-
-    /// aligned region (edge-bounding-box test), plus how many distinct
+    /// aligned region (edge-bounding-box test; a one-point representative
+    /// hits when the region contains its point), plus how many distinct
     /// trajectories they cover — a cheap "what moves through here"
     /// aggregate.
     pub fn region_summary(&self, region: &Aabb<D>) -> RegionSummary {
         let mut clusters = Vec::new();
         let mut members: Vec<TrajectoryId> = Vec::new();
         for c in &self.clusters {
-            let hits = c
-                .representative
-                .edges()
-                .any(|e| Aabb::from_segment(&e).intersects(region));
+            let hits = match c.representative.points.as_slice() {
+                [point] => region.contains_point(point),
+                _ => c
+                    .representative
+                    .edges()
+                    .any(|e| Aabb::from_segment(&e).intersects(region)),
+            };
             if hits {
                 clusters.push(c.cluster.id);
                 members.extend_from_slice(&c.cluster.trajectories);
@@ -513,6 +509,41 @@ mod tests {
         let miss = snap.region_summary(&Aabb::new([40.0, 400.0], [60.0, 500.0]));
         assert_eq!(miss.clusters, Vec::new());
         assert_eq!(miss.distinct_trajectories, 0);
+    }
+
+    /// Five short tracks under a wide ε: γ = ε/4 is longer than the
+    /// segments, so the sweep emits one point. `region` must find that
+    /// cluster wherever `nearest` measures zero distance to it.
+    #[test]
+    fn one_point_representative_is_found_by_region() {
+        let config = TraclusConfig {
+            eps: 10.0,
+            min_lns: 3,
+            ..TraclusConfig::default()
+        };
+        let mut engine = IncrementalClustering::<2>::new(config);
+        for i in 0..5 {
+            let y = 0.01 * f64::from(i);
+            engine.insert(&Trajectory::new(
+                TrajectoryId(i),
+                vec![Point2::xy(0.0, y), Point2::xy(2.0, y)],
+            ));
+        }
+        let snap = ClusterSnapshot::capture(&engine, 1);
+        assert_eq!(snap.clusters().len(), 1);
+        let cluster = &snap.clusters()[0];
+        let [point] = cluster.representative.points[..] else {
+            panic!("expected a one-point representative: {cluster:?}");
+        };
+        assert_eq!(
+            snap.nearest_cluster(&point),
+            Some((cluster.cluster.id, 0.0))
+        );
+        let hit = snap.region_summary(&Aabb::new([-1.0, -1.0], [1.0, 1.0]));
+        assert_eq!(hit.clusters, vec![cluster.cluster.id]);
+        assert_eq!(hit.distinct_trajectories, 5);
+        let miss = snap.region_summary(&Aabb::new([1.0, 1.0], [2.0, 2.0]));
+        assert_eq!(miss.clusters, Vec::new());
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! * counter sanity — `candidates = pruned_midpoint + refined` on every
 //!   run, the retired `pruned_mbr`/`pruned_angle` tallies stay zero, and
 //!   all prune counters stay zero when pruning is disabled;
+//! * absolute counts — over the full scan `run()` considers n² candidates
+//!   and the ordered pass n(n+1)/2, a filter with a zero coefficient
+//!   prunes none of them, and `refined` counts the candidates scored, not
+//!   the neighbours found;
 //! * pair halving — the ordered pass's forward-only queries refine at most
 //!   0.55× the candidates `run()` refines, equally at every thread count.
 
@@ -28,14 +32,15 @@ mod common;
 use common::{grid_db, hurricane_db, identified, random_walk_db, thread_counts};
 use proptest::prelude::*;
 use traclus_core::{
-    representatives_for, ClusterConfig, ClusterStats, IncrementalClustering, IndexKind,
-    LineSegmentClustering, PruneStats, SegmentDatabase, TraclusConfig,
+    representatives_for, ClusterConfig, IncrementalClustering, IndexKind, LineSegmentClustering,
+    PruneStats, SegmentDatabase, TraclusConfig,
 };
-use traclus_geom::{Point2, Segment2, Trajectory, TrajectoryId};
+use traclus_geom::{
+    AngleMode, DistanceWeights, Point2, Segment2, SegmentDistance, Trajectory, TrajectoryId,
+};
 
 /// Every counter invariant one run's stats must satisfy.
-fn assert_counters_coherent(stats: &ClusterStats, pruning: bool, context: &str) {
-    let p = &stats.prune;
+fn assert_counters_coherent(p: &PruneStats, pruning: bool, context: &str) {
     assert_eq!(
         p.candidates,
         p.pruned_midpoint + p.refined,
@@ -118,8 +123,7 @@ fn hurricane_fixture_actually_prunes() {
     // fires: on the spread-out hurricane fixture at a tight ε the
     // midpoint bound must discard a substantial share of candidates.
     let db = hurricane_db(40, 2007);
-    let (_, stats) = LineSegmentClustering::new(&db, ClusterConfig::new(2.0, 3)).run_with_stats();
-    let p = stats.prune;
+    let (_, p) = LineSegmentClustering::new(&db, ClusterConfig::new(2.0, 3)).run_with_stats();
     assert!(p.candidates > 0, "no candidates examined");
     assert!(
         p.pruned_midpoint * 10 >= p.candidates,
@@ -139,17 +143,99 @@ fn ordered_pass_refines_each_pair_once() {
         let (_, full) = algo.run_with_stats();
         let (_, inline) = algo.run_parallel_with_stats(1);
         assert!(
-            inline.prune.refined as f64 <= 0.55 * full.prune.refined as f64,
+            inline.refined as f64 <= 0.55 * full.refined as f64,
             "eps={}: the ordered pass refined {} candidates, run() {}",
             config.eps,
-            inline.prune.refined,
-            full.prune.refined
+            inline.refined,
+            full.refined
         );
         for t in thread_counts() {
             let (_, pass) = algo.run_parallel_with_stats(t);
-            assert_eq!(pass.prune, inline.prune, "eps={} t={t}", config.eps);
+            assert_eq!(pass, inline, "eps={} t={t}", config.eps);
         }
     }
+}
+
+#[test]
+fn full_scan_counts_every_candidate_once() {
+    // Over the full scan every query's candidates are known in advance:
+    // the Figure 12 loop queries each of the n ids once over all n
+    // segments, and the ordered pass queries id k over its n − k forward
+    // ids only.
+    let db = grid_db();
+    let n = db.len() as u64;
+    let config = ClusterConfig {
+        index: IndexKind::Linear,
+        min_trajectories: Some(2),
+        ..ClusterConfig::new(1.5, 3)
+    };
+    let algo = LineSegmentClustering::new(&db, config);
+    let (_, full) = algo.run_with_stats();
+    assert_eq!(full.candidates, n * n, "run(): {full:?}");
+    assert!(
+        full.pruned_midpoint > 0 && full.refined > 0,
+        "the grid has near and far pairs: {full:?}"
+    );
+    for t in [1, 2, 3] {
+        let (_, pass) = algo.run_parallel_with_stats(t);
+        assert_eq!(pass.candidates, n * (n + 1) / 2, "t={t}: {pass:?}");
+    }
+
+    let off = LineSegmentClustering::new(
+        &db,
+        ClusterConfig {
+            pruning: false,
+            ..config
+        },
+    );
+    assert_eq!(off.run_with_stats().1, PruneStats::default());
+    assert_eq!(off.run_parallel_with_stats(2).1, PruneStats::default());
+}
+
+#[test]
+fn zero_parallel_weight_prunes_nothing() {
+    // With w∥ = 0 the filter's coefficient min(w⊥, w∥) is 0, so its bound
+    // never exceeds ε and every candidate is refined. The R-tree has no
+    // conservative window either (`filter_radius` is `None`), so it falls
+    // back to the full scan and counts like the linear index.
+    let grid = grid_db();
+    let n = grid.len() as u64;
+    let db = SegmentDatabase::from_segments(
+        grid.segments().collect(),
+        SegmentDistance::new(DistanceWeights::new(1.0, 0.0, 1.0), AngleMode::Directed),
+    );
+    for kind in [IndexKind::Linear, IndexKind::RTree] {
+        let config = ClusterConfig {
+            index: kind,
+            ..ClusterConfig::new(1.5, 3)
+        };
+        let (_, p) = LineSegmentClustering::new(&db, config).run_with_stats();
+        assert_eq!(p.candidates, n * n, "{kind:?}: {p:?}");
+        assert_eq!(p.pruned_midpoint, 0, "{kind:?}: {p:?}");
+        assert_eq!(p.refined, p.candidates, "{kind:?}: {p:?}");
+    }
+}
+
+#[test]
+fn refined_counts_candidates_scored_not_neighbours_found() {
+    // `refined` tallies every candidate that reaches the exact kernel,
+    // including those it then finds beyond ε, so on the spread-out
+    // hurricane fixture it exceeds the neighbours a sweep returns. The
+    // Figure 12 loop queries each id once, so its counters equal that
+    // sweep's.
+    let db = hurricane_db(40, 2007);
+    let eps = 2.0;
+    let index = db.build_index(IndexKind::RTree, eps);
+    let neighbours: u64 = (0..db.len() as u32)
+        .map(|id| db.neighborhood(&index, id, eps).len() as u64)
+        .sum();
+    let sweep = index.prune_stats();
+    assert!(
+        sweep.refined > neighbours,
+        "{neighbours} neighbours from {sweep:?}"
+    );
+    let (_, run) = LineSegmentClustering::new(&db, ClusterConfig::new(eps, 3)).run_with_stats();
+    assert_eq!(run, sweep);
 }
 
 #[test]

@@ -131,14 +131,6 @@ impl<const D: usize> Aabb<D> {
         Point { coords }
     }
 
-    /// Sum of the side lengths (the "margin"; used by R-tree heuristics).
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (0..D).map(|k| self.max[k] - self.min[k]).sum()
-    }
-
     /// The `D`-dimensional volume (area in 2-D).
     pub fn volume(&self) -> f64 {
         if self.is_empty() {
@@ -166,7 +158,6 @@ mod tests {
         assert!(e.is_empty());
         assert!(!e.intersects(&e));
         assert_eq!(e.volume(), 0.0);
-        assert_eq!(e.margin(), 0.0);
         let b = Aabb2::new([0.0, 0.0], [1.0, 1.0]);
         assert_eq!(e.union(&b), b, "empty is the identity for union");
     }
@@ -211,7 +202,6 @@ mod tests {
     fn volume_margin_enlargement() {
         let a = Aabb2::new([0.0, 0.0], [2.0, 3.0]);
         assert!((a.volume() - 6.0).abs() < 1e-12);
-        assert!((a.margin() - 5.0).abs() < 1e-12);
         let b = Aabb2::new([2.0, 3.0], [4.0, 4.0]);
         // union = [0,0]-[4,4] → volume 16; enlargement = 10.
         assert!((a.enlargement(&b) - 10.0).abs() < 1e-12);

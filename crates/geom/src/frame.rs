@@ -103,12 +103,6 @@ impl<const D: usize> OrthonormalFrame<D> {
         }
         v.to_point()
     }
-
-    /// Only the first coordinate (the sweep axis `X′`); cheaper than
-    /// [`Self::to_frame`] when sorting sweep events.
-    pub fn sweep_coordinate(&self, p: &Point<D>) -> f64 {
-        p.to_vector().dot(&self.axes[0])
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +163,6 @@ mod tests {
         let f = OrthonormalFrame::<3>::identity();
         let p: Point<3> = Point::new([1.0, 2.0, 3.0]);
         assert_eq!(f.to_frame(&p), [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn sweep_coordinate_matches_full_transform() {
-        let f = OrthonormalFrame::from_direction(&Vector2::xy(1.0, 2.0)).unwrap();
-        let p = Point2::xy(4.0, -1.0);
-        assert!((f.sweep_coordinate(&p) - f.to_frame(&p)[0]).abs() < EPS);
     }
 
     #[test]

@@ -33,16 +33,16 @@
 //! 2.24·ε`. The bound is property-tested in this crate against random
 //! segment pairs.
 //!
-//! Two interchangeable implementations of [`SpatialIndex`]:
-//! [`LinearScanIndex`] (the O(n²) reference) and [`RTree`] (STR bulk load +
-//! quadratic-split insertion, the paper's suggestion).
+//! The index is an [`RTree`] (STR bulk load + quadratic-split insertion,
+//! the paper's suggestion). [`LinearScanIndex`] is the O(n²) reference the
+//! R-tree's tests compare it against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod rtree;
 
-pub use rtree::{RTree, RTreeParams};
+pub use rtree::RTree;
 
 use traclus_geom::{Aabb, DistanceWeights};
 
@@ -63,35 +63,8 @@ pub fn filter_radius(eps: f64, weights: &DistanceWeights) -> Option<f64> {
     Some(eps * (4.0 / (wp * wp) + 1.0 / (wl * wl)).sqrt())
 }
 
-/// A spatial index over id-tagged bounding boxes.
-///
-/// Implementations must return **every** stored id whose box intersects the
-/// query window (false positives allowed, false negatives not) — that is
-/// exactly the contract the conservative filter needs.
-pub trait SpatialIndex<const D: usize> {
-    /// Appends to `out` the ids of all entries whose box intersects
-    /// `window`. `out` is *not* cleared; ids may appear at most once.
-    fn query_into(&self, window: &Aabb<D>, out: &mut Vec<u32>);
-
-    /// Number of indexed entries.
-    fn len(&self) -> usize;
-
-    /// True when nothing is indexed.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Convenience wrapper allocating a fresh result vector.
-    fn query(&self, window: &Aabb<D>) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.query_into(window, &mut out);
-        out
-    }
-}
-
-/// The O(n)-per-query reference implementation (no acceleration): scans all
-/// boxes. Used as the ground truth in tests and as the "no index" arm of
-/// the Lemma 3 experiment.
+/// The O(n)-per-query reference (no acceleration): scans all boxes. The
+/// ground truth the [`RTree`] tests and benches compare against.
 #[derive(Debug, Clone, Default)]
 pub struct LinearScanIndex<const D: usize> {
     entries: Vec<(u32, Aabb<D>)>,
@@ -109,10 +82,10 @@ impl<const D: usize> LinearScanIndex<D> {
     pub fn insert(&mut self, id: u32, bbox: Aabb<D>) {
         self.entries.push((id, bbox));
     }
-}
 
-impl<const D: usize> SpatialIndex<D> for LinearScanIndex<D> {
-    fn query_into(&self, window: &Aabb<D>, out: &mut Vec<u32>) {
+    /// Appends to `out` the ids of all entries whose box intersects
+    /// `window`, in insertion order. `out` is *not* cleared.
+    pub fn query_into(&self, window: &Aabb<D>, out: &mut Vec<u32>) {
         for (id, bbox) in &self.entries {
             if bbox.intersects(window) {
                 out.push(*id);
@@ -120,8 +93,21 @@ impl<const D: usize> SpatialIndex<D> for LinearScanIndex<D> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// [`Self::query_into`] into a fresh vector.
+    pub fn query(&self, window: &Aabb<D>) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.query_into(window, &mut out);
+        out
+    }
+
+    /// Number of indexed entries.
+    pub fn len(&self) -> usize {
         self.entries.len()
+    }
+
+    /// True when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 

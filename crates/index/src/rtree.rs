@@ -9,37 +9,14 @@
 
 use traclus_geom::Aabb;
 
-use crate::SpatialIndex;
+/// Maximum entries per node before a split (Guttman's `M`).
+const MAX_ENTRIES: usize = 16;
 
-/// R-tree fan-out parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RTreeParams {
-    /// Maximum entries per node before a split (Guttman's `M`).
-    pub max_entries: usize,
-    /// Minimum entries per node after a split (Guttman's `m ≤ M/2`).
-    pub min_entries: usize,
-}
+/// Minimum entries per node after a split (Guttman's `m`).
+const MIN_ENTRIES: usize = 6;
 
-impl Default for RTreeParams {
-    fn default() -> Self {
-        Self {
-            max_entries: 16,
-            min_entries: 6,
-        }
-    }
-}
-
-impl RTreeParams {
-    /// Validates the Guttman constraints `2 ≤ m ≤ M/2`.
-    pub fn validated(self) -> Self {
-        assert!(self.max_entries >= 4, "R-tree needs max_entries ≥ 4");
-        assert!(
-            self.min_entries >= 2 && self.min_entries <= self.max_entries / 2,
-            "R-tree needs 2 ≤ min_entries ≤ max_entries/2"
-        );
-        self
-    }
-}
+// Guttman's constraint on the fan-out: `2 ≤ m ≤ M/2`.
+const _: () = assert!(2 <= MIN_ENTRIES && MIN_ENTRIES <= MAX_ENTRIES / 2);
 
 #[derive(Debug, Clone)]
 enum Node<const D: usize> {
@@ -103,25 +80,28 @@ impl<const D: usize> Node<D> {
     }
 }
 
-/// An R-tree over id-tagged boxes.
+/// An R-tree over id-tagged boxes, with Guttman's fan-out `M = 16`,
+/// `m = 6`.
+///
+/// A query returns **every** stored id whose box intersects the window
+/// (false positives allowed, false negatives not) — exactly the contract
+/// the conservative ε-filter of the crate docs needs.
 #[derive(Debug, Clone)]
 pub struct RTree<const D: usize> {
-    params: RTreeParams,
     root: Node<D>,
     len: usize,
 }
 
 impl<const D: usize> Default for RTree<D> {
     fn default() -> Self {
-        Self::new(RTreeParams::default())
+        Self::new()
     }
 }
 
 impl<const D: usize> RTree<D> {
-    /// An empty tree with the given parameters.
-    pub fn new(params: RTreeParams) -> Self {
+    /// An empty tree.
+    pub fn new() -> Self {
         Self {
-            params: params.validated(),
             root: Node::Leaf {
                 entries: Vec::new(),
             },
@@ -131,20 +111,16 @@ impl<const D: usize> RTree<D> {
 
     /// Bulk-loads with the STR (sort-tile-recursive) algorithm: full leaves,
     /// near-minimal overlap, O(n log n) build.
-    pub fn bulk_load(
-        params: RTreeParams,
-        entries: impl IntoIterator<Item = (u32, Aabb<D>)>,
-    ) -> Self {
-        let params = params.validated();
+    pub fn bulk_load(entries: impl IntoIterator<Item = (u32, Aabb<D>)>) -> Self {
         let mut items: Vec<(u32, Aabb<D>)> = entries.into_iter().collect();
         let len = items.len();
         if items.is_empty() {
-            return Self::new(params);
+            return Self::new();
         }
         // Tile recursively over dimensions, then chunk into leaves.
-        str_sort(&mut items, 0, params.max_entries, |e| e.1);
+        str_sort(&mut items, 0, MAX_ENTRIES, |e| e.1);
         let mut level: Vec<Node<D>> = items
-            .chunks(params.max_entries)
+            .chunks(MAX_ENTRIES)
             .map(|chunk| Node::Leaf {
                 entries: chunk.to_vec(),
             })
@@ -152,9 +128,9 @@ impl<const D: usize> RTree<D> {
         while level.len() > 1 {
             let mut tagged: Vec<(Aabb<D>, Node<D>)> =
                 level.into_iter().map(|n| (n.bbox(), n)).collect();
-            str_sort(&mut tagged, 0, params.max_entries, |e| e.0);
+            str_sort(&mut tagged, 0, MAX_ENTRIES, |e| e.0);
             level = tagged
-                .chunks_mut(params.max_entries)
+                .chunks_mut(MAX_ENTRIES)
                 .map(|chunk| Node::Internal {
                     children: chunk
                         .iter_mut()
@@ -174,7 +150,6 @@ impl<const D: usize> RTree<D> {
                 .collect();
         }
         Self {
-            params,
             root: level.pop().expect("non-empty level"),
             len,
         }
@@ -184,15 +159,8 @@ impl<const D: usize> RTree<D> {
     /// quadratic split on overflow).
     pub fn insert(&mut self, id: u32, bbox: Aabb<D>) {
         self.len += 1;
-        if let Some((left, right)) = insert_rec(&mut self.root, id, &bbox, &self.params) {
+        if let Some((left, right)) = insert_rec(&mut self.root, id, &bbox) {
             // Root split: grow the tree by one level.
-            let old_root = std::mem::replace(
-                &mut self.root,
-                Node::Leaf {
-                    entries: Vec::new(),
-                },
-            );
-            drop(old_root); // fully replaced by left/right below
             self.root = Node::Internal {
                 children: vec![
                     (left.bbox(), Box::new(left)),
@@ -210,7 +178,7 @@ impl<const D: usize> RTree<D> {
     /// Deliberately simpler than Guttman's condense-tree: survivors keep
     /// their leaves and order, emptied nodes are pruned, the boxes above
     /// every leaf that lost an entry are re-tightened, and single-child
-    /// roots collapse. Nodes may drop below `min_entries`, which costs query
+    /// roots collapse. Nodes may drop below `MIN_ENTRIES`, which costs query
     /// selectivity, never correctness. Dropping every entry leaves one
     /// empty leaf, the tree [`Self::new`] starts from.
     pub fn retain_map(&mut self, mut f: impl FnMut(u32) -> Option<u32>) {
@@ -228,6 +196,32 @@ impl<const D: usize> RTree<D> {
             let (_, child) = children.pop().expect("exactly one child");
             self.root = *child;
         }
+    }
+
+    /// Appends to `out` the ids of all entries whose box intersects
+    /// `window`. `out` is *not* cleared; each id appears at most once.
+    pub fn query_into(&self, window: &Aabb<D>, out: &mut Vec<u32>) {
+        if window.is_empty() {
+            return;
+        }
+        self.root.query_into(window, out);
+    }
+
+    /// [`Self::query_into`] into a fresh vector.
+    pub fn query(&self, window: &Aabb<D>) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.query_into(window, &mut out);
+        out
+    }
+
+    /// Number of indexed entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Tree height (1 for a single leaf).
@@ -258,19 +252,6 @@ impl<const D: usize> RTree<D> {
         let mut leaf_depth = None;
         walk(&self.root, 0, &mut leaf_depth);
         assert_eq!(self.root.count(), self.len, "entry count mismatch");
-    }
-}
-
-impl<const D: usize> SpatialIndex<D> for RTree<D> {
-    fn query_into(&self, window: &Aabb<D>, out: &mut Vec<u32>) {
-        if window.is_empty() {
-            return;
-        }
-        self.root.query_into(window, out);
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 }
 
@@ -344,13 +325,12 @@ fn insert_rec<const D: usize>(
     node: &mut Node<D>,
     id: u32,
     bbox: &Aabb<D>,
-    params: &RTreeParams,
 ) -> Option<(Node<D>, Node<D>)> {
     match node {
         Node::Leaf { entries } => {
             entries.push((id, *bbox));
-            if entries.len() > params.max_entries {
-                let (a, b) = quadratic_split(std::mem::take(entries), params, |e| e.1);
+            if entries.len() > MAX_ENTRIES {
+                let (a, b) = quadratic_split(std::mem::take(entries), |e| e.1);
                 Some((Node::Leaf { entries: a }, Node::Leaf { entries: b }))
             } else {
                 None
@@ -367,13 +347,13 @@ fn insert_rec<const D: usize>(
                         .then_with(|| children[i].0.volume().total_cmp(&children[j].0.volume()))
                 })
                 .expect("internal node has children");
-            let split = insert_rec(&mut children[best].1, id, bbox, params);
+            let split = insert_rec(&mut children[best].1, id, bbox);
             children[best].0 = children[best].1.bbox();
             if let Some((l, r)) = split {
                 children[best] = (l.bbox(), Box::new(l));
                 children.push((r.bbox(), Box::new(r)));
-                if children.len() > params.max_entries {
-                    let (a, b) = quadratic_split(std::mem::take(children), params, |e| e.0);
+                if children.len() > MAX_ENTRIES {
+                    let (a, b) = quadratic_split(std::mem::take(children), |e| e.0);
                     return Some((
                         Node::Internal { children: a },
                         Node::Internal { children: b },
@@ -390,7 +370,6 @@ fn insert_rec<const D: usize>(
 /// honouring the min-entries floor.
 fn quadratic_split<T, const D: usize>(
     mut entries: Vec<T>,
-    params: &RTreeParams,
     bbox_of: impl Fn(&T) -> Aabb<D>,
 ) -> (Vec<T>, Vec<T>) {
     debug_assert!(entries.len() >= 2);
@@ -420,12 +399,12 @@ fn quadratic_split<T, const D: usize>(
     while let Some(item) = entries.pop() {
         let remaining = entries.len();
         // Force-assign when a group must take everything left to reach m.
-        if group_a.len() + remaining < params.min_entries {
+        if group_a.len() + remaining < MIN_ENTRIES {
             bbox_a.extend(&bbox_of(&item));
             group_a.push(item);
             continue;
         }
-        if group_b.len() + remaining < params.min_entries {
+        if group_b.len() + remaining < MIN_ENTRIES {
             bbox_b.extend(&bbox_of(&item));
             group_b.push(item);
             continue;
@@ -467,7 +446,7 @@ mod tests {
     #[test]
     fn bulk_load_invariants_and_queries() {
         let entries = lattice(500);
-        let tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        let tree = RTree::bulk_load(entries.clone());
         tree.check_invariants();
         assert_eq!(tree.len(), 500);
         assert!(tree.depth() >= 2, "500 entries cannot fit one leaf");
@@ -486,7 +465,7 @@ mod tests {
     #[test]
     fn incremental_insert_matches_linear_scan() {
         let entries = lattice(300);
-        let mut tree = RTree::new(RTreeParams::default());
+        let mut tree = RTree::new();
         let mut linear = LinearScanIndex::default();
         for (id, b) in entries {
             tree.insert(id, b);
@@ -520,7 +499,7 @@ mod tests {
         for i in 40..80u32 {
             entries.push((i, aabb2(5.0, 5.0, 6.0, 6.0)));
         }
-        let tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        let tree = RTree::bulk_load(entries.clone());
         tree.check_invariants();
         let linear = LinearScanIndex::build(entries);
         for w in [
@@ -545,7 +524,7 @@ mod tests {
 
     #[test]
     fn single_entry() {
-        let tree = RTree::bulk_load(RTreeParams::default(), vec![(9, aabb2(0.0, 0.0, 1.0, 1.0))]);
+        let tree = RTree::bulk_load(vec![(9, aabb2(0.0, 0.0, 1.0, 1.0))]);
         tree.check_invariants();
         assert_eq!(tree.query(&aabb2(0.5, 0.5, 0.6, 0.6)), vec![9]);
         assert!(tree.query(&aabb2(2.0, 2.0, 3.0, 3.0)).is_empty());
@@ -555,7 +534,7 @@ mod tests {
     fn duplicate_boxes_are_all_reported() {
         let same = aabb2(1.0, 1.0, 2.0, 2.0);
         let entries: Vec<_> = (0..50).map(|i| (i, same)).collect();
-        let tree = RTree::bulk_load(RTreeParams::default(), entries);
+        let tree = RTree::bulk_load(entries);
         tree.check_invariants();
         let mut hits = tree.query(&aabb2(1.5, 1.5, 1.6, 1.6));
         hits.sort_unstable();
@@ -564,17 +543,8 @@ mod tests {
 
     #[test]
     fn query_window_outside_universe() {
-        let tree = RTree::bulk_load(RTreeParams::default(), lattice(64));
+        let tree = RTree::bulk_load(lattice(64));
         assert!(tree.query(&aabb2(-100.0, -100.0, -99.0, -99.0)).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "min_entries")]
-    fn invalid_params_rejected() {
-        let _ = RTree::<2>::new(RTreeParams {
-            max_entries: 8,
-            min_entries: 7,
-        });
     }
 
     /// Asserts that `tree` answers three probe windows like a linear scan
@@ -594,7 +564,7 @@ mod tests {
     #[test]
     fn remove_matches_linear_scan_after_each_deletion() {
         let entries = lattice(200);
-        let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        let mut tree = RTree::bulk_load(entries.clone());
         let mut live = entries;
         // Delete in an order that empties whole leaves (consecutive STR
         // chunks are spatial runs) interleaved with scattered ids.
@@ -618,7 +588,7 @@ mod tests {
 
     #[test]
     fn emptying_a_multi_level_tree_in_one_walk_leaves_one_empty_leaf() {
-        let mut tree = RTree::bulk_load(RTreeParams::default(), lattice(200));
+        let mut tree = RTree::bulk_load(lattice(200));
         assert!(tree.depth() >= 2, "200 entries cannot fit one leaf");
         tree.retain_map(|_| None);
         assert!(tree.is_empty());
@@ -631,7 +601,7 @@ mod tests {
 
     #[test]
     fn remove_of_absent_id_is_a_noop() {
-        let mut tree = RTree::bulk_load(RTreeParams::default(), lattice(32));
+        let mut tree = RTree::bulk_load(lattice(32));
         let before = format!("{tree:?}");
         tree.retain_map(|id| (id != 999).then_some(id));
         assert_eq!(format!("{tree:?}"), before);
@@ -642,7 +612,7 @@ mod tests {
     #[test]
     fn remove_interleaved_with_insert_keeps_invariants() {
         let entries = lattice(128);
-        let mut tree = RTree::bulk_load(RTreeParams::default(), entries);
+        let mut tree = RTree::bulk_load(entries);
         // Churn: remove the first half while inserting replacements.
         for i in 0..64u32 {
             tree.retain_map(|id| (id != i).then_some(id));
@@ -659,7 +629,7 @@ mod tests {
     #[test]
     fn retain_map_renumbers_every_entry_in_place() {
         let entries = lattice(200);
-        let mut tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        let mut tree = RTree::bulk_load(entries.clone());
         tree.retain_map(|id| Some(3 * id + 1));
         tree.check_invariants();
         assert_eq!(tree.len(), 200);
@@ -669,7 +639,7 @@ mod tests {
 
     #[test]
     fn mixed_bulk_and_insert() {
-        let mut tree = RTree::bulk_load(RTreeParams::default(), lattice(128));
+        let mut tree = RTree::bulk_load(lattice(128));
         for i in 0..64u32 {
             let x = -10.0 - i as f64;
             tree.insert(1000 + i, aabb2(x, 0.0, x + 0.5, 0.5));

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use traclus_geom::Aabb;
-use traclus_index::{LinearScanIndex, RTree, RTreeParams, SpatialIndex};
+use traclus_index::{LinearScanIndex, RTree};
 
 prop_compose! {
     fn bbox()(x in -100.0..100.0f64, y in -100.0..100.0f64,
@@ -26,7 +26,7 @@ proptest! {
     ) {
         let entries: Vec<(u32, Aabb<2>)> =
             boxes.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();
-        let tree = RTree::bulk_load(RTreeParams::default(), entries.clone());
+        let tree = RTree::bulk_load(entries.clone());
         tree.check_invariants();
         let linear = LinearScanIndex::build(entries);
         prop_assert_eq!(sorted(tree.query(&window)), sorted(linear.query(&window)));
@@ -37,7 +37,7 @@ proptest! {
         boxes in prop::collection::vec(bbox(), 1..60),
         window in bbox(),
     ) {
-        let mut tree = RTree::new(RTreeParams::default());
+        let mut tree = RTree::new();
         let mut linear = LinearScanIndex::default();
         for (i, b) in boxes.into_iter().enumerate() {
             tree.insert(i as u32, b);
@@ -60,7 +60,7 @@ proptest! {
         // as a compaction does.
         let entries: Vec<(u32, Aabb<2>)> = (0..).zip(items.iter().map(|&(b, _)| b)).collect();
         let loaded = loaded.min(entries.len());
-        let mut tree = RTree::bulk_load(RTreeParams::default(), entries[..loaded].to_vec());
+        let mut tree = RTree::bulk_load(entries[..loaded].to_vec());
         for &(id, b) in &entries[loaded..] {
             tree.insert(id, b);
         }
@@ -93,7 +93,7 @@ proptest! {
     ) {
         let entries: Vec<(u32, Aabb<2>)> =
             boxes.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();
-        let tree = RTree::bulk_load(RTreeParams::default(), entries);
+        let tree = RTree::bulk_load(entries);
         let result = tree.query(&window);
         let mut deduped = result.clone();
         deduped.sort_unstable();
