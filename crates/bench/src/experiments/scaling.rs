@@ -11,7 +11,7 @@ use traclus_core::{
     SegmentDatabase,
 };
 use traclus_data::{generate_scene, SceneConfig};
-use traclus_geom::{Point2, SegmentDistance, Trajectory, TrajectoryId};
+use traclus_geom::{Point2, SegmentDistance};
 
 use crate::util::{timed, ExperimentContext};
 
@@ -62,7 +62,7 @@ pub fn lemma1(ctx: &ExperimentContext) -> std::io::Result<()> {
 /// local crowding. (If density grew with n, every ε-neighborhood would
 /// hold O(n) segments and even a perfect index would pay O(n) refinement
 /// per query — masking the O(n log n) vs O(n²) contrast Lemma 3 states.)
-pub fn scaled_database(target_segments: usize, seed: u64) -> SegmentDatabase<2> {
+fn scaled_database(target_segments: usize, seed: u64) -> SegmentDatabase<2> {
     let base_scene = generate_scene(&SceneConfig {
         per_backbone: 15,
         noise_fraction: 0.2,
@@ -133,9 +133,4 @@ pub fn lemma3(ctx: &ExperimentContext) -> std::io::Result<()> {
     let path = csv.finish()?;
     println!("[lemma3] -> {}", path.display());
     Ok(())
-}
-
-/// Helper used by tests to build a long trajectory quickly.
-pub fn wavy(n: usize) -> Trajectory<2> {
-    Trajectory::new(TrajectoryId(0), wavy_trajectory(n))
 }

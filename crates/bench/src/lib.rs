@@ -1,7 +1,7 @@
 //! # traclus-bench
 //!
 //! Experiment harness regenerating every table and figure of the TRACLUS
-//! evaluation (Section 5 + appendices), plus Criterion micro-benchmarks.
+//! evaluation (Section 5 + appendices).
 //!
 //! Run `cargo run -p traclus-bench --release --bin experiments -- all`
 //! to regenerate everything into `results/` (CSV + SVG), or pass a single

@@ -106,12 +106,10 @@ impl Clone for PruneCounters {
 /// did; a clone carries a point-in-time copy of those counters.
 #[derive(Clone)]
 pub struct NeighborIndex<const D: usize> {
-    /// The R-tree; `None` for the full scan, which needs no structure (the
-    /// database iterates all segments).
-    tree: Option<RTree<D>>,
-    /// Expansion radius per unit ε, `√(4/w⊥² + 1/w∥²)`; `None` forces full
-    /// scans (degenerate weights).
-    radius_per_eps: Option<f64>,
+    /// The R-tree and its query expansion radius per unit ε,
+    /// `√(4/w⊥² + 1/w∥²)`; `None` for the full scan, which needs no
+    /// structure (the database iterates all segments).
+    tree: Option<(RTree<D>, f64)>,
     /// Filter-and-refine switch (default on; bit-identical either way).
     prune: bool,
     counters: PruneCounters,
@@ -214,7 +212,7 @@ impl<const D: usize> SegmentDatabase<D> {
     ) {
         for s in segments {
             self.table.push(&s);
-            if let Some(tree) = &mut index.tree {
+            if let Some((tree, _)) = &mut index.tree {
                 tree.insert(s.id.0, self.bbox_of(s.id.0));
             }
         }
@@ -234,7 +232,7 @@ impl<const D: usize> SegmentDatabase<D> {
         if removed.is_empty() {
             return;
         }
-        if let Some(tree) = &mut index.tree {
+        if let Some((tree, _)) = &mut index.tree {
             let before = tree.len();
             tree.retain_map(|id| surviving_id(removed, id));
             debug_assert_eq!(
@@ -318,17 +316,22 @@ impl<const D: usize> SegmentDatabase<D> {
 
     /// Builds a neighborhood index of the requested kind over the
     /// segments: an STR bulk-loaded R-tree, or nothing for the full scan.
+    /// Under a zero perpendicular or parallel weight no query could use a
+    /// tree ([`filter_radius`] is `None`), so none is built and every
+    /// query scans.
     ///
     /// `_typical_eps` is ignored — neither index is sized by ε. It remains
     /// so that existing callers (`perfbench` among them) keep compiling.
     pub fn build_index(&self, kind: IndexKind, _typical_eps: f64) -> NeighborIndex<D> {
-        let tree = (kind == IndexKind::RTree).then(|| {
-            let boxes = self.table.records().iter().map(|r| r.bounding_box());
-            RTree::bulk_load((0..).zip(boxes))
-        });
+        let tree = match (kind, filter_radius(1.0, &self.distance.weights)) {
+            (IndexKind::RTree, Some(radius_per_eps)) => {
+                let boxes = self.table.records().iter().map(|r| r.bounding_box());
+                Some((RTree::bulk_load((0..).zip(boxes)), radius_per_eps))
+            }
+            _ => None,
+        };
         NeighborIndex {
             tree,
-            radius_per_eps: filter_radius(1.0, &self.distance.weights),
             prune: true,
             counters: PruneCounters::default(),
         }
@@ -385,15 +388,15 @@ impl<const D: usize> SegmentDatabase<D> {
             None
         };
         let mut pruned = 0;
-        match (&index.tree, index.radius_per_eps) {
-            (Some(tree), Some(r)) => {
-                let window = self.bbox_of(id).expanded(eps * r);
+        match &index.tree {
+            Some((tree, radius_per_eps)) => {
+                let window = self.bbox_of(id).expanded(eps * radius_per_eps);
                 tree.query_into(&window, out);
             }
             // Full scan: either requested or forced by degenerate weights
             // (no conservative filter exists). Every id from `from` on is a
             // candidate.
-            _ => out.extend(from..self.len() as u32),
+            None => out.extend(from..self.len() as u32),
         }
         out.retain(|&cand| {
             if cand < from {
@@ -740,6 +743,46 @@ mod tests {
         let idx = db.build_index(IndexKind::RTree, 1.0);
         let n = db.neighborhood(&idx, 0, 0.5);
         assert_eq!(n, vec![0, 1], "collinear segments are neighbours at w∥=0");
+    }
+
+    #[test]
+    fn full_scan_weights_build_and_maintain_no_tree() {
+        // With w⊥ = 0 or w∥ = 0 no filter radius exists and every query
+        // scans, so an R-tree build holds no tree, and appends and
+        // removals have none to keep in step.
+        for weights in [
+            traclus_geom::DistanceWeights::new(1.0, 0.0, 1.0),
+            traclus_geom::DistanceWeights::new(0.0, 1.0, 1.0),
+        ] {
+            let distance = SegmentDistance::new(weights, traclus_geom::AngleMode::Directed);
+            let mut db = SegmentDatabase {
+                distance,
+                ..sample_db()
+            };
+            let mut idx = db.build_index(IndexKind::RTree, 1.0);
+            assert!(idx.tree.is_none(), "{weights:?}: no tree is built");
+            // The first is collinear with id 0, far along x.
+            let arrivals = [(500.0, 0.0), (0.0, 0.5)]
+                .into_iter()
+                .zip(4..)
+                .map(|((x, y), k)| {
+                    let s = Segment2::xy(x, y, x + 10.0, y);
+                    IdentifiedSegment::new(SegmentId(k), TrajectoryId(k), s)
+                });
+            db.append_segments(arrivals, &mut idx);
+            db.remove_segments(&[1, 3], &mut idx);
+            assert!(idx.tree.is_none(), "{weights:?}: none is maintained");
+            let linear = db.build_index(IndexKind::Linear, 1.0);
+            for eps in [0.5, 2.0, 50.0] {
+                for id in 0..db.len() as u32 {
+                    assert_eq!(
+                        db.neighborhood(&idx, id, eps),
+                        db.neighborhood(&linear, id, eps),
+                        "{weights:?} eps={eps} id={id}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use traclus_core::{
     representatives_for, Clustering, IncrementalClustering, IndexKind, RemoveReport,
     SegmentDatabase, SnapshotCell, StreamConfig, Traclus, TraclusConfig,
 };
-use traclus_geom::{Point2, Trajectory, TrajectoryId};
+use traclus_geom::{AngleMode, DistanceWeights, Point2, SegmentDistance, Trajectory, TrajectoryId};
 
 fn config_with(eps: f64, min_lns: usize, stream: StreamConfig) -> TraclusConfig {
     TraclusConfig {
@@ -546,6 +546,57 @@ fn removed_trajectory_id_reuse_round_trips() {
     );
     live.pop();
     assert_eq!(engine.snapshot(), batch(&config, &live));
+}
+
+/// Full-scan weights: with w∥ = 0 no filter radius exists, so the R-tree
+/// configuration builds and keeps no tree and every ε-query scans. After
+/// every insert, a removal and an expiry the snapshot still equals the
+/// batch run on the live window, and the database the batch database.
+#[test]
+fn full_scan_weights_stream_equals_batch() {
+    let config = TraclusConfig {
+        distance: SegmentDistance::new(DistanceWeights::new(1.0, 0.0, 1.0), AngleMode::Directed),
+        index: IndexKind::RTree,
+        ..config_with(2.0, 3, StreamConfig::default())
+    };
+    // Corridors 2 and 5 start far along x: at w∥ = 0 each lies at distance
+    // 0 from the corridor at its height, which no spatial filter could find.
+    let track = |id: u32, x0: f64, y: f64| {
+        let points = (0..12).map(|k| Point2::xy(x0 + f64::from(k) * 5.0, y));
+        Trajectory::new(TrajectoryId(id), points.collect())
+    };
+    let arrivals = [
+        track(0, 0.0, 0.0),
+        track(1, 0.0, 0.3),
+        track(2, 500.0, 0.0),
+        track(3, 0.0, 0.6),
+        track(4, 0.0, 40.0),
+        track(5, 900.0, 0.3),
+        track(6, 0.0, 0.9),
+    ];
+    let check = |engine: &IncrementalClustering<2>, live: &[Trajectory<2>], step: &str| {
+        assert_eq!(engine.snapshot(), batch(&config, live), "{step}");
+        assert_eq!(engine.database(), &batch_database(&config, live), "{step}");
+    };
+    let mut engine = IncrementalClustering::<2>::new(config);
+    let mut live: Vec<Trajectory<2>> = Vec::new();
+    for t in &arrivals {
+        assert!(engine.insert(t).new_segments > 0);
+        live.push(t.clone());
+        check(&engine, &live, &format!("insert {}", t.id.0));
+    }
+
+    let gone = engine.remove_trajectory(TrajectoryId(1));
+    assert_eq!(gone.removed_trajectories, 1);
+    live.retain(|t| t.id != TrajectoryId(1));
+    check(&engine, &live, "remove 1");
+    assert_eq!(engine.expire_to_capacity(4).removed_trajectories, 2);
+    live.drain(..2);
+    check(&engine, &live, "expire to 4");
+    assert!(
+        !engine.snapshot().clusters.is_empty(),
+        "the far collinear corridor keeps a cluster alive"
+    );
 }
 
 /// Removing ids that never arrived (or arrived and already left) is a

@@ -64,7 +64,7 @@ pub fn filter_radius(eps: f64, weights: &DistanceWeights) -> Option<f64> {
 }
 
 /// The O(n)-per-query reference (no acceleration): scans all boxes. The
-/// ground truth the [`RTree`] tests and benches compare against.
+/// ground truth the [`RTree`] tests compare against.
 #[derive(Debug, Clone, Default)]
 pub struct LinearScanIndex<const D: usize> {
     entries: Vec<(u32, Aabb<D>)>,

@@ -1,5 +1,5 @@
 //! A minimal blocking client for the line protocol — used by the
-//! integration tests, the CI smoke check, and the load generator; also a
+//! integration tests and the repository benchmark (`perfbench`); also a
 //! reference implementation for external clients.
 
 use std::io::{BufRead, BufReader};

@@ -746,10 +746,12 @@ fn random_wire_interleavings_equal_batch_after_every_flush() {
 }
 
 /// Soak: four connections drive a mixed ingest + removal + expiry + query
-/// workload — 2000 requests total — against a windowed daemon. Every
-/// response is `ok`, every connection's observed epochs are monotone
-/// non-decreasing, and the daemon shuts down cleanly (a handler or engine
-/// panic would re-raise out of `Server::run`).
+/// workload — 2000 requests total, every op of the protocol but shutdown —
+/// against a windowed daemon. Every response is `ok`, every connection's
+/// observed epochs are monotone non-decreasing, the served `trajectories`
+/// counter equals the ingests sent once they are flushed, and the daemon
+/// shuts down cleanly (a handler or engine panic would re-raise out of
+/// `Server::run`).
 #[test]
 fn soak_mixed_workload_from_four_connections() {
     const CONNECTIONS: usize = 4;
@@ -776,7 +778,7 @@ fn soak_mixed_workload_from_four_connections() {
         ..ServerConfig::default()
     });
 
-    std::thread::scope(|s| {
+    let ingests: usize = std::thread::scope(|s| {
         let trajectories = &trajectories;
         let mut workers = Vec::new();
         for worker in 0..CONNECTIONS {
@@ -791,9 +793,11 @@ fn soak_mixed_workload_from_four_connections() {
                     (rng >> 33) % bound
                 };
                 let mut last_epoch = 0u64;
+                let mut ingests = 0;
                 for _ in 0..REQUESTS_PER_CONNECTION {
-                    let request = match draw(10) {
+                    let request = match draw(12) {
                         0..=3 => {
+                            ingests += 1;
                             ingest_request(&trajectories[draw(trajectories.len() as u64) as usize])
                         }
                         4 => Request::Remove {
@@ -807,6 +811,16 @@ fn soak_mixed_workload_from_four_connections() {
                         8 => Request::Membership {
                             trajectory: draw(96) as u32,
                         },
+                        9 => Request::Nearest {
+                            point: [draw(48) as f64, draw(18) as f64],
+                        },
+                        10 => {
+                            let min = [draw(40) as f64, draw(16) as f64];
+                            Request::Region {
+                                min,
+                                max: [min[0] + 8.0, min[1] + 3.0],
+                            }
+                        }
                         _ => Request::Flush,
                     };
                     let resp = client.request(&request).expect("request");
@@ -823,11 +837,13 @@ fn soak_mixed_workload_from_four_connections() {
                         last_epoch = epoch;
                     }
                 }
+                ingests
             }));
         }
-        for w in workers {
-            w.join().expect("soak connection panicked");
-        }
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("soak connection panicked"))
+            .sum()
     });
 
     // The window bounds live state no matter what the workload did.
@@ -839,6 +855,9 @@ fn soak_mixed_workload_from_four_connections() {
         .get("trajectories")
         .and_then(JsonValue::as_i64)
         .expect("trajectories counter");
+    // Every ingest reply was `ok`, so each was queued, and the flush above
+    // applied them all; removals never lower the counter.
+    assert_eq!(ingested, ingests as i64, "every acknowledged ingest served");
     let removed = resp
         .get("removals")
         .and_then(JsonValue::as_i64)
