@@ -107,6 +107,7 @@ pub fn kmeans_trajectories<const D: usize>(
         iterations = iter + 1;
         let mut changed = false;
         for (i, f) in features.iter().enumerate() {
+            #[expect(clippy::expect_used, reason = "k >= 1 is asserted above")]
             let best = (0..config.k)
                 .min_by(|&a, &b| sq_dist(f, &centroids[a]).total_cmp(&sq_dist(f, &centroids[b])))
                 .expect("k ≥ 1");
@@ -128,6 +129,7 @@ pub fn kmeans_trajectories<const D: usize>(
         }
         for k in 0..config.k {
             if counts[k] == 0 {
+                #[expect(clippy::expect_used, reason = "n >= k >= 1 is asserted above")]
                 let worst = (0..n)
                     .max_by(|&a, &b| {
                         sq_dist(&features[a], &centroids[assignments[a]])

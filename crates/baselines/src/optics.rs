@@ -128,6 +128,7 @@ pub fn optics_generic(
         while !seeds.is_empty() {
             // Pop the seed with smallest reachability (ties: smallest id
             // for determinism).
+            #[expect(clippy::expect_used, reason = "the loop condition guarantees a seed")]
             let (pos, _) = seeds
                 .iter()
                 .enumerate()

@@ -20,6 +20,10 @@ pub enum PointLabel {
 /// A uniform grid with cell size ε accelerates region queries (a point's
 /// ε-neighbours lie in the 3×3 cell block around it), giving near-linear
 /// behaviour on bounded-density data.
+#[expect(
+    clippy::expect_used,
+    reason = "the loop labels every point before the tail expression unwraps the labels"
+)]
 pub fn dbscan_points<const D: usize>(
     points: &[Point<D>],
     eps: f64,
@@ -87,18 +91,22 @@ pub fn cluster_count(labels: &[PointLabel]) -> usize {
 }
 
 /// Uniform grid over points with cell size ε.
-// Determinism: the cell map is lookup-only — `neighbors_into` probes the
-// 3^D block of keys around the query cell in a fixed offset order and the
-// per-cell id lists are in insertion order; the map is never iterated, so
-// its random iteration order cannot leak into neighbor order.
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the cell map is lookup-only: `neighbors_into` probes the 3^D block of keys \
+              around the query cell in a fixed offset order and the per-cell id lists are in \
+              insertion order; the map is never iterated, so its random iteration order \
+              cannot leak into neighbor order"
+)]
 struct PointGrid<const D: usize> {
     cell: f64,
     map: std::collections::HashMap<[i64; D], Vec<usize>>,
 }
 
-// Lookup-only hash container, see the struct-level justification.
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the lookup-only cell map, see the struct's reason"
+)]
 impl<const D: usize> PointGrid<D> {
     fn build(points: &[Point<D>], cell: f64) -> Self {
         let mut map: std::collections::HashMap<[i64; D], Vec<usize>> =

@@ -21,12 +21,12 @@ pub fn resample<const D: usize>(trajectory: &Trajectory<D>, samples: usize) -> V
     }
     // Cumulative arc length.
     let mut cumulative = Vec::with_capacity(pts.len());
-    cumulative.push(0.0);
+    let mut total = 0.0;
+    cumulative.push(total);
     for w in pts.windows(2) {
-        let last = *cumulative.last().expect("non-empty");
-        cumulative.push(last + w[0].distance(&w[1]));
+        total += w[0].distance(&w[1]);
+        cumulative.push(total);
     }
-    let total = *cumulative.last().expect("non-empty");
     if total <= 0.0 {
         return vec![pts[0]; samples];
     }

@@ -6,8 +6,8 @@ use traclus_core::{
     PartitionConfig, SegmentDatabase,
 };
 use traclus_geom::{
-    endpoint_sum_distance, DistanceWeights, IdentifiedSegment, Point2, Segment, Segment2,
-    SegmentDistance, SegmentId, TrajectoryId,
+    endpoint_sum_distance, DistanceWeights, IdentifiedSegment, Point2, Segment2, SegmentDistance,
+    SegmentId, TrajectoryId,
 };
 
 use crate::experiments::entropy_curves::{hurricane_eps_grid, optimal_params};
@@ -246,6 +246,3 @@ pub fn appendix_d(ctx: &ExperimentContext) -> std::io::Result<()> {
     );
     Ok(())
 }
-
-#[allow(dead_code)]
-fn unused_segment_alias(_: Segment<2>) {}

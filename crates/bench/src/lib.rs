@@ -7,8 +7,12 @@
 //! to regenerate everything into `results/` (CSV + SVG), or pass a single
 //! experiment id (`fig16`, `fig17`, …; see `experiments --help`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an operator-run experiment harness: aborting on a violated expectation is the \
+              right behavior"
+)]
 
 pub mod experiments;
 pub mod util;

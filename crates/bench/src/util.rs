@@ -79,9 +79,11 @@ impl CsvWriter {
 }
 
 /// Times a closure, returning (result, seconds).
-// Wall-clock capture is the point: this is the experiment harness's one
-// timing primitive, and the reading feeds only reported CSV columns.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the experiment harness's one timing primitive; the reading feeds only \
+              reported CSV columns"
+)]
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();

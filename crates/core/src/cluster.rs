@@ -20,6 +20,10 @@ use crate::segment_db::{IndexKind, NeighborIndex, PruneStats, SegmentDatabase};
 
 /// Identifier of a cluster in a [`Clustering`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derive(PartialOrd) calls partial_cmp on the u32 field, a total order"
+)]
 pub struct ClusterId(pub u32);
 
 impl std::fmt::Display for ClusterId {
@@ -352,7 +356,11 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
     }
 
     /// Lines 17–28: BFS expansion of a density-connected set.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the BFS threads the caller's label, flag and scratch buffers, reused across \
+                  clusters"
+    )]
     fn expand_cluster(
         &self,
         index: &NeighborIndex<D>,

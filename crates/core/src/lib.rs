@@ -31,11 +31,11 @@
 //! assert_eq!(outcome.clusters.len(), 1, "one shared corridor");
 //! ```
 
-#![warn(missing_docs)]
-// Const-generic code indexes several [f64; D] arrays with one loop counter;
-// clippy's iterator rewrite would zip up to four iterators and read worse.
-#![allow(clippy::needless_range_loop)]
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "const-generic code indexes several [f64; D] arrays with one loop counter; \
+              clippy's iterator rewrite would zip up to four iterators and read worse"
+)]
 
 pub mod anneal;
 pub mod cluster;

@@ -236,7 +236,7 @@ pub fn approximate_partition<const D: usize>(
             }
         }
     }
-    if *cps.last().expect("non-empty") != n - 1 {
+    if cps.last() != Some(&(n - 1)) {
         cps.push(n - 1); // line 12: the ending point
     }
     Partitioning {

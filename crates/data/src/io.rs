@@ -135,6 +135,10 @@ pub fn read_csv<R: BufRead>(r: R) -> Result<Vec<Trajectory<2>>, IoError> {
             current_source_id = Some(source_id);
             out.push(Trajectory::new(TrajectoryId(out.len() as u32), Vec::new()));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a trajectory is pushed before its first point"
+        )]
         out.last_mut()
             .expect("pushed above")
             .points

@@ -21,9 +21,6 @@
 //!   behind one interface with shared gap-splitting / downsampling
 //!   preprocessing.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod animal;
 pub mod geolife;
 pub mod hurricane;

@@ -162,6 +162,10 @@ fn densify(backbone: &[Point2], step: f64) -> Vec<Point2> {
             out.push(w[0].lerp(&w[1], s as f64 / steps as f64));
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "a scene backbone is a non-empty polyline"
+    )]
     out.push(*backbone.last().expect("non-empty backbone"));
     out
 }

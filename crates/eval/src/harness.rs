@@ -14,10 +14,6 @@
 //! include their own preprocessing (resampling, midpoint extraction) — so
 //! the runtime column compares what a user would actually pay.
 
-// xtask:allow-file(wall-clock): runtime capture is this harness's job —
-// every Instant::now pair feeds only the report's runtime_seconds column,
-// never a clustering decision, so outputs stay input-deterministic.
-
 use std::time::Instant;
 
 use traclus_baselines::{
@@ -95,10 +91,6 @@ fn fmt_f64(v: f64) -> String {
 /// assignments by slice position while the segment database records
 /// trajectory *ids*, so a reordered list would silently cross the two;
 /// this is asserted up front rather than trusted.
-// Wall-clock capture is this function's job: the harness reports measured
-// runtimes next to quality metrics, and the readings feed only the
-// `runtime_seconds` report field — never a clustering decision.
-#[allow(clippy::disallowed_methods)]
 pub fn evaluate_dataset(
     dataset: &str,
     trajectories: &[Trajectory<2>],
@@ -138,7 +130,7 @@ pub fn evaluate_dataset(
                 parallelism,
                 ..traclus_config
             });
-            let start = Instant::now();
+            let start = now();
             let outcome = engine.run(trajectories);
             let runtime = start.elapsed().as_secs_f64();
             entries.push((
@@ -150,7 +142,7 @@ pub fn evaluate_dataset(
         }
 
         let engine = Traclus::new(traclus_config);
-        let start = Instant::now();
+        let start = now();
         let mut stream = engine.stream();
         for t in trajectories {
             stream.insert(t);
@@ -166,7 +158,7 @@ pub fn evaluate_dataset(
     }
 
     for &k in &config.kmeans_ks {
-        let start = Instant::now();
+        let start = now();
         let result = kmeans_trajectories(
             trajectories,
             &KMeansConfig {
@@ -185,7 +177,7 @@ pub fn evaluate_dataset(
     }
 
     for &components in &config.mixture_components {
-        let start = Instant::now();
+        let start = now();
         let model = fit_regression_mixture(
             trajectories,
             &RegressionMixtureConfig {
@@ -208,7 +200,7 @@ pub fn evaluate_dataset(
         // substrate baselines "from trajectories" pays for partitioning
         // just like the TRACLUS entries do (the re-derived database is
         // identical to the shared one — partitioning is deterministic).
-        let start = Instant::now();
+        let start = now();
         let own_db =
             SegmentDatabase::from_trajectories(trajectories, &config.partition, config.distance);
         let midpoints: Vec<Point<2>> = (0..own_db.len() as u32)
@@ -229,7 +221,7 @@ pub fn evaluate_dataset(
 
     for &(eps, min_pts) in &config.optics_params {
         // Same end-to-end accounting as point DBSCAN above.
-        let start = Instant::now();
+        let start = now();
         let own_db =
             SegmentDatabase::from_trajectories(trajectories, &config.partition, config.distance);
         let index = own_db.build_index(config.index, eps);
@@ -274,6 +266,17 @@ pub fn evaluate_dataset(
         segments: db.len(),
         entries,
     }
+}
+
+/// The harness's one clock read: every runtime in the report is the
+/// difference of two of these.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "runtime capture is this harness's job; the readings feed only the report's \
+              runtime_seconds column, never a clustering decision"
+)]
+fn now() -> Instant {
+    Instant::now()
 }
 
 #[cfg(test)]

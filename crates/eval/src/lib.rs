@@ -27,9 +27,6 @@
 //! * [`parallel`] — [`parallel_map`], the std-only ordered parallel map
 //!   the harness uses to score metrics across entries concurrently.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod harness;
 pub mod metrics;
 pub mod parallel;

@@ -8,6 +8,7 @@
 //! locks down: silhouette ∈ [-1, 1], noise ratio ∈ [0, 1], and every
 //! metric is invariant under relabeling cluster ids.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
@@ -128,7 +129,7 @@ pub fn cluster_sizes(labels: &[Option<u32>]) -> Vec<usize> {
         *counts.entry(*l).or_insert(0) += 1;
     }
     let mut sizes: Vec<usize> = counts.into_values().collect();
-    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    sizes.sort_unstable_by_key(|&s| Reverse(s));
     sizes
 }
 
@@ -228,6 +229,10 @@ fn mean_distance<const D: usize>(
         if exclude_self && j == i {
             // Deterministic neighbour swap keeps the draw unbiased enough
             // for an estimate while avoiding a rejection loop.
+            #[expect(
+                clippy::expect_used,
+                reason = "exclude_self is set only when i is one of the members"
+            )]
             let pos = members.iter().position(|&m| m == i).expect("i is a member");
             j = members[(pos + 1) % n];
         }

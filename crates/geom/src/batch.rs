@@ -457,7 +457,10 @@ fn angle_component<const D: usize>(
 /// zero — and returns `false`; the caller then redoes *both* lanes through
 /// the scalar reference, overwriting the speculative NaN/∞ garbage. Valid
 /// lanes are bit-identical to the scalar path.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "both lanes' inputs and outputs, passed flat to an always-inlined kernel"
+)]
 #[inline(always)]
 fn lane2_kernel<const D: usize>(
     li_a: &SegmentRecord<D>,

@@ -251,9 +251,11 @@ fn components_with_roles<const D: usize>(
         };
     }
 
+    #[expect(clippy::expect_used, reason = "li is non-degenerate here")]
     let ps = li
         .project_onto_line(&lj.start)
         .expect("non-degenerate li projects");
+    #[expect(clippy::expect_used, reason = "li is non-degenerate here")]
     let pe = li
         .project_onto_line(&lj.end)
         .expect("non-degenerate li projects");

@@ -33,11 +33,11 @@
 //! Everything is `f64`, deterministic, and allocation-free on the hot
 //! paths (distance evaluation allocates nothing).
 
-#![warn(missing_docs)]
-// Const-generic code indexes several [f64; D] arrays with one loop counter;
-// clippy's iterator rewrite would zip up to four iterators and read worse.
-#![allow(clippy::needless_range_loop)]
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "const-generic code indexes several [f64; D] arrays with one loop counter; \
+              clippy's iterator rewrite would zip up to four iterators and read worse"
+)]
 
 pub mod batch;
 pub mod bbox;

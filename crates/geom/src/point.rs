@@ -117,14 +117,17 @@ impl<const D: usize> Point<D> {
     }
 
     /// Total order on coordinates (lexicographic, NaN-free inputs assumed).
+    /// −0.0 equals +0.0, and a coordinate pair holding a NaN is skipped.
     ///
     /// Used as the deterministic tie-breaker that Lemma 2 obtains from the
     /// "internal identifier" when two segments have exactly equal length.
     pub fn lex_cmp(&self, other: &Self) -> std::cmp::Ordering {
-        for k in 0..D {
-            match self.coords[k].partial_cmp(&other.coords[k]) {
-                Some(std::cmp::Ordering::Equal) | None => continue,
-                Some(ord) => return ord,
+        for (a, b) in self.coords.iter().zip(&other.coords) {
+            if a < b {
+                return std::cmp::Ordering::Less;
+            }
+            if a > b {
+                return std::cmp::Ordering::Greater;
             }
         }
         std::cmp::Ordering::Equal
@@ -501,6 +504,9 @@ mod tests {
         assert_eq!(a.lex_cmp(&a), Ordering::Equal);
         let c = Point2::xy(1.0, 10.0);
         assert_eq!(a.lex_cmp(&c), Ordering::Less);
+        // Signed zeros compare equal, so y decides (total_cmp would say Less).
+        let neg_zero = Point2::xy(-0.0, 2.0);
+        assert_eq!(neg_zero.lex_cmp(&Point2::xy(0.0, 1.0)), Ordering::Greater);
     }
 
     #[test]

@@ -13,10 +13,18 @@ use crate::segment::Segment;
 
 /// Identifier of a trajectory within a dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derive(PartialOrd) calls partial_cmp on the u32 field, a total order"
+)]
 pub struct TrajectoryId(pub u32);
 
 /// Identifier of a line segment within a segment database `D`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "derive(PartialOrd) calls partial_cmp on the u32 field, a total order"
+)]
 pub struct SegmentId(pub u32);
 
 impl std::fmt::Display for TrajectoryId {

@@ -37,9 +37,6 @@
 //! the paper's suggestion). [`LinearScanIndex`] is the O(n²) reference the
 //! R-tree's tests compare it against.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod rtree;
 
 pub use rtree::RTree;

@@ -111,6 +111,10 @@ impl<const D: usize> RTree<D> {
 
     /// Bulk-loads with the STR (sort-tile-recursive) algorithm: full leaves,
     /// near-minimal overlap, O(n log n) build.
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop leaves one node in the non-empty level for the tail expression to take"
+    )]
     pub fn bulk_load(entries: impl IntoIterator<Item = (u32, Aabb<D>)>) -> Self {
         let mut items: Vec<(u32, Aabb<D>)> = entries.into_iter().collect();
         let len = items.len();
@@ -193,6 +197,10 @@ impl<const D: usize> RTree<D> {
             if children.len() != 1 {
                 break;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop breaks unless the root has exactly one child"
+            )]
             let (_, child) = children.pop().expect("exactly one child");
             self.root = *child;
         }
@@ -339,6 +347,7 @@ fn insert_rec<const D: usize>(
         Node::Internal { children } => {
             // Choose the child whose bbox needs least enlargement
             // (ties: smaller volume).
+            #[expect(clippy::expect_used, reason = "an internal node always has children")]
             let best = (0..children.len())
                 .min_by(|&i, &j| {
                     let ei = children[i].0.enlargement(bbox);

@@ -35,9 +35,6 @@
 //! assert_eq!(back, v);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod parse;
 mod value;
 mod write;

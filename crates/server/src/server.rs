@@ -1,11 +1,5 @@
 //! The TCP daemon: accept loop, connection handlers, graceful shutdown.
 
-// xtask:allow-file(wall-clock): the serving layer measures per-request
-// latency (the `micros` response field) and polls sockets under a read
-// timeout. Neither reading influences clustering output — the engine and
-// snapshot layers below this file stay wall-clock-free, so determinism of
-// results is untouched.
-
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -253,10 +247,17 @@ fn wake_accept_loop(shared: &Shared, stream: &TcpStream) {
     }
 }
 
-// Instant::now is the per-request latency probe: readings annotate the
-// `micros` response field only and never influence clustering decisions,
-// so the determinism policy behind the workspace-wide disallow holds.
-#[allow(clippy::disallowed_methods)]
+/// The serving layer's one clock read: the per-request latency (the
+/// `micros` response field) and the reply deadlines.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "latency and write deadlines are wall-clock by nature, and no reading reaches \
+              the engine or the snapshots, which stay clock-free"
+)]
+fn now() -> Instant {
+    Instant::now()
+}
+
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     // A read timeout turns the blocking reader into a shutdown poll:
     // handlers notice the flag within one poll interval even when their
@@ -273,7 +274,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut writer = ReplyWriter {
         stream: stream_out,
-        deadline: Instant::now(),
+        deadline: now(),
     };
     let mut reader = BufReader::new(stream);
     let mut line: Vec<u8> = Vec::new();
@@ -301,7 +302,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     break; // not text: drop the connection
                 };
                 if !request.trim().is_empty() {
-                    let started = Instant::now();
+                    let started = now();
                     let (response, shutdown) = dispatch(request, shared);
                     let response = with_timing(response, started);
                     if writer.reply(&response).is_err() {
@@ -346,20 +347,16 @@ struct ReplyWriter {
     deadline: Instant,
 }
 
-// Instant::now sets and checks the reply deadline: it bounds how long a
-// handler may block on a client and never influences clustering.
-#[allow(clippy::disallowed_methods)]
 impl ReplyWriter {
     fn reply(&mut self, response: &JsonValue) -> std::io::Result<()> {
-        self.deadline = Instant::now() + WRITE_TIMEOUT;
+        self.deadline = now() + WRITE_TIMEOUT;
         write_line(self, response.to_compact())
     }
 }
 
-#[allow(clippy::disallowed_methods)]
 impl Write for ReplyWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
+        let left = self.deadline.saturating_duration_since(now());
         if left.is_zero() {
             return Err(ErrorKind::TimedOut.into());
         }
@@ -613,7 +610,6 @@ mod tests {
     /// timeout, so without the deadline the write runs until the client
     /// hangs up, two seconds in.
     #[test]
-    #[allow(clippy::disallowed_methods)] // the test times the write
     fn a_trickling_reader_cannot_stretch_a_reply_past_its_deadline() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
@@ -628,9 +624,9 @@ mod tests {
         });
         let mut writer = ReplyWriter {
             stream: served,
-            deadline: Instant::now() + Duration::from_millis(300),
+            deadline: now() + Duration::from_millis(300),
         };
-        let started = Instant::now();
+        let started = now();
         let outcome = writer.write_all(&vec![b'x'; 32 << 20]);
         let elapsed = started.elapsed();
         // Hang up, so the reader sees the end of the stream once it has

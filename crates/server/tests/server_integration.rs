@@ -3,6 +3,12 @@
 //! state a client observes over the wire corresponds to the batch
 //! pipeline run on some prefix of the ingested trajectories.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions, where a failed expectation fails the test"
+)]
+
 use std::net::SocketAddr;
 
 use traclus_core::{Traclus, TraclusConfig};

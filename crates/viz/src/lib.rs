@@ -9,9 +9,6 @@
 //! crate regenerates those images: [`SvgCanvas`] is a minimal SVG writer,
 //! [`render_clustering`] reproduces the paper's visual convention.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 use std::fmt::Write as _;
 
 use traclus_core::TraclusOutcome;

@@ -6,6 +6,13 @@
 //! cargo run --release --example animal_movements
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use traclus::data::{AnimalConfig, AnimalGenerator, Habitat};
 use traclus::prelude::*;
 use traclus::viz::render_clustering;

@@ -19,6 +19,13 @@
 //! cargo run --release --example evaluate
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use std::io::Write as _;
 use std::path::Path;
 

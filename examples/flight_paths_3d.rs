@@ -12,6 +12,13 @@
 //! cargo run --release --example flight_paths_3d
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use traclus::core::{Traclus, TraclusConfig};
 use traclus::geom::{Point, Trajectory, TrajectoryId};
 

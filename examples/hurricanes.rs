@@ -6,6 +6,13 @@
 //! cargo run --release --example hurricanes
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use traclus::core::{
     select_min_lns, EntropyCurve, IndexKind, MdlCost, PartitionConfig, SegmentDatabase,
 };

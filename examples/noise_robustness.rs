@@ -5,6 +5,13 @@
 //! cargo run --release --example noise_robustness
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use traclus::core::SegmentLabel;
 use traclus::data::{generate_scene, SceneConfig, TruthLabel};
 use traclus::prelude::*;

@@ -6,6 +6,13 @@
 //! cargo run --release --example parameter_selection
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use traclus::core::{
     select_eps_annealing, select_min_lns, AnnealConfig, ClusterConfig, EntropyCurve, IndexKind,
     LineSegmentClustering, QMeasure, SegmentDatabase,

@@ -9,6 +9,13 @@
 //! cargo run --release --example weighted_trajectories
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an example shows the API, and aborts with a message where a program would \
+              handle the error"
+)]
+
 use traclus::prelude::*;
 
 fn corridor_trajectory(_id: u32, offset: f64) -> Vec<Point2> {

@@ -66,9 +66,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use traclus_baselines as baselines;
 pub use traclus_core as core;
 pub use traclus_data as data;

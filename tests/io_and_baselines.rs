@@ -3,6 +3,12 @@
 //! surface, and the baseline algorithms interoperate with the same
 //! trajectory types.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions, where a failed expectation fails the test"
+)]
+
 use std::io::Cursor;
 
 use traclus::baselines::{

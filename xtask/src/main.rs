@@ -1,24 +1,23 @@
-//! CLI for the workspace maintenance tool; see the library crate for the
-//! engine. Invoked as `cargo xtask <subcommand>` via the alias in
-//! `.cargo/config.toml`.
+//! Workspace maintenance tool, invoked as `cargo xtask <subcommand>` via
+//! the alias in `.cargo/config.toml`. Its one subcommand, `bench-snapshot`,
+//! records the repository benchmark's untraced and traced runs as the
+//! checked-in end-to-end perf ledger ([`bench_snapshot`]).
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "an operator-run tool: aborting on a violated expectation is the right behavior"
+)]
+
+mod bench_snapshot;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
-
-use xtask::{baseline, bench_snapshot, run_lint};
 
 const USAGE: &str = "\
 usage: cargo xtask <subcommand>
 
 subcommands:
-  lint [--root <dir>] [--baseline <file>] [--update-baseline]
-      Run the static-analysis pass over the workspace sources.
-      --root             scan root (default: the workspace root)
-      --baseline         ratchet baseline file (default: <root>/xtask/lint-baseline.txt)
-      --update-baseline  rewrite the baseline to the current violation counts
-
   bench-snapshot [--out <file>]
       Run perfbench once per workload <root>/BENCHMARK.json declares,
       untraced and traced, for its run_seconds, and write the machine
@@ -33,7 +32,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match sub.as_str() {
-        "lint" => cmd_lint(&args[1..]),
         "bench-snapshot" => cmd_bench_snapshot(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -65,87 +63,6 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<PathBuf>, String> {
             .get(i + 1)
             .map(|v| Some(PathBuf::from(v)))
             .ok_or_else(|| format!("{flag} requires a value")),
-    }
-}
-
-fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
-    for a in args {
-        if a.starts_with("--")
-            && !["--root", "--baseline", "--update-baseline"].contains(&a.as_str())
-        {
-            return Err(format!("unknown flag {a:?}\n\n{USAGE}"));
-        }
-    }
-    let root = flag_value(args, "--root")?.unwrap_or_else(workspace_root);
-    let baseline_path = flag_value(args, "--baseline")?
-        .unwrap_or_else(|| root.join("xtask").join("lint-baseline.txt"));
-    let update = args.iter().any(|a| a == "--update-baseline");
-
-    let pinned = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => baseline::Baseline::new(),
-        Err(e) => return Err(format!("cannot read {}: {e}", baseline_path.display())),
-    };
-
-    let outcome = run_lint(&root, &pinned)?;
-
-    for f in &outcome.hard {
-        println!("{f}");
-    }
-    for (rule, file, was, now) in &outcome.ratchet.regressions {
-        println!(
-            "[{rule}] {file}: {now} violation(s), baseline pins {was} — fix the new \
-             ones or justify and `cargo xtask lint --update-baseline`"
-        );
-    }
-    for (rule, file, was, now) in &outcome.ratchet.improvements {
-        println!(
-            "note: [{rule}] {file}: down to {now} from pinned {was} — run \
-             `cargo xtask lint --update-baseline` to lock in the improvement"
-        );
-    }
-
-    if update {
-        std::fs::write(&baseline_path, baseline::render(&outcome.ratchet_counts))
-            .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-        println!(
-            "lint: baseline rewritten with {} pinned entr{} at {}",
-            outcome.ratchet_counts.len(),
-            if outcome.ratchet_counts.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            baseline_path.display()
-        );
-        // Hard findings still gate even while re-pinning.
-        return Ok(if outcome.hard.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
-
-    if outcome.is_ok() {
-        println!(
-            "lint: {} files scanned, 0 violations ({} ratchet-pinned entr{})",
-            outcome.files_scanned,
-            outcome.ratchet_counts.len(),
-            if outcome.ratchet_counts.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-        );
-        Ok(ExitCode::SUCCESS)
-    } else {
-        println!(
-            "lint: FAILED — {} hard finding(s), {} ratchet regression(s) across {} files",
-            outcome.hard.len(),
-            outcome.ratchet.regressions.len(),
-            outcome.files_scanned,
-        );
-        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -208,13 +125,75 @@ fn cmd_bench_snapshot(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Seconds since the Unix epoch. Wall-clock is the point here: a snapshot
-/// records when the numbers were taken. xtask is exempt from the workspace
-/// wall-clock policy.
+/// Seconds since the Unix epoch.
 fn unix_now() -> Result<u64, String> {
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "a snapshot records when its numbers were taken"
+    )]
     let now = std::time::SystemTime::now();
     now.duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .map_err(|e| format!("system clock before the epoch: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::workspace_root;
+
+    /// The trimmed `key = value` lines of the `[name]` table in a manifest,
+    /// comments and blank lines left out; `None` when the table is absent.
+    fn table(manifest: &str, name: &str) -> Option<Vec<String>> {
+        let header = format!("[{name}]");
+        let mut lines = manifest.lines().map(str::trim);
+        lines.find(|l| *l == header)?;
+        Some(
+            lines
+                .take_while(|l| !l.starts_with('['))
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(str::to_string)
+                .collect(),
+        )
+    }
+
+    /// A crate without `[lints] workspace = true` escapes every rule, and a
+    /// misspelled lint name in the table only warns, so both are checked
+    /// here rather than trusted.
+    #[test]
+    fn every_member_opts_into_the_workspace_lint_table() {
+        let root = workspace_root();
+        let read = |dir: &str| std::fs::read_to_string(root.join(dir).join("Cargo.toml")).unwrap();
+        let workspace = read(".");
+        let members_start = workspace.find("\nmembers = [").expect("a members list");
+        let members = &workspace[members_start..];
+        let members = &members[..members.find(']').unwrap()];
+        let opted_in: Vec<&str> = members
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .filter(|m| !m.starts_with("vendor/"))
+            .collect();
+        assert!(opted_in.contains(&"xtask"), "{opted_in:?}");
+        for dir in std::iter::once(".").chain(opted_in) {
+            assert_eq!(
+                table(&read(dir), "lints"),
+                Some(vec!["workspace = true".to_string()]),
+                "{dir}/Cargo.toml must opt into the workspace lints"
+            );
+        }
+        let mut lints = table(&workspace, "workspace.lints.rust").unwrap_or_default();
+        lints.extend(table(&workspace, "workspace.lints.clippy").unwrap_or_default());
+        lints.sort();
+        assert_eq!(
+            lints,
+            [
+                "allow_attributes_without_reason = \"warn\"",
+                "expect_used = \"warn\"",
+                "missing_docs = \"warn\"",
+                "unsafe_code = \"forbid\"",
+                "unwrap_used = \"warn\"",
+            ]
+        );
+    }
 }
