@@ -100,14 +100,7 @@ pub fn appendix_b(ctx: &ExperimentContext) -> std::io::Result<()> {
         // fixed ε would not compare like with like.
         let (eps, avg) = optimal_params(&db, hurricane_eps_grid());
         let min_lns = *traclus_core::select_min_lns(avg).start() + 1;
-        let clustering = LineSegmentClustering::new(
-            &db,
-            ClusterConfig {
-                index: IndexKind::RTree,
-                ..ClusterConfig::new(eps, min_lns)
-            },
-        )
-        .run();
+        let clustering = LineSegmentClustering::new(&db, ClusterConfig::new(eps, min_lns)).run();
         csv.num_row(&[
             wp,
             wl,

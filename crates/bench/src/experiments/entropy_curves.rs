@@ -5,13 +5,12 @@
 //! Our synthetic stand-ins live on their own coordinate scales, so each
 //! curve scans a range appropriate to its data; what must reproduce is the
 //! *shape* — high entropy at both extremes, an interior minimum — and the
-//! workflow: the chosen ε feeds `select_min_lns`.
+//! workflow: the chosen ε feeds `select_min_lns`. Each curve is one
+//! [`EntropyCurve::scan`]: one ε-query per segment at the grid's largest ε.
 
-use traclus_core::{select_min_lns, SegmentDatabase};
+use traclus_core::{select_min_lns, EntropyCurve, SegmentDatabase};
 
-use crate::util::{
-    elk_database, hurricane_database, parallel_entropy_curve, timed, ExperimentContext,
-};
+use crate::util::{elk_database, hurricane_database, timed, ExperimentContext};
 
 /// ε grid used for the hurricane curve (degrees; the paper scans 60 values
 /// — its data sat on a coarser coordinate scale, ours on lat/lon degrees).
@@ -32,7 +31,7 @@ fn run_curve(
     db: &SegmentDatabase<2>,
     grid: Vec<f64>,
 ) -> std::io::Result<()> {
-    let (curve, secs) = timed(|| parallel_entropy_curve(db, &grid, false));
+    let (curve, secs) = timed(|| EntropyCurve::scan(db, grid, false));
     let mut csv = ctx.csv(
         &format!("{name}.csv"),
         &["eps", "entropy", "avg_neighborhood"],
@@ -69,13 +68,13 @@ pub fn fig19(ctx: &ExperimentContext) -> std::io::Result<()> {
 
 /// Shared helper: the entropy-optimal (ε, avg|Nε|) for a database.
 pub fn optimal_params(db: &SegmentDatabase<2>, grid: Vec<f64>) -> (f64, f64) {
-    let curve = parallel_entropy_curve(db, &grid, false);
+    let curve = EntropyCurve::scan(db, grid, false);
     let min = curve.minimum().expect("non-empty curve");
     (min.eps, min.avg_neighborhood)
 }
 
-/// Memoised hurricane-optimum (several experiments need it; the scan is
-/// the expensive part and the dataset is deterministic per seed 1950).
+/// Memoised hurricane-optimum (several experiments need it, and the
+/// dataset is deterministic per seed 1950).
 pub fn hurricane_optimal_cached() -> (f64, f64) {
     static CACHE: std::sync::OnceLock<(f64, f64)> = std::sync::OnceLock::new();
     *CACHE.get_or_init(|| {

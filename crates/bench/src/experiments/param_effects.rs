@@ -8,7 +8,7 @@
 //! clusters. We sweep the same ±17 % band around the entropy-optimal ε and
 //! additionally sweep MinLns at fixed ε to confirm the mirrored trend.
 
-use traclus_core::{select_min_lns, ClusterConfig, IndexKind, LineSegmentClustering};
+use traclus_core::{select_min_lns, ClusterConfig, LineSegmentClustering};
 
 use crate::experiments::entropy_curves::hurricane_optimal_cached;
 use crate::util::{hurricane_database, ExperimentContext};
@@ -35,14 +35,7 @@ pub fn sec54(ctx: &ExperimentContext) -> std::io::Result<()> {
     let mut rows: Vec<(f64, usize, usize, f64)> = Vec::new();
     for factor in [25.0 / 30.0, 1.0, 35.0 / 30.0] {
         let eps = eps_opt * factor;
-        let clustering = LineSegmentClustering::new(
-            &db,
-            ClusterConfig {
-                index: IndexKind::RTree,
-                ..ClusterConfig::new(eps, min_lns)
-            },
-        )
-        .run();
+        let clustering = LineSegmentClustering::new(&db, ClusterConfig::new(eps, min_lns)).run();
         let clusters = clustering.clusters.len();
         let mean = clustering.mean_cluster_size();
         csv.num_row(&[
@@ -61,14 +54,7 @@ pub fn sec54(ctx: &ExperimentContext) -> std::io::Result<()> {
     // MinLns sweep at fixed ε: larger MinLns ⇒ more/smaller clusters trend.
     for delta in [-2i64, 0, 2] {
         let m = (min_lns as i64 + delta).max(2) as usize;
-        let clustering = LineSegmentClustering::new(
-            &db,
-            ClusterConfig {
-                index: IndexKind::RTree,
-                ..ClusterConfig::new(eps_opt, m)
-            },
-        )
-        .run();
+        let clustering = LineSegmentClustering::new(&db, ClusterConfig::new(eps_opt, m)).run();
         csv.num_row(&[
             eps_opt,
             m as f64,

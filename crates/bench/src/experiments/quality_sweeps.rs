@@ -7,7 +7,7 @@
 //! row. We regenerate the same grid around *our* entropy-optimal ε.
 
 use traclus_core::{
-    select_min_lns, ClusterConfig, IndexKind, LineSegmentClustering, QMeasure, SegmentDatabase,
+    select_min_lns, ClusterConfig, LineSegmentClustering, QMeasure, SegmentDatabase,
 };
 
 use crate::experiments::entropy_curves::{elk_optimal_cached, hurricane_optimal_cached};
@@ -55,15 +55,8 @@ fn run_sweep(
                 .map(move |&e| (e, m))
         })
         .collect();
-    let rows = crate::util::parallel_map(combos, |&(eps, min_lns)| {
-        let clustering = LineSegmentClustering::new(
-            db,
-            ClusterConfig {
-                index: IndexKind::RTree,
-                ..ClusterConfig::new(eps, min_lns)
-            },
-        )
-        .run();
+    let rows = traclus_eval::parallel_map(combos, |&(eps, min_lns)| {
+        let clustering = LineSegmentClustering::new(db, ClusterConfig::new(eps, min_lns)).run();
         let q = QMeasure::compute_sampled(db, &clustering, QMEASURE_PAIR_CAP, 99);
         (
             eps,

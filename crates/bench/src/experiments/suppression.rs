@@ -8,8 +8,8 @@
 //! segment counts, cluster counts and QMeasure at fixed (ε, MinLns).
 
 use traclus_core::{
-    partition_trajectories, ClusterConfig, IndexKind, LineSegmentClustering, PartitionConfig,
-    QMeasure, SegmentDatabase,
+    partition_trajectories, ClusterConfig, LineSegmentClustering, PartitionConfig, QMeasure,
+    SegmentDatabase,
 };
 use traclus_data::HurricaneGenerator;
 use traclus_geom::SegmentDistance;
@@ -55,14 +55,7 @@ pub fn sec413(ctx: &ExperimentContext) -> std::io::Result<()> {
             Some(b) => (mean_len / b - 1.0) * 100.0,
         };
         let db = SegmentDatabase::from_segments(segments, SegmentDistance::default());
-        let clustering = LineSegmentClustering::new(
-            &db,
-            ClusterConfig {
-                index: IndexKind::RTree,
-                ..ClusterConfig::new(eps, min_lns)
-            },
-        )
-        .run();
+        let clustering = LineSegmentClustering::new(&db, ClusterConfig::new(eps, min_lns)).run();
         let q = QMeasure::compute_sampled(&db, &clustering, 400_000, 17);
         csv.num_row(&[
             suppression,

@@ -1,14 +1,14 @@
 //! Shared harness utilities: output management, CSV emission, dataset
-//! construction and timing.
+//! construction and timing. The Section 4.4 entropy curves come from
+//! [`traclus_core::EntropyCurve::scan`] itself, which already runs on
+//! every available thread.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use traclus_core::{
-    EntropyCurve, EntropyPoint, IndexKind, NeighborhoodStats, PartitionConfig, SegmentDatabase,
-};
+use traclus_core::{PartitionConfig, SegmentDatabase};
 use traclus_data::{AnimalGenerator, HurricaneGenerator};
 use traclus_geom::{SegmentDistance, Trajectory};
 
@@ -90,32 +90,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Entropy curve with the ε samples spread over one worker thread per CPU
-/// by [`parallel_map`] (each sample is independent), all reading one
-/// shared R-tree. Equal to [`EntropyCurve::scan`] with [`IndexKind::RTree`],
-/// point for point.
-pub fn parallel_entropy_curve(
-    db: &SegmentDatabase<2>,
-    grid: &[f64],
-    weighted: bool,
-) -> EntropyCurve {
-    let index = db.build_index(IndexKind::RTree, 1.0);
-    let points = parallel_map(grid.to_vec(), |&eps| {
-        let stats = NeighborhoodStats::compute(db, &index, eps, weighted);
-        EntropyPoint {
-            eps,
-            entropy: stats.entropy(),
-            avg_neighborhood: stats.average(),
-        }
-    });
-    EntropyCurve { points }
-}
-
-// Re-exported for the experiment binaries; the implementation moved into
-// `traclus_eval` so the evaluation harness itself can use it (bench
-// depends on eval, so the dependency can only point that way).
-pub use traclus_eval::parallel_map;
-
 /// MDL coding precision for the hurricane stand-in: 0.05° ≈ the accuracy
 /// of best-track centre fixes on a lat/lon grid.
 pub const HURRICANE_MDL_PRECISION: f64 = 0.05;
@@ -182,33 +156,6 @@ mod tests {
         let (v, secs) = timed(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn parallel_entropy_curve_equals_the_sequential_scan() {
-        let trajectories = &HurricaneGenerator::paper_scale(1)[..60];
-        let partition = partition_with_precision(HURRICANE_MDL_PRECISION);
-        let db = SegmentDatabase::from_trajectories(
-            trajectories,
-            &partition,
-            SegmentDistance::default(),
-        );
-        let grid = [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0];
-        let bits = |p: &EntropyPoint| {
-            (
-                p.eps.to_bits(),
-                p.entropy.to_bits(),
-                p.avg_neighborhood.to_bits(),
-            )
-        };
-        for weighted in [false, true] {
-            let parallel = parallel_entropy_curve(&db, &grid, weighted);
-            let sequential = EntropyCurve::scan(&db, IndexKind::RTree, grid, weighted);
-            assert_eq!(parallel.points.len(), grid.len());
-            for (p, s) in parallel.points.iter().zip(&sequential.points) {
-                assert_eq!(bits(p), bits(s), "weighted {weighted}, eps {}", s.eps);
-            }
-        }
     }
 
     #[test]

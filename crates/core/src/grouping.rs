@@ -315,12 +315,14 @@ pub(crate) fn raw_labels(
             raw[id] = Some(comp_of_root[root]);
         }
     }
+    // A border reads each listed core's component from `raw`. The core
+    // filter stays: `raw` gains border labels as this loop runs.
     for id in 0..n {
         if !core(id) {
             raw[id] = lists[id]
                 .iter()
                 .filter(|&&c| core(c as usize))
-                .map(|&c| comp_of_root[dsu.find(c) as usize])
+                .filter_map(|&c| raw[c as usize])
                 .min();
         }
     }

@@ -5,8 +5,10 @@
 //! `p(xᵢ) = |Nε(xᵢ)| / Σⱼ|Nε(xⱼ)|` and pick the ε minimising it — a skewed
 //! distribution (small entropy) signals good cluster/noise contrast, while
 //! both tiny and huge ε make `|Nε|` uniform and entropy maximal. The
-//! minimisation runs either as a full scan (producing the Figure 16/19
-//! curves) or by simulated annealing, as in the paper.
+//! minimisation runs either as a scan of a candidate grid
+//! ([`EntropyCurve::scan`], the Figure 16/19 curves, drawn from one ε-query
+//! per segment) or by simulated annealing over per-ε
+//! [`NeighborhoodStats::compute`] sweeps, as in the paper.
 //!
 //! The `MinLns` heuristic: `avg|Nε(L)| + 1 … + 3` at the chosen ε.
 //!
@@ -19,6 +21,7 @@ use std::num::NonZeroUsize;
 use std::ops::RangeInclusive;
 
 use crate::anneal::{minimize_1d, AnnealConfig};
+use crate::grouping::for_each_ordered;
 use crate::segment_db::{IndexKind, NeighborIndex, SegmentDatabase};
 
 /// Thread-count knob for the partition and grouping phases.
@@ -63,7 +66,7 @@ pub struct NeighborhoodStats {
 }
 
 impl NeighborhoodStats {
-    /// Computes `|Nε|` for every segment.
+    /// Computes `|Nε|` for every segment: the per-ε reference of the scan.
     pub fn compute<const D: usize>(
         db: &SegmentDatabase<D>,
         index: &NeighborIndex<D>,
@@ -124,20 +127,44 @@ pub struct EntropyCurve {
 }
 
 impl EntropyCurve {
-    /// Scans the candidate values (Figure 16/19 regenerate exactly this).
+    /// The curve over the candidates, in their order (Figures 16 and 19
+    /// regenerate exactly this). Each segment is queried once, at the
+    /// largest candidate (or 0), and the batched kernel re-scores its
+    /// neighbours; each adds its weight to every candidate at or above its
+    /// distance in ascending id order, the fold of a per-ε query, so the
+    /// curve equals [`NeighborhoodStats::compute`] bit for bit. Runs on the
+    /// default [`Parallelism`], holding one `f64` per segment per candidate.
     pub fn scan<const D: usize>(
         db: &SegmentDatabase<D>,
-        index_kind: IndexKind,
         eps_values: impl IntoIterator<Item = f64>,
         weighted: bool,
     ) -> Self {
-        let eps_values: Vec<f64> = eps_values.into_iter().collect();
-        let typical = eps_values.iter().copied().fold(f64::MIN, f64::max).max(1.0);
-        let index = db.build_index(index_kind, typical);
-        let points = eps_values
-            .into_iter()
-            .map(|eps| {
-                let stats = NeighborhoodStats::compute(db, &index, eps, weighted);
+        let grid: Vec<f64> = eps_values.into_iter().collect();
+        let top = grid.iter().copied().fold(0.0, f64::max);
+        let index = db.build_index(IndexKind::RTree, top);
+        let ids: Vec<u32> = (0..db.len() as u32).collect();
+        let bin = |&id: &u32, row: &mut Vec<f64>| {
+            let neighbours = db.neighborhood(&index, id, top);
+            let mut dists = vec![0.0; neighbours.len()];
+            db.distance_fn()
+                .distance_many_into(db.table(), id, &neighbours, &mut dists);
+            row.resize(grid.len(), 0.0);
+            for (&m, &d) in neighbours.iter().zip(&dists) {
+                for (size, _) in row.iter_mut().zip(&grid).filter(|&(_, &eps)| d <= eps) {
+                    *size += db.cardinality_weight(m, weighted);
+                }
+            }
+        };
+        // `rows[id * grid.len() + k]`: `|Nε(id)|` at `grid[k]`.
+        let mut rows = Vec::with_capacity(ids.len() * grid.len());
+        let threads = Parallelism::default().thread_count();
+        for_each_ordered(&ids, threads, bin, |_, row| rows.extend_from_slice(row));
+        let points = grid
+            .iter()
+            .enumerate()
+            .map(|(k, &eps)| {
+                let sizes = rows.iter().skip(k).step_by(grid.len()).copied().collect();
+                let stats = NeighborhoodStats { sizes };
                 EntropyPoint {
                     eps,
                     entropy: stats.entropy(),
@@ -171,13 +198,12 @@ pub struct EpsSelection {
 /// Selects ε by simulated annealing over `[lo, hi]` (the paper's method).
 pub fn select_eps_annealing<const D: usize>(
     db: &SegmentDatabase<D>,
-    index_kind: IndexKind,
     range: RangeInclusive<f64>,
     weighted: bool,
     config: &AnnealConfig,
 ) -> EpsSelection {
     let (lo, hi) = (*range.start(), *range.end());
-    let index = db.build_index(index_kind, hi.max(1.0));
+    let index = db.build_index(IndexKind::RTree, hi);
     let outcome = minimize_1d(
         |eps| NeighborhoodStats::compute(db, &index, eps, weighted).entropy(),
         lo,
@@ -203,7 +229,10 @@ pub fn select_min_lns(avg_neighborhood: f64) -> RangeInclusive<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traclus_geom::{IdentifiedSegment, Segment2, SegmentDistance, SegmentId, TrajectoryId};
+    use traclus_geom::{
+        AngleMode, DistanceWeights, IdentifiedSegment, Segment2, SegmentDistance, SegmentId,
+        TrajectoryId,
+    };
 
     fn db_of(segs: Vec<Segment2>) -> SegmentDatabase<2> {
         let identified = segs
@@ -240,6 +269,79 @@ mod tests {
         db_of(segs)
     }
 
+    /// 150 segments in three loose bundles with four headings, plus an
+    /// exact copy of the last (a distance of 0 between two segments),
+    /// weighted 0.1 to 2.6 in steps of 0.1: non-dyadic, so a weighted sum's
+    /// bits depend on its order. Enough segments for the ordered map to
+    /// spawn workers.
+    fn weighted_scene(distance: SegmentDistance) -> SegmentDatabase<2> {
+        let mut segs: Vec<Segment2> = (0..150u32)
+            .map(|k| {
+                let t = f64::from(k);
+                let x = 20.0 * (0.37 * t).sin() + 3.0 * f64::from(k % 3);
+                let y = 15.0 * (0.61 * t).cos();
+                let heading = 0.4 * f64::from(k % 4) + 0.05 * (1.3 * t).sin();
+                let len = 2.0 + 3.0 * (0.17 * t).cos().abs();
+                Segment2::xy(x, y, x + len * heading.cos(), y + len * heading.sin())
+            })
+            .collect();
+        segs.push(segs[149]);
+        let identified = (0u32..)
+            .zip(segs)
+            .map(|(k, s)| IdentifiedSegment {
+                weight: 0.1 * f64::from(1 + k % 26),
+                ..IdentifiedSegment::new(SegmentId(k), TrajectoryId(k / 5), s)
+            })
+            .collect();
+        SegmentDatabase::from_segments(identified, distance)
+    }
+
+    /// The one-pass scan equals the per-ε `compute` bit for bit through
+    /// either reference index: unweighted and weighted, under the default
+    /// weights and under w∥ = 0 (no tree is built and every query scans),
+    /// over an unsorted grid with duplicates and ε = 0. An empty grid draws
+    /// no curve, and an empty database a curve of zeros.
+    #[test]
+    fn scan_equals_per_eps_compute_bit_for_bit() {
+        let grid = [3.0, 0.5, 0.0, 7.25, 0.5, 1.7, 12.0, 3.0, 0.1];
+        let bits = |p: &EntropyPoint| {
+            (
+                p.eps.to_bits(),
+                p.entropy.to_bits(),
+                p.avg_neighborhood.to_bits(),
+            )
+        };
+        let no_parallel =
+            SegmentDistance::new(DistanceWeights::new(1.0, 0.0, 1.0), AngleMode::Directed);
+        for distance in [SegmentDistance::default(), no_parallel] {
+            let db = weighted_scene(distance);
+            for weighted in [false, true] {
+                let curve = EntropyCurve::scan(&db, grid, weighted);
+                assert_eq!(curve.points.len(), grid.len());
+                for kind in [IndexKind::Linear, IndexKind::RTree] {
+                    let index = db.build_index(kind, 1.0);
+                    for (point, &eps) in curve.points.iter().zip(&grid) {
+                        let stats = NeighborhoodStats::compute(&db, &index, eps, weighted);
+                        let reference = EntropyPoint {
+                            eps,
+                            entropy: stats.entropy(),
+                            avg_neighborhood: stats.average(),
+                        };
+                        assert_eq!(
+                            bits(point),
+                            bits(&reference),
+                            "{distance:?}, {kind:?}, weighted {weighted}, eps {eps}"
+                        );
+                    }
+                }
+            }
+            assert!(EntropyCurve::scan(&db, [], true).points.is_empty());
+        }
+        let empty = EntropyCurve::scan(&db_of(Vec::new()), grid, true);
+        let zeros: Vec<_> = grid.iter().map(|e| (e.to_bits(), 0, 0)).collect();
+        assert_eq!(empty.points.iter().map(bits).collect::<Vec<_>>(), zeros);
+    }
+
     #[test]
     fn entropy_is_maximal_for_uniform_sizes() {
         let uniform = NeighborhoodStats {
@@ -271,7 +373,7 @@ mod tests {
         let eps_values: Vec<f64> = (0..=60)
             .map(|i| 0.05 * (500.0f64 / 0.05).powf(i as f64 / 60.0))
             .collect();
-        let curve = EntropyCurve::scan(&db, IndexKind::RTree, eps_values, false);
+        let curve = EntropyCurve::scan(&db, eps_values, false);
         let min = curve.minimum().expect("non-empty curve");
         let first = curve.points.first().unwrap();
         let last = curve.points.last().unwrap();
@@ -292,11 +394,10 @@ mod tests {
     fn annealing_agrees_with_scan_roughly() {
         let db = clustered_db();
         let eps_values: Vec<f64> = (1..=40).map(|i| i as f64 * 0.5).collect();
-        let curve = EntropyCurve::scan(&db, IndexKind::RTree, eps_values, false);
+        let curve = EntropyCurve::scan(&db, eps_values, false);
         let scan_best = curve.minimum().unwrap();
         let annealed = select_eps_annealing(
             &db,
-            IndexKind::RTree,
             0.5..=20.0,
             false,
             &AnnealConfig {

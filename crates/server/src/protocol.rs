@@ -112,6 +112,8 @@ pub enum Request {
 /// is total: every variant renders as an `"ok": false` response line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProtocolError {
+    /// The line is not UTF-8 text.
+    NotUtf8,
     /// The line is not valid JSON.
     Json(JsonError),
     /// The line parsed, but not to a JSON object.
@@ -163,6 +165,7 @@ pub enum ProtocolError {
 impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ProtocolError::NotUtf8 => write!(f, "request line is not valid UTF-8"),
             ProtocolError::Json(e) => write!(f, "invalid JSON: {e}"),
             ProtocolError::NotAnObject => write!(f, "request must be a JSON object"),
             ProtocolError::MissingOp => write!(f, "request has no string \"op\" member"),

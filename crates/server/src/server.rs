@@ -298,10 +298,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 // A complete line (or the final unterminated line before
                 // EOF) is in the buffer; clear it only after dispatch, so
                 // nothing accumulated survives into the next request.
-                let Ok(request) = std::str::from_utf8(&line) else {
-                    break; // not text: drop the connection
-                };
-                if !request.trim().is_empty() {
+                let request = std::str::from_utf8(&line).map_err(|_| ProtocolError::NotUtf8);
+                if !request.as_ref().is_ok_and(|r| r.trim().is_empty()) {
                     let started = now();
                     let (response, shutdown) = dispatch(request, shared);
                     let response = with_timing(response, started);
@@ -385,10 +383,11 @@ fn with_timing(response: JsonValue, started: Instant) -> JsonValue {
     }
 }
 
-/// Parses and executes one request line. The bool asks the connection
-/// loop to initiate daemon shutdown after responding.
-fn dispatch(line: &str, shared: &Shared) -> (JsonValue, bool) {
-    match Request::parse_line(line) {
+/// Parses and executes one request line, refused like a line that is not
+/// JSON when it is not text. The bool asks the connection loop to initiate
+/// daemon shutdown after responding.
+fn dispatch(line: Result<&str, ProtocolError>, shared: &Shared) -> (JsonValue, bool) {
+    match line.and_then(Request::parse_line) {
         Err(e) => (error_response(&e), false),
         Ok(Request::Ingest { points, weight }) => {
             // checked_add saturates the counter at u32::MAX instead of

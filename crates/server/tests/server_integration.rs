@@ -402,6 +402,45 @@ fn oversized_request_line_is_refused_and_closed() {
     server.join().expect("join").expect("clean shutdown");
 }
 
+/// A request line that is not UTF-8 gets a typed error, like a line that
+/// is not JSON, and the connection goes on serving.
+#[test]
+fn a_line_that_is_not_utf8_is_refused_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (config, _) = fixture();
+    let (addr, server) = start(config);
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    // Fail rather than hang should the server never answer.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream
+        .write_all(b"\xff\xfe\n{\"op\": \"stats\"}\n")
+        .expect("requests");
+    stream.flush().expect("flush");
+
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("error reply");
+    let value = JsonValue::parse(response.trim_end()).expect("reply is JSON");
+    assert_eq!(value.get("ok"), Some(&JsonValue::Bool(false)), "{response}");
+    assert_eq!(
+        value.get("error").and_then(JsonValue::as_str),
+        Some("request line is not valid UTF-8")
+    );
+    response.clear();
+    reader.read_line(&mut response).expect("stats reply");
+    assert_ok(&JsonValue::parse(response.trim_end()).expect("reply is JSON"));
+
+    stream
+        .write_all(b"{\"op\": \"shutdown\"}\n")
+        .expect("shutdown");
+    response.clear();
+    reader.read_line(&mut response).expect("shutdown ack");
+    server.join().expect("join").expect("clean shutdown");
+}
+
 /// Ingests past the point cap or with coordinates beyond the magnitude
 /// cap get typed errors at the wire, and the daemon keeps serving. The
 /// huge coordinates would overflow the distance kernels: a debug build's

@@ -13,9 +13,7 @@
               handle the error"
 )]
 
-use traclus::core::{
-    select_min_lns, EntropyCurve, IndexKind, MdlCost, PartitionConfig, SegmentDatabase,
-};
+use traclus::core::{select_min_lns, EntropyCurve, MdlCost, PartitionConfig, SegmentDatabase};
 use traclus::data::HurricaneGenerator;
 use traclus::prelude::*;
 use traclus::viz::render_clustering;
@@ -45,7 +43,7 @@ fn main() {
     let db = SegmentDatabase::from_trajectories(&tracks, &config.partition, config.distance);
     println!("partitioned into {} trajectory partitions", db.len());
     let grid: Vec<f64> = (1..=40).map(|i| i as f64 * 0.25).collect();
-    let curve = EntropyCurve::scan(&db, IndexKind::RTree, grid, false);
+    let curve = EntropyCurve::scan(&db, grid, false);
     let best = curve.minimum().expect("non-empty curve");
     let min_lns_range = select_min_lns(best.avg_neighborhood);
     println!(

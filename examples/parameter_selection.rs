@@ -14,7 +14,7 @@
 )]
 
 use traclus::core::{
-    select_eps_annealing, select_min_lns, AnnealConfig, ClusterConfig, EntropyCurve, IndexKind,
+    select_eps_annealing, select_min_lns, AnnealConfig, ClusterConfig, EntropyCurve,
     LineSegmentClustering, QMeasure, SegmentDatabase,
 };
 use traclus::data::{generate_scene, SceneConfig};
@@ -34,7 +34,7 @@ fn main() {
 
     // 1. Entropy curve scan (Figure 16/19 style).
     let grid: Vec<f64> = (1..=40).map(|i| i as f64 * 0.5).collect();
-    let curve = EntropyCurve::scan(&db, IndexKind::RTree, grid, false);
+    let curve = EntropyCurve::scan(&db, grid, false);
     println!("\n eps   entropy  avg|Neps|");
     for p in curve.points.iter().step_by(4) {
         println!(
@@ -49,18 +49,10 @@ fn main() {
     );
 
     // 2. Simulated annealing (the paper's search method) agrees.
-    let annealed = select_eps_annealing(
-        &db,
-        IndexKind::RTree,
-        0.5..=20.0,
-        false,
-        &AnnealConfig::default(),
-    );
+    let annealed = select_eps_annealing(&db, 0.5..=20.0, false, &AnnealConfig::default());
     println!(
-        "annealing:    eps = {:.2}, H = {:.4} ({} objective evaluations avoided a full scan)",
-        annealed.eps,
-        annealed.entropy,
-        AnnealConfig::default().iterations
+        "annealing:    eps = {:.2}, H = {:.4}",
+        annealed.eps, annealed.entropy
     );
 
     // 3. MinLns from the neighborhood average.
